@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 unreadable or malformed input,
-3 validation failure, 4 violated convergence hypothesis, 5 failed
-numerical cross-check.
+Exit codes: 0 success, 1 usage, 2 malformed input or an unreadable or
+unwritable file, 3 validation failure, 4 violated convergence hypothesis,
+5 failed numerical cross-check.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .complexes import rooted_at
-from .encoding import canonical_code
+from .encoding import bs_distance, canonical_code
 from .errors import (CrossCheckError, HypothesisViolationError,
                      MalformedInputError, ValidationError)
 from .estimators import convergence_experiment
@@ -20,8 +20,7 @@ from .formats import load_measure, read_scx, scx_text, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
 from .measures import (degree_truncate, mass_transport_check,
                        measure_distance, standard_battery)
-from .spectral import (betti, betti_normalized, spectral_measure,
-                       write_spectrum_csv)
+from .spectral import boundary_rank, spectral_measure, write_spectrum_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -83,10 +82,14 @@ def _cmd_betti(args):
     if not cx.vertices:
         print("empty complex")
         return 0
+    if args.p is not None and args.p < 0:
+        raise ValidationError("betti degree must be nonnegative")
     ps = [args.p] if args.p is not None else list(range(cx.dim + 1))
+    # b_p = |K(p)| - rank d_p - rank d_{p+1}: adjacent p share a rank
+    ranks = {q: boundary_rank(cx, q) for q in set(ps) | {p + 1 for p in ps}}
     for p in ps:
-        b = betti(cx, p)
-        norm = betti_normalized(cx, p)
+        b = len(cx.faces(p)) - ranks[p] - ranks[p + 1]
+        norm = Fraction(b, len(cx.faces(0)))
         print(f"p={p} b={b} norm={norm}")
         if args.exact:
             measure = spectral_measure(cx, p)
@@ -134,19 +137,7 @@ def _cmd_canon(args):
 def _cmd_bs_distance(args):
     a = _rooted_from_arg(args.a)
     b = _rooted_from_arg(args.b)
-    if args.rmax is None:
-        from .encoding import bs_distance
-        print(bs_distance(a, b))
-        return 0
-    if args.rmax < 0:
-        raise ValidationError("rmax must be nonnegative")
-    # radius-0 balls are always isomorphic, so start comparing at 1
-    for r in range(1, args.rmax + 1):
-        if canonical_code(a.ball(r)) != canonical_code(b.ball(r)):
-            # balls agreed up to r-1, so the distance is 2^-(r-1)
-            print(Fraction(1, 2 ** (r - 1)))
-            return 0
-    print(0)
+    print(bs_distance(a, b, args.rmax))
     return 0
 
 
@@ -327,6 +318,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ def _as_simplex(vertices) -> tuple:
 class SimplicialComplex:
     """Immutable finite abstract simplicial complex on integer vertices."""
 
-    __slots__ = ("_simplices", "_by_dim", "_star", "_neighbors", "_hash")
+    __slots__ = ("_simplices", "_by_dim", "_star", "_neighbors", "_hash",
+                 "_connected")
 
     def __init__(self, simplices, _validated: bool = False):
         """Build from an iterable of simplices that is already downward closed.
@@ -67,6 +68,7 @@ class SimplicialComplex:
             neighbors[edge[1]].add(edge[0])
         self._neighbors = {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
         self._hash = hash(self._simplices)
+        self._connected = None
 
     @classmethod
     def closure(cls, maximal) -> "SimplicialComplex":
@@ -155,11 +157,12 @@ class SimplicialComplex:
         return dist
 
     def is_connected(self) -> bool:
-        verts = self._star
-        if not verts:
-            return True
-        first = next(iter(verts))
-        return len(self.distances(first)) == len(verts)
+        # the complex is immutable, so one search answers for its lifetime
+        if self._connected is None:
+            verts = self._star
+            self._connected = (not verts or
+                               len(self.distances(next(iter(verts)))) == len(verts))
+        return self._connected
 
     def components(self) -> tuple:
         """Vertex sets of the connected components, sorted by smallest vertex."""
@@ -176,11 +179,9 @@ class SimplicialComplex:
     def induced(self, vertex_subset) -> "SimplicialComplex":
         """Full subcomplex on the given vertices."""
         keep = frozenset(vertex_subset)
-        picked: set[tuple] = set()
-        for v in keep:
-            for s in self._star.get(v, ()):
-                if s not in picked and all(u in keep for u in s):
-                    picked.add(s)
+        # each simplex is met once, in the star of its smallest vertex
+        picked = [s for v in keep for s in self._star.get(v, ())
+                  if s[0] == v and keep.issuperset(s)]
         return SimplicialComplex(picked, _validated=True)
 
     # -- dunder surface -----------------------------------------------------
@@ -228,22 +229,7 @@ class RootedComplex:
 
     def ball(self, r: int) -> "RootedComplex":
         """Closed ball: the subcomplex induced by vertices at distance <= r."""
-        if r < 0:
-            raise ValidationError("ball radius must be nonnegative")
-        cx = self.complex
-        inside = {self.root}
-        frontier = [self.root]
-        for _ in range(r):
-            nxt = []
-            for u in frontier:
-                for w in cx.neighbors(u):
-                    if w not in inside:
-                        inside.add(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-        return RootedComplex._make(cx.induced(inside), self.root)
+        return _ball(self.complex, self.root, r)
 
     def p_degree(self, p: int) -> int:
         return self.complex.p_degree(self.root, p)
@@ -261,6 +247,31 @@ class RootedComplex:
 
     def __repr__(self) -> str:
         return f"RootedComplex(root={self.root}, f_vector={self.complex.f_vector()})"
+
+
+def _ball(cx: SimplicialComplex, root: int, r: int) -> RootedComplex:
+    """The closed r-ball of ``cx`` around ``root``, found without leaving it.
+
+    ``cx`` may be disconnected: the search stays in the root's component.
+    A ball that already holds every vertex is ``cx`` itself.
+    """
+    if r < 0:
+        raise ValidationError("ball radius must be nonnegative")
+    inside = {root}
+    frontier = [root]
+    for _ in range(r):
+        nxt = []
+        for u in frontier:
+            for w in cx.neighbors(u):
+                if w not in inside:
+                    inside.add(w)
+                    nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    if len(inside) == len(cx.faces(0)):
+        return RootedComplex._make(cx, root)
+    return RootedComplex._make(cx.induced(inside), root)
 
 
 def closure(maximal) -> SimplicialComplex:

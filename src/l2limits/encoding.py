@@ -428,16 +428,20 @@ def rooted_isomorphic(a: RootedComplex, b: RootedComplex) -> bool:
     return canonical_code(a) == canonical_code(b)
 
 
-def bs_distance(a: RootedComplex, b: RootedComplex) -> Fraction:
+def bs_distance(a: RootedComplex, b: RootedComplex, rmax=None) -> Fraction:
     """Local (ball-comparison) distance between rooted isomorphism classes.
 
     1 / 2**R with R the largest radius at which the closed balls are rooted
     isomorphic; 0 when the classes coincide.  Radius-0 balls always agree,
-    so the value is at most 1.
+    so the value is at most 1.  With ``rmax`` only balls up to that radius
+    are compared, and balls that agree that far give 0.
     """
-    limit = max(a.eccentricity(), b.eccentricity())
-    for r in range(1, limit + 1):
+    if rmax is None:
+        # balls at the largest eccentricity are the full complexes
+        rmax = max(a.eccentricity(), b.eccentricity())
+    elif rmax < 0:
+        raise ValidationError("rmax must be nonnegative")
+    for r in range(1, rmax + 1):
         if canonical_code(a.ball(r)) != canonical_code(b.ball(r)):
             return Fraction(1, 2 ** (r - 1))
-    # balls at the largest eccentricity are the full complexes
     return Fraction(0)

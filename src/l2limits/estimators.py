@@ -16,13 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import RootedComplex, SimplicialComplex, rooted_at
+from .complexes import RootedComplex, SimplicialComplex, _ball
 from .encoding import _bfs_relabel_key
 from .errors import CrossCheckError, HypothesisViolationError, ValidationError
 from .measures import (RandomRootedComplex, ball_distribution, total_variation,
                        uniform_rooting)
-from .spectral import (SpectralMeasure, betti, betti_normalized,
-                       boundary_matrix, spectral_measure)
+from .spectral import SpectralMeasure, boundary_matrix, spectral_measure
 
 __all__ = [
     "MomentVector",
@@ -120,25 +119,48 @@ def _laplacian_rows(cx: SimplicialComplex, p: int):
     return cols, idx, rows
 
 
-def _ball_moment(ball: RootedComplex, p: int, r: int) -> Fraction:
+def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
+    """m_0..m_order of :func:`local_moment` from one ball and one sweep.
+
+    Per carrier σ, with v_k = Δ^k σ, symmetry gives ⟨Δ^{2k} σ, σ⟩ =
+    ⟨v_k, v_k⟩ and ⟨Δ^{2k+1} σ, σ⟩ = ⟨Δ v_k, v_k⟩, so ceil(order/2)
+    products yield every order.  Each step of a walk moves to a simplex
+    sharing a face or a coface with the last, so every simplex in the
+    support of v_k has a vertex within distance k of the root, and v_k is
+    exact in the (k+1)-ball.  Odd orders use Δ only between simplices of
+    that support.  So the (order//2 + 1)-ball, inside the (order+1)-ball,
+    suffices.
+    """
+    if p < 0:
+        raise ValidationError("dimension must be nonnegative")
+    if order < 0:
+        raise ValidationError("moment order must be nonnegative")
+    ball = rc.ball(order // 2 + 1)
     cx = ball.complex
-    root = ball.root
-    carriers = [s for s in cx.faces(p) if root in s]
-    if not carriers:
-        return _ZERO
-    cols, idx, rows = _laplacian_rows(cx, p)
-    total = 0
+    key = (_bfs_relabel_key(cx, ball.root), p, order)
+    hit = _MOMENT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    totals = [0] * (order + 1)
+    carriers = [s for s in cx.faces(p) if ball.root in s]
+    if carriers:
+        _, idx, rows = _laplacian_rows(cx, p)
     for s in carriers:
-        j = idx[s]
-        vec = {j: 1}
-        for _ in range(r):
+        vec = {idx[s]: 1}
+        for r in range(order + 1):
+            if r % 2 == 0:
+                totals[r] += sum(c * c for c in vec.values())
+                continue
             nxt: dict = {}
             for k, coeff in vec.items():
                 for t, val in rows[k].items():
                     nxt[t] = nxt.get(t, 0) + coeff * val
+            totals[r] += sum(c * nxt.get(t, 0) for t, c in vec.items())
             vec = nxt
-        total += vec.get(j, 0)
-    return Fraction(total, p + 1)
+    value = tuple(Fraction(t, p + 1) for t in totals)
+    if len(_MOMENT_CACHE) < _MOMENT_CACHE_LIMIT:
+        _MOMENT_CACHE[key] = value
+    return value
 
 
 def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
@@ -147,27 +169,15 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
     Only the (r+1)-ball around the root enters the answer, so the input may
     be the whole complex or any subcomplex containing that ball.
     """
-    if p < 0:
-        raise ValidationError("dimension must be nonnegative")
-    if r < 0:
-        raise ValidationError("moment order must be nonnegative")
-    ball = rc.ball(r + 1)
-    key = (_bfs_relabel_key(ball.complex, ball.root), p, r)
-    hit = _MOMENT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = _ball_moment(ball, p, r)
-    if len(_MOMENT_CACHE) < _MOMENT_CACHE_LIMIT:
-        _MOMENT_CACHE[key] = value
-    return value
+    return _local_moments(rc, p, r)[r]
 
 
 def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVector:
     """Exact moments m_0..m_order of the spectral measure of a finite law."""
-    moments = [
-        sum((pt.weight * local_moment(pt.rooted, p, r) for pt in mu.points), _ZERO)
-        for r in range(order + 1)
-    ]
+    moments = [_ZERO] * (order + 1)
+    for pt in mu.points:
+        for r, m in enumerate(_local_moments(pt.rooted, p, order)):
+            moments[r] += pt.weight * m
     mv = MomentVector(p, moments)
     mv.validate()
     return mv
@@ -178,24 +188,28 @@ def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVecto
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot average over an empty complex")
-    moments = []
-    for r in range(order + 1):
-        acc = sum(local_moment(rooted_at(cx, v), p, r) for v in verts)
-        moments.append(Fraction(acc, len(verts)))
-    mv = MomentVector(p, moments)
+    moments = [0] * (order + 1)
+    for v in verts:
+        for r, m in enumerate(_local_moments(_ball(cx, v, order + 1), p, order)):
+            moments[r] += m
+    mv = MomentVector(p, [Fraction(m, len(verts)) for m in moments])
     mv.validate()
     return mv
 
 
 def vertex_sampler(cx: SimplicialComplex, radius: int):
-    """Sampler of uniform-vertex rooted balls, for Monte Carlo estimation."""
+    """Sampler of uniform-vertex rooted balls, for Monte Carlo estimation.
+
+    Each ball is cut straight from ``cx`` around the drawn vertex, so a
+    sample costs the ball's size, not the complex's.
+    """
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot sample from an empty complex")
 
     def sample(rng) -> RootSample:
         v = verts[int(rng.integers(len(verts)))]
-        return RootSample(rooted_at(cx, v).ball(radius), radius)
+        return RootSample(_ball(cx, v, radius), radius)
 
     return sample
 
@@ -220,8 +234,8 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
             raise ValidationError(
                 f"sample ball radius {sample.declared_radius} cannot support "
                 f"order-{order} moments")
-        for r in range(order + 1):
-            values[r].append(float(local_moment(sample.rooted, p, r)))
+        for r, m in enumerate(_local_moments(sample.rooted, p, order)):
+            values[r].append(float(m))
     means = [math.fsum(col) / n_samples for col in values]
     if n_samples == 1:
         errs = [0.0] * (order + 1)
@@ -288,8 +302,8 @@ def _level_stats(args):
     return {
         "n_vertices": len(cx.vertices),
         "max_degree": cx.max_degree(),
-        "b_p": betti(cx, p),
-        "b_p_normalized": betti_normalized(cx, p),
+        "b_p": measure.kernel_dim,
+        "b_p_normalized": measure.mass_at_zero(),
         "moments": mv.moments,
         "nu": nu,
         "spectral_radius": measure.spectral_radius(),

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import l2limits
 from l2limits.cli import main
 from l2limits.errors import CrossCheckError
 from l2limits.formats import save_measure, write_scx
@@ -75,7 +80,7 @@ def test_betti_cross_check_failure_exits_5(scx, capsys, monkeypatch):
     def boom(cx, p):
         raise CrossCheckError("fabricated disagreement")
 
-    monkeypatch.setattr(cli_mod, "betti", boom)
+    monkeypatch.setattr(cli_mod, "boundary_rank", boom)
     path = scx("tri.scx", fixtures()["filled_triangle"])
     code, _, err = run(capsys, ["betti", path])
     assert code == 5
@@ -207,3 +212,34 @@ def test_converge_error_paths(tmp_path, capsys):
         "--degree-bound", "5", "--out", str(tmp_path / "b.csv")])
     assert code == 4
     assert "bounded degree" in err
+
+
+def test_unwritable_out_exits_2(scx, capsys, tmp_path):
+    target = str(tmp_path / "no-such-dir" / "out")
+    code, out, err = run(capsys, ["generate", "torus2d", "--n", "4",
+                                  "--out", target])
+    assert code == 2 and err.startswith("error:")
+    path = scx("tri.scx", fixtures()["filled_triangle"])
+    code, out, err = run(capsys, ["spectrum", path, "--p", "0",
+                                  "--out", target])
+    assert code == 2 and err.startswith("error:")
+    assert "nu({0}) = 1/3" in out  # the results came before the write
+    code, out, err = run(capsys, [
+        "converge", "--family", "torus1d", "--levels", "4,5", "--p", "0",
+        "--moments", "1", "--out", target])
+    assert code == 2 and err.startswith("error:")
+
+
+def test_unwritable_out_prints_no_traceback(tmp_path):
+    src = str(Path(l2limits.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    target = str(tmp_path / "no-such-dir" / "x.scx")
+    proc = subprocess.run(
+        [sys.executable, "-m", "l2limits.cli", "generate", "torus2d",
+         "--n", "4", "--out", target],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -5,15 +5,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import l2limits.estimators as estimators
 from conftest import random_complex
-from l2limits.complexes import closure, rooted_at
+from l2limits.complexes import SimplicialComplex, closure, rooted_at
 from l2limits.errors import (CrossCheckError, HypothesisViolationError,
                              ValidationError)
-from l2limits.estimators import (MomentVector, RootSample, _resolve_threads,
-                                 convergence_experiment, exhaustive_moments,
-                                 kernel_mass_bound, local_moment,
-                                 monte_carlo_moments, moments_of_measure,
-                                 vertex_sampler)
+from l2limits.estimators import (MomentVector, RootSample, _local_moments,
+                                 _resolve_threads, convergence_experiment,
+                                 exhaustive_moments, kernel_mass_bound,
+                                 local_moment, monte_carlo_moments,
+                                 moments_of_measure, vertex_sampler)
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import expected_p_degree, uniform_rooting
 from l2limits.spectral import SpectralMeasure, laplacian_matrix, spectral_measure
@@ -83,6 +84,77 @@ def test_vertex_sum_of_local_moments_is_trace():
                 total = sum(local_moment(rooted_at(cx, v), p, r)
                             for v in cx.vertices)
                 assert total == int(np.trace(np.linalg.matrix_power(lap, r)))
+
+
+def test_one_ball_gives_every_order():
+    for cx in fixtures().values():
+        for v in cx.vertices:
+            rc = rooted_at(cx, v)
+            for p in range(cx.dim + 1):
+                ms = _local_moments(rc, p, 4)
+                assert len(ms) == 5
+                for r in range(5):
+                    assert ms[r] == local_moment(rc, p, r)
+
+
+def test_local_moments_exact_where_the_ball_is_cut():
+    # balls far smaller than the complex: truncated rows must not leak in
+    rng = np.random.default_rng(83)
+    torus = torus_tower(2, 10)
+    kept = [t for t in torus.faces(2) if rng.random() < 0.7]
+    cx = closure(list(torus.faces(1)) + kept)
+    for p in (0, 1):
+        lap = laplacian_matrix(cx, p)
+        powers = [np.linalg.matrix_power(lap, r) for r in range(7)]
+        for v in (0, 37, 55):
+            carriers = [i for i, s in enumerate(cx.faces(p)) if v in s]
+            want = tuple(Fraction(int(sum(pw[i, i] for i in carriers)), p + 1)
+                         for pw in powers)
+            for order in (5, 6):
+                assert _local_moments(rooted_at(cx, v), p, order) == \
+                    want[:order + 1]
+
+
+@pytest.fixture
+def whole_searches(monkeypatch):
+    """Record every whole-complex search; start from an empty moment cache."""
+    calls = []
+    original = SimplicialComplex.distances
+
+    def counted(self, root):
+        calls.append(self)
+        return original(self, root)
+
+    monkeypatch.setattr(SimplicialComplex, "distances", counted)
+    monkeypatch.setattr(estimators, "_MOMENT_CACHE", {})
+    return calls
+
+
+def _two_tori():
+    torus = torus_tower(2, 6)
+    shifted = [tuple(v + 36 for v in s) for s in torus.faces(2)]
+    return closure(list(torus.faces(2)) + shifted)
+
+
+def test_monte_carlo_samples_never_search_the_complex(whole_searches):
+    for cx in (torus_tower(2, 30), _two_tori()):
+        mv = monte_carlo_moments(vertex_sampler(cx, 3), 1, 2, 20, seed=17)
+        assert mv.moments[0] == 3.0
+        assert whole_searches == []
+
+
+def test_exhaustive_moments_search_at_most_once(whole_searches):
+    for cx in (torus_tower(2, 8), _two_tori(), fixtures()["path4"]):
+        exhaustive_moments(cx, 1, 3)
+        assert len(whole_searches) <= 1
+        whole_searches.clear()
+
+
+def test_rooting_remembers_connectivity(whole_searches):
+    torus = torus_tower(2, 8)
+    for v in torus.vertices:
+        rooted_at(torus, v)
+    assert len(whole_searches) == 1
 
 
 def test_moment_vector_validation():
