@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage, 2 malformed input or an unreadable or
-unwritable file, 3 validation failure, 4 violated convergence hypothesis,
-5 failed numerical cross-check.
+unwritable file, 3 validation failure or any other package error, 4
+violated convergence hypothesis, 5 failed numerical cross-check.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .complexes import rooted_at
 from .encoding import bs_distance, canonical_code
-from .errors import (CrossCheckError, HypothesisViolationError,
+from .errors import (CrossCheckError, HypothesisViolationError, L2LimitsError,
                      MalformedInputError, ValidationError)
 from .estimators import convergence_experiment
 from .formats import load_measure, read_scx, scx_text, write_scx
@@ -321,6 +321,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except L2LimitsError as exc:
+        # a package error without a code of its own still ends without a
+        # traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -110,11 +110,51 @@ class CanonicalCode:
 # Vertices are handled as bit positions so the inner loop is integer work.
 
 
+def _refined_colors(cx: SimplicialComplex) -> dict:
+    """Vertex colours from iterated star refinement (1-WL on simplices).
+
+    A vertex starts with the sorted sizes of its star.  Each round hashes
+    a vertex's old colour with the sorted colours of the simplices in its
+    star, a simplex's colour being the sorted colours of its vertices (the
+    vertex's own colour is known, so this splits vertices exactly as the
+    colours of each simplex's other vertices would, with one sort per
+    simplex).  Rounds stop when the number of classes stops growing or
+    every vertex has a colour of its own.
+
+    Colours are hashes of int tuples: the same in every process and a
+    function of the isomorphism class of the complex rooted at the vertex.
+    So they compare across complexes, and vertices of unequal colour are
+    never mapped onto each other.  Equal colours prove nothing: all twelve
+    vertices of a triangular prism and of K_{3,3} get one colour.
+    """
+    verts = cx.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    members = []
+    star = [[] for _ in verts]
+    for k, s in enumerate(cx.simplices):
+        positions = [pos[u] for u in s]
+        members.append(positions)
+        for i in positions:
+            star[i].append(k)
+    color = [hash(tuple(sorted([len(members[k]) for k in ks]))) for ks in star]
+    classes = len(set(color))
+    while classes < len(color):
+        simplex_color = [hash(tuple(sorted([color[i] for i in positions])))
+                         for positions in members]
+        refined = [hash((c, tuple(sorted([simplex_color[k] for k in ks]))))
+                   for c, ks in zip(color, star)]
+        count = len(set(refined))
+        if count <= classes:
+            break
+        color, classes = refined, count
+    return dict(zip(verts, color))
+
+
 class _IsoContext:
     """Precomputed bitmask view of one complex, reusable across searches."""
 
     __slots__ = ("cx", "verts", "idx", "n", "nbr_positions", "nbr_mask",
-                 "star_items", "star_masks", "simplex_masks", "profile",
+                 "star_items", "star_masks", "simplex_masks", "colors",
                  "fvec")
 
     def __init__(self, cx: SimplicialComplex):
@@ -141,11 +181,8 @@ class _IsoContext:
         self.simplex_masks = {
             sum(1 << idx[u] for u in s) for s in cx.simplices
         }
-        dim = cx.dim
-        self.profile = [
-            tuple(cx.p_degree(v, p) for p in range(1, dim + 1))
-            for v in self.verts
-        ]
+        colors = _refined_colors(cx)
+        self.colors = [colors[v] for v in self.verts]
         self.fvec = cx.f_vector()
 
     def distances_from(self, root) -> list:
@@ -184,7 +221,10 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
             seed=None, budget=None):
     """Find a root-preserving isomorphism as a vertex dict, or None.
 
-    ``seed`` pins part of the map (used for automorphism extension).  With
+    A candidate image must lie at the same distance from the root and carry
+    the same refined colour (:func:`_refined_colors`); only candidates that
+    pass both are checked against the simplices already mapped.  ``seed``
+    pins part of the map (used for automorphism extension).  With
     ``budget`` set, the search gives up after that many feasibility checks
     and returns None; callers treat that as "not proven isomorphic".
     """
@@ -238,7 +278,7 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
             ptrs[depth] += 1
             if used >> v & 1:
                 continue
-            if dista[u] != distb[v] or ctxa.profile[u] != ctxb.profile[v]:
+            if dista[u] != distb[v] or ctxa.colors[u] != ctxb.colors[v]:
                 continue
             checks += 1
             if budget is not None and checks > budget:

@@ -99,29 +99,25 @@ def uniform_rooting(cx: SimplicialComplex) -> RandomRootedComplex:
 
     Rooting lands in the root's connected component.  Classes are found by
     explicit isomorphism search rather than by canonicalizing every rooted
-    copy: each successful search yields a whole vertex bijection, and
-    merging ``z ~ map(z)`` for every ``z`` collapses entire automorphism
-    orbits at once.  On vertex-transitive inputs a handful of searches
-    classify all roots.
+    copy, and a search runs only between roots with the same fingerprint:
+    component size, f-vector and refined vertex colour.  Unequal
+    fingerprints prove two roots non-isomorphic, so on complexes without
+    symmetry colours alone separate the classes and no search runs.  Each
+    successful search yields a whole vertex bijection, and merging
+    ``z ~ map(z)`` for every ``z`` collapses entire automorphism orbits at
+    once; on vertex-transitive inputs a handful of searches classify all
+    roots.
     """
     verts = sorted(cx.vertices)
     if not verts:
         raise ValidationError("cannot root an empty complex")
-    comp_of = {}
-    for comp_verts in cx.components():
-        comp = cx.induced(comp_verts)
-        for v in comp_verts:
-            comp_of[v] = comp
-
-    fingerprint = {}
-    for v in verts:
-        comp = comp_of[v]
-        fingerprint[v] = (
-            len(comp.vertices),
-            comp.f_vector(),
-            tuple(comp.p_degree(v, p) for p in range(1, comp.dim + 1)),
-            tuple(sorted(comp.degree(u) for u in comp.neighbors(v))),
-        )
+    comps = ((cx,) if cx.is_connected()
+             else tuple(cx.induced(c) for c in cx.components()))
+    ctx_of = {}
+    for comp in comps:
+        ctx = _IsoContext(comp)
+        for v in ctx.verts:
+            ctx_of[v] = ctx
 
     parent = {v: v for v in verts}
 
@@ -133,41 +129,41 @@ def uniform_rooting(cx: SimplicialComplex) -> RandomRootedComplex:
             parent[v], v = root, parent[v]
         return root
 
-    contexts = {}
-
-    def context(comp):
-        key = id(comp)
-        if key not in contexts:
-            contexts[key] = _IsoContext(comp)
-        return contexts[key]
-
-    reps = []
+    # A representative is the first vertex of its class and stays the root
+    # of its union-find tree, so "already classified" is a set lookup.
+    reps = set()
+    reps_by_print = {}
     for v in verts:
-        if any(find(v) == find(r) for r in reps):
+        if find(v) in reps:
             continue
-        for r in reps:
-            if fingerprint[r] != fingerprint[v]:
-                continue
-            vmap = _search(context(comp_of[r]), r, context(comp_of[v]), v)
+        ctx = ctx_of[v]
+        candidates = reps_by_print.setdefault(
+            (ctx.n, ctx.fvec, ctx.colors[ctx.idx[v]]), [])
+        for r in candidates:
+            vmap = _search(ctx_of[r], r, ctx, v)
             if vmap is not None:
-                # vmap is a bijection comp_of[r] -> comp_of[v] sending r to v;
-                # it identifies the class of every vertex it touches
+                # vmap is a bijection from r's component onto v's sending r
+                # to v; it identifies the class of every vertex it touches
                 for z, w in vmap.items():
                     pa, pb = find(z), find(w)
                     if pa != pb:
+                        if pb in reps:
+                            pa, pb = pb, pa
                         parent[pb] = pa
                 break
         else:
-            reps.append(v)
+            reps.add(v)
+            candidates.append(v)
 
+    # every root is a representative, met first at its smallest vertex
     counts = {}
     for v in verts:
         root = find(v)
         counts[root] = counts.get(root, 0) + 1
     n = len(verts)
     points = [
-        SupportPoint(RootedComplex._make(comp_of[r], r), Fraction(counts[find(r)], n))
-        for r in reps
+        SupportPoint(RootedComplex._make(ctx_of[r].cx, r), Fraction(count, n))
+        for r, count in counts.items()
     ]
     return RandomRootedComplex(points)
 

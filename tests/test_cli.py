@@ -8,7 +8,7 @@ import pytest
 
 import l2limits
 from l2limits.cli import main
-from l2limits.errors import CrossCheckError
+from l2limits.errors import CrossCheckError, L2LimitsError
 from l2limits.formats import save_measure, write_scx
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import uniform_rooting
@@ -85,6 +85,19 @@ def test_betti_cross_check_failure_exits_5(scx, capsys, monkeypatch):
     code, _, err = run(capsys, ["betti", path])
     assert code == 5
     assert "fabricated disagreement" in err
+
+
+def test_bare_package_error_exits_3(capsys, monkeypatch):
+    import l2limits.cli as cli_mod
+
+    def boom(args):
+        raise L2LimitsError("fabricated package error")
+
+    monkeypatch.setattr(cli_mod, "_cmd_validate", boom)
+    code, out, err = run(capsys, ["validate", "any.scx"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: fabricated package error\n"  # one line, no traceback
 
 
 def test_spectrum(scx, capsys, tmp_path):

@@ -6,10 +6,13 @@ import pytest
 
 from conftest import random_connected_complex
 from l2limits.complexes import SimplicialComplex, closure, rooted_at
-from l2limits.encoding import (CanonicalCode, bs_distance, canonical_code,
-                               find_rooted_isomorphism, index_of_subset,
-                               rooted_isomorphic, subset_from_index)
+from l2limits.encoding import (CanonicalCode, _refined_colors, bs_distance,
+                               canonical_code, find_rooted_isomorphism,
+                               index_of_subset, rooted_isomorphic,
+                               subset_from_index)
 from l2limits.errors import ValidationError
+from l2limits.generators import fixtures, random_flag
+from l2limits.measures import uniform_rooting
 
 
 def test_subset_enumeration_start():
@@ -134,6 +137,32 @@ def test_isomorphism_map_is_a_bijection():
     vmap = find_rooted_isomorphism(rooted_at(octa, 0), rooted_at(octa, 4))
     assert vmap is not None
     assert sorted(vmap) == sorted(vmap.values())
+
+
+def test_refined_colors_survive_relabeling():
+    rng = np.random.default_rng(61)
+    pool = list(fixtures().values())
+    pool += [random_flag(14, 0.3, 3, seed) for seed in range(12)]
+    for cx in pool:
+        verts = list(cx.vertices)
+        perm = dict(zip(verts, (int(v) + 7 for v in rng.permutation(len(verts)))))
+        image = SimplicialComplex(
+            [tuple(sorted(perm[v] for v in s)) for s in cx.simplices])
+        colors, moved = _refined_colors(cx), _refined_colors(image)
+        assert all(colors[v] == moved[perm[v]] for v in verts)
+
+
+def test_equal_colors_leave_the_decision_to_the_search():
+    # both are 3-regular graphs on 6 vertices: refinement cannot split them
+    prism = closure([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                     (0, 3), (1, 4), (2, 5)])
+    k33 = closure([(a, b) for a in (6, 7, 8) for b in (9, 10, 11)])
+    colors = {**_refined_colors(prism), **_refined_colors(k33)}
+    assert len(set(colors.values())) == 1
+    assert find_rooted_isomorphism(rooted_at(prism, 0), rooted_at(k33, 6)) is None
+    mu = uniform_rooting(SimplicialComplex(prism.simplices | k33.simplices))
+    assert sorted(pt.weight for pt in mu) == [Fraction(1, 2), Fraction(1, 2)]
+    mu.validate()
 
 
 def test_canonical_code_rejects_disconnected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
+import l2limits.measures as measures
 from l2limits.complexes import RootedComplex, SimplicialComplex, closure, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.errors import ValidationError
@@ -60,6 +61,48 @@ def test_uniform_rooting_weights_are_vertex_counts():
         for pt in mu:
             assert (pt.weight * n).denominator == 1
         mu.validate()
+
+
+def defect_torus(side, removed):
+    """Side-``side`` torus with ``removed`` triangles drawn by default_rng(0)."""
+    full = torus_tower(2, side)
+    tris = full.faces(2)
+    picks = np.random.default_rng(0).choice(len(tris), removed, replace=False)
+    drop = {tris[i] for i in picks}
+    return SimplicialComplex.closure(
+        list(full.faces(1)) + [t for t in tris if t not in drop])
+
+
+def test_uniform_rooting_matches_grouping_by_code_on_defect_tori():
+    for side in (5, 6):
+        for removed in (0, 1, 2):
+            cx = defect_torus(side, removed)
+            n = len(cx.vertices)
+            by_code = {}
+            first_root = {}
+            for v in sorted(cx.vertices):
+                code = canonical_code(rooted_at(cx, v))
+                by_code[code] = by_code.get(code, 0) + Fraction(1, n)
+                first_root.setdefault(code, v)
+            mu = uniform_rooting(cx)
+            assert {pt.code: pt.weight for pt in mu} == by_code
+            # each class is represented by its smallest root, in root order
+            assert [(pt.code, pt.rooted.root) for pt in mu] == list(first_root.items())
+
+
+def test_uniform_rooting_needs_no_search_without_symmetry(monkeypatch):
+    calls = []
+    real = measures._search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "_search", counted)
+    mu = uniform_rooting(defect_torus(12, 4))
+    # refined colours alone separate all 144 roots
+    assert len(mu) == 144
+    assert calls == []
 
 
 def test_support_point_and_law_validation():
