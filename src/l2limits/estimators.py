@@ -21,7 +21,7 @@ from .encoding import _bfs_relabel_key
 from .errors import CrossCheckError, HypothesisViolationError, ValidationError
 from .measures import (RandomRootedComplex, ball_distribution, total_variation,
                        uniform_rooting)
-from .spectral import SpectralMeasure, boundary_matrix, spectral_measure
+from .spectral import SpectralMeasure, _laplacian_rows, spectral_measure
 
 __all__ = [
     "MomentVector",
@@ -92,33 +92,6 @@ _MOMENT_CACHE: dict = {}
 _MOMENT_CACHE_LIMIT = 1 << 14
 
 
-def _laplacian_rows(cx: SimplicialComplex, p: int):
-    """Sparse integer Δ_p as a list of per-row dicts over p-simplex indices."""
-    cols = cx.faces(p)
-    idx = {s: i for i, s in enumerate(cols)}
-    rows = [dict() for _ in cols]
-    for row in boundary_matrix(cx, p).row_dicts():
-        items = list(row.items())
-        for a in range(len(items)):
-            j, sj = items[a]
-            for b in range(a, len(items)):
-                k, sk = items[b]
-                rows[j][k] = rows[j].get(k, 0) + sj * sk
-                if j != k:
-                    rows[k][j] = rows[k].get(j, 0) + sj * sk
-    up = boundary_matrix(cx, p + 1)
-    for col in up.by_col:
-        items = list(col)
-        for a in range(len(items)):
-            j, sj = items[a]
-            for b in range(a, len(items)):
-                k, sk = items[b]
-                rows[j][k] = rows[j].get(k, 0) + sj * sk
-                if j != k:
-                    rows[k][j] = rows[k].get(j, 0) + sj * sk
-    return cols, idx, rows
-
-
 def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
     """m_0..m_order of :func:`local_moment` from one ball and one sweep.
 
@@ -142,11 +115,11 @@ def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
     if hit is not None:
         return hit
     totals = [0] * (order + 1)
-    carriers = [s for s in cx.faces(p) if ball.root in s]
+    carriers = [i for i, s in enumerate(cx.faces(p)) if ball.root in s]
     if carriers:
-        _, idx, rows = _laplacian_rows(cx, p)
-    for s in carriers:
-        vec = {idx[s]: 1}
+        rows = _laplacian_rows(cx, p)
+    for i in carriers:
+        vec = {i: 1}
         for r in range(order + 1):
             if r % 2 == 0:
                 totals[r] += sum(c * c for c in vec.values())
@@ -184,13 +157,17 @@ def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVec
 
 
 def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVector:
-    """Average local moments over every vertex; equals the uniform-rooting moments."""
+    """Average local moments over every vertex; equals the uniform-rooting moments.
+
+    Each vertex's ball is cut once, at the radius the moments read.
+    """
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot average over an empty complex")
     moments = [0] * (order + 1)
     for v in verts:
-        for r, m in enumerate(_local_moments(_ball(cx, v, order + 1), p, order)):
+        for r, m in enumerate(_local_moments(_ball(cx, v, order // 2 + 1), p,
+                                             order)):
             moments[r] += m
     mv = MomentVector(p, [Fraction(m, len(verts)) for m in moments])
     mv.validate()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -96,19 +97,46 @@ def betti_normalized(cx: SimplicialComplex, p: int) -> Fraction:
     return Fraction(betti(cx, p), n)
 
 
+def _laplacian_rows(cx: SimplicialComplex, p: int) -> list:
+    """Exact sparse Delta_p: one {column: int} dict per p-simplex of faces(p).
+
+    Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T, so entry (j, k) sums the sign
+    products of j and k over each (p-1)-face they share (a row of d_p) and
+    each (p+1)-coface holding both (a column of d_{p+1}).  Both kinds of
+    group add their outer product the same way.
+    """
+    rows = [dict() for _ in cx.faces(p)]
+    groups = [row.items() for row in boundary_matrix(cx, p).row_dicts()]
+    groups += boundary_matrix(cx, p + 1).by_col
+    for group in groups:
+        for j, sj in group:
+            row = rows[j]
+            for k, sk in group:
+                row[k] = row.get(k, 0) + sj * sk
+    return rows
+
+
+def _flatten(rows: list):
+    """(row, column, value) arrays of sparse rows, values as float64."""
+    ri = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    ci = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(ri))
+    vals = np.fromiter(chain.from_iterable(row.values() for row in rows),
+                       dtype=np.float64, count=len(ri))
+    return ri, ci, vals
+
+
 def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
-    """Dense integer Hodge Laplacian on p-simplices."""
-    count = len(cx.faces(p))
-    lap = np.zeros((count, count), dtype=np.int64)
-    if count == 0:
-        return lap
-    if p >= 1:
-        down = boundary_matrix(cx, p).dense()
-        lap += down.T @ down
-    up = boundary_matrix(cx, p + 1)
-    if up.cols:
-        mat = up.dense()
-        lap += mat @ mat.T
+    """Dense Hodge Laplacian on p-simplices, in the order of ``faces(p)``.
+
+    The dtype is float64 and every entry is an exact integer: these are the
+    sparse rows the local moments read, scattered into a dense array.
+    """
+    if p < 0:
+        raise ValidationError("Laplacian degree must be nonnegative")
+    rows = _laplacian_rows(cx, p)
+    lap = np.zeros((len(rows), len(rows)))
+    ri, ci, vals = _flatten(rows)
+    lap[ri, ci] = vals
     return lap
 
 
@@ -174,6 +202,8 @@ def spectral_measure(cx: SimplicialComplex, p: int,
     The eigensolver's zero cluster must match the exact kernel dimension
     from the rational rank route; any disagreement raises CrossCheckError.
     """
+    if p < 0:
+        raise ValidationError("spectral degree must be nonnegative")
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
@@ -184,8 +214,7 @@ def spectral_measure(cx: SimplicialComplex, p: int,
             "use moment estimators at this scale")
     if count == 0:
         return SpectralMeasure(p, n, (), 0)
-    lap = laplacian_matrix(cx, p)
-    eigenvalues = np.linalg.eigvalsh(lap.astype(np.float64))
+    eigenvalues = np.linalg.eigvalsh(laplacian_matrix(cx, p))
     kernel_exact = betti(cx, p)
     kernel_float = int(np.sum(np.abs(eigenvalues) < zero_tol))
     if kernel_float != kernel_exact:
@@ -248,46 +277,22 @@ def _spectral_radius(cx: SimplicialComplex, p: int) -> float:
     if count == 0:
         return 0.0
     if count <= DENSE_EIGENSOLVE_CAP:
-        lap = laplacian_matrix(cx, p).astype(np.float64)
-        return float(np.linalg.eigvalsh(lap)[-1])
+        return float(np.linalg.eigvalsh(laplacian_matrix(cx, p))[-1])
     # Beyond the dense cap: power iteration on the sparse operator gives a
     # lower estimate of the radius that converges to it.
-    down = _coo(boundary_matrix(cx, p))
-    up = _coo(boundary_matrix(cx, p + 1))
+    ri, ci, vals = _flatten(_laplacian_rows(cx, p))
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(count)
     vec /= np.linalg.norm(vec)
     value = 0.0
     for _ in range(400):
-        out = np.zeros(count)
-        if down is not None:
-            ri, ci, sv, n_rows, _ = down
-            mid = np.bincount(ri, weights=sv * vec[ci], minlength=n_rows)
-            out += np.bincount(ci, weights=sv * mid[ri], minlength=count)
-        if up is not None:
-            ri, ci, sv, _, n_cols = up
-            mid = np.bincount(ci, weights=sv * vec[ri], minlength=n_cols)
-            out += np.bincount(ri, weights=sv * mid[ci], minlength=count)
+        out = np.bincount(ri, weights=vals * vec[ci], minlength=count)
         norm = np.linalg.norm(out)
         if norm == 0.0:
             return 0.0
         value = norm
         vec = out / norm
     return float(value)
-
-
-def _coo(bm: BoundaryMatrix):
-    """Row/column/sign arrays of a boundary matrix, or None when empty."""
-    if not bm.cols or not bm.rows:
-        return None
-    ri, ci, sv = [], [], []
-    for j, entries in enumerate(bm.by_col):
-        for i, sign in entries:
-            ri.append(i)
-            ci.append(j)
-            sv.append(float(sign))
-    return (np.array(ri), np.array(ci), np.array(sv),
-            len(bm.rows), len(bm.cols))
 
 
 def euler_poincare(cx: SimplicialComplex):

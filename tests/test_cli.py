@@ -114,6 +114,14 @@ def test_spectrum(scx, capsys, tmp_path):
     assert csv_path.read_text().startswith("eigenvalue,weight\n0.0,1/3\n")
 
 
+def test_spectrum_negative_degree_exits_3(scx, capsys):
+    path = scx("tri.scx", fixtures()["filled_triangle"])
+    code, out, err = run(capsys, ["spectrum", path, "--p", "-1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_canon(scx, capsys):
     path = scx("path3.scx", fixtures()["path3"])
     code, out, _ = run(capsys, ["canon", path, "--root", "1"])

@@ -150,6 +150,22 @@ def test_exhaustive_moments_search_at_most_once(whole_searches):
         whole_searches.clear()
 
 
+def test_exhaustive_moments_cut_each_ball_once(monkeypatch):
+    calls = []
+    original = SimplicialComplex.induced
+
+    def counted(self, vertex_subset):
+        calls.append(self)
+        return original(self, vertex_subset)
+
+    monkeypatch.setattr(SimplicialComplex, "induced", counted)
+    monkeypatch.setattr(estimators, "_MOMENT_CACHE", {})
+    torus = torus_tower(2, 12)
+    exhaustive_moments(torus, 1, 3)
+    assert len(calls) == len(torus.vertices)
+    assert all(cx is torus for cx in calls)
+
+
 def test_rooting_remembers_connectivity(whole_searches):
     torus = torus_tower(2, 8)
     for v in torus.vertices:

@@ -11,10 +11,11 @@ from l2limits.complexes import SimplicialComplex, closure
 from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.exact import rational_rank
 from l2limits.generators import fixtures, torus_tower
-from l2limits.spectral import (betti, betti_normalized, boundary_matrix,
-                               boundary_rank, euler_poincare, laplacian_matrix,
-                               operator_norm_bounds, spectral_measure,
-                               write_betti_csv, write_spectrum_csv)
+from l2limits.spectral import (_laplacian_rows, betti, betti_normalized,
+                               boundary_matrix, boundary_rank, euler_poincare,
+                               laplacian_matrix, operator_norm_bounds,
+                               spectral_measure, write_betti_csv,
+                               write_spectrum_csv)
 
 BETTI_ORACLE = {
     "single_vertex": (1,),
@@ -89,6 +90,36 @@ def test_betti_oracle_on_fixtures():
 def test_betti_normalized():
     assert betti_normalized(fixtures()["two_triangles"], 0) == Fraction(1, 3)
     assert betti_normalized(torus_tower(2, 4), 1) == Fraction(2, 16)
+
+
+def test_laplacian_matches_boundary_product():
+    # D^T D + U U^T from the dense boundary matrices is an oracle that does
+    # not share the sparse-row builder with laplacian_matrix or local moments
+    rng = np.random.default_rng(31)
+    cases = list(fixtures().values()) + [torus_tower(2, 5)]
+    cases += [random_complex(rng, 10) for _ in range(30)]
+    for cx in cases:
+        for p in range(cx.dim + 2):
+            down = boundary_matrix(cx, p).dense()
+            up = boundary_matrix(cx, p + 1).dense()
+            want = down.T @ down + up @ up.T
+            lap = laplacian_matrix(cx, p)
+            assert lap.dtype == np.float64
+            assert np.array_equal(lap, want)
+            rows = _laplacian_rows(cx, p)
+            assert len(rows) == len(want)
+            for j, row in enumerate(rows):
+                nonzero = {k: v for k, v in row.items() if v}
+                assert nonzero == {int(k): int(want[j, k])
+                                   for k in np.flatnonzero(want[j])}
+
+
+def test_negative_degree_rejected_by_spectral_route():
+    cx = fixtures()["filled_triangle"]
+    with pytest.raises(ValidationError):
+        laplacian_matrix(cx, -1)
+    with pytest.raises(ValidationError):
+        spectral_measure(cx, -1)
 
 
 def test_spectral_measure_filled_triangle():
@@ -245,6 +276,19 @@ def test_power_method_agrees_with_dense_radius(monkeypatch):
     monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 10)
     iterated = spectral_mod._spectral_radius(torus, 1)
     assert iterated == pytest.approx(dense_radius, rel=1e-4)
+
+
+def test_power_method_covers_every_degree(monkeypatch):
+    # p=0 has no faces below and p=2 no cofaces above on a 2-torus: the
+    # sparse rows must carry each case alone
+    import l2limits.spectral as spectral_mod
+    torus = torus_tower(2, 6)
+    dense = {p: float(np.linalg.eigvalsh(laplacian_matrix(torus, p))[-1])
+             for p in range(3)}
+    monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 10)
+    for p in range(3):
+        iterated = spectral_mod._spectral_radius(torus, p)
+        assert iterated == pytest.approx(dense[p], rel=1e-4)
 
 
 def test_csv_writers():
