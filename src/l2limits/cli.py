@@ -7,7 +7,6 @@ violated convergence hypothesis, 5 failed numerical cross-check.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -20,7 +19,8 @@ from .formats import load_measure, read_scx, scx_text, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
 from .measures import (degree_truncate, mass_transport_check,
                        measure_distance, standard_battery)
-from .spectral import boundary_rank, spectral_measure, write_spectrum_csv
+from .spectral import (_radius_bound, boundary_rank, spectral_measure,
+                       write_spectrum_csv)
 
 __all__ = ["main", "build_parser"]
 
@@ -108,8 +108,8 @@ def _cmd_spectrum(args):
     print(f"nu({{0}}) = {measure.mass_at_zero()}")
     print(f"nu(R) = {measure.total_mass()}")
     print(f"spectral radius = {measure.spectral_radius()!r}")
-    print(f"a priori bound 2*sqrt((p+2)*D) = "
-          f"{2.0 * math.sqrt((args.p + 2) * degree)!r}")
+    print(f"a priori bound max(0,(p+1)(D-p+1))+max(0,(p+2)(D-p)) = "
+          f"{_radius_bound(args.p, degree)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_spectrum_csv(measure, fh)

@@ -11,10 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-
-import numpy as np
 
 from .complexes import RootedComplex, SimplicialComplex, _ball
 from .encoding import _bfs_relabel_key
@@ -199,6 +196,8 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
     does not depend on evaluation order and any prefix of the stream can be
     recomputed independently.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     values = [[] for _ in range(order + 1)]
@@ -397,6 +396,8 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     jobs = [(cx, p, order, eps_list, rmax) for cx in sequence]
     workers = _resolve_threads(threads)
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_level_stats, jobs))
     else:

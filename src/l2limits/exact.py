@@ -1,15 +1,33 @@
 """Sparse exact rank computation over the rationals.
 
 Betti numbers must not depend on floating-point rank decisions, so boundary
-ranks are computed by fraction-arithmetic Gaussian elimination with a
-minimum-fill pivot heuristic.  Inputs here are tiny rationals (boundary
-entries are signs), which keeps intermediate entries small in practice.
+ranks are computed by fraction-free Gaussian elimination (Bareiss, *Math.
+Comp.* 22, 1968) with a minimum-fill pivot heuristic.  Entries stay Python
+ints throughout: a row is eliminated as ``(pv/g)·row − (a/g)·pivot_row`` with
+g = gcd(pv, a), and a row that had to be scaled is divided by the gcd of its
+entries, which bounds the growth of its entries.  Every integer row is a
+positive multiple of the row rational elimination would hold, so the sparsity
+pattern and the pivot choices are the same.  Rows with Fraction entries are
+first multiplied by the lcm of their denominators; no Fraction is made after
+that.  ``spectral.boundary_rank`` needs no elimination for d_1, whose rank is
+|V| minus the number of components.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _integer_row(row) -> dict:
+    """The nonzero entries of a row as ints, cleared of their denominators."""
+    vals = {c: v for c, v in row.items() if v}
+    if all(type(v) is int for v in vals.values()):
+        return vals
+    vals = {c: Fraction(v) for c, v in vals.items()}
+    scale = lcm(*(v.denominator for v in vals.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in vals.items()}
 
 
 def rational_rank(rows) -> int:
@@ -18,9 +36,9 @@ def rational_rank(rows) -> int:
     ``rows`` is an iterable of ``{column: value}`` dicts; values may be ints
     or Fractions.  The input is consumed destructively on a private copy.
     """
-    live: dict[int, dict[int, Fraction]] = {}
+    live: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
-        cleaned = {c: Fraction(v) for c, v in row.items() if v}
+        cleaned = _integer_row(row)
         if cleaned:
             live[i] = cleaned
     col_rows: dict[int, set[int]] = {}
@@ -48,7 +66,14 @@ def rational_rank(rows) -> int:
         targets = list(col_rows[pivot_col])
         for j in targets:
             other = live[j]
-            factor = other[pivot_col] / pivot_val
+            a = other[pivot_col]
+            g = gcd(pivot_val, a)
+            scale, factor = pivot_val // g, a // g
+            if scale < 0:
+                scale, factor = -scale, -factor
+            if scale != 1:
+                for c in other:
+                    other[c] *= scale
             for c, v in row.items():
                 cur = other.get(c)
                 if cur is None:
@@ -61,8 +86,13 @@ def rational_rank(rows) -> int:
                     else:
                         del other[c]
                         col_rows[c].discard(j)
-            if other:
-                heapq.heappush(heap, (len(other), j))
-            else:
+            if not other:
                 del live[j]
+                continue
+            if scale != 1:
+                common = gcd(*other.values())
+                if common != 1:
+                    for c in other:
+                        other[c] //= common
+            heapq.heappush(heap, (len(other), j))
     return rank

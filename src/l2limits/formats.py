@@ -87,6 +87,11 @@ def write_scx(cx: SimplicialComplex, target, root=None) -> None:
         target.write(text)
 
 
+def _is_id(value) -> bool:
+    # JSON true and false load as bools, which are ints to isinstance
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _measure_from_obj(obj) -> RandomRootedComplex:
     if not isinstance(obj, dict) or "support" not in obj:
         raise MalformedInputError('measure file needs a "support" array')
@@ -106,12 +111,12 @@ def _measure_from_obj(obj) -> RandomRootedComplex:
         except (ValueError, ZeroDivisionError):
             raise MalformedInputError(
                 f"support[{i}].weight is not an exact rational")
-        if not isinstance(maximal, list) or not isinstance(root, int):
+        if not isinstance(maximal, list) or not _is_id(root):
             raise MalformedInputError(f"support[{i}] has wrong field types")
         simplices = []
         for s in maximal:
             if (not isinstance(s, list) or not s
-                    or any(not isinstance(v, int) or v < 0 for v in s)):
+                    or any(not _is_id(v) or v < 0 for v in s)):
                 raise MalformedInputError(
                     f"support[{i}]: simplices are non-empty lists of ids")
             simplices.append(tuple(s))

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from .complexes import SimplicialComplex
 from .errors import ValidationError
 
@@ -55,6 +53,8 @@ def linial_meshulam(d: int, n: int, prob: float, seed: int) -> SimplicialComplex
         raise ValidationError(f"need at least {d + 1} vertices")
     if not 0 <= prob <= 1:
         raise ValidationError("probability must lie in [0, 1]")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     maximal = list(combinations(range(n), d))
     for face in combinations(range(n), d + 1):
@@ -71,6 +71,8 @@ def random_flag(n: int, prob: float, max_dim: int, seed: int) -> SimplicialCompl
         raise ValidationError("probability must lie in [0, 1]")
     if max_dim < 1:
         raise ValidationError("flag completion starts at dimension 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     adj = {v: set() for v in range(n)}
     simplices = [(v,) for v in range(n)]

@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .complexes import SimplicialComplex
 from .errors import CrossCheckError, ValidationError
 from .exact import rational_rank
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_EIGENSOLVE_CAP = 4096
 ZERO_TOL = 1e-7
@@ -45,6 +47,8 @@ class BoundaryMatrix:
         return rows
 
     def dense(self) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((len(self.rows), len(self.cols)), dtype=np.int64)
         for j, entries in enumerate(self.by_col):
             for i, sign in entries:
@@ -73,9 +77,15 @@ def boundary_matrix(cx: SimplicialComplex, p: int) -> BoundaryMatrix:
 
 
 def boundary_rank(cx: SimplicialComplex, p: int) -> int:
-    """Exact rational rank of the p-th boundary operator."""
+    """Exact rational rank of the p-th boundary operator.
+
+    rank d_1 = |V| - #components needs no elimination: the kernel of the
+    vertex coboundary is spanned by the components' indicator vectors.
+    """
     if p < 1 or p > cx.dim:
         return 0
+    if p == 1:
+        return len(cx.vertices) - len(cx.components())
     return rational_rank(boundary_matrix(cx, p).row_dicts())
 
 
@@ -118,6 +128,8 @@ def _laplacian_rows(cx: SimplicialComplex, p: int) -> list:
 
 def _flatten(rows: list):
     """(row, column, value) arrays of sparse rows, values as float64."""
+    import numpy as np
+
     ri = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     ci = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(ri))
     vals = np.fromiter(chain.from_iterable(row.values() for row in rows),
@@ -131,6 +143,8 @@ def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
     The dtype is float64 and every entry is an exact integer: these are the
     sparse rows the local moments read, scattered into a dense array.
     """
+    import numpy as np
+
     if p < 0:
         raise ValidationError("Laplacian degree must be nonnegative")
     rows = _laplacian_rows(cx, p)
@@ -214,6 +228,8 @@ def spectral_measure(cx: SimplicialComplex, p: int,
             "use moment estimators at this scale")
     if count == 0:
         return SpectralMeasure(p, n, (), 0)
+    import numpy as np
+
     eigenvalues = np.linalg.eigvalsh(laplacian_matrix(cx, p))
     kernel_exact = betti(cx, p)
     kernel_float = int(np.sum(np.abs(eigenvalues) < zero_tol))
@@ -272,7 +288,21 @@ def operator_norm_bounds(cx: SimplicialComplex, p: int, degree_bound: int,
     )
 
 
+def _radius_bound(p: int, degree: int) -> int:
+    """Proven bound on the spectral radius of Delta_p at max vertex degree D.
+
+    Gershgorin on absolute row sums: each (p-1)-face of a p-simplex has at
+    most D-p+1 cofaces, giving at most (p+1)(D-p+1) from d_p^T d_p, and the
+    simplex has at most D-p cofaces of p+2 faces each, giving at most
+    (p+2)(D-p) from d_{p+1} d_{p+1}^T.  A term whose count is negative has
+    no simplices behind it and contributes 0.
+    """
+    return max(0, (p + 1) * (degree - p + 1)) + max(0, (p + 2) * (degree - p))
+
+
 def _spectral_radius(cx: SimplicialComplex, p: int) -> float:
+    import numpy as np
+
     count = len(cx.faces(p))
     if count == 0:
         return 0.0

@@ -264,3 +264,88 @@ def test_unwritable_out_prints_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def _src_env():
+    src = str(Path(l2limits.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_package_runs_the_cli(scx):
+    path = scx("tri.scx", fixtures()["filled_triangle"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "l2limits", "betti", path],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["p=0 b=1 norm=1/3", "p=1 b=0 norm=0",
+                                        "p=2 b=0 norm=0"]
+
+
+def test_rank_commands_leave_numpy_unloaded(scx):
+    path = scx("torus.scx", torus_tower(2, 4))
+    probe = (
+        "import sys, contextlib, io\n"
+        "from l2limits.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['betti', {path!r}]) == 0\n"
+        f"    assert main(['validate', {path!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('numpy', 'concurrent')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_package_loads_every_submodule():
+    # the benchmark's tracer imports l2limits and then patches each
+    # submodule it finds in sys.modules
+    src = Path(l2limits.__file__).resolve().parent
+    names = sorted(f"l2limits.{f.stem}" for f in src.glob("*.py")
+                   if f.stem not in ("__init__", "__main__", "cli"))
+    probe = ("import sys, l2limits\n"
+             f"print([m for m in {names!r} if m not in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _spectrum_figures(out):
+    lines = out.splitlines()
+    radius = next(line for line in lines if line.startswith("spectral radius"))
+    bound = next(line for line in lines if line.startswith("a priori bound"))
+    return (float(radius.rsplit(" = ", 1)[1]),
+            int(bound.rsplit(" = ", 1)[1]))
+
+
+def test_spectrum_prints_a_bound_that_holds(scx, capsys):
+    # 2*sqrt((p+2)*D) = 8.49 sits below this radius of 8.83
+    path = scx("torus8.scx", torus_tower(2, 8))
+    code, out, _ = run(capsys, ["spectrum", path, "--p", "1"])
+    assert code == 0
+    radius, bound = _spectrum_figures(out)
+    assert radius > 8.8 and bound >= radius
+    for name in ("filled_triangle", "octahedron", "star5", "book"):
+        cx = fixtures()[name]
+        path = scx(f"{name}.scx", cx)
+        for p in range(cx.dim + 3):
+            code, out, _ = run(capsys, ["spectrum", path, "--p", str(p)])
+            assert code == 0
+            radius, bound = _spectrum_figures(out)
+            assert bound >= radius - 1e-9
+    # degree 2, p = 4: both terms are negative before clamping
+    path = scx("tri.scx", fixtures()["filled_triangle"])
+    code, out, _ = run(capsys, ["spectrum", path, "--p", "4"])
+    assert code == 0 and _spectrum_figures(out) == (0.0, 0)
+
+
+def test_boolean_ids_in_measure_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps({"support": [
+        {"weight": "1", "maximal_simplices": [[0, 1]], "root": True}]}))
+    code, out, err = run(capsys, ["mass-transport", str(bad)])
+    assert code == 2 and out == "" and err.startswith("error:")

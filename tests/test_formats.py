@@ -137,3 +137,18 @@ def test_load_measure_rejects_bad_laws():
         loads({"support": [{"weight": "1",
                             "maximal_simplices": [[0, 1], [3, 4]],
                             "root": 0}]})
+
+
+def test_load_measure_rejects_boolean_root():
+    # JSON true is a Python bool, and bool is an int: it must not read as 1
+    doc = {"support": [{"weight": "1", "maximal_simplices": [[0, 1]],
+                        "root": True}]}
+    with pytest.raises(MalformedInputError):
+        load_measure(io.StringIO(json.dumps(doc)))
+
+
+def test_load_measure_rejects_boolean_vertex_ids():
+    doc = {"support": [{"weight": "1", "maximal_simplices": [[False, 1]],
+                        "root": 1}]}
+    with pytest.raises(MalformedInputError):
+        load_measure(io.StringIO(json.dumps(doc)))

@@ -11,8 +11,9 @@ from l2limits.complexes import SimplicialComplex, closure
 from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.exact import rational_rank
 from l2limits.generators import fixtures, torus_tower
-from l2limits.spectral import (_laplacian_rows, betti, betti_normalized,
-                               boundary_matrix, boundary_rank, euler_poincare,
+from l2limits.spectral import (_laplacian_rows, _radius_bound, betti,
+                               betti_normalized, boundary_matrix,
+                               boundary_rank, euler_poincare,
                                laplacian_matrix, operator_norm_bounds,
                                spectral_measure, write_betti_csv,
                                write_spectrum_csv)
@@ -75,6 +76,74 @@ def test_boundary_rank_matches_numpy():
         for p in range(1, cx.dim + 1):
             dense = boundary_matrix(cx, p).dense()
             assert boundary_rank(cx, p) == np.linalg.matrix_rank(dense)
+
+
+def _sparse(mat):
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
+
+
+def test_integer_rank_matches_numpy_on_wide_entries():
+    # entries in -9..9; half the draws are products of thin factors (at
+    # most 3 terms of 3 x 1), so their rank sits below min(rows, cols) and
+    # elimination must cancel
+    rng = np.random.default_rng(41)
+    deficient = 0
+    for trial in range(120):
+        rows, cols = (int(x) for x in rng.integers(1, 9, size=2))
+        if trial % 2:
+            inner = int(rng.integers(1, 4))
+            mat = (rng.integers(-3, 4, size=(rows, inner))
+                   @ rng.integers(-1, 2, size=(inner, cols)))
+        else:
+            mat = rng.integers(-9, 10, size=(rows, cols))
+        want = int(np.linalg.matrix_rank(mat))
+        deficient += want < min(rows, cols)
+        assert rational_rank(_sparse(mat.tolist())) == want
+    assert deficient >= 20
+
+
+def test_fraction_rank_matches_integer_scaled_copy():
+    # each row of a Fraction matrix is an integer row over its own
+    # denominator, so clearing the denominators keeps the rank
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
+        inner = int(rng.integers(1, 5))
+        ints = (rng.integers(-4, 5, size=(rows, inner))
+                @ rng.integers(-4, 5, size=(inner, cols)))
+        dens = rng.integers(1, 8, size=(rows, cols))
+        mat = [[Fraction(int(a), int(d)) for a, d in zip(r, dr)]
+               for r, dr in zip(ints, dens)]
+        scaled = [[int(v * math.lcm(*(x.denominator for x in row)))
+                   for v in row] for row in mat]
+        want = int(np.linalg.matrix_rank(np.array(scaled, dtype=np.int64)))
+        assert rational_rank(_sparse(mat)) == want
+        assert rational_rank(_sparse(scaled)) == want
+
+
+def test_rank_input_is_left_untouched():
+    # the pivot is the Fraction row; the int row is the one eliminated
+    rows = [{0: Fraction(1, 2), 1: Fraction(-1, 3)}, {0: 3, 1: -2}]
+    copy = [dict(row) for row in rows]
+    assert rational_rank(rows) == 1
+    assert rows == copy
+
+
+def test_rank_of_d1_counts_components():
+    # rank d_1 = |V| - #components, taken without elimination; the
+    # elimination route must agree on the same draws
+    rng = np.random.default_rng(47)
+    disconnected = 0
+    for _ in range(40):
+        cx = random_complex(rng, 12, max_pieces=4)
+        if cx.dim < 1:
+            continue
+        comps = len(cx.components())
+        disconnected += comps > 1
+        want = len(cx.vertices) - comps
+        assert boundary_rank(cx, 1) == want
+        assert rational_rank(boundary_matrix(cx, 1).row_dicts()) == want
+    assert disconnected >= 5
 
 
 def test_betti_oracle_on_fixtures():
@@ -267,6 +336,21 @@ def test_laplacian_radius_bound_fails_on_dense_complexes():
     nb = operator_norm_bounds(k13, 1, 12, assert_radius=False)
     assert nb.spectral_radius == pytest.approx(13.0)
     assert nb.laplacian_bound == pytest.approx(12.0)
+
+
+def test_radius_bound_holds_and_clamps():
+    # rho(Delta_p) <= (p+1)(D-p+1) + (p+2)(D-p) with negative terms as 0
+    cases = list(fixtures().values()) + [torus_tower(2, 8)]
+    rng = np.random.default_rng(53)
+    cases += [random_complex(rng, 10) for _ in range(20)]
+    for cx in cases:
+        degree = cx.max_degree()
+        for p in range(cx.dim + 3):
+            radius = spectral_measure(cx, p).spectral_radius()
+            assert radius <= _radius_bound(p, degree) + 1e-9
+    assert _radius_bound(1, 6) == 27
+    assert _radius_bound(4, 2) == 0
+    assert _radius_bound(3, 3) == 4  # only the d_p term survives
 
 
 def test_power_method_agrees_with_dense_radius(monkeypatch):
