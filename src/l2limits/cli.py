@@ -19,8 +19,8 @@ from .formats import load_measure, read_scx, scx_text, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
 from .measures import (degree_truncate, mass_transport_check,
                        measure_distance, standard_battery)
-from .spectral import (_radius_bound, boundary_rank, spectral_measure,
-                       write_spectrum_csv)
+from .spectral import (_pinned_measure, _radius_bound, boundary_rank,
+                       spectral_measure, write_spectrum_csv)
 
 __all__ = ["main", "build_parser"]
 
@@ -92,10 +92,8 @@ def _cmd_betti(args):
         norm = Fraction(b, len(cx.faces(0)))
         print(f"p={p} b={b} norm={norm}")
         if args.exact:
-            measure = spectral_measure(cx, p)
-            if measure.mass_at_zero() != norm:
-                raise CrossCheckError(
-                    f"kernel mass {measure.mass_at_zero()} != b_{p}/|V| {norm}")
+            # raises CrossCheckError unless the eigensolver's kernel is b
+            _pinned_measure(cx, p, b)
     if args.exact:
         print("cross-check: eigensolver kernel mass matches exact rank")
     return 0

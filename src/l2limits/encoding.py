@@ -22,9 +22,8 @@ from .errors import ValidationError
 
 _CODE_CACHE: dict = {}
 _CODE_CACHE_LIMIT = 1 << 15
-_TIE_CAP = 6
+_TIE_CAP = 64
 _AUTOMORPHISM_BUDGET = 200_000
-_INF = float("inf")
 
 
 def subset_from_index(n: int) -> frozenset:
@@ -151,7 +150,12 @@ def _refined_colors(cx: SimplicialComplex) -> dict:
 
 
 class _IsoContext:
-    """Precomputed bitmask view of one complex, reusable across searches."""
+    """Bitmask view of one complex, reusable across searches.
+
+    Vertex order, f-vector and refined colours are computed at once: they
+    are all a caller reads when colours alone decide.  The neighbour, star
+    and simplex masks are built by the first search that needs them.
+    """
 
     __slots__ = ("cx", "verts", "idx", "n", "nbr_positions", "nbr_mask",
                  "star_items", "star_masks", "simplex_masks", "colors",
@@ -162,6 +166,15 @@ class _IsoContext:
         self.verts = sorted(v for v, in cx.faces(0))
         self.idx = {v: i for i, v in enumerate(self.verts)}
         self.n = len(self.verts)
+        colors = _refined_colors(cx)
+        self.colors = [colors[v] for v in self.verts]
+        self.fvec = cx.f_vector()
+        self.nbr_positions = None
+
+    def build_masks(self) -> None:
+        if self.nbr_positions is not None:
+            return
+        cx = self.cx
         idx = self.idx
         self.nbr_positions = [
             tuple(idx[w] for w in cx.neighbors(v)) for v in self.verts
@@ -181,9 +194,6 @@ class _IsoContext:
         self.simplex_masks = {
             sum(1 << idx[u] for u in s) for s in cx.simplices
         }
-        colors = _refined_colors(cx)
-        self.colors = [colors[v] for v in self.verts]
-        self.fvec = cx.f_vector()
 
     def distances_from(self, root) -> list:
         dist = [-1] * self.n
@@ -230,6 +240,8 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
     """
     if ctxa.n != ctxb.n or ctxa.fvec != ctxb.fvec:
         return None
+    ctxa.build_masks()
+    ctxb.build_masks()
     n = ctxa.n
     dista = ctxa.distances_from(roota)
     distb = ctxb.distances_from(rootb)
@@ -332,51 +344,40 @@ def find_rooted_isomorphism(a: RootedComplex, b: RootedComplex):
 
 
 def _bfs_relabel_key(cx: SimplicialComplex, root):
-    """Deterministic cache key: simplex set after breadth-first relabeling."""
-    label = {root: 0}
+    """Deterministic cache key: simplex set after breadth-first relabeling,
+    each simplex as the bitmask of its new labels."""
+    bit = {root: 1}
     order = [root]
     head = 0
     while head < len(order):
         u = order[head]
         head += 1
         for w in cx.neighbors(u):
-            if w not in label:
-                label[w] = len(order)
+            if w not in bit:
+                bit[w] = 1 << len(order)
                 order.append(w)
-    return frozenset(
-        tuple(sorted(label[u] for u in s)) for s in cx.simplices
-    )
+    return frozenset(sum(map(bit.__getitem__, s)) for s in cx.simplices)
 
 
-def _block(star_v, v, lmap):
-    """Sorted positions contributed by giving v the next label, relative to
-    the block start: one entry per simplex whose other vertices are labeled."""
-    ms = []
-    for s in star_v:
-        m = 0
-        for u in s:
-            if u == v:
-                continue
-            lu = lmap.get(u)
-            if lu is None:
-                m = None
-                break
-            m += 1 << lu
-        if m is not None:
-            ms.append(m)
-    ms.sort()
-    return ms
+def _prune_automorphic(ctx, vert, colour, partials):
+    """Drop tied branches that a proven automorphism maps onto the first.
 
-
-def _prune_automorphic(cx, root, partials, ctx_holder):
-    """Drop tied branches that a proven automorphism maps onto the first."""
-    if ctx_holder[0] is None:
-        ctx_holder[0] = _IsoContext(cx)
-    ctx = ctx_holder[0]
+    Branch orders are positions; ``vert`` turns them into vertices and
+    ``colour`` gives each position its refined colour.  An automorphism
+    preserves refined colours, so only a branch whose colour sequence
+    equals the first's can be its image: the others are kept unsearched,
+    and when colours are discrete nothing is searched.
+    """
     base = partials[0][0]
+    base_colours = [colour[i] for i in base]
+    root = vert[0]
     kept = [partials[0]]
     for cand in partials[1:]:
-        seed = {base[i]: cand[0][i] for i in range(len(base))}
+        order = cand[0]
+        if [colour[i] for i in order] != base_colours:
+            kept.append(cand)
+            continue
+        seed = {vert[a]: vert[b] for a, b in zip(base, order)}
         auto = _search(ctx, root, ctx, root, seed=seed,
                        budget=_AUTOMORPHISM_BUDGET)
         if auto is None:
@@ -387,54 +388,97 @@ def _prune_automorphic(cx, root, partials, ctx_holder):
 def _canonical_order(cx: SimplicialComplex, root):
     dist = cx.distances(root)
     n = len(dist)
-    if n == 1:
-        return (root,)
-    by_layer: dict[int, list] = {}
-    for v, d in dist.items():
-        by_layer.setdefault(d, []).append(v)
-    layer_at = []
-    for d in range(len(by_layer)):
-        members = sorted(by_layer[d])
-        layer_at.extend([members] * len(members))
+    # Work on positions 0..n-1 in (distance, id) order, so the root is 0
+    # and every layer is a range of positions.  links[v] pairs each
+    # neighbour w of v with the simplices through the edge vw, each given
+    # by its other vertices as (mask, positions).
+    vert = sorted(dist, key=lambda v: (dist[v], v))
+    pos = {v: i for i, v in enumerate(vert)}
+    links = []
+    for v in vert:
+        cofaces = {pos[w]: [] for w in cx.neighbors(v)}
+        for s in cx.star(v):
+            if len(s) > 2:
+                others = [pos[u] for u in s if u != v]
+                mask = sum([1 << u for u in others])
+                for i, w in enumerate(others):
+                    rest = others[:i] + others[i + 1:]
+                    cofaces[w].append((mask ^ (1 << w), rest))
+        links.append(list(cofaces.items()))
+    # label k goes to the layer of position k: labels fill layers in order
+    layer_mask = [0] * n
+    lo = 0
+    for hi in range(1, n + 1):
+        if hi == n or dist[vert[hi]] != dist[vert[lo]]:
+            layer_mask[lo:hi] = [(1 << hi) - (1 << lo)] * (hi - lo)
+            lo = hi
+    top = 1 << n
 
-    partials = [((root,), {root: 0})]
-    ctx_holder = [None]
-    for k in range(1, n):
-        members = layer_at[k]
-        # Cheapest discriminator first: the lowest labeled neighbor decides
-        # the earliest non-constant bit of the block, so only candidates
-        # achieving the global minimum can win.
-        best_minlab = None
-        shortlist = []
-        for pi, (order, lmap) in enumerate(partials):
-            for v in members:
-                if v in lmap:
-                    continue
-                minlab = min(
-                    lmap[u] for u in cx.neighbors(v) if u in lmap
-                )
-                if best_minlab is None or minlab < best_minlab:
-                    best_minlab = minlab
-                    shortlist = [(pi, v)]
-                elif minlab == best_minlab:
-                    shortlist.append((pi, v))
-        best_key = None
+    # A branch is (order, blocks, labelled): positions in label order, the
+    # block each position would add if it took the next label, and the
+    # mask of labelled positions.  A block has one entry per simplex
+    # through the position whose other vertices are labelled, the sum of
+    # their label bits; entries are sorted and end in the sentinel ``top``,
+    # so on a shared prefix the block with more entries is smaller.  The
+    # simplex completed by label k holds bit k and outweighs every earlier
+    # entry, so blocks only grow at their end.  (The singleton adds 0 to
+    # every block and is left out.)  The smallest block wins the label;
+    # every tie is carried as its own branch.
+    blocks = [(top,)] * n
+    partials = [((), blocks, 0)]
+    ctx = None
+    for k in range(n):
+        members = layer_mask[k]
+        best = None
         chosen = []
-        for pi, v in shortlist:
-            ms = _block(cx.star(v), v, partials[pi][1])
-            key = tuple(ms) + (_INF,)
-            if best_key is None or key < best_key:
-                best_key = key
-                chosen = [(pi, v)]
-            elif key == best_key:
-                chosen.append((pi, v))
-        partials = [
-            (partials[pi][0] + (v,), {**partials[pi][1], v: k})
-            for pi, v in chosen
-        ]
-        if len(partials) > _TIE_CAP and k & (k - 1) == 0 and k >= 4:
-            partials = _prune_automorphic(cx, root, partials, ctx_holder)
-    return partials[0][0]
+        for branch in partials:
+            blocks = branch[1]
+            free = members & ~branch[2]
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                block = blocks[v]
+                if best is None or block < best:
+                    best = block
+                    chosen = [(branch, v)]
+                elif block == best:
+                    chosen.append((branch, v))
+        bit = 1 << k
+        partials = []
+        while chosen:
+            branch, v = chosen.pop()
+            order, blocks, labelled = branch
+            if chosen and chosen[-1][0] is branch:
+                blocks = blocks.copy()
+            # else no other extension of the branch is left: this one takes
+            # its list, and the old branch is freed as the loop goes
+            order += (v,)
+            label = order.index
+            labelled |= 1 << v
+            unlabelled = ~labelled
+            for w, cofaces in links[v]:
+                if labelled >> w & 1:
+                    continue
+                # the edge vw, then every simplex it completes with labelled
+                # vertices besides; all hold bit k, so they go at the end
+                ms = []
+                for mask, rest in cofaces:
+                    if not mask & unlabelled:
+                        m = bit
+                        for u in rest:
+                            m += 1 << label(u)
+                        ms.append(m)
+                ms.sort()
+                blocks[w] = (*blocks[w][:-1], bit, *ms, top)
+            partials.append((order, blocks, labelled))
+        partials.reverse()
+        if len(partials) > _TIE_CAP:
+            if ctx is None:
+                ctx = _IsoContext(cx)
+                colour = [ctx.colors[ctx.idx[v]] for v in vert]
+            partials = _prune_automorphic(ctx, vert, colour, partials)
+    return tuple(vert[i] for i in partials[0][0])
 
 
 def canonical_code(rc: RootedComplex) -> CanonicalCode:
@@ -452,10 +496,8 @@ def canonical_code(rc: RootedComplex) -> CanonicalCode:
     if cached is not None:
         return cached
     order = _canonical_order(cx, rc.root)
-    label = {v: i for i, v in enumerate(order)}
-    indices = sorted(
-        sum(1 << label[u] for u in s) - 1 for s in cx.simplices
-    )
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    indices = sorted(sum(map(bit.__getitem__, s)) - 1 for s in cx.simplices)
     code = CanonicalCode(indices)
     if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
         _CODE_CACHE.clear()

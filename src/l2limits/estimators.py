@@ -18,7 +18,8 @@ from .encoding import _bfs_relabel_key
 from .errors import CrossCheckError, HypothesisViolationError, ValidationError
 from .measures import (RandomRootedComplex, ball_distribution, total_variation,
                        uniform_rooting)
-from .spectral import SpectralMeasure, _laplacian_rows, spectral_measure
+from .spectral import (SpectralMeasure, _laplacian_rows, _radius_bound,
+                       spectral_measure)
 
 __all__ = [
     "MomentVector",
@@ -232,18 +233,19 @@ def kernel_mass_bound(source, degree_bound: int, p: int, eps: float,
 
     The nonzero eigenvalues of an integer positive semidefinite matrix have
     product at least 1, so few of them fit below eps once the spectral
-    radius is known.  ``radius`` defaults to the a priori value
-    2*sqrt((p+2)*D); pass the true radius when available for a sharper
-    bound.  A radius at most 1 forces the nonzero spectrum to be empty and
-    the bound collapses to 0.  When ``source`` is a full spectral measure
-    the bound is asserted against it.
+    radius is known.  ``radius`` defaults to the proven a priori bound
+    max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p)) on the spectral radius of
+    Delta_p at max degree D; pass the true radius when available for a
+    sharper bound.  A radius at most 1 forces the nonzero spectrum to be
+    empty and the bound collapses to 0.  When ``source`` is a full
+    spectral measure the bound is asserted against it.
     """
     if not 0 < eps < 1:
         raise ValidationError("eps must lie strictly between 0 and 1")
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
     if radius is None:
-        radius = 2.0 * math.sqrt((p + 2) * degree_bound)
+        radius = _radius_bound(p, degree_bound)
     if radius <= 1:
         bound = 0.0
     else:

@@ -33,9 +33,13 @@ _ZERO = Fraction(0)
 
 
 class SupportPoint:
-    """One isomorphism class in a law: a rooted complex plus its weight."""
+    """One isomorphism class in a law: a rooted complex plus its weight.
 
-    __slots__ = ("rooted", "weight", "_code")
+    The point is immutable, so its codes are memoized: the whole-complex
+    code and one ball code per radius.
+    """
+
+    __slots__ = ("rooted", "weight", "_code", "_ball_codes")
 
     def __init__(self, rooted: RootedComplex, weight):
         weight = Fraction(weight)
@@ -44,6 +48,7 @@ class SupportPoint:
         self.rooted = rooted
         self.weight = weight
         self._code = None
+        self._ball_codes = {}
 
     @property
     def code(self) -> CanonicalCode:
@@ -51,6 +56,13 @@ class SupportPoint:
         if self._code is None:
             self._code = canonical_code(self.rooted)
         return self._code
+
+    def ball_code(self, r: int) -> CanonicalCode:
+        """Code of the radius-``r`` ball at the root, computed once."""
+        code = self._ball_codes.get(r)
+        if code is None:
+            code = self._ball_codes[r] = canonical_code(self.rooted.ball(r))
+        return code
 
     def __repr__(self) -> str:
         return f"SupportPoint(root={self.rooted.root}, weight={self.weight})"
@@ -188,12 +200,16 @@ class BallDistribution(dict):
 
 
 def ball_distribution(mu: RandomRootedComplex, r: int) -> BallDistribution:
-    """Law of the radius-``r`` ball at the root, keyed by canonical code."""
+    """Law of the radius-``r`` ball at the root, keyed by canonical code.
+
+    Codes come from :meth:`SupportPoint.ball_code`, so a law's ball at a
+    radius is cut and canonicalized once however often it is asked for.
+    """
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
     out = {}
     for pt in mu.points:
-        code = canonical_code(pt.rooted.ball(r))
+        code = pt.ball_code(r)
         out[code] = out.get(code, _ZERO) + pt.weight
     return BallDistribution(r, out)
 

@@ -218,6 +218,18 @@ def spectral_measure(cx: SimplicialComplex, p: int,
     """
     if p < 0:
         raise ValidationError("spectral degree must be nonnegative")
+    return _pinned_measure(cx, p, None, zero_tol, cap)
+
+
+def _pinned_measure(cx: SimplicialComplex, p: int, kernel: int | None,
+                    zero_tol: float = ZERO_TOL,
+                    cap: int = DENSE_EIGENSOLVE_CAP) -> SpectralMeasure:
+    """:func:`spectral_measure` with the kernel pinned to ``kernel``.
+
+    ``kernel`` is the exact b_p when the caller already has it, so its
+    ranks are not computed again; None computes it with :func:`betti`.
+    The eigensolver's zero cluster is checked against it all the same.
+    """
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
@@ -231,7 +243,7 @@ def spectral_measure(cx: SimplicialComplex, p: int,
     import numpy as np
 
     eigenvalues = np.linalg.eigvalsh(laplacian_matrix(cx, p))
-    kernel_exact = betti(cx, p)
+    kernel_exact = betti(cx, p) if kernel is None else kernel
     kernel_float = int(np.sum(np.abs(eigenvalues) < zero_tol))
     if kernel_float != kernel_exact:
         raise CrossCheckError(

@@ -87,6 +87,29 @@ def test_betti_cross_check_failure_exits_5(scx, capsys, monkeypatch):
     assert "fabricated disagreement" in err
 
 
+def test_betti_exact_computes_each_rank_once(scx, capsys, monkeypatch):
+    import l2limits.cli as cli_mod
+    import l2limits.spectral as spectral_mod
+
+    calls = []
+    rank = spectral_mod.boundary_rank
+
+    def counted(cx, q):
+        calls.append(q)
+        return rank(cx, q)
+
+    monkeypatch.setattr(cli_mod, "boundary_rank", counted)
+    monkeypatch.setattr(spectral_mod, "boundary_rank", counted)
+    cx = fixtures()["octahedron"]
+    assert cx.dim == 2
+    path = scx("octa.scx", cx)
+    code, out, _ = run(capsys, ["betti", path, "--exact"])
+    assert code == 0
+    assert out.splitlines()[:3] == ["p=0 b=1 norm=1/6", "p=1 b=0 norm=0",
+                                    "p=2 b=1 norm=1/6"]
+    assert sorted(calls) == [0, 1, 2, 3]
+
+
 def test_bare_package_error_exits_3(capsys, monkeypatch):
     import l2limits.cli as cli_mod
 

@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import l2limits.encoding as encoding
 from conftest import random_connected_complex
 from l2limits.complexes import SimplicialComplex, closure, rooted_at
 from l2limits.encoding import (CanonicalCode, _refined_colors, bs_distance,
@@ -11,7 +12,7 @@ from l2limits.encoding import (CanonicalCode, _refined_colors, bs_distance,
                                index_of_subset, rooted_isomorphic,
                                subset_from_index)
 from l2limits.errors import ValidationError
-from l2limits.generators import fixtures, random_flag
+from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import uniform_rooting
 
 
@@ -163,6 +164,68 @@ def test_equal_colors_leave_the_decision_to_the_search():
     mu = uniform_rooting(SimplicialComplex(prism.simplices | k33.simplices))
     assert sorted(pt.weight for pt in mu) == [Fraction(1, 2), Fraction(1, 2)]
     mu.validate()
+
+
+def _codes_without_pruning_match(monkeypatch, balls):
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    pruned = [canonical_code(rc) for rc in balls]
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    monkeypatch.setattr(encoding, "_TIE_CAP", 10**9)
+    return pruned == [canonical_code(rc) for rc in balls]
+
+
+def test_automorphism_pruning_keeps_the_code(monkeypatch):
+    torus = torus_tower(2, 8)
+    balls = [rooted_at(torus, 0).ball(r) for r in range(1, 4)]
+    balls += [rooted_at(fixtures()["octahedron"], 0)]
+    cone = closure([(a, b, 8) for a in range(8) for b in range(a + 1, 8)])
+    balls += [rooted_at(cone, 8), rooted_at(cone, 0)]
+    for seed in range(25):
+        cx = random_flag(16, 5 / 16, 3, seed)
+        balls += [rooted_at(cx, v).ball(r) for v in range(4) for r in (1, 2)]
+    assert len(balls) == 206
+    assert _codes_without_pruning_match(monkeypatch, balls)
+
+
+def test_discrete_colours_run_no_automorphism_search(monkeypatch):
+    # A spider with legs of lengths 1..6: the centre's neighbours tie on
+    # every block, so the tie cap is passed, but refinement tells every
+    # vertex apart and no branch can be another's automorphic image.
+    # Neither the code nor uniform rooting then builds search masks.
+    legs = []
+    nxt = 1
+    for length in range(1, 7):
+        prev = 0
+        for _ in range(length):
+            legs.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    spider = closure(legs)
+    assert len(set(_refined_colors(spider).values())) == len(spider.vertices)
+    prunes, searches, masks = [], [], []
+    prune, search = encoding._prune_automorphic, encoding._search
+    build_masks = encoding._IsoContext.build_masks
+
+    def counted_prune(*args):
+        prunes.append(len(args[-1]))
+        return prune(*args)
+
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    def counted_masks(ctx):
+        masks.append(ctx)
+        return build_masks(ctx)
+
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    monkeypatch.setattr(encoding, "_prune_automorphic", counted_prune)
+    monkeypatch.setattr(encoding, "_search", counted_search)
+    monkeypatch.setattr(encoding._IsoContext, "build_masks", counted_masks)
+    canonical_code(rooted_at(spider, 0))
+    assert prunes and max(prunes) > encoding._TIE_CAP
+    assert len(uniform_rooting(spider)) == len(spider.vertices)
+    assert searches == [] and masks == []
+    assert _codes_without_pruning_match(monkeypatch, [rooted_at(spider, 0)])
 
 
 def test_canonical_code_rejects_disconnected():

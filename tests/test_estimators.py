@@ -262,13 +262,30 @@ def test_root_sample_covers():
 
 def test_kernel_mass_bound_formula():
     d, p, eps = 6, 1, 0.5
-    radius = 2 * math.sqrt((p + 2) * d)
+    radius = 27  # max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p))
     want = math.log(radius) * math.comb(d, p) / ((p + 1) * math.log(1 / eps))
     assert kernel_mass_bound(None, d, p, eps) == pytest.approx(want)
     sharper = kernel_mass_bound(None, d, p, eps, radius=2.0)
     assert sharper < want
     assert kernel_mass_bound(None, d, p, eps, radius=1.0) == 0.0
-    assert kernel_mass_bound(None, 0, 0, 0.5) == 0.0  # a priori radius is 0
+    assert kernel_mass_bound(None, 0, 0, 0.5) == 0.0  # a priori radius is 1
+
+
+def test_kernel_mass_bound_default_radius_holds():
+    # The bound grows with the radius, so a default radius at least the
+    # true one gives a bound at least the one from the true radius.  The
+    # old default 2*sqrt((p+2)*D) = 8.49 fails this on torus_tower(2, 8),
+    # p=1, whose spectral radius is 8.83.
+    corpus = dict(fixtures(), torus8=torus_tower(2, 8))
+    for name, cx in corpus.items():
+        degree = cx.max_degree()
+        for p in range(cx.dim + 1):
+            radius = spectral_measure(cx, p).spectral_radius()
+            for eps in (0.5, 0.1):
+                true_bound = kernel_mass_bound(None, degree, p, eps,
+                                               radius=radius)
+                assert kernel_mass_bound(None, degree, p, eps) >= \
+                    true_bound - 1e-12, (name, p, eps)
 
 
 def test_kernel_mass_bound_validation():

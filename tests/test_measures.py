@@ -8,7 +8,7 @@ import l2limits.measures as measures
 from l2limits.complexes import RootedComplex, SimplicialComplex, closure, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.errors import ValidationError
-from l2limits.generators import fixtures, torus_tower
+from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import (BallDistribution, RandomRootedComplex,
                                SupportPoint, ball_distribution, degree_truncate,
                                expected_p_degree, mass_transport_check,
@@ -172,6 +172,23 @@ def test_measure_distance_cycle_example():
     assert measure_distance(mu5, mu6, 3) == Fraction(1, 4) + Fraction(1, 8)
     assert measure_distance(mu5, mu5, 5) == 0
     assert measure_distance(mu6, mu5, 2) == Fraction(1, 4)
+
+
+def test_measure_distance_reuses_the_ball_codes(monkeypatch):
+    mu = uniform_rooting(random_flag(16, 5 / 16, 3, 3))
+    assert len(mu) > 1
+    laws = [ball_distribution(mu, r) for r in range(3)]
+    calls = []
+    code = measures.canonical_code
+
+    def counted(rc):
+        calls.append(rc)
+        return code(rc)
+
+    monkeypatch.setattr(measures, "canonical_code", counted)
+    assert measure_distance(mu, mu, 2) == 0
+    assert [ball_distribution(mu, r) for r in range(3)] == laws
+    assert calls == []
 
 
 def test_measure_distance_hollow_vs_filled():
