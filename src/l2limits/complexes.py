@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import operator
 
-from collections import deque
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import MalformedInputError, ValidationError
 
@@ -144,17 +143,8 @@ class SimplicialComplex:
     # -- metric structure ---------------------------------------------------
 
     def distances(self, root: int) -> dict:
-        """Graph distances from root along the 1-skeleton (BFS)."""
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in self._neighbors.get(u, ()):
-                if w not in dist:
-                    dist[w] = du + 1
-                    queue.append(w)
-        return dist
+        """Graph distances from root along the 1-skeleton, in search order."""
+        return _bfs(self, root)
 
     def is_connected(self) -> bool:
         # the complex is immutable, so one search answers for its lifetime
@@ -249,6 +239,29 @@ class RootedComplex:
         return f"RootedComplex(root={self.root}, f_vector={self.complex.f_vector()})"
 
 
+def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
+    """Distances from ``root`` along the 1-skeleton, up to ``radius`` if set.
+
+    The package's one breadth-first search.  The dict's insertion order is
+    the search order, layer by layer with each vertex's neighbours in
+    ascending order; cache keys and canonical labelings rely on it.
+    """
+    dist = {root: 0}
+    frontier = [root]
+    neighbors = cx._neighbors
+    d = 0
+    while frontier and d != radius:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in neighbors.get(u, ()):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def _ball(cx: SimplicialComplex, root: int, r: int) -> RootedComplex:
     """The closed r-ball of ``cx`` around ``root``, found without leaving it.
 
@@ -257,18 +270,7 @@ def _ball(cx: SimplicialComplex, root: int, r: int) -> RootedComplex:
     """
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
-    inside = {root}
-    frontier = [root]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in cx.neighbors(u):
-                if w not in inside:
-                    inside.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
+    inside = _bfs(cx, root, r)
     if len(inside) == len(cx.faces(0)):
         return RootedComplex._make(cx, root)
     return RootedComplex._make(cx.induced(inside), root)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import RootedComplex, SimplicialComplex
+from .complexes import RootedComplex, SimplicialComplex, _bfs
 from .errors import ValidationError
 
 _CODE_CACHE: dict = {}
@@ -154,12 +154,13 @@ class _IsoContext:
 
     Vertex order, f-vector and refined colours are computed at once: they
     are all a caller reads when colours alone decide.  The neighbour, star
-    and simplex masks are built by the first search that needs them.
+    and simplex masks are built by the first search that needs them, and a
+    root's breadth-first search is kept for every search from that root.
     """
 
     __slots__ = ("cx", "verts", "idx", "n", "nbr_positions", "nbr_mask",
                  "star_items", "star_masks", "simplex_masks", "colors",
-                 "fvec")
+                 "fvec", "searched")
 
     def __init__(self, cx: SimplicialComplex):
         self.cx = cx
@@ -170,6 +171,7 @@ class _IsoContext:
         self.colors = [colors[v] for v in self.verts]
         self.fvec = cx.f_vector()
         self.nbr_positions = None
+        self.searched = {}
 
     def build_masks(self) -> None:
         if self.nbr_positions is not None:
@@ -195,36 +197,20 @@ class _IsoContext:
             sum(1 << idx[u] for u in s) for s in cx.simplices
         }
 
-    def distances_from(self, root) -> list:
-        dist = [-1] * self.n
-        start = self.idx[root]
-        dist[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                d = dist[i] + 1
-                for j in self.nbr_positions[i]:
-                    if dist[j] < 0:
-                        dist[j] = d
-                        nxt.append(j)
-            frontier = nxt
-        return dist
-
-    def bfs_order(self, root) -> list:
-        start = self.idx[root]
-        seen = [False] * self.n
-        seen[start] = True
-        order = [start]
-        head = 0
-        while head < len(order):
-            i = order[head]
-            head += 1
-            for j in self.nbr_positions[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    order.append(j)
-        return order
+    def bfs(self, root) -> tuple:
+        """Distance of each position from ``root`` (-1 outside its
+        component) and the positions in breadth-first order, from one
+        search per root."""
+        found = self.searched.get(root)
+        if found is None:
+            idx = self.idx
+            dist = [-1] * self.n
+            order = []
+            for v, d in _bfs(self.cx, root).items():
+                dist[idx[v]] = d
+                order.append(idx[v])
+            found = self.searched[root] = (dist, order)
+        return found
 
 
 def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
@@ -243,11 +229,10 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
     ctxa.build_masks()
     ctxb.build_masks()
     n = ctxa.n
-    dista = ctxa.distances_from(roota)
-    distb = ctxb.distances_from(rootb)
+    dista, order = ctxa.bfs(roota)
+    distb = ctxb.bfs(rootb)[0]
     if sorted(dista) != sorted(distb):
         return None
-    order = ctxa.bfs_order(roota)
     if len(order) < n:
         raise ValidationError("isomorphism search requires connected complexes")
 
@@ -346,16 +331,7 @@ def find_rooted_isomorphism(a: RootedComplex, b: RootedComplex):
 def _bfs_relabel_key(cx: SimplicialComplex, root):
     """Deterministic cache key: simplex set after breadth-first relabeling,
     each simplex as the bitmask of its new labels."""
-    bit = {root: 1}
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for w in cx.neighbors(u):
-            if w not in bit:
-                bit[w] = 1 << len(order)
-                order.append(w)
+    bit = {v: 1 << i for i, v in enumerate(_bfs(cx, root))}
     return frozenset(sum(map(bit.__getitem__, s)) for s in cx.simplices)
 
 
@@ -386,7 +362,7 @@ def _prune_automorphic(ctx, vert, colour, partials):
 
 
 def _canonical_order(cx: SimplicialComplex, root):
-    dist = cx.distances(root)
+    dist = _bfs(cx, root)
     n = len(dist)
     # Work on positions 0..n-1 in (distance, id) order, so the root is 0
     # and every layer is a range of positions.  links[v] pairs each

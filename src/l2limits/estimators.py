@@ -1,10 +1,11 @@
 """Spectral-moment estimation from local neighbourhoods.
 
-The r-th diagonal entry of the p-Laplacian power depends only on the
-(r+1)-ball around the simplex, so moments of the spectral measure can be
-averaged from rooted balls without ever assembling a global matrix.  This
-drives exact moment computation for finite-support laws, Monte Carlo
-estimation on large complexes, and a small convergence-experiment harness.
+The r-th diagonal entry of the p-Laplacian power at a simplex through the
+root depends only on the (r//2 + 1)-ball around the root, so moments of
+the spectral measure can be averaged from rooted balls without ever
+assembling a global matrix.  This drives exact moment computation for
+finite-support laws, Monte Carlo estimation on large complexes, and a
+small convergence-experiment harness.
 """
 from __future__ import annotations
 
@@ -82,8 +83,10 @@ class RootSample:
         self.weight = weight
 
     def covers(self, r: int) -> bool:
-        """True when moments of order r are computable from this sample."""
-        return self.declared_radius is None or self.declared_radius >= r + 1
+        """True when moments of order r are computable from this sample:
+        :func:`_local_moments` reads only the (r//2 + 1)-ball."""
+        radius = self.declared_radius
+        return radius is None or radius >= r // 2 + 1
 
 
 _MOMENT_CACHE: dict = {}
@@ -137,8 +140,8 @@ def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
 def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
     """Σ over p-simplices at the root of ⟨Δ_p^r σ, σ⟩/(p+1), exactly.
 
-    Only the (r+1)-ball around the root enters the answer, so the input may
-    be the whole complex or any subcomplex containing that ball.
+    Only the (r//2 + 1)-ball around the root enters the answer, so the input
+    may be the whole complex or any subcomplex containing that ball.
     """
     return _local_moments(rc, p, r)[r]
 
@@ -227,6 +230,11 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
     return mv
 
 
+def _check_eps(eps) -> None:
+    if not 0 < eps < 1:
+        raise ValidationError("eps must lie strictly between 0 and 1")
+
+
 def kernel_mass_bound(source, degree_bound: int, p: int, eps: float,
                       radius: float | None = None) -> float:
     """Upper bound on spectral mass in (-eps, eps) excluding the atom at 0.
@@ -240,8 +248,7 @@ def kernel_mass_bound(source, degree_bound: int, p: int, eps: float,
     empty and the bound collapses to 0.  When ``source`` is a full
     spectral measure the bound is asserted against it.
     """
-    if not 0 < eps < 1:
-        raise ValidationError("eps must lie strictly between 0 and 1")
+    _check_eps(eps)
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
     if radius is None:
@@ -377,6 +384,8 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     if not sequence:
         raise ValidationError("need at least one complex")
     eps_list = list(eps_list)
+    for eps in eps_list:
+        _check_eps(eps)
     if labels is None:
         labels = list(range(len(sequence)))
     if len(labels) != len(sequence):

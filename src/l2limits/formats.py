@@ -63,10 +63,13 @@ def _parse_scx_lines(lines):
 
 def read_scx(source):
     """Parse an `.scx` file; returns (complex, root or None)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _parse_scx_lines(fh)
-    return _parse_scx_lines(source)
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                return _parse_scx_lines(fh)
+        return _parse_scx_lines(source)
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"not UTF-8 text: {exc}")
 
 
 def scx_text(cx: SimplicialComplex, root=None) -> str:
@@ -135,6 +138,8 @@ def load_measure(source) -> RandomRootedComplex:
             obj = json.load(source)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"not UTF-8 text: {exc}")
     return _measure_from_obj(obj)
 
 

@@ -126,17 +126,6 @@ def _laplacian_rows(cx: SimplicialComplex, p: int) -> list:
     return rows
 
 
-def _flatten(rows: list):
-    """(row, column, value) arrays of sparse rows, values as float64."""
-    import numpy as np
-
-    ri = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    ci = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(ri))
-    vals = np.fromiter(chain.from_iterable(row.values() for row in rows),
-                       dtype=np.float64, count=len(ri))
-    return ri, ci, vals
-
-
 def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
     """Dense Hodge Laplacian on p-simplices, in the order of ``faces(p)``.
 
@@ -149,8 +138,10 @@ def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
         raise ValidationError("Laplacian degree must be nonnegative")
     rows = _laplacian_rows(cx, p)
     lap = np.zeros((len(rows), len(rows)))
-    ri, ci, vals = _flatten(rows)
-    lap[ri, ci] = vals
+    ri = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    ci = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(ri))
+    lap[ri, ci] = np.fromiter(chain.from_iterable(row.values() for row in rows),
+                              dtype=np.float64, count=len(ri))
     return lap
 
 
@@ -221,6 +212,16 @@ def spectral_measure(cx: SimplicialComplex, p: int,
     return _pinned_measure(cx, p, None, zero_tol, cap)
 
 
+def _dense_count(cx: SimplicialComplex, p: int, cap: int) -> int:
+    """Number of p-simplices, refused above the dense eigensolver cap."""
+    count = len(cx.faces(p))
+    if count > cap:
+        raise ValidationError(
+            f"{count} p-simplices exceeds the dense eigensolver cap ({cap}); "
+            "use moment estimators at this scale")
+    return count
+
+
 def _pinned_measure(cx: SimplicialComplex, p: int, kernel: int | None,
                     zero_tol: float = ZERO_TOL,
                     cap: int = DENSE_EIGENSOLVE_CAP) -> SpectralMeasure:
@@ -233,11 +234,7 @@ def _pinned_measure(cx: SimplicialComplex, p: int, kernel: int | None,
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
-    count = len(cx.faces(p))
-    if count > cap:
-        raise ValidationError(
-            f"{count} p-simplices exceeds the dense eigensolver cap ({cap}); "
-            "use moment estimators at this scale")
+    count = _dense_count(cx, p, cap)
     if count == 0:
         return SpectralMeasure(p, n, (), 0)
     import numpy as np
@@ -255,21 +252,22 @@ def _pinned_measure(cx: SimplicialComplex, p: int, kernel: int | None,
 
 @dataclass(frozen=True)
 class NormBounds:
-    boundary_norm_bound: float    # sqrt(p+1), per-column mass of d_p
-    coboundary_norm_bound: float  # sqrt(D-p+1), per-row mass of d_p
-    laplacian_bound: float        # 2*sqrt((p+2)*D)
+    boundary_norm_bound: float  # sqrt((p+1)(D-p+1)), bounds ||d_p|| = ||d_p*||
+    laplacian_bound: int        # _radius_bound(p, D), bounds rho(Delta_p)
     spectral_radius: float
 
 
-def operator_norm_bounds(cx: SimplicialComplex, p: int, degree_bound: int,
-                         assert_radius: bool = True) -> NormBounds:
-    """Degree-based a priori norm bounds for d_p and Delta_p.
+def operator_norm_bounds(cx: SimplicialComplex, p: int,
+                         degree_bound: int) -> NormBounds:
+    """Proven degree-based bounds on ||d_p|| and rho(Delta_p), checked.
 
     Checks exactly that every column of d_p has p+1 entries and every row at
-    most degree_bound-p+1, then compares the computed spectral radius of
-    Delta_p against 2*sqrt((p+2)*degree_bound).  The radius assertion is a
-    genuine restriction: dense enough complexes exceed the bound, and in
-    that case CrossCheckError is raised rather than returning quietly.
+    most degree_bound-p+1, which gives ||d_p||^2 <= (p+1)(D-p+1) (Schur's
+    test); the adjoint d_p* has the same norm.  The spectral radius of
+    Delta_p comes from the dense eigensolver, so complexes past
+    ``DENSE_EIGENSOLVE_CAP`` are refused, and it is checked against the
+    Gershgorin bound of :func:`_radius_bound`; a radius above it raises
+    CrossCheckError.
     """
     if p < 1:
         raise ValidationError("norm bounds are stated for p >= 1")
@@ -287,14 +285,17 @@ def operator_norm_bounds(cx: SimplicialComplex, p: int, degree_bound: int,
     if row_counts and max(row_counts) > degree_bound - p + 1:
         raise CrossCheckError(
             f"a (p-1)-simplex has {max(row_counts)} cofaces, above D-p+1")
-    radius = _spectral_radius(cx, p)
-    lap_bound = 2.0 * math.sqrt((p + 2) * degree_bound)
-    if assert_radius and radius > lap_bound + 1e-9:
+    radius = 0.0
+    if _dense_count(cx, p, DENSE_EIGENSOLVE_CAP):
+        import numpy as np
+
+        radius = float(np.linalg.eigvalsh(laplacian_matrix(cx, p))[-1])
+    lap_bound = _radius_bound(p, degree_bound)
+    if radius > lap_bound + 1e-9:
         raise CrossCheckError(
-            f"spectral radius {radius:.6f} exceeds 2*sqrt((p+2)*D) = {lap_bound:.6f}")
+            f"spectral radius {radius:.6f} exceeds the proven bound {lap_bound}")
     return NormBounds(
-        boundary_norm_bound=math.sqrt(p + 1),
-        coboundary_norm_bound=math.sqrt(degree_bound - p + 1),
+        boundary_norm_bound=math.sqrt(max(0, (p + 1) * (degree_bound - p + 1))),
         laplacian_bound=lap_bound,
         spectral_radius=radius,
     )
@@ -310,31 +311,6 @@ def _radius_bound(p: int, degree: int) -> int:
     no simplices behind it and contributes 0.
     """
     return max(0, (p + 1) * (degree - p + 1)) + max(0, (p + 2) * (degree - p))
-
-
-def _spectral_radius(cx: SimplicialComplex, p: int) -> float:
-    import numpy as np
-
-    count = len(cx.faces(p))
-    if count == 0:
-        return 0.0
-    if count <= DENSE_EIGENSOLVE_CAP:
-        return float(np.linalg.eigvalsh(laplacian_matrix(cx, p))[-1])
-    # Beyond the dense cap: power iteration on the sparse operator gives a
-    # lower estimate of the radius that converges to it.
-    ri, ci, vals = _flatten(_laplacian_rows(cx, p))
-    rng = np.random.default_rng(0)
-    vec = rng.standard_normal(count)
-    vec /= np.linalg.norm(vec)
-    value = 0.0
-    for _ in range(400):
-        out = np.bincount(ri, weights=vals * vec[ci], minlength=count)
-        norm = np.linalg.norm(out)
-        if norm == 0.0:
-            return 0.0
-        value = norm
-        vec = out / norm
-    return float(value)
 
 
 def euler_poincare(cx: SimplicialComplex):

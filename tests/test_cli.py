@@ -258,6 +258,20 @@ def test_converge_error_paths(tmp_path, capsys):
     assert "bounded degree" in err
 
 
+def test_converge_bad_eps_exits_3_before_any_level(tmp_path, capsys,
+                                                   monkeypatch):
+    import l2limits.estimators as estimators
+    levels = []
+    monkeypatch.setattr(estimators, "_level_stats", levels.append)
+    code, out, err = run(capsys, [
+        "converge", "--family", "torus2d", "--levels", "4,6", "--p", "1",
+        "--eps", "0.1,2", "--out", str(tmp_path / "c.csv")])
+    assert code == 3
+    assert err.startswith("error:") and "eps" in err
+    assert levels == []
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_unwritable_out_exits_2(scx, capsys, tmp_path):
     target = str(tmp_path / "no-such-dir" / "out")
     code, out, err = run(capsys, ["generate", "torus2d", "--n", "4",
@@ -372,3 +386,17 @@ def test_boolean_ids_in_measure_exit_2(tmp_path, capsys):
         {"weight": "1", "maximal_simplices": [[0, 1]], "root": True}]}))
     code, out, err = run(capsys, ["mass-transport", str(bad)])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_non_utf8_input_exits_2_without_traceback(tmp_path):
+    bad_scx = tmp_path / "bad.scx"
+    bad_scx.write_bytes(b"0 1\n\xff\n")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_bytes(b"\xff")
+    for argv in (["validate", str(bad_scx)], ["mass-transport", str(bad_json)]):
+        proc = subprocess.run([sys.executable, "-m", "l2limits", *argv],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "UTF-8" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1

@@ -1,10 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from conftest import random_complex
-from l2limits.complexes import (RootedComplex, SimplicialComplex, closure,
-                                rooted_at)
+from l2limits.complexes import (RootedComplex, SimplicialComplex, _bfs,
+                                closure, rooted_at)
 from l2limits.errors import MalformedInputError, ValidationError
+from l2limits.generators import fixtures
 
 
 def test_closure_expands_faces():
@@ -62,6 +65,43 @@ def test_distances_and_connectivity():
     assert not cx.is_connected()
     assert cx.components() == (frozenset({0, 1, 2}), frozenset({3, 4}))
     assert closure([(0, 1, 2)]).is_connected()
+
+
+def _deque_bfs(cx, root):
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(w for s in cx.star(u) if len(s) == 2 for w in s):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return list(dist.items())
+
+
+def _bfs_cases():
+    rng = np.random.default_rng(41)
+    cases = list(fixtures().values())
+    cases += [random_complex(rng, 10) for _ in range(30)]
+    cases.append(closure([(0, 5, 2), (2, 7), (3, 4), (4, 9, 6), (8,)]))
+    return cases
+
+
+def test_bfs_matches_a_queue_search_in_value_and_order():
+    for cx in _bfs_cases():
+        for v in cx.vertices:
+            want = _deque_bfs(cx, v)
+            assert list(_bfs(cx, v).items()) == want
+            assert list(cx.distances(v).items()) == want
+
+
+def test_bfs_with_radius_is_the_whole_search_cut_at_it():
+    for cx in _bfs_cases():
+        for v in cx.vertices:
+            whole = list(_bfs(cx, v).items())
+            for r in range(max(d for _, d in whole) + 2):
+                assert list(_bfs(cx, v, r).items()) == [
+                    (w, d) for w, d in whole if d <= r]
 
 
 def test_induced_subcomplex():

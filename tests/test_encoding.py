@@ -187,6 +187,39 @@ def test_automorphism_pruning_keeps_the_code(monkeypatch):
     assert _codes_without_pruning_match(monkeypatch, balls)
 
 
+def test_one_breadth_first_search_per_root_per_code(monkeypatch):
+    # Past the tie cap every automorphism search starts from the root, and
+    # the context keeps that root's search: the key, the layers and the
+    # searches make three in all however many searches run.
+    import l2limits.complexes as complexes
+    bfs_calls, searches = [], []
+    bfs, search = complexes._bfs, encoding._search
+
+    def counted_bfs(*args):
+        bfs_calls.append(args[1])
+        return bfs(*args)
+
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "_bfs", counted_bfs)
+    monkeypatch.setattr(encoding, "_bfs", counted_bfs)
+    monkeypatch.setattr(encoding, "_search", counted_search)
+    k6 = rooted_at(closure([(a, b) for a in range(6) for b in range(a)]), 0)
+    want = canonical_code(k6)
+    counts = []
+    for cap in (1, 4, 64):
+        monkeypatch.setattr(encoding, "_TIE_CAP", cap)
+        monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+        bfs_calls.clear()
+        searches.clear()
+        assert canonical_code(k6) == want
+        assert bfs_calls == [0, 0, 0]
+        counts.append(len(searches))
+    assert counts == sorted(counts) and counts[0] >= 10 and counts[-1] >= 100
+
+
 def test_discrete_colours_run_no_automorphism_search(monkeypatch):
     # A spider with legs of lengths 1..6: the centre's neighbours tie on
     # every block, so the tie cap is passed, but refinement tells every

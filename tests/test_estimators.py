@@ -254,10 +254,38 @@ def test_monte_carlo_input_contracts():
 
 
 def test_root_sample_covers():
+    # order r reads the (r//2 + 1)-ball
     rc = rooted_at(fixtures()["path4"], 0)
     assert RootSample(rc).covers(10)
-    assert RootSample(rc, declared_radius=3).covers(2)
-    assert not RootSample(rc, declared_radius=3).covers(3)
+    assert RootSample(rc, declared_radius=3).covers(5)
+    assert not RootSample(rc, declared_radius=3).covers(6)
+    assert RootSample(rc, declared_radius=1).covers(1)
+    assert not RootSample(rc, declared_radius=1).covers(2)
+
+
+def test_monte_carlo_needs_only_the_half_order_ball():
+    # a 12x12 torus with every third triangle dropped: irregular balls, and
+    # radius-3 balls are much smaller than radius-5 ones
+    torus = torus_tower(2, 12)
+    kept = [t for i, t in enumerate(torus.faces(2)) if i % 3]
+    cx = closure(kept + list(torus.faces(1)))
+    for p in (0, 1, 2):
+        near = monte_carlo_moments(vertex_sampler(cx, 3), p, 4, 30, seed=5)
+        far = monte_carlo_moments(vertex_sampler(cx, 5), p, 4, 30, seed=5)
+        assert near.moments == far.moments
+        assert near.stderrs == far.stderrs
+    with pytest.raises(ValidationError):
+        monte_carlo_moments(vertex_sampler(cx, 2), 1, 4, 1, seed=5)
+
+
+def test_convergence_experiment_checks_eps_first(monkeypatch):
+    levels = []
+    monkeypatch.setattr(estimators, "_level_stats", levels.append)
+    for eps_list in ([0.1, 2], [0.0], [1], [float("nan")]):
+        with pytest.raises(ValidationError, match="strictly between 0 and 1"):
+            convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
+                                   1, 2, eps_list, threads=1)
+    assert levels == []
 
 
 def test_kernel_mass_bound_formula():

@@ -152,3 +152,18 @@ def test_load_measure_rejects_boolean_vertex_ids():
                         "root": 1}]}
     with pytest.raises(MalformedInputError):
         load_measure(io.StringIO(json.dumps(doc)))
+
+
+def test_non_utf8_input_is_malformed(tmp_path):
+    scx_path = tmp_path / "bad.scx"
+    scx_path.write_bytes(b"0 1\n\xff 2\n")
+    with pytest.raises(MalformedInputError, match="UTF-8"):
+        read_scx(scx_path)
+    with pytest.raises(MalformedInputError, match="UTF-8"):
+        read_scx(io.TextIOWrapper(io.BytesIO(b"0 1\xff\n"), encoding="utf-8"))
+    json_path = tmp_path / "bad.json"
+    json_path.write_bytes(b'{"support": "\xff"}')
+    with pytest.raises(MalformedInputError, match="UTF-8"):
+        load_measure(json_path)
+    with pytest.raises(MalformedInputError, match="UTF-8"):
+        load_measure(io.BytesIO(b'{"support": "\xff"}'))

@@ -310,32 +310,50 @@ def test_boundary_norm_within_entry_count_bound():
 
 def test_norm_bounds_reporting():
     cx = fixtures()["book"]
-    nb = operator_norm_bounds(cx, 1, cx.max_degree())
-    assert nb.boundary_norm_bound == pytest.approx(math.sqrt(2))
-    assert nb.coboundary_norm_bound == pytest.approx(math.sqrt(cx.max_degree()))
-    assert nb.laplacian_bound == pytest.approx(2 * math.sqrt(3 * cx.max_degree()))
-    assert nb.spectral_radius <= nb.laplacian_bound + 1e-9
+    degree = cx.max_degree()
+    nb = operator_norm_bounds(cx, 1, degree)
+    assert nb.boundary_norm_bound == pytest.approx(math.sqrt(2 * degree))
+    assert nb.laplacian_bound == _radius_bound(1, degree)
+    assert nb.spectral_radius == pytest.approx(
+        spectral_measure(cx, 1).spectral_radius())
+    assert nb.spectral_radius <= nb.laplacian_bound
     with pytest.raises(ValidationError):
-        operator_norm_bounds(cx, 0, cx.max_degree())
+        operator_norm_bounds(cx, 0, degree)
     with pytest.raises(ValidationError):
-        operator_norm_bounds(cx, 1, cx.max_degree() - 1)
+        operator_norm_bounds(cx, 1, degree - 1)
+    # no 3-simplices and D < p - 1: every bound is 0, with no square root
+    # of a negative count
+    nb = operator_norm_bounds(fixtures()["edge"], 3, 1)
+    assert nb.boundary_norm_bound == nb.laplacian_bound == nb.spectral_radius == 0
 
 
-def test_laplacian_radius_bound_fails_on_dense_complexes():
-    # the 2*sqrt((p+2)*D) comparison is genuinely violated by flat tori and
-    # complete graphs; the checked variant must refuse, the unchecked one
-    # must report the exceedance
+def test_laplacian_radius_bound_holds_on_dense_complexes():
+    # flat tori and complete graphs exceed 2*sqrt((p+2)*D); the returned
+    # bound holds on them
     torus = torus_tower(2, 8)
-    with pytest.raises(CrossCheckError):
-        operator_norm_bounds(torus, 1, 6)
-    nb = operator_norm_bounds(torus, 1, 6, assert_radius=False)
-    assert nb.spectral_radius > nb.laplacian_bound
+    nb = operator_norm_bounds(torus, 1, 6)
+    assert nb.spectral_radius == pytest.approx(8.83, abs=0.01)
+    assert nb.laplacian_bound == 27
     k13 = closure(list(combinations(range(13), 2)))
-    with pytest.raises(CrossCheckError):
-        operator_norm_bounds(k13, 1, 12)
-    nb = operator_norm_bounds(k13, 1, 12, assert_radius=False)
+    nb = operator_norm_bounds(k13, 1, 12)
     assert nb.spectral_radius == pytest.approx(13.0)
-    assert nb.laplacian_bound == pytest.approx(12.0)
+    assert nb.laplacian_bound == 57
+
+
+def test_norm_bounds_refuse_past_the_eigensolver_cap(monkeypatch):
+    import l2limits.spectral as spectral_mod
+    monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 10)
+    with pytest.raises(ValidationError, match="dense eigensolver cap"):
+        operator_norm_bounds(torus_tower(2, 6), 1, 6)
+
+
+def test_norm_bounds_cross_check_the_radius(monkeypatch):
+    # a radius above the stated bound is refused, not reported
+    import l2limits.spectral as spectral_mod
+    monkeypatch.setattr(spectral_mod, "_radius_bound", lambda p, degree: 1)
+    book = fixtures()["book"]
+    with pytest.raises(CrossCheckError):
+        operator_norm_bounds(book, 1, book.max_degree())
 
 
 def test_radius_bound_holds_and_clamps():
@@ -351,28 +369,6 @@ def test_radius_bound_holds_and_clamps():
     assert _radius_bound(1, 6) == 27
     assert _radius_bound(4, 2) == 0
     assert _radius_bound(3, 3) == 4  # only the d_p term survives
-
-
-def test_power_method_agrees_with_dense_radius(monkeypatch):
-    import l2limits.spectral as spectral_mod
-    torus = torus_tower(2, 6)
-    dense_radius = operator_norm_bounds(torus, 1, 6, assert_radius=False).spectral_radius
-    monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 10)
-    iterated = spectral_mod._spectral_radius(torus, 1)
-    assert iterated == pytest.approx(dense_radius, rel=1e-4)
-
-
-def test_power_method_covers_every_degree(monkeypatch):
-    # p=0 has no faces below and p=2 no cofaces above on a 2-torus: the
-    # sparse rows must carry each case alone
-    import l2limits.spectral as spectral_mod
-    torus = torus_tower(2, 6)
-    dense = {p: float(np.linalg.eigvalsh(laplacian_matrix(torus, p))[-1])
-             for p in range(3)}
-    monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 10)
-    for p in range(3):
-        iterated = spectral_mod._spectral_radius(torus, p)
-        assert iterated == pytest.approx(dense[p], rel=1e-4)
 
 
 def test_csv_writers():
