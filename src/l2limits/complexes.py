@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import MalformedInputError, ValidationError
 
@@ -48,25 +48,35 @@ class SimplicialComplex:
                     for face in combinations(s, len(s) - 1):
                         if face not in normalized:
                             raise ValidationError(f"missing face {face} of simplex {s}")
-        self._simplices = normalized
         by_dim: list[list[tuple]] = []
         for s in normalized:
             p = len(s) - 1
             while len(by_dim) <= p:
                 by_dim.append([])
             by_dim[p].append(s)
-        self._by_dim = tuple(tuple(sorted(group)) for group in by_dim)
+        by_dim = [sorted(group) for group in by_dim]
+        # Stars read the sorted faces, so each is in (dimension, lexicographic)
+        # order and filtering keeps that order.  Vertices come first, so they
+        # key the stars in ascending order.
         star: dict[int, list[tuple]] = {}
-        for s in normalized:
-            for v in s:
-                star.setdefault(v, []).append(s)
-        self._star = {v: tuple(group) for v, group in star.items()}
-        neighbors: dict[int, set[int]] = {v: set() for v in self._star}
-        for edge in self.faces(1):
-            neighbors[edge[0]].add(edge[1])
-            neighbors[edge[1]].add(edge[0])
-        self._neighbors = {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
-        self._hash = hash(self._simplices)
+        for group in by_dim:
+            for s in group:
+                for v in s:
+                    star.setdefault(v, []).append(s)
+        neighbors: dict[int, list[int]] = {v: [] for v in star}
+        for u, w in by_dim[1] if len(by_dim) > 1 else ():
+            neighbors[u].append(w)
+            neighbors[w].append(u)
+        self._fill(normalized, tuple(tuple(group) for group in by_dim),
+                   {v: tuple(group) for v, group in star.items()},
+                   {v: tuple(sorted(ns)) for v, ns in neighbors.items()})
+
+    def _fill(self, simplices, by_dim, star, neighbors) -> None:
+        self._simplices = simplices
+        self._by_dim = by_dim
+        self._star = star
+        self._neighbors = neighbors
+        self._hash = None
         self._connected = None
 
     @classmethod
@@ -167,12 +177,36 @@ class SimplicialComplex:
         return tuple(comps)
 
     def induced(self, vertex_subset) -> "SimplicialComplex":
-        """Full subcomplex on the given vertices."""
+        """Full subcomplex on the given vertices.
+
+        Built from this complex's sorted structures: a kept vertex whose
+        neighbours are all kept shares its star and neighbour tuples, and
+        only the stars of the boundary layer are filtered, in order.
+        """
         keep = frozenset(vertex_subset)
-        # each simplex is met once, in the star of its smallest vertex
-        picked = [s for v in keep for s in self._star.get(v, ())
-                  if s[0] == v and keep.issuperset(s)]
-        return SimplicialComplex(picked, _validated=True)
+        all_stars = self._star
+        all_neighbors = self._neighbors
+        star = {}
+        neighbors = {}
+        by_dim: list[list[tuple]] = [[] for _ in self._by_dim]
+        for v in sorted(v for v in keep if v in all_stars):
+            group = all_stars[v]
+            ns = all_neighbors[v]
+            if not keep.issuperset(ns):
+                group = tuple([s for s in group if keep.issuperset(s)])
+                ns = tuple([w for w in ns if w in keep])
+            star[v] = group
+            neighbors[v] = ns
+            # a simplex is met once, in the star of its smallest vertex; with
+            # vertices ascending and stars sorted, each dimension comes sorted
+            for s in [s for s in group if s[0] == v]:
+                by_dim[len(s) - 1].append(s)
+        while by_dim and not by_dim[-1]:
+            by_dim.pop()
+        sub = object.__new__(SimplicialComplex)
+        sub._fill(frozenset(chain.from_iterable(by_dim)),
+                  tuple(tuple(group) for group in by_dim), star, neighbors)
+        return sub
 
     # -- dunder surface -----------------------------------------------------
 
@@ -188,6 +222,8 @@ class SimplicialComplex:
         return self._simplices == other._simplices
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._simplices)
         return self._hash
 
     def __repr__(self) -> str:
@@ -206,7 +242,7 @@ class RootedComplex:
             raise ValidationError("rooted complex must be connected")
         self.complex = complex
         self.root = root
-        self._hash = hash((complex, root))
+        self._hash = None
 
     @classmethod
     def _make(cls, complex: SimplicialComplex, root: int) -> "RootedComplex":
@@ -214,7 +250,7 @@ class RootedComplex:
         rc = object.__new__(cls)
         rc.complex = complex
         rc.root = root
-        rc._hash = hash((complex, root))
+        rc._hash = None
         return rc
 
     def ball(self, r: int) -> "RootedComplex":
@@ -233,6 +269,8 @@ class RootedComplex:
         return self.root == other.root and self.complex == other.complex
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.complex, self.root))
         return self._hash
 
     def __repr__(self) -> str:

@@ -386,6 +386,8 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     eps_list = list(eps_list)
     for eps in eps_list:
         _check_eps(eps)
+    if rmax < 0:
+        raise ValidationError("rmax must be nonnegative")
     if labels is None:
         labels = list(range(len(sequence)))
     if len(labels) != len(sequence):

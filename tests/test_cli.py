@@ -272,6 +272,21 @@ def test_converge_bad_eps_exits_3_before_any_level(tmp_path, capsys,
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_converge_negative_rmax_exits_3_before_any_level(tmp_path, capsys,
+                                                         monkeypatch):
+    import l2limits.estimators as estimators
+    levels = []
+    monkeypatch.setattr(estimators, "_level_stats", levels.append)
+    code, out, err = run(capsys, [
+        "converge", "--family", "torus2d", "--levels", "6,8", "--p", "1",
+        "--rmax", "-1", "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert err.startswith("error:") and "rmax must be nonnegative" in err
+    assert out == ""
+    assert levels == []
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_unwritable_out_exits_2(scx, capsys, tmp_path):
     target = str(tmp_path / "no-such-dir" / "out")
     code, out, err = run(capsys, ["generate", "torus2d", "--n", "4",

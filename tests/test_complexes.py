@@ -7,7 +7,8 @@ from conftest import random_complex
 from l2limits.complexes import (RootedComplex, SimplicialComplex, _bfs,
                                 closure, rooted_at)
 from l2limits.errors import MalformedInputError, ValidationError
-from l2limits.generators import fixtures
+from l2limits.generators import fixtures, torus_tower
+from l2limits.measures import uniform_rooting
 
 
 def test_closure_expands_faces():
@@ -109,6 +110,89 @@ def test_induced_subcomplex():
     sub = cx.induced({0, 1, 2})
     assert sub == closure([(0, 1, 2)])
     assert cx.induced({0, 3}) == closure([(0,), (3,)])
+
+
+def _percolated_torus(side, keep, seed):
+    full = torus_tower(2, side)
+    rng = np.random.default_rng(seed)
+    drop = {t for t in full.faces(2) if rng.random() >= keep}
+    return SimplicialComplex([s for s in full.simplices if s not in drop],
+                             _validated=True)
+
+
+def _induced_cases():
+    """(complex, vertex subset) pairs: fixtures, random subsets of random
+    complexes (empty, with non-vertices, disconnected) and torus balls."""
+    rng = np.random.default_rng(23)
+    for _, cx in sorted(fixtures().items()):
+        verts = cx.vertices
+        for subset in (set(verts), set(verts[::2]), set(verts[1:]), set()):
+            yield cx, subset
+    for _ in range(30):
+        cx = random_complex(rng, 12)
+        yield cx, set()
+        for _ in range(3):
+            size = int(rng.integers(1, 16))
+            # ids up to 15 include some that are not vertices
+            yield cx, set(rng.choice(16, size=size, replace=False).tolist())
+    torus = _percolated_torus(30, 0.7, 3)
+    for v in rng.choice(torus.vertices, size=25, replace=False).tolist():
+        for r in range(6):
+            yield torus, set(_bfs(torus, v, r))
+
+
+def test_induced_matches_a_complex_built_from_scratch():
+    disconnected = non_vertices = 0
+    for cx, subset in _induced_cases():
+        sub = cx.induced(subset)
+        picked = {s for v in subset for s in cx.star(v) if subset.issuperset(s)}
+        want = SimplicialComplex(picked)
+        assert sub == want and hash(sub) == hash(want)
+        assert sub.dim == want.dim and sub.f_vector() == want.f_vector()
+        for p in range(-1, want.dim + 3):
+            assert sub.faces(p) == want.faces(p)
+        # every kept vertex, and some vertices of cx that were left out
+        for v in sorted(subset | set(cx.vertices[:12])):
+            assert sub.star(v) == want.star(v)
+            assert sub.neighbors(v) == want.neighbors(v)
+            # the documented orders, read off the simplex set itself
+            assert want.star(v) == tuple(sorted(
+                (s for s in picked if v in s), key=lambda s: (len(s), s)))
+            assert want.neighbors(v) == tuple(sorted(
+                w for s in picked if len(s) == 2 and v in s for w in s if w != v))
+        disconnected += len(sub.components()) > 1
+        non_vertices += not subset <= set(cx.vertices)
+    assert disconnected and non_vertices
+
+
+def test_balls_share_their_parents_stars_and_neighbours(monkeypatch):
+    built = []
+    original = SimplicialComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    torus = torus_tower(2, 12)
+    monkeypatch.setattr(SimplicialComplex, "__init__", counted)
+    for v in torus.vertices:
+        ball = rooted_at(torus, v).ball(3).complex
+        assert len(ball.vertices) < len(torus.vertices)
+        for u in _bfs(torus, v, 2):
+            assert ball.star(u) is torus.star(u)
+            assert ball.neighbors(u) is torus.neighbors(u)
+    assert built == []
+
+
+def test_components_share_every_star():
+    cx = closure([(0, 1, 2), (2, 3), (5, 6, 7), (7, 8), (8, 9), (10,)])
+    points = uniform_rooting(cx).points
+    assert len({pt.rooted.complex for pt in points}) == 3
+    for pt in points:
+        comp = pt.rooted.complex
+        for v in comp.vertices:
+            assert comp.star(v) is cx.star(v)
+            assert comp.neighbors(v) is cx.neighbors(v)
 
 
 def test_rooted_complex_validation():

@@ -288,6 +288,15 @@ def test_convergence_experiment_checks_eps_first(monkeypatch):
     assert levels == []
 
 
+def test_convergence_experiment_checks_rmax_first(monkeypatch):
+    levels = []
+    monkeypatch.setattr(estimators, "_level_stats", levels.append)
+    with pytest.raises(ValidationError, match="rmax must be nonnegative"):
+        convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
+                               1, 2, [0.5], rmax=-1, threads=1)
+    assert levels == []
+
+
 def test_kernel_mass_bound_formula():
     d, p, eps = 6, 1, 0.5
     radius = 27  # max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p))
