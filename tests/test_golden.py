@@ -1,0 +1,106 @@
+"""Committed exact moments that every implementation must reproduce.
+
+Local moments are fixed by mathematics, not by the code that computes them,
+so a stored value that changes is a bug unless the specification changed.
+``golden_moments.json`` holds one SHA-256 digest per (complex, p) of
+``_local_moments(rooted_at(cx, v), p, 6)`` over every vertex v, and the
+exact means and standard errors of seeded ``monte_carlo_moments`` runs on
+a percolated torus.
+
+Regenerate (only after a documented change of specification) with
+
+    python tests/test_golden.py --regenerate --force
+"""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script from a checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np
+
+from l2limits.complexes import closure, rooted_at
+from l2limits.estimators import _local_moments, monte_carlo_moments, vertex_sampler
+from l2limits.generators import fixtures, linial_meshulam, random_flag, torus_tower
+
+GOLDEN = Path(__file__).resolve().parent / "golden_moments.json"
+ORDER = 6
+DIMS = (0, 1, 2)
+MC_SIDE, MC_KEEP, MC_RADIUS, MC_ORDER, MC_SAMPLES = 30, 0.7, 5, 4, 40
+
+
+def corpus():
+    """(name, complex) pairs whose local moments are stored."""
+    cases = [(f"fixture:{name}", cx) for name, cx in sorted(fixtures().items())]
+    cases += [(f"torus_tower(2,{n})", torus_tower(2, n)) for n in (5, 6, 7)]
+    cases += [(f"random_flag(16,5/16,3,{s})", random_flag(16, 5 / 16, 3, s))
+              for s in range(12)]
+    cases += [(f"linial_meshulam(2,10,0.3,{s})", linial_meshulam(2, 10, 0.3, s))
+              for s in range(4)]
+    return cases
+
+
+def moment_digest(cx, p) -> str:
+    """SHA-256 of every vertex's exact m_0..m_ORDER, in vertex order."""
+    rows = [[v, [str(m) for m in _local_moments(rooted_at(cx, v), p, ORDER)]]
+            for v in cx.vertices]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def percolated_torus():
+    """The side-30 torus with each triangle kept with probability 0.7."""
+    torus = torus_tower(2, MC_SIDE)
+    rng = np.random.default_rng(30)
+    tris = torus.faces(2)
+    kept = [t for t, x in zip(tris, rng.random(len(tris))) if x < MC_KEEP]
+    return closure(list(torus.faces(1)) + kept)
+
+
+def monte_carlo_values():
+    cx = percolated_torus()
+    out = {}
+    for p in DIMS:
+        mv = monte_carlo_moments(vertex_sampler(cx, MC_RADIUS), p, MC_ORDER,
+                                 MC_SAMPLES, seed=100 + p)
+        out[f"p{p}"] = {"moments": list(mv.moments), "stderrs": list(mv.stderrs)}
+    return out
+
+
+def compute():
+    digests = {f"{name}/p{p}": moment_digest(cx, p)
+               for name, cx in corpus() for p in DIMS}
+    return {"local_moments": digests, "monte_carlo": monte_carlo_values()}
+
+
+def render(data) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def test_golden_moments():
+    want = json.loads(GOLDEN.read_text())
+    got = compute()
+    assert sorted(got["local_moments"]) == sorted(want["local_moments"])
+    changed = [key for key, digest in want["local_moments"].items()
+               if got["local_moments"][key] != digest]
+    assert changed == [], f"local moments changed on {changed}"
+    # floats round-trip through JSON exactly, so equality is exact
+    assert got["monte_carlo"] == want["monte_carlo"]
+
+
+def main(argv) -> int:
+    if "--regenerate" not in argv:
+        print(__doc__)
+        return 1
+    if GOLDEN.exists() and "--force" not in argv:
+        print(f"{GOLDEN.name} exists; pass --force to overwrite it, and list "
+              "the regeneration and its reason in CHANGES.md", file=sys.stderr)
+        return 1
+    GOLDEN.write_text(render(compute()))
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
