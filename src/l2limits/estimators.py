@@ -2,10 +2,10 @@
 
 The r-th diagonal entry of the p-Laplacian power at a simplex through the
 root depends only on the (r//2 + 1)-ball around the root, so moments of
-the spectral measure can be averaged from rooted balls without ever
-assembling a global matrix.  This drives exact moment computation for
-finite-support laws, Monte Carlo estimation on large complexes, and a
-small convergence-experiment harness.
+the spectral measure come from walks that start at the root's simplices,
+without cutting that ball or assembling any matrix.  This drives exact
+moment computation for finite-support laws, Monte Carlo estimation on
+large complexes, and a small convergence-experiment harness.
 """
 from __future__ import annotations
 
@@ -14,13 +14,11 @@ import math
 import os
 from fractions import Fraction
 
-from .complexes import RootedComplex, SimplicialComplex, _ball
-from .encoding import _bfs_relabel_key
+from .complexes import RootedComplex, SimplicialComplex
 from .errors import CrossCheckError, HypothesisViolationError, ValidationError
 from .measures import (RandomRootedComplex, ball_distribution, total_variation,
                        uniform_rooting)
-from .spectral import (SpectralMeasure, _laplacian_rows, _radius_bound,
-                       spectral_measure)
+from .spectral import SpectralMeasure, _radius_bound, spectral_measure
 
 __all__ = [
     "MomentVector",
@@ -73,7 +71,7 @@ class MomentVector:
 
 
 class RootSample:
-    """A sampled rooted ball together with how far it is guaranteed to reach."""
+    """A rooted complex sampled for Monte Carlo, with the radius it is declared to reach."""
 
     __slots__ = ("rooted", "declared_radius", "weight")
 
@@ -89,52 +87,108 @@ class RootSample:
         return radius is None or radius >= r // 2 + 1
 
 
-_MOMENT_CACHE: dict = {}
-_MOMENT_CACHE_LIMIT = 1 << 14
+class _Incidence:
+    """Signed faces and cofaces of the simplices of one complex, on demand.
+
+    The face omitting the i-th vertex of an ascending simplex carries sign
+    (-1)**i, as in :func:`spectral.boundary_matrix`.  A simplex's cofaces
+    are read from the star of its first vertex.  Both are memoized for the
+    lifetime of the instance, one call of an estimator, so walks pay for
+    the simplices they reach and for no others.
+    """
+
+    __slots__ = ("star", "_faces", "_cofaces")
+
+    def __init__(self, cx: SimplicialComplex):
+        self.star = cx.star
+        self._faces: dict = {}
+        self._cofaces: dict = {}
+
+    def faces(self, s: tuple) -> list:
+        hit = self._faces.get(s)
+        if hit is None:
+            # d_0 is zero: a vertex has no faces
+            hit = self._faces[s] = [(s[:i] + s[i + 1:], -1 if i & 1 else 1)
+                                    for i in range(len(s) if len(s) > 1 else 0)]
+        return hit
+
+    def cofaces(self, s: tuple) -> list:
+        hit = self._cofaces.get(s)
+        if hit is None:
+            size = len(s) + 1
+            hit = self._cofaces[s] = []
+            for t in self.star(s[0]):
+                if len(t) == size:
+                    for i in range(size):
+                        if t[:i] + t[i + 1:] == s:
+                            hit.append((t, -1 if i & 1 else 1))
+                            break
+        return hit
+
+    def split(self, vec: dict):
+        """(d_p v, d_{p+1}^T v) for a p-chain v; <Delta_p v, v> is the sum
+        of their squared norms."""
+        down: dict = {}
+        up: dict = {}
+        faces, cofaces = self.faces, self.cofaces
+        for s, c in vec.items():
+            for f, sign in faces(s):
+                down[f] = down.get(f, 0) + sign * c
+            for t, sign in cofaces(s):
+                up[t] = up.get(t, 0) + sign * c
+        return down, up
+
+    def join(self, down: dict, up: dict) -> dict:
+        """Delta_p v = d_p^T (d_p v) + d_{p+1} (d_{p+1}^T v), from :meth:`split`."""
+        out: dict = {}
+        faces, cofaces = self.faces, self.cofaces
+        for f, c in down.items():
+            for s, sign in cofaces(f):
+                out[s] = out.get(s, 0) + sign * c
+        for t, c in up.items():
+            for s, sign in faces(t):
+                out[s] = out.get(s, 0) + sign * c
+        return out
 
 
-def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
-    """m_0..m_order of :func:`local_moment` from one ball and one sweep.
+def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple:
+    """m_0..m_order at ``root``, by walks from the root's carriers.
 
     Per carrier σ, with v_k = Δ^k σ, symmetry gives ⟨Δ^{2k} σ, σ⟩ =
-    ⟨v_k, v_k⟩ and ⟨Δ^{2k+1} σ, σ⟩ = ⟨Δ v_k, v_k⟩, so ceil(order/2)
-    products yield every order.  Each step of a walk moves to a simplex
-    sharing a face or a coface with the last, so every simplex in the
-    support of v_k has a vertex within distance k of the root, and v_k is
-    exact in the (k+1)-ball.  Odd orders use Δ only between simplices of
-    that support.  So the (order//2 + 1)-ball, inside the (order+1)-ball,
-    suffices.
+    ‖v_k‖² and ⟨Δ^{2k+1} σ, σ⟩ = ⟨Δ v_k, v_k⟩ = ‖d_p v_k‖² +
+    ‖d_{p+1}ᵀ v_k‖², so ceil(order/2) applications of Δ yield every order.
+    Each application moves to simplices sharing a face or a coface with
+    the last, so a walk reads only the (order//2 + 1)-ball around the root,
+    wherever the complex ends.
     """
     if p < 0:
         raise ValidationError("dimension must be nonnegative")
     if order < 0:
         raise ValidationError("moment order must be nonnegative")
-    ball = rc.ball(order // 2 + 1)
-    cx = ball.complex
-    key = (_bfs_relabel_key(cx, ball.root), p, order)
-    hit = _MOMENT_CACHE.get(key)
-    if hit is not None:
-        return hit
     totals = [0] * (order + 1)
-    carriers = [i for i, s in enumerate(cx.faces(p)) if ball.root in s]
-    if carriers:
-        rows = _laplacian_rows(cx, p)
-    for i in carriers:
-        vec = {i: 1}
+    for carrier in incidence.star(root):
+        if len(carrier) != p + 1:
+            continue
+        vec = {carrier: 1}
         for r in range(order + 1):
             if r % 2 == 0:
                 totals[r] += sum(c * c for c in vec.values())
                 continue
-            nxt: dict = {}
-            for k, coeff in vec.items():
-                for t, val in rows[k].items():
-                    nxt[t] = nxt.get(t, 0) + coeff * val
-            totals[r] += sum(c * nxt.get(t, 0) for t, c in vec.items())
-            vec = nxt
-    value = tuple(Fraction(t, p + 1) for t in totals)
-    if len(_MOMENT_CACHE) < _MOMENT_CACHE_LIMIT:
-        _MOMENT_CACHE[key] = value
-    return value
+            down, up = incidence.split(vec)
+            totals[r] += (sum(c * c for c in down.values())
+                          + sum(c * c for c in up.values()))
+            if r < order:
+                vec = incidence.join(down, up)
+    return tuple(Fraction(t, p + 1) for t in totals)
+
+
+def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
+    """m_0..m_order of :func:`local_moment`, from one walk per carrier.
+
+    The walk reads the stars of ``rc.complex`` itself: it cuts no ball and
+    builds no Laplacian rows, so a sample costs what the walk reaches.
+    """
+    return _walk_moments(_Incidence(rc.complex), rc.root, p, order)
 
 
 def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
@@ -149,8 +203,14 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
 def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVector:
     """Exact moments m_0..m_order of the spectral measure of a finite law."""
     moments = [_ZERO] * (order + 1)
+    # support points rooted in one component share its faces and cofaces
+    incidences = {}
     for pt in mu.points:
-        for r, m in enumerate(_local_moments(pt.rooted, p, order)):
+        cx = pt.rooted.complex
+        incidence = incidences.get(id(cx))
+        if incidence is None:
+            incidence = incidences[id(cx)] = _Incidence(cx)
+        for r, m in enumerate(_walk_moments(incidence, pt.rooted.root, p, order)):
             moments[r] += pt.weight * m
     mv = MomentVector(p, moments)
     mv.validate()
@@ -160,15 +220,19 @@ def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVec
 def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVector:
     """Average local moments over every vertex; equals the uniform-rooting moments.
 
-    Each vertex's ball is cut once, at the radius the moments read.
+    One walk per vertex over ``cx`` itself, sharing one memo of faces and
+    cofaces; no ball is cut and nothing is searched.  On a complex with few
+    rooted isomorphism classes, such as a vertex-transitive one,
+    ``moments_of_measure(uniform_rooting(cx), p, order)`` walks once per
+    class and is the cheaper route.
     """
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot average over an empty complex")
     moments = [0] * (order + 1)
+    incidence = _Incidence(cx)
     for v in verts:
-        for r, m in enumerate(_local_moments(_ball(cx, v, order // 2 + 1), p,
-                                             order)):
+        for r, m in enumerate(_walk_moments(incidence, v, p, order)):
             moments[r] += m
     mv = MomentVector(p, [Fraction(m, len(verts)) for m in moments])
     mv.validate()
@@ -176,18 +240,28 @@ def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVecto
 
 
 def vertex_sampler(cx: SimplicialComplex, radius: int):
-    """Sampler of uniform-vertex rooted balls, for Monte Carlo estimation.
+    """Sampler of uniform-vertex roots, for Monte Carlo estimation.
 
-    Each ball is cut straight from ``cx`` around the drawn vertex, so a
-    sample costs the ball's size, not the complex's.
+    A sample is the drawn vertex's component, rooted there and declared to
+    reach ``radius``: the moment walk reads only the ball its order needs,
+    so nothing is cut per draw and a sample costs the walk, not |V|.
+    Connectivity is checked once, here; a disconnected complex has each
+    component cut once, here.
     """
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot sample from an empty complex")
+    if radius < 0:
+        raise ValidationError("ball radius must be nonnegative")
+    parts = {}
+    if not cx.is_connected():
+        for comp in cx.components():
+            sub = cx.induced(comp)
+            parts.update(dict.fromkeys(comp, sub))
 
     def sample(rng) -> RootSample:
         v = verts[int(rng.integers(len(verts)))]
-        return RootSample(_ball(cx, v, radius), radius)
+        return RootSample(RootedComplex._make(parts.get(v, cx), v), radius)
 
     return sample
 

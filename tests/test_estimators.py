@@ -17,7 +17,8 @@ from l2limits.estimators import (MomentVector, RootSample, _local_moments,
                                  moments_of_measure, vertex_sampler)
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import expected_p_degree, uniform_rooting
-from l2limits.spectral import SpectralMeasure, laplacian_matrix, spectral_measure
+from l2limits.spectral import (SpectralMeasure, _laplacian_rows,
+                               laplacian_matrix, spectral_measure)
 
 
 def test_local_moment_cycle_values():
@@ -115,9 +116,47 @@ def test_local_moments_exact_where_the_ball_is_cut():
                     want[:order + 1]
 
 
+def test_moments_read_only_the_half_order_ball():
+    # the walk may be handed the (order//2 + 1)-ball instead of the component
+    rng = np.random.default_rng(89)
+    proper = 0
+    for _ in range(20):
+        cx = random_complex(rng, 16, max_pieces=14, max_simplex=3)
+        v = cx.vertices[int(rng.integers(len(cx.vertices)))]
+        rc = rooted_at(cx, v)
+        comp = rc.complex
+        for p in range(3):
+            carriers = [i for i, s in enumerate(comp.faces(p)) if v in s]
+            lap = laplacian_matrix(comp, p)
+            want = tuple(
+                Fraction(int(sum(np.linalg.matrix_power(lap, r)[i, i]
+                                 for i in carriers)), p + 1)
+                for r in range(7))
+            for order in range(7):
+                ball = rc.ball(order // 2 + 1)
+                proper += len(ball.complex) < len(comp)
+                assert _local_moments(ball, p, order) == want[:order + 1]
+    assert proper > 0
+
+
+def test_walk_passes_reproduce_laplacian_rows():
+    # the walk's two passes and the eigensolver's rows share one sign convention
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        cx = random_complex(rng, 10)
+        for p in range(3):
+            faces = cx.faces(p)
+            index = {s: i for i, s in enumerate(faces)}
+            incidence = estimators._Incidence(cx)
+            for j, row in enumerate(_laplacian_rows(cx, p)):
+                got = incidence.join(*incidence.split({faces[j]: 1}))
+                assert {index[s]: c for s, c in got.items() if c} == \
+                    {k: c for k, c in row.items() if c}
+
+
 @pytest.fixture
 def whole_searches(monkeypatch):
-    """Record every whole-complex search; start from an empty moment cache."""
+    """Record every whole-complex search."""
     calls = []
     original = SimplicialComplex.distances
 
@@ -126,7 +165,6 @@ def whole_searches(monkeypatch):
         return original(self, root)
 
     monkeypatch.setattr(SimplicialComplex, "distances", counted)
-    monkeypatch.setattr(estimators, "_MOMENT_CACHE", {})
     return calls
 
 
@@ -137,10 +175,16 @@ def _two_tori():
 
 
 def test_monte_carlo_samples_never_search_the_complex(whole_searches):
+    # connectivity is checked once, when the sampler is built; no draw searches
     for cx in (torus_tower(2, 30), _two_tori()):
-        mv = monte_carlo_moments(vertex_sampler(cx, 3), 1, 2, 20, seed=17)
+        n_components = len(cx.components())
+        whole_searches.clear()
+        sampler = vertex_sampler(cx, 3)
+        built = len(whole_searches)
+        assert built <= 1 + n_components
+        mv = monte_carlo_moments(sampler, 1, 2, 20, seed=17)
         assert mv.moments[0] == 3.0
-        assert whole_searches == []
+        assert len(whole_searches) == built
 
 
 def test_exhaustive_moments_search_at_most_once(whole_searches):
@@ -150,7 +194,7 @@ def test_exhaustive_moments_search_at_most_once(whole_searches):
         whole_searches.clear()
 
 
-def test_exhaustive_moments_cut_each_ball_once(monkeypatch):
+def test_exhaustive_moments_cut_no_ball(monkeypatch):
     calls = []
     original = SimplicialComplex.induced
 
@@ -159,11 +203,9 @@ def test_exhaustive_moments_cut_each_ball_once(monkeypatch):
         return original(self, vertex_subset)
 
     monkeypatch.setattr(SimplicialComplex, "induced", counted)
-    monkeypatch.setattr(estimators, "_MOMENT_CACHE", {})
     torus = torus_tower(2, 12)
     exhaustive_moments(torus, 1, 3)
-    assert len(calls) == len(torus.vertices)
-    assert all(cx is torus for cx in calls)
+    assert calls == []
 
 
 def test_rooting_remembers_connectivity(whole_searches):
