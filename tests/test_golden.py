@@ -3,9 +3,11 @@
 Local moments are fixed by mathematics, not by the code that computes them,
 so a stored value that changes is a bug unless the specification changed.
 ``golden_moments.json`` holds one SHA-256 digest per (complex, p) of
-``_local_moments(rooted_at(cx, v), p, 6)`` over every vertex v, and the
+``_local_moments(rooted_at(cx, v), p, 6)`` over every vertex v, the
 exact means and standard errors of seeded ``monte_carlo_moments`` runs on
-a percolated torus.
+a percolated torus, and the chain invariants of each complex for every
+p <= dim + 1: b_p, rank d_p, and the SHA-256 of the exact integer entries
+of Delta_p in ``faces(p)`` order.
 
 Regenerate (only after a documented change of specification) with
 
@@ -24,6 +26,7 @@ import numpy as np
 from l2limits.complexes import closure, rooted_at
 from l2limits.estimators import _local_moments, monte_carlo_moments, vertex_sampler
 from l2limits.generators import fixtures, linial_meshulam, random_flag, torus_tower
+from l2limits.spectral import betti, boundary_rank, laplacian_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden_moments.json"
 ORDER = 6
@@ -68,10 +71,28 @@ def monte_carlo_values():
     return out
 
 
+def local_moment_digests():
+    return {f"{name}/p{p}": moment_digest(cx, p)
+            for name, cx in corpus() for p in DIMS}
+
+
+def chain_values():
+    """b_p, rank d_p and the Delta_p digest of each complex, p <= dim + 1."""
+    return {
+        f"{name}/p{p}": {
+            "betti": betti(cx, p),
+            "boundary_rank": boundary_rank(cx, p),
+            "laplacian_sha256": hashlib.sha256(
+                laplacian_matrix(cx, p).tobytes()).hexdigest(),
+        }
+        for name, cx in corpus() for p in range(cx.dim + 2)
+    }
+
+
 def compute():
-    digests = {f"{name}/p{p}": moment_digest(cx, p)
-               for name, cx in corpus() for p in DIMS}
-    return {"local_moments": digests, "monte_carlo": monte_carlo_values()}
+    return {"local_moments": local_moment_digests(),
+            "monte_carlo": monte_carlo_values(),
+            "chains": chain_values()}
 
 
 def render(data) -> str:
@@ -80,13 +101,21 @@ def render(data) -> str:
 
 def test_golden_moments():
     want = json.loads(GOLDEN.read_text())
-    got = compute()
-    assert sorted(got["local_moments"]) == sorted(want["local_moments"])
+    got = local_moment_digests()
+    assert sorted(got) == sorted(want["local_moments"])
     changed = [key for key, digest in want["local_moments"].items()
-               if got["local_moments"][key] != digest]
+               if got[key] != digest]
     assert changed == [], f"local moments changed on {changed}"
     # floats round-trip through JSON exactly, so equality is exact
-    assert got["monte_carlo"] == want["monte_carlo"]
+    assert monte_carlo_values() == want["monte_carlo"]
+
+
+def test_golden_chains():
+    want = json.loads(GOLDEN.read_text())["chains"]
+    got = chain_values()
+    assert sorted(got) == sorted(want)
+    changed = [key for key, values in want.items() if got[key] != values]
+    assert changed == [], f"chain invariants changed on {changed}"
 
 
 def main(argv) -> int:
