@@ -19,7 +19,7 @@ from .formats import load_measure, read_scx, scx_text, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
 from .measures import (degree_truncate, mass_transport_check,
                        measure_distance, standard_battery)
-from .spectral import (_pinned_measure, _radius_bound, boundary_rank,
+from .spectral import (_betti_numbers, _pinned_measure, _radius_bound,
                        spectral_measure, write_spectrum_csv)
 
 __all__ = ["main", "build_parser"]
@@ -33,28 +33,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_complex(path):
-    try:
-        return read_scx(path)
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc.strerror or exc}")
-
-
-def _read_measure(path):
-    try:
-        return load_measure(path)
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc.strerror or exc}")
-
-
 def _rooted_from_arg(arg: str):
     """Parse 'file.scx:root'; fall back to the file's root directive."""
     path, sep, root_part = arg.rpartition(":")
     if sep and root_part.isdigit():
-        cx, _ = _read_complex(path)
+        cx, _ = read_scx(path)
         root = int(root_part)
     else:
-        cx, root = _read_complex(arg)
+        cx, root = read_scx(arg)
         if root is None:
             raise MalformedInputError(
                 f"{arg}: no root given (use file.scx:ROOT or a root directive)")
@@ -62,7 +48,7 @@ def _rooted_from_arg(arg: str):
 
 
 def _cmd_validate(args):
-    cx, root = _read_complex(args.file)
+    cx, root = read_scx(args.file)
     fvec = cx.f_vector()
     print(f"simplices: {len(cx)}")
     print(f"f_vector: {fvec if fvec else '()'}")
@@ -78,17 +64,12 @@ def _cmd_validate(args):
 
 
 def _cmd_betti(args):
-    cx, _ = _read_complex(args.file)
+    cx, _ = read_scx(args.file)
     if not cx.vertices:
         print("empty complex")
         return 0
-    if args.p is not None and args.p < 0:
-        raise ValidationError("betti degree must be nonnegative")
-    ps = [args.p] if args.p is not None else list(range(cx.dim + 1))
-    # b_p = |K(p)| - rank d_p - rank d_{p+1}: adjacent p share a rank
-    ranks = {q: boundary_rank(cx, q) for q in set(ps) | {p + 1 for p in ps}}
-    for p in ps:
-        b = len(cx.faces(p)) - ranks[p] - ranks[p + 1]
+    ps = [args.p] if args.p is not None else range(cx.dim + 1)
+    for p, b in _betti_numbers(cx, ps).items():
         norm = Fraction(b, len(cx.faces(0)))
         print(f"p={p} b={b} norm={norm}")
         if args.exact:
@@ -100,7 +81,7 @@ def _cmd_betti(args):
 
 
 def _cmd_spectrum(args):
-    cx, _ = _read_complex(args.file)
+    cx, _ = read_scx(args.file)
     measure = spectral_measure(cx, args.p)
     degree = cx.max_degree()
     print(f"nu({{0}}) = {measure.mass_at_zero()}")
@@ -120,7 +101,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_canon(args):
-    cx, file_root = _read_complex(args.file)
+    cx, file_root = read_scx(args.file)
     root = args.root if args.root is not None else file_root
     if root is None:
         raise MalformedInputError("no root given (--root or a root directive)")
@@ -140,14 +121,14 @@ def _cmd_bs_distance(args):
 
 
 def _cmd_measure_distance(args):
-    m1 = _read_measure(args.m1)
-    m2 = _read_measure(args.m2)
+    m1 = load_measure(args.m1)
+    m2 = load_measure(args.m2)
     print(measure_distance(m1, m2, args.rmax))
     return 0
 
 
 def _cmd_mass_transport(args):
-    mu = _read_measure(args.measure)
+    mu = load_measure(args.measure)
     all_pass = True
     for name, fn in standard_battery():
         lhs, rhs, passed = mass_transport_check(mu, fn)
@@ -158,7 +139,7 @@ def _cmd_mass_transport(args):
 
 
 def _cmd_truncate(args):
-    cx, root = _read_complex(args.file)
+    cx, root = read_scx(args.file)
     out = degree_truncate(cx, args.degree)
     sys.stdout.write(scx_text(out, root))
     return 0
@@ -253,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mass-transport",
                        help="unimodularity check over the built-in battery")
     p.add_argument("measure")
-    p.add_argument("--battery", choices=["standard"], default="standard")
     p.set_defaults(fn=_cmd_mass_transport)
 
     p = sub.add_parser("truncate", help="cap vertex degrees by edge removal")

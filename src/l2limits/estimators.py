@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from fractions import Fraction
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import CrossCheckError, HypothesisViolationError, ValidationError
 from .measures import (RandomRootedComplex, ball_distribution, total_variation,
                        uniform_rooting)
-from .spectral import SpectralMeasure, _radius_bound, spectral_measure
+from .spectral import (SpectralMeasure, _Incidence, _radius_bound,
+                       spectral_measure)
 
 __all__ = [
     "MomentVector",
@@ -73,82 +73,17 @@ class MomentVector:
 class RootSample:
     """A rooted complex sampled for Monte Carlo, with the radius it is declared to reach."""
 
-    __slots__ = ("rooted", "declared_radius", "weight")
+    __slots__ = ("rooted", "declared_radius")
 
-    def __init__(self, rooted: RootedComplex, declared_radius=None, weight=1):
+    def __init__(self, rooted: RootedComplex, declared_radius=None):
         self.rooted = rooted
         self.declared_radius = declared_radius
-        self.weight = weight
 
     def covers(self, r: int) -> bool:
         """True when moments of order r are computable from this sample:
         :func:`_local_moments` reads only the (r//2 + 1)-ball."""
         radius = self.declared_radius
         return radius is None or radius >= r // 2 + 1
-
-
-class _Incidence:
-    """Signed faces and cofaces of the simplices of one complex, on demand.
-
-    The face omitting the i-th vertex of an ascending simplex carries sign
-    (-1)**i, as in :func:`spectral.boundary_matrix`.  A simplex's cofaces
-    are read from the star of its first vertex.  Both are memoized for the
-    lifetime of the instance, one call of an estimator, so walks pay for
-    the simplices they reach and for no others.
-    """
-
-    __slots__ = ("star", "_faces", "_cofaces")
-
-    def __init__(self, cx: SimplicialComplex):
-        self.star = cx.star
-        self._faces: dict = {}
-        self._cofaces: dict = {}
-
-    def faces(self, s: tuple) -> list:
-        hit = self._faces.get(s)
-        if hit is None:
-            # d_0 is zero: a vertex has no faces
-            hit = self._faces[s] = [(s[:i] + s[i + 1:], -1 if i & 1 else 1)
-                                    for i in range(len(s) if len(s) > 1 else 0)]
-        return hit
-
-    def cofaces(self, s: tuple) -> list:
-        hit = self._cofaces.get(s)
-        if hit is None:
-            size = len(s) + 1
-            hit = self._cofaces[s] = []
-            for t in self.star(s[0]):
-                if len(t) == size:
-                    for i in range(size):
-                        if t[:i] + t[i + 1:] == s:
-                            hit.append((t, -1 if i & 1 else 1))
-                            break
-        return hit
-
-    def split(self, vec: dict):
-        """(d_p v, d_{p+1}^T v) for a p-chain v; <Delta_p v, v> is the sum
-        of their squared norms."""
-        down: dict = {}
-        up: dict = {}
-        faces, cofaces = self.faces, self.cofaces
-        for s, c in vec.items():
-            for f, sign in faces(s):
-                down[f] = down.get(f, 0) + sign * c
-            for t, sign in cofaces(s):
-                up[t] = up.get(t, 0) + sign * c
-        return down, up
-
-    def join(self, down: dict, up: dict) -> dict:
-        """Delta_p v = d_p^T (d_p v) + d_{p+1} (d_{p+1}^T v), from :meth:`split`."""
-        out: dict = {}
-        faces, cofaces = self.faces, self.cofaces
-        for f, c in down.items():
-            for s, sign in cofaces(f):
-                out[s] = out.get(s, 0) + sign * c
-        for t, c in up.items():
-            for s, sign in faces(t):
-                out[s] = out.get(s, 0) + sign * c
-        return out
 
 
 def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple:
@@ -342,11 +277,7 @@ def kernel_mass_bound(source, degree_bound: int, p: int, eps: float,
 
 def _resolve_threads(threads) -> int:
     if threads is None:
-        raw = os.environ.get("L2LIMITS_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValidationError(f"L2LIMITS_THREADS must be an integer, got {raw!r}")
+        return 1
     return max(1, min(int(threads), 32))
 
 
@@ -451,8 +382,8 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     The approximation statement this probes requires degrees bounded along
     the whole sequence; a strictly growing degree column (or an explicit
     ``degree_bound`` that some level violates) aborts the experiment.
-    Levels are independent and are processed in parallel when more than one
-    worker is allowed (``threads`` argument or L2LIMITS_THREADS).
+    Levels are independent and are processed in parallel when ``threads``
+    allows more than one worker; the default is one.
     """
     sequence = list(sequence)
     if not sequence:

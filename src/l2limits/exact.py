@@ -7,41 +7,30 @@ ints throughout: a row is eliminated as ``(pv/g)·row − (a/g)·pivot_row`` wit
 g = gcd(pv, a), and a row that had to be scaled is divided by the gcd of its
 entries, which bounds the growth of its entries.  Every integer row is a
 positive multiple of the row rational elimination would hold, so the sparsity
-pattern and the pivot choices are the same.  Rows with Fraction entries are
-first multiplied by the lcm of their denominators; no Fraction is made after
-that.  ``spectral.boundary_rank`` needs no elimination for d_1, whose rank is
-|V| minus the number of components.
+pattern and the pivot choices are the same.  ``spectral.boundary_rank``
+needs no elimination for d_1, whose rank is |V| minus the number of
+components.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
-from math import gcd, lcm
-
-
-def _integer_row(row) -> dict:
-    """The nonzero entries of a row as ints, cleared of their denominators."""
-    vals = {c: v for c, v in row.items() if v}
-    if all(type(v) is int for v in vals.values()):
-        return vals
-    vals = {c: Fraction(v) for c, v in vals.items()}
-    scale = lcm(*(v.denominator for v in vals.values()))
-    return {c: v.numerator * (scale // v.denominator) for c, v in vals.items()}
+from math import gcd
 
 
 def rational_rank(rows) -> int:
-    """Rank over the rationals of a sparse matrix.
+    """Rank over the rationals of a sparse integer matrix.
 
-    ``rows`` is an iterable of ``{column: value}`` dicts; values may be ints
-    or Fractions.  The input is consumed destructively on a private copy.
+    ``rows`` is an iterable of ``{column: int}`` dicts; a column is any
+    hashable, ordered key.  Elimination works on a private copy, so the
+    input is left untouched.
     """
-    live: dict[int, dict[int, int]] = {}
+    live: dict[int, dict] = {}
     for i, row in enumerate(rows):
-        cleaned = _integer_row(row)
-        if cleaned:
-            live[i] = cleaned
-    col_rows: dict[int, set[int]] = {}
+        nonzero = {c: v for c, v in row.items() if v}
+        if nonzero:
+            live[i] = nonzero
+    col_rows: dict = {}
     for i, row in live.items():
         for c in row:
             col_rows.setdefault(c, set()).add(i)

@@ -5,6 +5,10 @@ numbers come from exact rational ranks of the boundary operators, while
 spectra come from a dense symmetric eigensolver.  ``spectral_measure``
 cross-checks the eigensolver's kernel count against the exact rank route
 and refuses to return on disagreement.
+
+Both routes, and the moment walk of ``estimators``, take their signs from
+one rule, :func:`_signed_faces`; :func:`boundary_matrix` is an independent
+reference that computes no rank, Laplacian row or moment.
 """
 
 from __future__ import annotations
@@ -26,6 +30,77 @@ DENSE_EIGENSOLVE_CAP = 4096
 ZERO_TOL = 1e-7
 
 
+def _signed_faces(s: tuple) -> list:
+    """[(face, sign)] of a simplex: the face omitting the i-th vertex of an
+    ascending simplex carries sign (-1)**i.  A vertex has none: d_0 is zero."""
+    if len(s) < 2:
+        return []
+    return [(s[:i] + s[i + 1:], -1 if i & 1 else 1) for i in range(len(s))]
+
+
+class _Incidence:
+    """Signed faces and cofaces of the simplices of one complex, on demand.
+
+    Faces come from :func:`_signed_faces`; a simplex's cofaces are read
+    from the star of its first vertex, each with the sign the simplex has
+    among that coface's memoized faces.  Both are memoized for the lifetime
+    of the instance, so walks pay for the simplices they reach and for no
+    others.
+    """
+
+    __slots__ = ("star", "_faces", "_cofaces")
+
+    def __init__(self, cx: SimplicialComplex):
+        self.star = cx.star
+        self._faces: dict = {}
+        self._cofaces: dict = {}
+
+    def faces(self, s: tuple) -> list:
+        hit = self._faces.get(s)
+        if hit is None:
+            hit = self._faces[s] = _signed_faces(s)
+        return hit
+
+    def cofaces(self, s: tuple) -> list:
+        hit = self._cofaces.get(s)
+        if hit is None:
+            size = len(s) + 1
+            hit = self._cofaces[s] = []
+            faces = self.faces
+            for t in self.star(s[0]):
+                if len(t) == size:
+                    for face, sign in faces(t):
+                        if face == s:
+                            hit.append((t, sign))
+                            break
+        return hit
+
+    def split(self, vec: dict):
+        """(d_p v, d_{p+1}^T v) for a p-chain v; <Delta_p v, v> is the sum
+        of their squared norms."""
+        down: dict = {}
+        up: dict = {}
+        faces, cofaces = self.faces, self.cofaces
+        for s, c in vec.items():
+            for f, sign in faces(s):
+                down[f] = down.get(f, 0) + sign * c
+            for t, sign in cofaces(s):
+                up[t] = up.get(t, 0) + sign * c
+        return down, up
+
+    def join(self, down: dict, up: dict) -> dict:
+        """Delta_p v = d_p^T (d_p v) + d_{p+1} (d_{p+1}^T v), from :meth:`split`."""
+        out: dict = {}
+        faces, cofaces = self.faces, self.cofaces
+        for f, c in down.items():
+            for s, sign in cofaces(f):
+                out[s] = out.get(s, 0) + sign * c
+        for t, c in up.items():
+            for s, sign in faces(t):
+                out[s] = out.get(s, 0) + sign * c
+        return out
+
+
 @dataclass(frozen=True)
 class BoundaryMatrix:
     """Signed incidence of p-simplices (columns) against their faces (rows).
@@ -38,14 +113,6 @@ class BoundaryMatrix:
     cols: tuple
     by_col: tuple  # per column: ((row_index, sign), ...)
 
-    def row_dicts(self):
-        """Rows as {column: sign} dicts, for the exact rank route."""
-        rows = [dict() for _ in self.rows]
-        for j, entries in enumerate(self.by_col):
-            for i, sign in entries:
-                rows[i][j] = sign
-        return rows
-
     def dense(self) -> np.ndarray:
         import numpy as np
 
@@ -57,7 +124,10 @@ class BoundaryMatrix:
 
 
 def boundary_matrix(cx: SimplicialComplex, p: int) -> BoundaryMatrix:
-    """The boundary operator from p-chains to (p-1)-chains; d_0 is zero."""
+    """The boundary operator from p-chains to (p-1)-chains; d_0 is zero.
+
+    Its sign loop is its own, so tests can check :func:`_signed_faces` on it.
+    """
     if p < 0:
         return BoundaryMatrix((), (), ())
     if p == 0:
@@ -81,22 +151,30 @@ def boundary_rank(cx: SimplicialComplex, p: int) -> int:
 
     rank d_1 = |V| - #components needs no elimination: the kernel of the
     vertex coboundary is spanned by the components' indicator vectors.
+    Above d_1 the rows eliminated are those of d_p^T, which has the same
+    rank: one {face: sign} dict per p-simplex.
     """
     if p < 1 or p > cx.dim:
         return 0
     if p == 1:
         return len(cx.vertices) - len(cx.components())
-    return rational_rank(boundary_matrix(cx, p).row_dicts())
+    return rational_rank(dict(_signed_faces(s)) for s in cx.faces(p))
+
+
+def _betti_numbers(cx: SimplicialComplex, ps) -> dict:
+    """{p: b_p} in the order of ``ps``, computing each rank once.
+
+    b_p = |K(p)| - rank d_p - rank d_{p+1}, so adjacent degrees share a rank.
+    """
+    if any(p < 0 for p in ps):
+        raise ValidationError("betti degree must be nonnegative")
+    ranks = {q: boundary_rank(cx, q) for q in {*ps, *(p + 1 for p in ps)}}
+    return {p: len(cx.faces(p)) - ranks[p] - ranks[p + 1] for p in ps}
 
 
 def betti(cx: SimplicialComplex, p: int) -> int:
     """dim ker Delta_p = |K(p)| - rank d_p - rank d_{p+1}, computed exactly."""
-    if p < 0:
-        raise ValidationError("betti degree must be nonnegative")
-    count = len(cx.faces(p))
-    if count == 0:
-        return 0
-    return count - boundary_rank(cx, p) - boundary_rank(cx, p + 1)
+    return _betti_numbers(cx, (p,))[p]
 
 
 def betti_normalized(cx: SimplicialComplex, p: int) -> Fraction:
@@ -112,12 +190,19 @@ def _laplacian_rows(cx: SimplicialComplex, p: int) -> list:
 
     Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T, so entry (j, k) sums the sign
     products of j and k over each (p-1)-face they share (a row of d_p) and
-    each (p+1)-coface holding both (a column of d_{p+1}).  Both kinds of
+    each (p+1)-simplex holding both (a column of d_{p+1}).  Both kinds of
     group add their outer product the same way.
     """
-    rows = [dict() for _ in cx.faces(p)]
-    groups = [row.items() for row in boundary_matrix(cx, p).row_dicts()]
-    groups += boundary_matrix(cx, p + 1).by_col
+    faces = cx.faces(p)
+    index = {s: j for j, s in enumerate(faces)}
+    rows = [dict() for _ in faces]
+    sharing: dict = {}
+    for j, s in enumerate(faces):
+        for face, sign in _signed_faces(s):
+            sharing.setdefault(face, []).append((j, sign))
+    groups = list(sharing.values())
+    groups += [[(index[face], sign) for face, sign in _signed_faces(t)]
+               for t in cx.faces(p + 1)]
     for group in groups:
         for j, sj in group:
             row = rows[j]
@@ -324,8 +409,8 @@ def euler_poincare(cx: SimplicialComplex):
         raise ValidationError("Euler-Poincare needs a nonempty complex")
     lhs = Fraction(0)
     rhs = Fraction(0)
-    for p in range(cx.dim + 1):
-        lhs += Fraction((-1) ** p * betti(cx, p), n)
+    for p, b in _betti_numbers(cx, range(cx.dim + 1)).items():
+        lhs += Fraction((-1) ** p * b, n)
         rhs += Fraction((-1) ** p * len(cx.faces(p)), n)
     return lhs, rhs
 
@@ -340,6 +425,5 @@ def write_spectrum_csv(measure: SpectralMeasure, stream) -> None:
 def write_betti_csv(cx: SimplicialComplex, stream) -> None:
     stream.write("p,b_p,normalized\n")
     n = len(cx.faces(0))
-    for p in range(cx.dim + 1):
-        b = betti(cx, p)
+    for p, b in _betti_numbers(cx, range(cx.dim + 1)).items():
         stream.write(f"{p},{b},{Fraction(b, n)}\n")

@@ -75,12 +75,12 @@ def test_betti(scx, capsys):
 
 
 def test_betti_cross_check_failure_exits_5(scx, capsys, monkeypatch):
-    import l2limits.cli as cli_mod
+    import l2limits.spectral as spectral_mod
 
     def boom(cx, p):
         raise CrossCheckError("fabricated disagreement")
 
-    monkeypatch.setattr(cli_mod, "boundary_rank", boom)
+    monkeypatch.setattr(spectral_mod, "boundary_rank", boom)
     path = scx("tri.scx", fixtures()["filled_triangle"])
     code, _, err = run(capsys, ["betti", path])
     assert code == 5
@@ -88,7 +88,6 @@ def test_betti_cross_check_failure_exits_5(scx, capsys, monkeypatch):
 
 
 def test_betti_exact_computes_each_rank_once(scx, capsys, monkeypatch):
-    import l2limits.cli as cli_mod
     import l2limits.spectral as spectral_mod
 
     calls = []
@@ -98,7 +97,6 @@ def test_betti_exact_computes_each_rank_once(scx, capsys, monkeypatch):
         calls.append(q)
         return rank(cx, q)
 
-    monkeypatch.setattr(cli_mod, "boundary_rank", counted)
     monkeypatch.setattr(spectral_mod, "boundary_rank", counted)
     cx = fixtures()["octahedron"]
     assert cx.dim == 2

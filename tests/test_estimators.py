@@ -455,14 +455,8 @@ def test_convergence_experiment_csv(tmp_path):
     assert footers[0].startswith("# kernel_mass_bound eps=0.5 D=6 p=1: ")
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     assert _resolve_threads(4) == 4
     assert _resolve_threads(100) == 32
     assert _resolve_threads(-3) == 1
-    monkeypatch.delenv("L2LIMITS_THREADS", raising=False)
     assert _resolve_threads(None) == 1
-    monkeypatch.setenv("L2LIMITS_THREADS", "7")
-    assert _resolve_threads(None) == 7
-    monkeypatch.setenv("L2LIMITS_THREADS", "many")
-    with pytest.raises(ValidationError):
-        _resolve_threads(None)

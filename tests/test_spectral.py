@@ -11,8 +11,10 @@ from l2limits.complexes import SimplicialComplex, closure
 from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.exact import rational_rank
 from l2limits.generators import fixtures, torus_tower
-from l2limits.spectral import (_laplacian_rows, _radius_bound, betti,
-                               betti_normalized, boundary_matrix,
+import l2limits.spectral as spectral
+from l2limits.estimators import exhaustive_moments
+from l2limits.spectral import (_laplacian_rows, _radius_bound, _signed_faces,
+                               betti, betti_normalized, boundary_matrix,
                                boundary_rank, euler_poincare,
                                laplacian_matrix, operator_norm_bounds,
                                spectral_measure, write_betti_csv,
@@ -102,28 +104,9 @@ def test_integer_rank_matches_numpy_on_wide_entries():
     assert deficient >= 20
 
 
-def test_fraction_rank_matches_integer_scaled_copy():
-    # each row of a Fraction matrix is an integer row over its own
-    # denominator, so clearing the denominators keeps the rank
-    rng = np.random.default_rng(43)
-    for _ in range(60):
-        rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
-        inner = int(rng.integers(1, 5))
-        ints = (rng.integers(-4, 5, size=(rows, inner))
-                @ rng.integers(-4, 5, size=(inner, cols)))
-        dens = rng.integers(1, 8, size=(rows, cols))
-        mat = [[Fraction(int(a), int(d)) for a, d in zip(r, dr)]
-               for r, dr in zip(ints, dens)]
-        scaled = [[int(v * math.lcm(*(x.denominator for x in row)))
-                   for v in row] for row in mat]
-        want = int(np.linalg.matrix_rank(np.array(scaled, dtype=np.int64)))
-        assert rational_rank(_sparse(mat)) == want
-        assert rational_rank(_sparse(scaled)) == want
-
-
 def test_rank_input_is_left_untouched():
-    # the pivot is the Fraction row; the int row is the one eliminated
-    rows = [{0: Fraction(1, 2), 1: Fraction(-1, 3)}, {0: 3, 1: -2}]
+    # the first row is the pivot; the second is scaled by 2 and eliminated
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 6}]
     copy = [dict(row) for row in rows]
     assert rational_rank(rows) == 1
     assert rows == copy
@@ -142,8 +125,47 @@ def test_rank_of_d1_counts_components():
         disconnected += comps > 1
         want = len(cx.vertices) - comps
         assert boundary_rank(cx, 1) == want
-        assert rational_rank(boundary_matrix(cx, 1).row_dicts()) == want
+        assert rational_rank(dict(_signed_faces(s))
+                             for s in cx.faces(1)) == want
     assert disconnected >= 5
+
+
+def test_computation_path_reads_no_boundary_matrix(monkeypatch):
+    # boundary_matrix is the independent reference: ranks, Laplacian rows
+    # and moments read signs from _signed_faces alone
+    calls = []
+    reference = spectral.boundary_matrix
+
+    def counted(cx, p):
+        calls.append(p)
+        return reference(cx, p)
+
+    monkeypatch.setattr(spectral, "boundary_matrix", counted)
+    for cx in list(fixtures().values()) + [torus_tower(2, 5)]:
+        for p in range(cx.dim + 2):
+            boundary_rank(cx, p)
+            betti(cx, p)
+            laplacian_matrix(cx, p)
+            spectral_measure(cx, p)
+            exhaustive_moments(cx, p, 3)
+    assert calls == []
+
+
+def test_betti_loops_compute_each_rank_once(monkeypatch):
+    calls = []
+    rank = spectral.boundary_rank
+
+    def counted(cx, q):
+        calls.append(q)
+        return rank(cx, q)
+
+    monkeypatch.setattr(spectral, "boundary_rank", counted)
+    cx = fixtures()["octahedron"]
+    write_betti_csv(cx, io.StringIO())
+    assert sorted(calls) == [0, 1, 2, 3]
+    calls.clear()
+    assert euler_poincare(cx) == (Fraction(2, 6), Fraction(2, 6))
+    assert sorted(calls) == [0, 1, 2, 3]
 
 
 def test_betti_oracle_on_fixtures():
