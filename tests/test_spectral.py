@@ -6,13 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import l2limits.spectral as spectral
 from conftest import random_complex, random_connected_complex
 from l2limits.complexes import SimplicialComplex, closure
 from l2limits.errors import CrossCheckError, ValidationError
+from l2limits.estimators import exhaustive_moments
 from l2limits.exact import rational_rank
 from l2limits.generators import fixtures, torus_tower
-import l2limits.spectral as spectral
-from l2limits.estimators import exhaustive_moments
 from l2limits.spectral import (_laplacian_rows, _radius_bound, _signed_faces,
                                betti, betti_normalized, boundary_matrix,
                                boundary_rank, euler_poincare,
