@@ -7,7 +7,10 @@ so a stored value that changes is a bug unless the specification changed.
 exact means and standard errors of seeded ``monte_carlo_moments`` runs on
 a percolated torus, and the chain invariants of each complex for every
 p <= dim + 1: b_p, rank d_p, and the SHA-256 of the exact integer entries
-of Delta_p in ``faces(p)`` order.
+of Delta_p in ``faces(p)`` order.  The ``codes`` section holds, per
+complex, the SHA-256 of its ``uniform_rooting`` classes as the sorted
+(canonical code, weight) pairs, which leaves out the choice of
+representative, and of every vertex's radius-1 and radius-2 ball code.
 
 Regenerate (only after a documented change of specification) with
 
@@ -24,13 +27,16 @@ if __name__ == "__main__":  # run as a script from a checkout
 import numpy as np
 
 from l2limits.complexes import closure, rooted_at
+from l2limits.encoding import canonical_code
 from l2limits.estimators import _local_moments, monte_carlo_moments, vertex_sampler
 from l2limits.generators import fixtures, linial_meshulam, random_flag, torus_tower
+from l2limits.measures import uniform_rooting
 from l2limits.spectral import betti, boundary_rank, laplacian_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden_moments.json"
 ORDER = 6
 DIMS = (0, 1, 2)
+BALL_RADII = (1, 2)
 MC_SIDE, MC_KEEP, MC_RADIUS, MC_ORDER, MC_SAMPLES = 30, 0.7, 5, 4, 40
 
 
@@ -45,11 +51,14 @@ def corpus():
     return cases
 
 
+def digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def moment_digest(cx, p) -> str:
     """SHA-256 of every vertex's exact m_0..m_ORDER, in vertex order."""
-    rows = [[v, [str(m) for m in _local_moments(rooted_at(cx, v), p, ORDER)]]
-            for v in cx.vertices]
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    return digest([[v, [str(m) for m in _local_moments(rooted_at(cx, v), p, ORDER)]]
+                   for v in cx.vertices])
 
 
 def percolated_torus():
@@ -89,10 +98,25 @@ def chain_values():
     }
 
 
+def code_digests():
+    """Rooting classes and radius-1, -2 ball codes of each complex."""
+    out = {}
+    for name, cx in corpus():
+        out[f"{name}/rooting"] = digest(sorted(
+            [list(canonical_code(pt.rooted).indices), str(pt.weight)]
+            for pt in uniform_rooting(cx)))
+        for r in BALL_RADII:
+            out[f"{name}/ball_r{r}"] = digest(
+                [[v, list(canonical_code(rooted_at(cx, v).ball(r)).indices)]
+                 for v in cx.vertices])
+    return out
+
+
 def compute():
     return {"local_moments": local_moment_digests(),
             "monte_carlo": monte_carlo_values(),
-            "chains": chain_values()}
+            "chains": chain_values(),
+            "codes": code_digests()}
 
 
 def render(data) -> str:
@@ -116,6 +140,14 @@ def test_golden_chains():
     assert sorted(got) == sorted(want)
     changed = [key for key, values in want.items() if got[key] != values]
     assert changed == [], f"chain invariants changed on {changed}"
+
+
+def test_golden_codes():
+    want = json.loads(GOLDEN.read_text())["codes"]
+    got = code_digests()
+    assert sorted(got) == sorted(want)
+    changed = [key for key, value in want.items() if got[key] != value]
+    assert changed == [], f"codes changed on {changed}"
 
 
 def main(argv) -> int:
