@@ -4,150 +4,31 @@ Tools for rooted simplicial complexes: canonical codes and the local
 (ball-comparison) metric, Hodge Laplacian spectra with exact Betti numbers,
 uniform rootings and mass-transport checks, moment estimators, and the
 generator families used in convergence experiments.
+
+Each module's ``__all__`` is its public API; the package re-exports
+exactly those names.
 """
 
-from .complexes import (
-    RootedComplex,
-    SimplicialComplex,
-    ball,
-    closure,
-    p_degree,
-    rooted_at,
-)
-from .encoding import (
-    CanonicalCode,
-    bs_distance,
-    canonical_code,
-    find_rooted_isomorphism,
-    index_of_subset,
-    rooted_isomorphic,
-    subset_from_index,
-)
-from .errors import (
-    CrossCheckError,
-    HypothesisViolationError,
-    L2LimitsError,
-    MalformedInputError,
-    ValidationError,
-)
-from .estimators import (
-    ConvergenceReport,
-    MomentVector,
-    RootSample,
-    convergence_experiment,
-    exhaustive_moments,
-    kernel_mass_bound,
-    local_moment,
-    moments_of_measure,
-    monte_carlo_moments,
-    vertex_sampler,
-)
-from .formats import (
-    load_measure,
-    measure_json,
-    read_scx,
-    save_measure,
-    scx_text,
-    write_scx,
-)
-from .generators import fixtures, linial_meshulam, random_flag, torus_tower
-from .measures import (
-    BallDistribution,
-    MassTransportResult,
-    RandomRootedComplex,
-    SupportPoint,
-    ball_distribution,
-    degree_truncate,
-    expected_p_degree,
-    mass_transport_check,
-    measure_distance,
-    non_unimodular_example,
-    standard_battery,
-    total_variation,
-    uniform_rooting,
-)
-from .spectral import (
-    BoundaryMatrix,
-    NormBounds,
-    SpectralMeasure,
-    betti,
-    betti_normalized,
-    boundary_matrix,
-    boundary_rank,
-    euler_poincare,
-    laplacian_matrix,
-    operator_norm_bounds,
-    spectral_measure,
-    write_betti_csv,
-    write_spectrum_csv,
-)
+# importing a submodule binds its name here, so __all__ can read its list
+from .complexes import *
+from .encoding import *
+from .errors import *
+from .estimators import *
+from .formats import *
+from .generators import *
+from .measures import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SimplicialComplex",
-    "RootedComplex",
-    "closure",
-    "ball",
-    "p_degree",
-    "rooted_at",
-    "CanonicalCode",
-    "canonical_code",
-    "subset_from_index",
-    "index_of_subset",
-    "rooted_isomorphic",
-    "find_rooted_isomorphism",
-    "bs_distance",
-    "L2LimitsError",
-    "MalformedInputError",
-    "ValidationError",
-    "HypothesisViolationError",
-    "CrossCheckError",
-    "BoundaryMatrix",
-    "boundary_matrix",
-    "boundary_rank",
-    "betti",
-    "betti_normalized",
-    "laplacian_matrix",
-    "SpectralMeasure",
-    "spectral_measure",
-    "NormBounds",
-    "operator_norm_bounds",
-    "euler_poincare",
-    "write_spectrum_csv",
-    "write_betti_csv",
-    "SupportPoint",
-    "RandomRootedComplex",
-    "uniform_rooting",
-    "BallDistribution",
-    "ball_distribution",
-    "total_variation",
-    "measure_distance",
-    "MassTransportResult",
-    "mass_transport_check",
-    "standard_battery",
-    "non_unimodular_example",
-    "degree_truncate",
-    "expected_p_degree",
-    "MomentVector",
-    "RootSample",
-    "local_moment",
-    "moments_of_measure",
-    "exhaustive_moments",
-    "vertex_sampler",
-    "monte_carlo_moments",
-    "kernel_mass_bound",
-    "ConvergenceReport",
-    "convergence_experiment",
-    "torus_tower",
-    "linial_meshulam",
-    "random_flag",
-    "fixtures",
-    "read_scx",
-    "write_scx",
-    "scx_text",
-    "load_measure",
-    "save_measure",
-    "measure_json",
+    *complexes.__all__,
+    *encoding.__all__,
+    *errors.__all__,
+    *estimators.__all__,
+    *formats.__all__,
+    *generators.__all__,
+    *measures.__all__,
+    *spectral.__all__,
     "__version__",
 ]

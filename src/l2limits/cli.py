@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 malformed input or an unreadable or
-unwritable file, 3 validation failure or any other package error, 4
-violated convergence hypothesis, 5 failed numerical cross-check.
+Exit codes are declared on the error classes; the table is in
+:mod:`l2limits.errors`.
 """
 from __future__ import annotations
 
@@ -12,8 +11,7 @@ from fractions import Fraction
 
 from .complexes import rooted_at
 from .encoding import bs_distance, canonical_code
-from .errors import (CrossCheckError, HypothesisViolationError, L2LimitsError,
-                     MalformedInputError, ValidationError)
+from .errors import L2LimitsError, MalformedInputError, ValidationError
 from .estimators import convergence_experiment
 from .formats import load_measure, read_scx, scx_text, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
@@ -284,26 +282,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except MalformedInputError as exc:
+    except L2LimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except L2LimitsError as exc:
-        # a package error without a code of its own still ends without a
-        # traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

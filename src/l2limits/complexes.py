@@ -13,6 +13,15 @@ from itertools import chain, combinations
 
 from .errors import MalformedInputError, ValidationError
 
+__all__ = [
+    "SimplicialComplex",
+    "RootedComplex",
+    "closure",
+    "ball",
+    "p_degree",
+    "rooted_at",
+]
+
 
 def _as_simplex(vertices) -> tuple:
     try:

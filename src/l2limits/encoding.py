@@ -20,6 +20,16 @@ from fractions import Fraction
 from .complexes import RootedComplex, SimplicialComplex, _bfs
 from .errors import ValidationError
 
+__all__ = [
+    "CanonicalCode",
+    "canonical_code",
+    "subset_from_index",
+    "index_of_subset",
+    "rooted_isomorphic",
+    "find_rooted_isomorphism",
+    "bs_distance",
+]
+
 _CODE_CACHE: dict = {}
 _CODE_CACHE_LIMIT = 1 << 15
 _TIE_CAP = 64

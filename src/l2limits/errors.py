@@ -1,19 +1,38 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to one CLI exit code, so library code should raise the
-most specific type that applies.
+Each class declares its CLI exit code in ``exit_code``, so library code
+should raise the most specific type that applies:
+
+    0  success
+    1  usage error
+    2  MalformedInputError, or an unreadable or unwritable file (OSError)
+    3  ValidationError, or any other L2LimitsError
+    4  HypothesisViolationError
+    5  CrossCheckError
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "L2LimitsError",
+    "MalformedInputError",
+    "ValidationError",
+    "HypothesisViolationError",
+    "CrossCheckError",
+]
 
 
 class L2LimitsError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 3
+
 
 class MalformedInputError(L2LimitsError):
     """Input data could not be parsed: bad .scx line, bad JSON, duplicate
     vertices inside one simplex, malformed weight string."""
+
+    exit_code = 2
 
 
 class ValidationError(L2LimitsError):
@@ -26,6 +45,8 @@ class HypothesisViolationError(L2LimitsError):
     """A convergence-theorem hypothesis does not hold for the supplied data
     (typically: no uniform degree bound along a sequence)."""
 
+    exit_code = 4
+
 
 class CrossCheckError(L2LimitsError):
     """Two independent computation routes disagreed beyond tolerance.
@@ -33,3 +54,5 @@ class CrossCheckError(L2LimitsError):
     This is deliberately fatal: a disagreement between the exact rational
     path and the floating-point path means at least one result is wrong.
     """
+
+    exit_code = 5

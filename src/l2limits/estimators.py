@@ -86,6 +86,13 @@ class RootSample:
         return radius is None or radius >= r // 2 + 1
 
 
+def _check_moment_args(p: int, order: int) -> None:
+    if p < 0:
+        raise ValidationError("dimension must be nonnegative")
+    if order < 0:
+        raise ValidationError("moment order must be nonnegative")
+
+
 def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple:
     """m_0..m_order at ``root``, by walks from the root's carriers.
 
@@ -96,10 +103,7 @@ def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple
     the last, so a walk reads only the (order//2 + 1)-ball around the root,
     wherever the complex ends.
     """
-    if p < 0:
-        raise ValidationError("dimension must be nonnegative")
-    if order < 0:
-        raise ValidationError("moment order must be nonnegative")
+    _check_moment_args(p, order)
     totals = [0] * (order + 1)
     for carrier in incidence.star(root):
         if len(carrier) != p + 1:
@@ -393,6 +397,7 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
         _check_eps(eps)
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
+    _check_moment_args(p, order)
     if labels is None:
         labels = list(range(len(sequence)))
     if len(labels) != len(sequence):

@@ -26,6 +26,22 @@ from .exact import rational_rank
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "BoundaryMatrix",
+    "boundary_matrix",
+    "boundary_rank",
+    "betti",
+    "betti_normalized",
+    "laplacian_matrix",
+    "SpectralMeasure",
+    "spectral_measure",
+    "NormBounds",
+    "operator_norm_bounds",
+    "euler_poincare",
+    "write_spectrum_csv",
+    "write_betti_csv",
+]
+
 DENSE_EIGENSOLVE_CAP = 4096
 ZERO_TOL = 1e-7
 

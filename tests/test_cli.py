@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -206,6 +208,22 @@ def test_mass_transport(tmp_path, capsys):
     assert lines[-1] == "unimodular on battery: no"
 
 
+def test_mass_transport_fails_a_tiny_skew(tmp_path, capsys):
+    # path3's uniform rooting with 1e-12 moved from the center to an end
+    skewed = tmp_path / "skewed.json"
+    skewed.write_text(json.dumps({"support": [
+        {"weight": "2000000000003/3000000000000",
+         "maximal_simplices": [[0, 1], [1, 2]], "root": 0},
+        {"weight": "999999999997/3000000000000",
+         "maximal_simplices": [[0, 1], [1, 2]], "root": 1}]}))
+    code, out, _ = run(capsys, ["mass-transport", str(skewed)])
+    assert code == 0
+    lines = out.splitlines()
+    assert ("adjacency_times_far_degree   lhs=2 "
+            "rhs=1999999999997/1000000000000 FAIL") in lines
+    assert lines[-1] == "unimodular on battery: no"
+
+
 def test_truncate(scx, capsys):
     path = scx("star.scx", fixtures()["star5"], root=0)
     code, out, _ = run(capsys, ["truncate", path, "--degree", "3"])
@@ -275,12 +293,16 @@ def test_converge_negative_rmax_exits_3_before_any_level(tmp_path, capsys,
     import l2limits.estimators as estimators
     levels = []
     monkeypatch.setattr(estimators, "_level_stats", levels.append)
-    code, out, err = run(capsys, [
-        "converge", "--family", "torus2d", "--levels", "6,8", "--p", "1",
-        "--rmax", "-1", "--out", str(tmp_path / "r.csv")])
-    assert code == 3
-    assert err.startswith("error:") and "rmax must be nonnegative" in err
-    assert out == ""
+    for p, extra, message in [
+            ("1", ["--rmax", "-1"], "rmax must be nonnegative"),
+            ("1", ["--moments", "-1"], "moment order must be nonnegative"),
+            ("-1", [], "dimension must be nonnegative")]:
+        code, out, err = run(capsys, [
+            "converge", "--family", "torus2d", "--levels", "6,8", "--p", p,
+            *extra, "--out", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert err.startswith("error:") and message in err
+        assert out == ""
     assert levels == []
     assert not (tmp_path / "r.csv").exists()
 
@@ -362,6 +384,23 @@ def test_import_package_loads_every_submodule():
                           text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_reexports_each_module_all():
+    modules = [importlib.import_module(f"l2limits.{name}") for name in (
+        "complexes", "encoding", "errors", "estimators", "formats",
+        "generators", "measures", "spectral")]
+    missing = [m.__name__ for m in modules if not hasattr(m, "__all__")]
+    assert missing == []
+    names = [name for m in modules for name in m.__all__]
+    assert l2limits.__all__ == names + ["__version__"]
+    assert len(set(l2limits.__all__)) == len(l2limits.__all__)
+    for m in modules:
+        for name in m.__all__:
+            obj = getattr(m, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == m.__name__, name
+            assert getattr(l2limits, name) is obj, name
 
 
 def _spectrum_figures(out):

@@ -333,9 +333,13 @@ def test_convergence_experiment_checks_eps_first(monkeypatch):
 def test_convergence_experiment_checks_rmax_first(monkeypatch):
     levels = []
     monkeypatch.setattr(estimators, "_level_stats", levels.append)
-    with pytest.raises(ValidationError, match="rmax must be nonnegative"):
-        convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
-                               1, 2, [0.5], rmax=-1, threads=1)
+    for p, order, rmax, message in [
+            (1, 2, -1, "rmax must be nonnegative"),
+            (-1, 2, 2, "dimension must be nonnegative"),
+            (1, -1, 2, "moment order must be nonnegative")]:
+        with pytest.raises(ValidationError, match=message):
+            convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
+                                   p, order, [0.5], rmax=rmax, threads=1)
     assert levels == []
 
 

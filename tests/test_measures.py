@@ -243,6 +243,19 @@ def test_mass_transport_known_values():
     assert result.lhs == Fraction(4, 3)
 
 
+def test_mass_transport_compares_exactly():
+    # path3's uniform rooting with 1e-12 moved from the center to an end
+    skew = Fraction(1, 10 ** 12)
+    path = fixtures()["path3"]
+    mu = RandomRootedComplex([
+        SupportPoint(rooted_at(path, 0), Fraction(2, 3) + skew),
+        SupportPoint(rooted_at(path, 1), Fraction(1, 3) - skew)])
+    fn = dict(standard_battery())["adjacency_times_far_degree"]
+    lhs, rhs, passed = mass_transport_check(mu, fn)
+    assert (lhs, rhs) == (2, 2 - 3 * skew)
+    assert not passed
+
+
 def test_non_unimodular_example_fails_transport():
     mu, fn = non_unimodular_example()
     lhs, rhs, passed = mass_transport_check(mu, fn)
