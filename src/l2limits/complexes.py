@@ -291,7 +291,10 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
 
     The package's one breadth-first search.  The dict's insertion order is
     the search order, layer by layer with each vertex's neighbours in
-    ascending order; cache keys and canonical labelings rely on it.
+    ascending order; the isomorphism search takes its vertex order from
+    it.  A negative ``radius`` never matches a layer, so the search covers
+    the root's whole component; callers that take a radius reject one
+    below 0 first.
     """
     dist = {root: 0}
     frontier = [root]

@@ -338,13 +338,6 @@ def find_rooted_isomorphism(a: RootedComplex, b: RootedComplex):
 # -- canonical code search ---------------------------------------------------
 
 
-def _bfs_relabel_key(cx: SimplicialComplex, root):
-    """Deterministic cache key: simplex set after breadth-first relabeling,
-    each simplex as the bitmask of its new labels."""
-    bit = {v: 1 << i for i, v in enumerate(_bfs(cx, root))}
-    return frozenset(sum(map(bit.__getitem__, s)) for s in cx.simplices)
-
-
 def _prune_automorphic(ctx, vert, colour, partials):
     """Drop tied branches that a proven automorphism maps onto the first.
 
@@ -371,55 +364,62 @@ def _prune_automorphic(ctx, vert, colour, partials):
     return kept
 
 
-def _canonical_order(cx: SimplicialComplex, root):
-    dist = _bfs(cx, root)
-    n = len(dist)
-    # Work on positions 0..n-1 in (distance, id) order, so the root is 0
-    # and every layer is a range of positions.  links[v] pairs each
-    # neighbour w of v with the simplices through the edge vw, each given
-    # by its other vertices as (mask, positions).
-    vert = sorted(dist, key=lambda v: (dist[v], v))
-    pos = {v: i for i, v in enumerate(vert)}
-    links = []
-    for v in vert:
-        cofaces = {pos[w]: [] for w in cx.neighbors(v)}
-        for s in cx.star(v):
-            if len(s) > 2:
-                others = [pos[u] for u in s if u != v]
-                mask = sum([1 << u for u in others])
-                for i, w in enumerate(others):
-                    rest = others[:i] + others[i + 1:]
-                    cofaces[w].append((mask ^ (1 << w), rest))
-        links.append(list(cofaces.items()))
+def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
+                     masks: list, simplices: list) -> tuple:
+    """Positions in the label order of the minimal code.
+
+    Position i is vertex ``vert[i]`` of ``cx``, at distance ``layer[i]``
+    from the root at position 0.  The ball's simplices are given as
+    bitmasks of positions (``masks``) and, in the same order, as vertex
+    tuples of ``cx`` (``simplices``).  ``cx`` is read only to cut the ball
+    when a tie passes ``_TIE_CAP`` and automorphisms are searched.
+    """
+    n = len(vert)
     # label k goes to the layer of position k: labels fill layers in order
     layer_mask = [0] * n
     lo = 0
     for hi in range(1, n + 1):
-        if hi == n or dist[vert[hi]] != dist[vert[lo]]:
+        if hi == n or layer[hi] != layer[lo]:
             layer_mask[lo:hi] = [(1 << hi) - (1 << lo)] * (hi - lo)
             lo = hi
+    # incidence: each position's neighbours as bits, and the simplices of
+    # dimension >= 2 through it as (mask, positions)
+    nbrs = [[] for _ in range(n)]
+    cofaces = [[] for _ in range(n)]
+    index = {v: i for i, v in enumerate(vert)}.__getitem__
+    for mask, simplex in zip(masks, simplices):
+        if len(simplex) == 2:
+            low = mask & -mask
+            nbrs[low.bit_length() - 1].append(mask ^ low)
+            nbrs[mask.bit_length() - 1].append(low)
+        elif len(simplex) > 2:
+            simplex = tuple(map(index, simplex))
+            item = (mask, simplex)
+            for i in simplex:
+                cofaces[i].append(item)
     top = 1 << n
 
-    # A branch is (order, blocks, labelled): positions in label order, the
-    # block each position would add if it took the next label, and the
-    # mask of labelled positions.  A block has one entry per simplex
-    # through the position whose other vertices are labelled, the sum of
-    # their label bits; entries are sorted and end in the sentinel ``top``,
-    # so on a shared prefix the block with more entries is smaller.  The
-    # simplex completed by label k holds bit k and outweighs every earlier
-    # entry, so blocks only grow at their end.  (The singleton adds 0 to
-    # every block and is left out.)  The smallest block wins the label;
-    # every tie is carried as its own branch.
-    blocks = [(top,)] * n
-    partials = [((), blocks, 0)]
+    # A branch is (order, blocks, labelled, bits): positions in label order,
+    # the block each position would add if it took the next label, the
+    # mask of labelled positions and each position's label bit (0 while
+    # unlabelled).  A block has one entry per simplex through the position
+    # whose other vertices are labelled, the sum of their label bits (the
+    # sum over the whole simplex, as the position's own bit is 0); entries
+    # are sorted and end in the sentinel ``top``, so on a shared prefix the
+    # block with more entries is smaller.  The simplex completed by label k
+    # holds bit k and outweighs every earlier entry, so blocks only grow at
+    # their end.  (The singleton adds 0 to every block and is left out.)
+    # The smallest block wins the label; every tie is carried as its own
+    # branch.
+    partials = [((), [(top,)] * n, 0, [0] * n)]
     ctx = None
     for k in range(n):
-        members = layer_mask[k]
+        in_layer = layer_mask[k]
         best = None
         chosen = []
         for branch in partials:
             blocks = branch[1]
-            free = members & ~branch[2]
+            free = in_layer & ~branch[2]
             while free:
                 low = free & -free
                 free ^= low
@@ -431,40 +431,92 @@ def _canonical_order(cx: SimplicialComplex, root):
                 elif block == best:
                     chosen.append((branch, v))
         bit = 1 << k
+        edge = (bit, top)
         partials = []
         while chosen:
             branch, v = chosen.pop()
-            order, blocks, labelled = branch
+            order, blocks, labelled, bits = branch
             if chosen and chosen[-1][0] is branch:
                 blocks = blocks.copy()
+                bits = bits.copy()
             # else no other extension of the branch is left: this one takes
-            # its list, and the old branch is freed as the loop goes
+            # its lists, and the old branch is freed as the loop goes
             order += (v,)
-            label = order.index
             labelled |= 1 << v
+            bits[v] = bit
+            # each simplex through v that leaves one vertex w unlabelled,
+            # then the edge vw for each unlabelled neighbour w: all hold
+            # bit k, so they go at the end of w's block, the edge first
+            completed = {}
             unlabelled = ~labelled
-            for w, cofaces in links[v]:
-                if labelled >> w & 1:
+            get = bits.__getitem__
+            for mask, simplex in cofaces[v]:
+                rest = mask & unlabelled
+                if rest and not rest & (rest - 1):
+                    if rest in completed:
+                        completed[rest].append(sum(map(get, simplex)))
+                    else:
+                        completed[rest] = [sum(map(get, simplex))]
+            for w in nbrs[v]:
+                if labelled & w:
                     continue
-                # the edge vw, then every simplex it completes with labelled
-                # vertices besides; all hold bit k, so they go at the end
-                ms = []
-                for mask, rest in cofaces:
-                    if not mask & unlabelled:
-                        m = bit
-                        for u in rest:
-                            m += 1 << label(u)
-                        ms.append(m)
-                ms.sort()
-                blocks[w] = (*blocks[w][:-1], bit, *ms, top)
-            partials.append((order, blocks, labelled))
+                entries = completed.get(w)
+                w = w.bit_length() - 1
+                if entries:
+                    entries.sort()
+                    blocks[w] = (*blocks[w][:-1], bit, *entries, top)
+                else:
+                    blocks[w] = blocks[w][:-1] + edge
+            partials.append((order, blocks, labelled, bits))
         partials.reverse()
         if len(partials) > _TIE_CAP:
             if ctx is None:
-                ctx = _IsoContext(cx)
+                # the ball is cut only here, for the automorphism searches
+                ball = cx if n == len(cx.faces(0)) else cx.induced(vert)
+                ctx = _IsoContext(ball)
                 colour = [ctx.colors[ctx.idx[v]] for v in vert]
             partials = _prune_automorphic(ctx, vert, colour, partials)
-    return tuple(vert[i] for i in partials[0][0])
+    return partials[0][0]
+
+
+def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
+    """Minimal code of the radius-``r`` ball of ``cx`` at ``root`` (the
+    root's whole component when ``r`` is None), read from ``cx`` itself.
+
+    One breadth-first search puts the ball's vertices at positions in
+    (distance, id) order, and one pass over their stars finds the ball's
+    simplices: a simplex is taken from the star of its first vertex, and
+    only the stars of the outer layer are filtered.  The simplices as
+    bitmasks of positions key ``_CODE_CACHE``.  On a miss the masks give
+    the canonical search its incidence, and the simplices, relabelled,
+    the code's indices.  The ball is cut only when a tie passes
+    ``_TIE_CAP`` and automorphisms are searched.
+    """
+    if r is not None and r < 0:
+        raise ValidationError("ball radius must be nonnegative")
+    dist = _bfs(cx, root, r)
+    vert = sorted(sorted(dist), key=dist.__getitem__)
+    bit = {v: 1 << i for i, v in enumerate(vert)}
+    # only the outer layer, the tail of vert, has neighbours outside
+    inner = [v for v in vert if dist[v] != r]
+    star = cx.star
+    inside = bit.__contains__
+    simplices = [s for v in inner for s in star(v) if s[0] == v]
+    simplices += [s for v in vert[len(inner):] for s in star(v)
+                  if s[0] == v and all(map(inside, s))]
+    get = bit.__getitem__
+    masks = [sum(map(get, s)) for s in simplices]
+    key = frozenset(masks)
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        order = _canonical_order(cx, vert, [dist[v] for v in vert], masks,
+                                 simplices)
+        get = {vert[i]: 1 << k for k, i in enumerate(order)}.__getitem__
+        code = CanonicalCode(sorted([sum(map(get, s)) - 1 for s in simplices]))
+        if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+            _CODE_CACHE.clear()
+        _CODE_CACHE[key] = code
+    return code
 
 
 def canonical_code(rc: RootedComplex) -> CanonicalCode:
@@ -472,23 +524,12 @@ def canonical_code(rc: RootedComplex) -> CanonicalCode:
 
     Branch-and-bound over label orders compatible with breadth-first layers,
     carrying every tied branch; ties are thinned only when an explicit
-    automorphism proves two branches equivalent.  Results are memoized on a
-    breadth-first relabeling of the input, so repeated structure (lattice
-    patches, balls of transitive complexes) is canonicalized once.
+    automorphism proves two branches equivalent.  Results are memoized on
+    the simplices as bitmasks of (distance, id) positions, so repeated
+    structure (lattice patches, balls of transitive complexes) is
+    canonicalized once.
     """
-    cx = rc.complex
-    key = _bfs_relabel_key(cx, rc.root)
-    cached = _CODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    order = _canonical_order(cx, rc.root)
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    indices = sorted(sum(map(bit.__getitem__, s)) - 1 for s in cx.simplices)
-    code = CanonicalCode(indices)
-    if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
-        _CODE_CACHE.clear()
-    _CODE_CACHE[key] = code
-    return code
+    return _ball_code(rc.complex, rc.root)
 
 
 def rooted_isomorphic(a: RootedComplex, b: RootedComplex) -> bool:
@@ -510,6 +551,7 @@ def bs_distance(a: RootedComplex, b: RootedComplex, rmax=None) -> Fraction:
     elif rmax < 0:
         raise ValidationError("rmax must be nonnegative")
     for r in range(1, rmax + 1):
-        if canonical_code(a.ball(r)) != canonical_code(b.ball(r)):
+        if (_ball_code(a.complex, a.root, r)
+                != _ball_code(b.complex, b.root, r)):
             return Fraction(1, 2 ** (r - 1))
     return Fraction(0)

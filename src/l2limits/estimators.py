@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import CrossCheckError, HypothesisViolationError, ValidationError
-from .measures import (RandomRootedComplex, ball_distribution, total_variation,
+from .measures import (RandomRootedComplex, _local_distance, ball_distribution,
                        uniform_rooting)
 from .spectral import (SpectralMeasure, _Incidence, _radius_bound,
                        spectral_measure)
@@ -292,7 +292,7 @@ def _level_stats(args):
     measure = spectral_measure(cx, p)
     nu = {eps: measure.mass_at_zero() + measure.near_zero_mass(eps)
           for eps in eps_list}
-    balls = {r: dict(ball_distribution(mu, r)) for r in range(rmax + 1)}
+    balls = [dict(ball_distribution(mu, r)) for r in range(rmax + 1)]
     return {
         "n_vertices": len(cx.vertices),
         "max_degree": cx.max_degree(),
@@ -426,14 +426,8 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     else:
         rows = [_level_stats(job) for job in jobs]
 
-    last_balls = rows[-1]["balls"]
-    distances = []
-    for row in rows:
-        dist = _ZERO
-        for r in range(rmax + 1):
-            dist += Fraction(1, 2 ** r) * total_variation(row["balls"][r],
-                                                          last_balls[r])
-        distances.append(dist)
+    distances = [_local_distance(row["balls"], rows[-1]["balls"])
+                 for row in rows]
 
     trends = {"b_p_normalized": _trend([row["b_p_normalized"] for row in rows])}
     for eps in eps_list:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import RootedComplex, SimplicialComplex
-from .encoding import CanonicalCode, _IsoContext, _search, canonical_code
+from .encoding import (CanonicalCode, _ball_code, _IsoContext, _search,
+                       canonical_code)
 from .errors import ValidationError
 
 __all__ = [
@@ -58,10 +59,12 @@ class SupportPoint:
         return self._code
 
     def ball_code(self, r: int) -> CanonicalCode:
-        """Code of the radius-``r`` ball at the root, computed once."""
+        """Code of the radius-``r`` ball at the root, computed once and
+        read from the rooted complex without cutting the ball."""
         code = self._ball_codes.get(r)
         if code is None:
-            code = self._ball_codes[r] = canonical_code(self.rooted.ball(r))
+            rc = self.rooted
+            code = self._ball_codes[r] = _ball_code(rc.complex, rc.root, r)
         return code
 
     def __repr__(self) -> str:
@@ -194,7 +197,7 @@ class BallDistribution(dict):
             raise ValidationError("ball distribution weights must sum to 1")
         for code in self:
             rc = code.decode()
-            if canonical_code(rc.ball(self.radius)) != code:
+            if _ball_code(rc.complex, rc.root, self.radius) != code:
                 raise ValidationError(
                     f"key is not a radius-{self.radius} ball: {code}")
 
@@ -203,7 +206,8 @@ def ball_distribution(mu: RandomRootedComplex, r: int) -> BallDistribution:
     """Law of the radius-``r`` ball at the root, keyed by canonical code.
 
     Codes come from :meth:`SupportPoint.ball_code`, so a law's ball at a
-    radius is cut and canonicalized once however often it is asked for.
+    radius is coded once, from its parent complex, however often it is
+    asked for.
     """
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
@@ -219,16 +223,23 @@ def total_variation(p, q) -> Fraction:
     return sum((abs(p.get(k, _ZERO) - q.get(k, _ZERO)) for k in keys), _ZERO) / 2
 
 
+def _local_distance(laws_a, laws_b) -> Fraction:
+    """Sum over r of 2^-r times the TV gap between ``laws_a[r]`` and
+    ``laws_b[r]``, two lists of ball laws indexed by radius."""
+    total = _ZERO
+    for r, (p, q) in enumerate(zip(laws_a, laws_b)):
+        total += Fraction(1, 2 ** r) * total_variation(p, q)
+    return total
+
+
 def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
                      rmax: int) -> Fraction:
     """Sum over r <= rmax of 2^-r times the TV gap between ball laws."""
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
-    total = _ZERO
-    for r in range(rmax + 1):
-        gap = total_variation(ball_distribution(mu, r), ball_distribution(nu, r))
-        total += Fraction(1, 2 ** r) * gap
-    return total
+    radii = range(rmax + 1)
+    return _local_distance([ball_distribution(mu, r) for r in radii],
+                           [ball_distribution(nu, r) for r in radii])
 
 
 class MassTransportResult:

@@ -7,13 +7,13 @@ import pytest
 import l2limits.encoding as encoding
 from conftest import random_connected_complex
 from l2limits.complexes import SimplicialComplex, closure, rooted_at
-from l2limits.encoding import (CanonicalCode, _refined_colors, bs_distance,
-                               canonical_code, find_rooted_isomorphism,
-                               index_of_subset, rooted_isomorphic,
-                               subset_from_index)
+from l2limits.encoding import (CanonicalCode, _ball_code, _refined_colors,
+                               bs_distance, canonical_code,
+                               find_rooted_isomorphism, index_of_subset,
+                               rooted_isomorphic, subset_from_index)
 from l2limits.errors import ValidationError
 from l2limits.generators import fixtures, random_flag, torus_tower
-from l2limits.measures import uniform_rooting
+from l2limits.measures import ball_distribution, uniform_rooting
 
 
 def test_subset_enumeration_start():
@@ -189,8 +189,9 @@ def test_automorphism_pruning_keeps_the_code(monkeypatch):
 
 def test_one_breadth_first_search_per_root_per_code(monkeypatch):
     # Past the tie cap every automorphism search starts from the root, and
-    # the context keeps that root's search: the key, the layers and the
-    # searches make three in all however many searches run.
+    # the context keeps that root's search: the code's one search (key and
+    # layers) and the automorphism searches' one make two in all, however
+    # many searches run.
     import l2limits.complexes as complexes
     bfs_calls, searches = [], []
     bfs, search = complexes._bfs, encoding._search
@@ -215,9 +216,56 @@ def test_one_breadth_first_search_per_root_per_code(monkeypatch):
         bfs_calls.clear()
         searches.clear()
         assert canonical_code(k6) == want
-        assert bfs_calls == [0, 0, 0]
+        assert bfs_calls == [0, 0]
         counts.append(len(searches))
     assert counts == sorted(counts) and counts[0] >= 10 and counts[-1] >= 100
+
+
+def test_ball_code_read_from_the_parent_equals_the_cut_ball(monkeypatch):
+    # each side starts from an empty cache, so neither reads the other's code
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    pool = list(fixtures().values())
+    pool += [random_flag(16, 5 / 16, 3, seed) for seed in range(4)]
+    pool.append(torus_tower(2, 5))
+    disconnected = closure([(0, 1, 2), (2, 3), (3, 4), (10, 11, 12, 13),
+                            (13, 14), (20,)])
+    assert not disconnected.is_connected()
+    pool.append(disconnected)
+    for cx in pool:
+        for v in cx.vertices:
+            rc = rooted_at(cx, v)
+            for r in (0, 1, 2, 3, None):
+                encoding._CODE_CACHE.clear()
+                read = _ball_code(cx, v, r)
+                encoding._CODE_CACHE.clear()
+                cut = canonical_code(rc if r is None else rc.ball(r))
+                assert read == cut, (cx, v, r)
+
+
+def test_negative_radius_is_rejected_before_any_search(monkeypatch):
+    # _bfs with radius -1 never meets the radius and would search the
+    # whole component; every radius taker refuses first
+    import l2limits.complexes as complexes
+    mu = uniform_rooting(fixtures()["path4"])
+    a, b = (pt.rooted for pt in mu)
+    searches = []
+    bfs = complexes._bfs
+
+    def counted_bfs(*args):
+        searches.append(args)
+        return bfs(*args)
+
+    monkeypatch.setattr(encoding, "_bfs", counted_bfs)
+    with pytest.raises(ValidationError, match="ball radius"):
+        _ball_code(a.complex, a.root, -1)
+    with pytest.raises(ValidationError, match="ball radius"):
+        mu.points[0].ball_code(-1)
+    with pytest.raises(ValidationError):
+        ball_distribution(mu, -1)
+    with pytest.raises(ValidationError):
+        bs_distance(a, b, -1)
+    assert searches == []
+    assert mu.points[0]._ball_codes == {}
 
 
 def test_discrete_colours_run_no_automorphism_search(monkeypatch):

@@ -179,15 +179,35 @@ def test_measure_distance_reuses_the_ball_codes(monkeypatch):
     assert len(mu) > 1
     laws = [ball_distribution(mu, r) for r in range(3)]
     calls = []
-    code = measures.canonical_code
+    code = measures._ball_code
 
-    def counted(rc):
-        calls.append(rc)
-        return code(rc)
+    def counted(*args):
+        calls.append(args)
+        return code(*args)
 
-    monkeypatch.setattr(measures, "canonical_code", counted)
+    monkeypatch.setattr(measures, "_ball_code", counted)
     assert measure_distance(mu, mu, 2) == 0
     assert [ball_distribution(mu, r) for r in range(3)] == laws
+    assert calls == []
+
+
+def test_ball_laws_cut_no_ball_under_the_tie_cap(monkeypatch):
+    # every code is read from the support complex; a ball would be cut only
+    # for the automorphism searches of a tie wider than the cap
+    import l2limits.encoding as encoding
+    mu = uniform_rooting(random_flag(16, 5 / 16, 3, 3))
+    assert len(mu) > 1
+    calls = []
+    original = SimplicialComplex.induced
+
+    def counted(self, vertex_subset):
+        calls.append(self)
+        return original(self, vertex_subset)
+
+    monkeypatch.setattr(SimplicialComplex, "induced", counted)
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    laws = [ball_distribution(mu, r) for r in range(4)]
+    assert all(sum(law.values()) == 1 for law in laws)
     assert calls == []
 
 
