@@ -17,8 +17,6 @@ __all__ = [
     "SimplicialComplex",
     "RootedComplex",
     "closure",
-    "ball",
-    "p_degree",
     "rooted_at",
 ]
 
@@ -263,8 +261,17 @@ class RootedComplex:
         return rc
 
     def ball(self, r: int) -> "RootedComplex":
-        """Closed ball: the subcomplex induced by vertices at distance <= r."""
-        return _ball(self.complex, self.root, r)
+        """Closed ball: the subcomplex induced by vertices at distance <= r.
+
+        A ball that already holds every vertex is rooted in this complex.
+        """
+        if r < 0:
+            raise ValidationError("ball radius must be nonnegative")
+        cx = self.complex
+        inside = _bfs(cx, self.root, r)
+        if len(inside) == len(cx.faces(0)):
+            return RootedComplex._make(cx, self.root)
+        return RootedComplex._make(cx.induced(inside), self.root)
 
     def p_degree(self, p: int) -> int:
         return self.complex.p_degree(self.root, p)
@@ -312,20 +319,6 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
     return dist
 
 
-def _ball(cx: SimplicialComplex, root: int, r: int) -> RootedComplex:
-    """The closed r-ball of ``cx`` around ``root``, found without leaving it.
-
-    ``cx`` may be disconnected: the search stays in the root's component.
-    A ball that already holds every vertex is ``cx`` itself.
-    """
-    if r < 0:
-        raise ValidationError("ball radius must be nonnegative")
-    inside = _bfs(cx, root, r)
-    if len(inside) == len(cx.faces(0)):
-        return RootedComplex._make(cx, root)
-    return RootedComplex._make(cx.induced(inside), root)
-
-
 def closure(maximal) -> SimplicialComplex:
     """Module-level alias for :meth:`SimplicialComplex.closure`."""
     return SimplicialComplex.closure(maximal)
@@ -338,11 +331,3 @@ def rooted_at(cx: SimplicialComplex, root: int) -> RootedComplex:
     if cx.is_connected():
         return RootedComplex._make(cx, root)
     return RootedComplex._make(cx.induced(cx.distances(root)), root)
-
-
-def ball(rc: RootedComplex, r: int) -> RootedComplex:
-    return rc.ball(r)
-
-
-def p_degree(rc: RootedComplex, p: int) -> int:
-    return rc.p_degree(p)

@@ -54,13 +54,14 @@ class MomentVector:
     def order(self) -> int:
         return len(self.moments) - 1
 
-    def validate(self, tol: float = 1e-7) -> None:
+    def validate(self) -> None:
         """Positivity checks every genuine moment sequence satisfies."""
         if self.moments[0] < 0:
             raise ValidationError("m_0 is a mass and cannot be negative")
         if self.order >= 2:
             m0, m1, m2 = (float(m) for m in self.moments[:3])
-            if m0 * m2 - m1 * m1 < -tol:
+            # the floats of Monte Carlo means need a little slack
+            if m0 * m2 - m1 * m1 < -1e-7:
                 raise ValidationError("2x2 Hankel determinant is negative")
 
     def __iter__(self):
@@ -139,21 +140,29 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
     return _local_moments(rc, p, r)[r]
 
 
-def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVector:
-    """Exact moments m_0..m_order of the spectral measure of a finite law."""
+def _weighted_moments(roots, p: int, order: int) -> MomentVector:
+    """Σ weight · m_r over (complex, root, weight) triples, exactly.
+
+    Roots in one complex share one memo of its faces and cofaces.
+    """
     moments = [_ZERO] * (order + 1)
-    # support points rooted in one component share its faces and cofaces
     incidences = {}
-    for pt in mu.points:
-        cx = pt.rooted.complex
+    for cx, root, weight in roots:
         incidence = incidences.get(id(cx))
         if incidence is None:
             incidence = incidences[id(cx)] = _Incidence(cx)
-        for r, m in enumerate(_walk_moments(incidence, pt.rooted.root, p, order)):
-            moments[r] += pt.weight * m
+        for r, m in enumerate(_walk_moments(incidence, root, p, order)):
+            moments[r] += weight * m
     mv = MomentVector(p, moments)
     mv.validate()
     return mv
+
+
+def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVector:
+    """Exact moments m_0..m_order of the spectral measure of a finite law."""
+    return _weighted_moments(
+        ((pt.rooted.complex, pt.rooted.root, pt.weight) for pt in mu.points),
+        p, order)
 
 
 def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVector:
@@ -168,14 +177,8 @@ def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVecto
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot average over an empty complex")
-    moments = [0] * (order + 1)
-    incidence = _Incidence(cx)
-    for v in verts:
-        for r, m in enumerate(_walk_moments(incidence, v, p, order)):
-            moments[r] += m
-    mv = MomentVector(p, [Fraction(m, len(verts)) for m in moments])
-    mv.validate()
-    return mv
+    weight = Fraction(1, len(verts))
+    return _weighted_moments(((cx, v, weight) for v in verts), p, order)
 
 
 def vertex_sampler(cx: SimplicialComplex, radius: int):

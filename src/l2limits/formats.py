@@ -12,6 +12,7 @@ with weights as exact rational strings.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,13 @@ __all__ = [
     "save_measure",
     "measure_json",
 ]
+
+
+def _text(file, mode: str):
+    """A path opened as UTF-8 text in ``mode``, or an open stream as is."""
+    if isinstance(file, (str, Path)):
+        return open(file, mode, encoding="utf-8")
+    return nullcontext(file)
 
 
 def _parse_scx_lines(lines):
@@ -64,10 +72,8 @@ def _parse_scx_lines(lines):
 def read_scx(source):
     """Parse an `.scx` file; returns (complex, root or None)."""
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                return _parse_scx_lines(fh)
-        return _parse_scx_lines(source)
+        with _text(source, "r") as fh:
+            return _parse_scx_lines(fh)
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"not UTF-8 text: {exc}")
 
@@ -83,11 +89,8 @@ def scx_text(cx: SimplicialComplex, root=None) -> str:
 
 def write_scx(cx: SimplicialComplex, target, root=None) -> None:
     text = scx_text(cx, root)
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    with _text(target, "w") as fh:
+        fh.write(text)
 
 
 def _is_id(value) -> bool:
@@ -131,11 +134,8 @@ def _measure_from_obj(obj) -> RandomRootedComplex:
 def load_measure(source) -> RandomRootedComplex:
     """Parse a measure JSON file into a finite-support law."""
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        else:
-            obj = json.load(source)
+        with _text(source, "r") as fh:
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON: {exc}")
     except UnicodeDecodeError as exc:
@@ -158,8 +158,5 @@ def measure_json(mu: RandomRootedComplex) -> str:
 
 def save_measure(mu: RandomRootedComplex, target) -> None:
     text = measure_json(mu)
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    with _text(target, "w") as fh:
+        fh.write(text)

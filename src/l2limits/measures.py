@@ -10,8 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import RootedComplex, SimplicialComplex
-from .encoding import (CanonicalCode, _ball_code, _IsoContext, _search,
-                       canonical_code)
+from .encoding import CanonicalCode, _ball_code, _IsoContext, _search
 from .errors import ValidationError
 
 __all__ = [
@@ -36,11 +35,11 @@ _ZERO = Fraction(0)
 class SupportPoint:
     """One isomorphism class in a law: a rooted complex plus its weight.
 
-    The point is immutable, so its codes are memoized: the whole-complex
-    code and one ball code per radius.
+    The point is immutable, so its codes are memoized: one ball code per
+    radius, the whole-complex code under radius None.
     """
 
-    __slots__ = ("rooted", "weight", "_code", "_ball_codes")
+    __slots__ = ("rooted", "weight", "_ball_codes")
 
     def __init__(self, rooted: RootedComplex, weight):
         weight = Fraction(weight)
@@ -48,19 +47,17 @@ class SupportPoint:
             raise ValidationError("support weights must be positive")
         self.rooted = rooted
         self.weight = weight
-        self._code = None
         self._ball_codes = {}
 
     @property
     def code(self) -> CanonicalCode:
         # computed on demand: whole-complex canonicalization can be costly
-        if self._code is None:
-            self._code = canonical_code(self.rooted)
-        return self._code
+        return self.ball_code(None)
 
-    def ball_code(self, r: int) -> CanonicalCode:
-        """Code of the radius-``r`` ball at the root, computed once and
-        read from the rooted complex without cutting the ball."""
+    def ball_code(self, r: int | None) -> CanonicalCode:
+        """Code of the radius-``r`` ball at the root (the whole complex when
+        ``r`` is None), computed once and read from the rooted complex
+        without cutting the ball."""
         code = self._ball_codes.get(r)
         if code is None:
             rc = self.rooted

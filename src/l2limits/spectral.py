@@ -287,11 +287,11 @@ class SpectralMeasure:
     def moment(self, r: int) -> float:
         return sum(ev ** r for ev in self.eigenvalues) / self.n_vertices
 
-    def atoms(self, tol: float = ZERO_TOL):
-        """Eigenvalues merged within ``tol``: list of (value, weight) pairs."""
+    def atoms(self):
+        """Eigenvalues merged within ``ZERO_TOL``: list of (value, weight) pairs."""
         out = []
         for ev in self.eigenvalues:
-            if out and abs(ev - out[-1][0]) <= tol:
+            if out and abs(ev - out[-1][0]) <= ZERO_TOL:
                 value, count = out[-1]
                 out[-1] = (value, count + 1)
             else:
@@ -300,32 +300,21 @@ class SpectralMeasure:
         return [(value, unit * count) for value, count in out]
 
 
-def spectral_measure(cx: SimplicialComplex, p: int,
-                     zero_tol: float = ZERO_TOL,
-                     cap: int = DENSE_EIGENSOLVE_CAP) -> SpectralMeasure:
+def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     """Spectral measure of Delta_p with uniform weight 1/|V| per eigenvalue.
 
-    The eigensolver's zero cluster must match the exact kernel dimension
-    from the rational rank route; any disagreement raises CrossCheckError.
+    The eigensolver's zero cluster, eigenvalues below ``ZERO_TOL``, must
+    match the exact kernel dimension from the rational rank route; any
+    disagreement raises CrossCheckError.  Past ``DENSE_EIGENSOLVE_CAP``
+    p-simplices the dense eigensolver is refused.
     """
     if p < 0:
         raise ValidationError("spectral degree must be nonnegative")
-    return _pinned_measure(cx, p, None, zero_tol, cap)
+    return _pinned_measure(cx, p, None)
 
 
-def _dense_count(cx: SimplicialComplex, p: int, cap: int) -> int:
-    """Number of p-simplices, refused above the dense eigensolver cap."""
-    count = len(cx.faces(p))
-    if count > cap:
-        raise ValidationError(
-            f"{count} p-simplices exceeds the dense eigensolver cap ({cap}); "
-            "use moment estimators at this scale")
-    return count
-
-
-def _pinned_measure(cx: SimplicialComplex, p: int, kernel: int | None,
-                    zero_tol: float = ZERO_TOL,
-                    cap: int = DENSE_EIGENSOLVE_CAP) -> SpectralMeasure:
+def _pinned_measure(cx: SimplicialComplex, p: int,
+                    kernel: int | None) -> SpectralMeasure:
     """:func:`spectral_measure` with the kernel pinned to ``kernel``.
 
     ``kernel`` is the exact b_p when the caller already has it, so its
@@ -335,18 +324,22 @@ def _pinned_measure(cx: SimplicialComplex, p: int, kernel: int | None,
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
-    count = _dense_count(cx, p, cap)
+    count = len(cx.faces(p))
+    if count > DENSE_EIGENSOLVE_CAP:
+        raise ValidationError(
+            f"{count} p-simplices exceeds the dense eigensolver cap "
+            f"({DENSE_EIGENSOLVE_CAP}); use moment estimators at this scale")
     if count == 0:
         return SpectralMeasure(p, n, (), 0)
     import numpy as np
 
     eigenvalues = np.linalg.eigvalsh(laplacian_matrix(cx, p))
     kernel_exact = betti(cx, p) if kernel is None else kernel
-    kernel_float = int(np.sum(np.abs(eigenvalues) < zero_tol))
+    kernel_float = int(np.sum(np.abs(eigenvalues) < ZERO_TOL))
     if kernel_float != kernel_exact:
         raise CrossCheckError(
             f"eigensolver kernel count {kernel_float} != exact nullity "
-            f"{kernel_exact} for p={p} (tol {zero_tol})")
+            f"{kernel_exact} for p={p} (tol {ZERO_TOL})")
     fixed = [0.0] * kernel_exact + [float(ev) for ev in eigenvalues[kernel_exact:]]
     return SpectralMeasure(p, n, fixed, kernel_exact)
 
@@ -365,10 +358,10 @@ def operator_norm_bounds(cx: SimplicialComplex, p: int,
     Checks exactly that every column of d_p has p+1 entries and every row at
     most degree_bound-p+1, which gives ||d_p||^2 <= (p+1)(D-p+1) (Schur's
     test); the adjoint d_p* has the same norm.  The spectral radius of
-    Delta_p comes from the dense eigensolver, so complexes past
-    ``DENSE_EIGENSOLVE_CAP`` are refused, and it is checked against the
-    Gershgorin bound of :func:`_radius_bound`; a radius above it raises
-    CrossCheckError.
+    Delta_p is that of :func:`spectral_measure`, with its cap, its kernel
+    cross-check and its refusal of the empty complex, and it is checked
+    against the Gershgorin bound of :func:`_radius_bound`; a radius above
+    it raises CrossCheckError.
     """
     if p < 1:
         raise ValidationError("norm bounds are stated for p >= 1")
@@ -386,11 +379,7 @@ def operator_norm_bounds(cx: SimplicialComplex, p: int,
     if row_counts and max(row_counts) > degree_bound - p + 1:
         raise CrossCheckError(
             f"a (p-1)-simplex has {max(row_counts)} cofaces, above D-p+1")
-    radius = 0.0
-    if _dense_count(cx, p, DENSE_EIGENSOLVE_CAP):
-        import numpy as np
-
-        radius = float(np.linalg.eigvalsh(laplacian_matrix(cx, p))[-1])
+    radius = spectral_measure(cx, p).spectral_radius()
     lap_bound = _radius_bound(p, degree_bound)
     if radius > lap_bound + 1e-9:
         raise CrossCheckError(

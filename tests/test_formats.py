@@ -70,13 +70,16 @@ def test_measure_round_trip(tmp_path):
         mu = uniform_rooting(fixtures()[name])
         path = tmp_path / f"{name}.json"
         save_measure(mu, path)
-        again = load_measure(path)
-        again.validate()
-        assert len(again) == len(mu)
-        assert sorted(pt.weight for pt in again) == \
-            sorted(pt.weight for pt in mu)
-        assert {pt.code for pt in again} == {pt.code for pt in mu}
-        assert measure_json(again) == measure_json(mu)
+        stream = io.StringIO()
+        save_measure(mu, stream)
+        stream.seek(0)
+        for again in (load_measure(path), load_measure(stream)):
+            again.validate()
+            assert len(again) == len(mu)
+            assert sorted(pt.weight for pt in again) == \
+                sorted(pt.weight for pt in mu)
+            assert {pt.code for pt in again} == {pt.code for pt in mu}
+            assert measure_json(again) == measure_json(mu)
 
 
 def test_measure_json_is_exact():

@@ -191,6 +191,27 @@ def test_measure_distance_reuses_the_ball_codes(monkeypatch):
     assert calls == []
 
 
+def test_support_point_codes_its_complex_once(monkeypatch):
+    # the whole-complex code is the ball code of radius None, memoized once
+    import l2limits.encoding as encoding
+    mu = uniform_rooting(random_flag(16, 5 / 16, 3, 3))
+    assert len(mu) > 1
+    for pt in mu:
+        assert pt.code == canonical_code(pt.rooted)
+    calls = []
+    for module in (encoding, measures):
+        code = module._ball_code
+
+        def counted(*args, code=code):
+            calls.append(args)
+            return code(*args)
+
+        monkeypatch.setattr(module, "_ball_code", counted)
+    for pt in mu:
+        assert pt.ball_code(None) is pt.code
+    assert calls == []
+
+
 def test_ball_laws_cut_no_ball_under_the_tie_cap(monkeypatch):
     # every code is read from the support complex; a ball would be cut only
     # for the automorphism searches of a tie wider than the cap

@@ -274,16 +274,30 @@ def test_kernel_mass_equals_normalized_betti():
             assert spectral_measure(cx, p).mass_at_zero() == betti_normalized(cx, p)
 
 
-def test_spectral_measure_guard_rails():
+def test_spectral_measure_guard_rails(monkeypatch):
     cx = fixtures()["filled_triangle"]
-    with pytest.raises(ValidationError):
-        spectral_measure(cx, 1, cap=2)
-    # an absurd zero tolerance swallows genuine eigenvalues and must be caught
-    with pytest.raises(CrossCheckError):
-        spectral_measure(torus_tower(1, 5), 0, zero_tol=2.0)
     empty_degree = spectral_measure(cx, 5)
     assert empty_degree.total_mass() == 0
     assert empty_degree.spectral_radius() == 0.0
+    # operator_norm_bounds takes its radius from spectral_measure, so both
+    # refuse the empty complex alike and read the cap and the zero
+    # tolerance when called
+    empty = SimplicialComplex([])
+    with pytest.raises(ValidationError) as measured:
+        spectral_measure(empty, 1)
+    with pytest.raises(ValidationError) as bounded:
+        operator_norm_bounds(empty, 1, 0)
+    assert str(bounded.value) == str(measured.value)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "DENSE_EIGENSOLVE_CAP", 2)
+        with pytest.raises(ValidationError, match="dense eigensolver cap"):
+            spectral_measure(cx, 1)
+    # an absurd zero tolerance swallows genuine eigenvalues and must be caught
+    monkeypatch.setattr(spectral, "ZERO_TOL", 2.0)
+    with pytest.raises(CrossCheckError):
+        spectral_measure(torus_tower(1, 5), 0)
+    with pytest.raises(CrossCheckError):
+        operator_norm_bounds(torus_tower(1, 5), 1, 2)
 
 
 def test_euler_poincare_fixtures_and_random():
