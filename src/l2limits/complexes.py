@@ -16,7 +16,6 @@ from .errors import MalformedInputError, ValidationError
 __all__ = [
     "SimplicialComplex",
     "RootedComplex",
-    "closure",
     "rooted_at",
 ]
 
@@ -317,11 +316,6 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def closure(maximal) -> SimplicialComplex:
-    """Module-level alias for :meth:`SimplicialComplex.closure`."""
-    return SimplicialComplex.closure(maximal)
 
 
 def rooted_at(cx: SimplicialComplex, root: int) -> RootedComplex:

@@ -14,11 +14,10 @@ import math
 from fractions import Fraction
 
 from .complexes import RootedComplex, SimplicialComplex
-from .errors import CrossCheckError, HypothesisViolationError, ValidationError
+from .errors import HypothesisViolationError, ValidationError
 from .measures import (RandomRootedComplex, _local_distance, ball_distribution,
                        uniform_rooting)
-from .spectral import (SpectralMeasure, _Incidence, _radius_bound,
-                       spectral_measure)
+from .spectral import _Incidence, _radius_bound, spectral_measure
 
 __all__ = [
     "MomentVector",
@@ -94,31 +93,49 @@ def _check_moment_args(p: int, order: int) -> None:
         raise ValidationError("moment order must be nonnegative")
 
 
-def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple:
-    """m_0..m_order at ``root``, by walks from the root's carriers.
+def _carrier_walk(row, carrier: tuple, order: int) -> tuple:
+    """⟨Δ^r σ, σ⟩ for r = 0..order at the carrier σ: each pass takes
+    v_k = Δ v_{k-1} over the rows of v_{k-1}'s simplices, then
+    ⟨v_k, v_{k-1}⟩ and ‖v_k‖² (see :func:`_walk_moments`)."""
+    diagonal = [1]
+    prev = {carrier: 1}
+    while len(diagonal) <= order:
+        cur: dict = {}
+        get = cur.get
+        for s, c in prev.items():
+            for t, a in row(s):
+                cur[t] = get(t, 0) + a * c
+        diagonal.append(sum(c * cur.get(s, 0) for s, c in prev.items()))
+        if len(diagonal) <= order:
+            diagonal.append(sum(c * c for c in cur.values()))
+        prev = cur
+    return tuple(diagonal)
 
-    Per carrier σ, with v_k = Δ^k σ, symmetry gives ⟨Δ^{2k} σ, σ⟩ =
-    ‖v_k‖² and ⟨Δ^{2k+1} σ, σ⟩ = ⟨Δ v_k, v_k⟩ = ‖d_p v_k‖² +
-    ‖d_{p+1}ᵀ v_k‖², so ceil(order/2) applications of Δ yield every order.
-    Each application moves to simplices sharing a face or a coface with
-    the last, so a walk reads only the (order//2 + 1)-ball around the root,
-    wherever the complex ends.
+
+def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple:
+    """m_0..m_order at ``root``: Σ ⟨Δ^r σ, σ⟩/(p+1) over its carriers σ.
+
+    Per carrier σ, with v_0 = σ and v_k = Δ v_{k-1}, symmetry of Δ gives
+    ⟨Δ^{2k-1} σ, σ⟩ = ⟨v_k, v_{k-1}⟩ and ⟨Δ^{2k} σ, σ⟩ = ‖v_k‖², so
+    ceil(order/2) passes of :func:`_carrier_walk` over the incidence's
+    memoized rows yield every order.  A row reaches the simplices sharing
+    a face or a coface with its own, so the walk reads only the stars of
+    the (order//2 + 1)-ball around the root, wherever the complex ends.
+    The incidence keeps each carrier's diagonal, keyed by (carrier,
+    order), so roots that share a carrier walk it once.
     """
     _check_moment_args(p, order)
     totals = [0] * (order + 1)
+    walks = incidence.walks
     for carrier in incidence.star(root):
         if len(carrier) != p + 1:
             continue
-        vec = {carrier: 1}
-        for r in range(order + 1):
-            if r % 2 == 0:
-                totals[r] += sum(c * c for c in vec.values())
-                continue
-            down, up = incidence.split(vec)
-            totals[r] += (sum(c * c for c in down.values())
-                          + sum(c * c for c in up.values()))
-            if r < order:
-                vec = incidence.join(down, up)
+        key = (carrier, order)
+        diagonal = walks.get(key)
+        if diagonal is None:
+            diagonal = walks[key] = _carrier_walk(incidence.row, carrier, order)
+        for r, m in enumerate(diagonal):
+            totals[r] += m
     return tuple(Fraction(t, p + 1) for t in totals)
 
 
@@ -126,7 +143,8 @@ def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
     """m_0..m_order of :func:`local_moment`, from one walk per carrier.
 
     The walk reads the stars of ``rc.complex`` itself: it cuts no ball and
-    builds no Laplacian rows, so a sample costs what the walk reaches.
+    builds only the Laplacian rows it reaches, so a sample costs what the
+    walk reaches.
     """
     return _walk_moments(_Incidence(rc.complex), rc.root, p, order)
 
@@ -143,7 +161,8 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
 def _weighted_moments(roots, p: int, order: int) -> MomentVector:
     """Σ weight · m_r over (complex, root, weight) triples, exactly.
 
-    Roots in one complex share one memo of its faces and cofaces.
+    Roots in one complex share one :class:`_Incidence`: its rows, and the
+    walk of each carrier, are computed once.
     """
     moments = [_ZERO] * (order + 1)
     incidences = {}
@@ -168,11 +187,12 @@ def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVec
 def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVector:
     """Average local moments over every vertex; equals the uniform-rooting moments.
 
-    One walk per vertex over ``cx`` itself, sharing one memo of faces and
-    cofaces; no ball is cut and nothing is searched.  On a complex with few
-    rooted isomorphism classes, such as a vertex-transitive one,
-    ``moments_of_measure(uniform_rooting(cx), p, order)`` walks once per
-    class and is the cheaper route.
+    One walk per p-simplex over ``cx`` itself: a simplex is a carrier of
+    each of its p+1 vertices but is walked once, and each row of Δ_p is
+    built once; no ball is cut and nothing is searched.  On a complex
+    with few rooted isomorphism classes, such as a vertex-transitive one,
+    ``moments_of_measure(uniform_rooting(cx), p, order)`` walks only the
+    carriers of one root per class and is the cheaper route.
     """
     verts = cx.vertices
     if not verts:
@@ -251,7 +271,7 @@ def _check_eps(eps) -> None:
         raise ValidationError("eps must lie strictly between 0 and 1")
 
 
-def kernel_mass_bound(source, degree_bound: int, p: int, eps: float,
+def kernel_mass_bound(degree_bound: int, p: int, eps: float,
                       radius: float | None = None) -> float:
     """Upper bound on spectral mass in (-eps, eps) excluding the atom at 0.
 
@@ -261,8 +281,7 @@ def kernel_mass_bound(source, degree_bound: int, p: int, eps: float,
     max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p)) on the spectral radius of
     Delta_p at max degree D; pass the true radius when available for a
     sharper bound.  A radius at most 1 forces the nonzero spectrum to be
-    empty and the bound collapses to 0.  When ``source`` is a full
-    spectral measure the bound is asserted against it.
+    empty and the bound collapses to 0.
     """
     _check_eps(eps)
     if degree_bound < 0:
@@ -270,16 +289,9 @@ def kernel_mass_bound(source, degree_bound: int, p: int, eps: float,
     if radius is None:
         radius = _radius_bound(p, degree_bound)
     if radius <= 1:
-        bound = 0.0
-    else:
-        bound = (math.log(radius) * math.comb(degree_bound, p)
-                 / ((p + 1) * math.log(1.0 / eps)))
-    if isinstance(source, SpectralMeasure):
-        mass = float(source.near_zero_mass(eps))
-        if mass > bound + 1e-12:
-            raise CrossCheckError(
-                f"near-zero mass {mass} exceeds counting bound {bound}")
-    return bound
+        return 0.0
+    return (math.log(radius) * math.comb(degree_bound, p)
+            / ((p + 1) * math.log(1.0 / eps)))
 
 
 def _resolve_threads(threads) -> int:
@@ -437,7 +449,7 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
         trends[f"nu_eps_{eps:g}"] = _trend([row["nu"][eps] for row in rows])
     trends["dist_to_last"] = _trend(distances)
 
-    bounds = {eps: kernel_mass_bound(None, observed_bound, p, eps)
+    bounds = {eps: kernel_mass_bound(observed_bound, p, eps)
               for eps in eps_list}
     report = ConvergenceReport(p, order, eps_list, rmax, labels, rows,
                                distances, trends, observed_bound, bounds)

@@ -7,8 +7,9 @@ cross-checks the eigensolver's kernel count against the exact rank route
 and refuses to return on disagreement.
 
 Both routes, and the moment walk of ``estimators``, take their signs from
-one rule, :func:`_signed_faces`; :func:`boundary_matrix` is an independent
-reference that computes no rank, Laplacian row or moment.
+one rule, :func:`_signed_faces`; the walk's cofaces read it backwards.
+:func:`boundary_matrix` is an independent reference that computes no rank,
+Laplacian row or moment.
 """
 
 from __future__ import annotations
@@ -55,21 +56,27 @@ def _signed_faces(s: tuple) -> list:
 
 
 class _Incidence:
-    """Signed faces and cofaces of the simplices of one complex, on demand.
+    """Signed faces, cofaces and Laplacian rows of one complex, on demand.
 
-    Faces come from :func:`_signed_faces`; a simplex's cofaces are read
-    from the star of its first vertex, each with the sign the simplex has
-    among that coface's memoized faces.  Both are memoized for the lifetime
-    of the instance, so walks pay for the simplices they reach and for no
-    others.
+    Faces come from :func:`_signed_faces`.  A simplex's cofaces are read
+    from the star of its first vertex; the face of a coface omitting its
+    i-th vertex carries sign (-1)**i there, so the simplex's sign in a
+    coface is read from the index of the vertex the coface adds.  Faces,
+    cofaces and rows are memoized for the lifetime of the instance, so
+    walks pay for the simplices they reach and for no others.  ``walks``
+    keeps the diagonal ⟨Δ^r σ, σ⟩ of each carrier σ that the moment walk of
+    ``estimators`` computed, keyed by (carrier, order), so a carrier shared
+    by several roots is walked once.
     """
 
-    __slots__ = ("star", "_faces", "_cofaces")
+    __slots__ = ("star", "walks", "_faces", "_cofaces", "_rows")
 
     def __init__(self, cx: SimplicialComplex):
         self.star = cx.star
+        self.walks: dict = {}
         self._faces: dict = {}
         self._cofaces: dict = {}
+        self._rows: dict = {}
 
     def faces(self, s: tuple) -> list:
         hit = self._faces.get(s)
@@ -80,41 +87,39 @@ class _Incidence:
     def cofaces(self, s: tuple) -> list:
         hit = self._cofaces.get(s)
         if hit is None:
-            size = len(s) + 1
+            n = len(s)
             hit = self._cofaces[s] = []
-            faces = self.faces
             for t in self.star(s[0]):
-                if len(t) == size:
-                    for face, sign in faces(t):
-                        if face == s:
-                            hit.append((t, sign))
-                            break
+                if len(t) == n + 1:
+                    # s is the face of t omitting t[i], if any, where i is
+                    # the first index at which the two differ
+                    i = 0
+                    while i < n and t[i] == s[i]:
+                        i += 1
+                    if t[i + 1:] == s[i:]:
+                        hit.append((t, -1 if i & 1 else 1))
         return hit
 
-    def split(self, vec: dict):
-        """(d_p v, d_{p+1}^T v) for a p-chain v; <Delta_p v, v> is the sum
-        of their squared norms."""
-        down: dict = {}
-        up: dict = {}
-        faces, cofaces = self.faces, self.cofaces
-        for s, c in vec.items():
-            for f, sign in faces(s):
-                down[f] = down.get(f, 0) + sign * c
-            for t, sign in cofaces(s):
-                up[t] = up.get(t, 0) + sign * c
-        return down, up
+    def row(self, s: tuple) -> list:
+        """[(simplex, entry)] of the row of Delta_p at the p-simplex ``s``,
+        without zero entries: d_p^T d_p through its faces' cofaces, plus
+        d_{p+1} d_{p+1}^T through its cofaces' faces."""
+        hit = self._rows.get(s)
+        if hit is None:
+            hit = self._rows[s] = self._row(s)
+        return hit
 
-    def join(self, down: dict, up: dict) -> dict:
-        """Delta_p v = d_p^T (d_p v) + d_{p+1} (d_{p+1}^T v), from :meth:`split`."""
-        out: dict = {}
+    def _row(self, s: tuple) -> list:
+        entries: dict = {}
+        get = entries.get
         faces, cofaces = self.faces, self.cofaces
-        for f, c in down.items():
-            for s, sign in cofaces(f):
-                out[s] = out.get(s, 0) + sign * c
-        for t, c in up.items():
-            for s, sign in faces(t):
-                out[s] = out.get(s, 0) + sign * c
-        return out
+        for f, a in faces(s):
+            for t, b in cofaces(f):
+                entries[t] = get(t, 0) + a * b
+        for t, a in cofaces(s):
+            for f, b in faces(t):
+                entries[f] = get(f, 0) + a * b
+        return [(t, c) for t, c in entries.items() if c]
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
-from l2limits.complexes import (RootedComplex, SimplicialComplex, _bfs,
-                                closure, rooted_at)
+from l2limits.complexes import RootedComplex, SimplicialComplex, _bfs, rooted_at
 from l2limits.errors import MalformedInputError, ValidationError
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import uniform_rooting
+
+closure = SimplicialComplex.closure
 
 
 def test_closure_expands_faces():

@@ -6,7 +6,7 @@ import pytest
 
 import l2limits.encoding as encoding
 from conftest import random_connected_complex
-from l2limits.complexes import SimplicialComplex, closure, rooted_at
+from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.encoding import (CanonicalCode, _ball_code, _refined_colors,
                                bs_distance, canonical_code,
                                find_rooted_isomorphism, index_of_subset,
@@ -14,6 +14,8 @@ from l2limits.encoding import (CanonicalCode, _ball_code, _refined_colors,
 from l2limits.errors import ValidationError
 from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import ball_distribution, uniform_rooting
+
+closure = SimplicialComplex.closure
 
 
 def test_subset_enumeration_start():

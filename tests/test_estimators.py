@@ -7,9 +7,8 @@ import pytest
 
 import l2limits.estimators as estimators
 from conftest import random_complex
-from l2limits.complexes import SimplicialComplex, closure, rooted_at
-from l2limits.errors import (CrossCheckError, HypothesisViolationError,
-                             ValidationError)
+from l2limits.complexes import SimplicialComplex, rooted_at
+from l2limits.errors import HypothesisViolationError, ValidationError
 from l2limits.estimators import (MomentVector, RootSample, _local_moments,
                                  _resolve_threads, convergence_experiment,
                                  exhaustive_moments, kernel_mass_bound,
@@ -17,8 +16,11 @@ from l2limits.estimators import (MomentVector, RootSample, _local_moments,
                                  moments_of_measure, vertex_sampler)
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import expected_p_degree, uniform_rooting
-from l2limits.spectral import (SpectralMeasure, _laplacian_rows,
+from l2limits.spectral import (SpectralMeasure, _Incidence, _laplacian_rows,
+                               _signed_faces, boundary_matrix,
                                laplacian_matrix, spectral_measure)
+
+closure = SimplicialComplex.closure
 
 
 def test_local_moment_cycle_values():
@@ -99,21 +101,25 @@ def test_one_ball_gives_every_order():
 
 
 def test_local_moments_exact_where_the_ball_is_cut():
-    # balls far smaller than the complex: truncated rows must not leak in
+    # balls smaller than the complex, handed in whole or cut at the
+    # (order//2 + 1)-ball: truncated rows must not leak in
     rng = np.random.default_rng(83)
     torus = torus_tower(2, 10)
     kept = [t for t in torus.faces(2) if rng.random() < 0.7]
     cx = closure(list(torus.faces(1)) + kept)
     for p in (0, 1):
         lap = laplacian_matrix(cx, p)
-        powers = [np.linalg.matrix_power(lap, r) for r in range(7)]
+        powers = [np.linalg.matrix_power(lap, r) for r in range(10)]
         for v in (0, 37, 55):
             carriers = [i for i, s in enumerate(cx.faces(p)) if v in s]
             want = tuple(Fraction(int(sum(pw[i, i] for i in carriers)), p + 1)
                          for pw in powers)
-            for order in (5, 6):
-                assert _local_moments(rooted_at(cx, v), p, order) == \
-                    want[:order + 1]
+            for order in range(5, 10):
+                rc = rooted_at(cx, v)
+                ball = rc.ball(order // 2 + 1)
+                assert len(ball.complex) < len(cx)
+                for sample in (rc, ball):
+                    assert _local_moments(sample, p, order) == want[:order + 1]
 
 
 def test_moments_read_only_the_half_order_ball():
@@ -131,27 +137,92 @@ def test_moments_read_only_the_half_order_ball():
             want = tuple(
                 Fraction(int(sum(np.linalg.matrix_power(lap, r)[i, i]
                                  for i in carriers)), p + 1)
-                for r in range(7))
-            for order in range(7):
+                for r in range(10))
+            for order in range(10):
                 ball = rc.ball(order // 2 + 1)
                 proper += len(ball.complex) < len(comp)
                 assert _local_moments(ball, p, order) == want[:order + 1]
     assert proper > 0
 
 
-def test_walk_passes_reproduce_laplacian_rows():
-    # the walk's two passes and the eigensolver's rows share one sign convention
+def test_incidence_rows_reproduce_laplacian_rows():
+    # the walk's rows, the eigensolver's rows and the dense reference
+    # d_p^T d_p + d_{p+1} d_{p+1}^T agree, with zero entries dropped
     rng = np.random.default_rng(97)
     for _ in range(20):
         cx = random_complex(rng, 10)
+        incidence = _Incidence(cx)
         for p in range(3):
             faces = cx.faces(p)
             index = {s: i for i, s in enumerate(faces)}
-            incidence = estimators._Incidence(cx)
+            down = boundary_matrix(cx, p).dense()
+            up = boundary_matrix(cx, p + 1).dense()
+            dense = down.T @ down + up @ up.T
             for j, row in enumerate(_laplacian_rows(cx, p)):
-                got = incidence.join(*incidence.split({faces[j]: 1}))
-                assert {index[s]: c for s, c in got.items() if c} == \
-                    {k: c for k, c in row.items() if c}
+                got = incidence.row(faces[j])
+                assert all(c for _, c in got)
+                got = {index[s]: c for s, c in got}
+                assert got == {k: c for k, c in row.items() if c}
+                assert got == {int(k): int(dense[j, k])
+                               for k in np.flatnonzero(dense[j])}
+
+
+def test_coface_signs_invert_signed_faces():
+    # a coface's sign is the simplex's sign among that coface's faces
+    rng = np.random.default_rng(101)
+    cases = list(fixtures().values())
+    cases += [random_complex(rng, 10) for _ in range(20)]
+    for cx in cases:
+        incidence = _Incidence(cx)
+        for p in range(cx.dim + 1):
+            for s in cx.faces(p):
+                cofaces = incidence.cofaces(s)
+                assert sorted(t for t, _ in cofaces) == \
+                    [t for t in cx.faces(p + 1) if set(s) <= set(t)]
+                for t, sign in cofaces:
+                    assert (s, sign) in _signed_faces(t)
+
+
+def test_exhaustive_moments_order_8_is_the_trace():
+    torus = torus_tower(2, 6)
+    n = len(torus.vertices)
+    for p in range(3):
+        lap = laplacian_matrix(torus, p).astype(np.int64)
+        power = np.eye(len(lap), dtype=np.int64)
+        want = []
+        for r in range(9):
+            want.append(Fraction(int(np.trace(power)), n))
+            power = power @ lap
+        assert exhaustive_moments(torus, p, 8).moments == tuple(want)
+
+
+def test_exhaustive_moments_build_each_row_and_walk_each_carrier_once(
+        monkeypatch):
+    built, walked = [], []
+    build = _Incidence._row
+    walk = estimators._carrier_walk
+
+    def counted_build(self, s):
+        built.append(s)
+        return build(self, s)
+
+    def counted_walk(row, carrier, order):
+        walked.append(carrier)
+        return walk(row, carrier, order)
+
+    monkeypatch.setattr(_Incidence, "_row", counted_build)
+    monkeypatch.setattr(estimators, "_carrier_walk", counted_walk)
+    rng = np.random.default_rng(107)
+    torus = torus_tower(2, 8)
+    kept = [t for t in torus.faces(2) if rng.random() < 0.7]
+    for cx in (torus, closure(list(torus.faces(1)) + kept)):
+        for p in range(3):
+            built.clear()
+            walked.clear()
+            exhaustive_moments(cx, p, 6)
+            # every p-simplex is a carrier of each of its p + 1 vertices
+            assert sorted(walked) == list(cx.faces(p))
+            assert len(built) == len(set(built)) == len(cx.faces(p))
 
 
 @pytest.fixture
@@ -347,11 +418,11 @@ def test_kernel_mass_bound_formula():
     d, p, eps = 6, 1, 0.5
     radius = 27  # max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p))
     want = math.log(radius) * math.comb(d, p) / ((p + 1) * math.log(1 / eps))
-    assert kernel_mass_bound(None, d, p, eps) == pytest.approx(want)
-    sharper = kernel_mass_bound(None, d, p, eps, radius=2.0)
+    assert kernel_mass_bound(d, p, eps) == pytest.approx(want)
+    sharper = kernel_mass_bound(d, p, eps, radius=2.0)
     assert sharper < want
-    assert kernel_mass_bound(None, d, p, eps, radius=1.0) == 0.0
-    assert kernel_mass_bound(None, 0, 0, 0.5) == 0.0  # a priori radius is 1
+    assert kernel_mass_bound(d, p, eps, radius=1.0) == 0.0
+    assert kernel_mass_bound(0, 0, 0.5) == 0.0  # a priori radius is 1
 
 
 def test_kernel_mass_bound_default_radius_holds():
@@ -365,28 +436,33 @@ def test_kernel_mass_bound_default_radius_holds():
         for p in range(cx.dim + 1):
             radius = spectral_measure(cx, p).spectral_radius()
             for eps in (0.5, 0.1):
-                true_bound = kernel_mass_bound(None, degree, p, eps,
+                true_bound = kernel_mass_bound(degree, p, eps,
                                                radius=radius)
-                assert kernel_mass_bound(None, degree, p, eps) >= \
+                assert kernel_mass_bound(degree, p, eps) >= \
                     true_bound - 1e-12, (name, p, eps)
 
 
 def test_kernel_mass_bound_validation():
     for bad_eps in (0.0, 1.0, -0.2, 2.0):
         with pytest.raises(ValidationError):
-            kernel_mass_bound(None, 6, 1, bad_eps)
+            kernel_mass_bound(6, 1, bad_eps)
     with pytest.raises(ValidationError):
-        kernel_mass_bound(None, -1, 1, 0.5)
+        kernel_mass_bound(-1, 1, 0.5)
 
 
 def test_kernel_mass_bound_checks_measures():
-    nu = spectral_measure(torus_tower(2, 8), 1)
-    bound = kernel_mass_bound(nu, 6, 1, 0.5)
-    assert float(nu.near_zero_mass(0.5)) <= bound
-    # a fabricated measure crammed with tiny eigenvalues must be rejected
+    # the counting bound at the complex's max degree holds on every measure
+    corpus = dict(fixtures(), torus8=torus_tower(2, 8))
+    for name, cx in corpus.items():
+        for p in range(cx.dim + 1):
+            nu = spectral_measure(cx, p)
+            for eps in (0.5, 0.1):
+                bound = kernel_mass_bound(cx.max_degree(), p, eps)
+                assert float(nu.near_zero_mass(eps)) <= bound + 1e-12, \
+                    (name, p, eps)
+    # a fabricated measure crammed with tiny eigenvalues breaks it
     fake = SpectralMeasure(1, 2, (0.001, 0.001, 0.001, 0.001), 0)
-    with pytest.raises(CrossCheckError):
-        kernel_mass_bound(fake, 1, 1, 0.5)
+    assert float(fake.near_zero_mass(0.5)) > kernel_mass_bound(1, 1, 0.5)
 
 
 def test_convergence_experiment_torus_rows():

@@ -26,12 +26,14 @@ if __name__ == "__main__":  # run as a script from a checkout
 
 import numpy as np
 
-from l2limits.complexes import closure, rooted_at
+from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.estimators import _local_moments, monte_carlo_moments, vertex_sampler
 from l2limits.generators import fixtures, linial_meshulam, random_flag, torus_tower
 from l2limits.measures import uniform_rooting
 from l2limits.spectral import betti, boundary_rank, laplacian_matrix
+
+closure = SimplicialComplex.closure
 
 GOLDEN = Path(__file__).resolve().parent / "golden_moments.json"
 ORDER = 6

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_complex
 import l2limits.measures as measures
-from l2limits.complexes import RootedComplex, SimplicialComplex, closure, rooted_at
+from l2limits.complexes import RootedComplex, SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.errors import ValidationError
 from l2limits.generators import fixtures, random_flag, torus_tower
@@ -15,6 +15,8 @@ from l2limits.measures import (BallDistribution, RandomRootedComplex,
                                measure_distance, non_unimodular_example,
                                standard_battery, total_variation,
                                uniform_rooting)
+
+closure = SimplicialComplex.closure
 
 
 def weight_of(mu, predicate):

@@ -8,7 +8,7 @@ import pytest
 
 import l2limits.spectral as spectral
 from conftest import random_complex, random_connected_complex
-from l2limits.complexes import SimplicialComplex, closure
+from l2limits.complexes import SimplicialComplex
 from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.estimators import exhaustive_moments
 from l2limits.exact import rational_rank
@@ -19,6 +19,8 @@ from l2limits.spectral import (_laplacian_rows, _radius_bound, _signed_faces,
                                laplacian_matrix, operator_norm_bounds,
                                spectral_measure, write_betti_csv,
                                write_spectrum_csv)
+
+closure = SimplicialComplex.closure
 
 BETTI_ORACLE = {
     "single_vertex": (1,),
