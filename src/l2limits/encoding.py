@@ -15,7 +15,10 @@ search below restrict itself to layer-by-layer orderings.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 
 from .complexes import RootedComplex, SimplicialComplex, _bfs
 from .errors import ValidationError
@@ -365,16 +368,27 @@ def _prune_automorphic(ctx, vert, colour, partials):
 
 
 def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
-                     masks: list, simplices: list) -> tuple:
-    """Positions in the label order of the minimal code.
+                     masks: list, simplices: list, starts: list) -> tuple:
+    """The tied minimal label orders, as positions, and whether the search
+    passed ``_TIE_CAP`` (and so searched automorphisms).
 
     Position i is vertex ``vert[i]`` of ``cx``, at distance ``layer[i]``
     from the root at position 0.  The ball's simplices are given as
     bitmasks of positions (``masks``) and, in the same order, as vertex
     tuples of ``cx`` (``simplices``).  ``cx`` is read only to cut the ball
     when a tie passes ``_TIE_CAP`` and automorphisms are searched.
+
+    ``starts`` are the tied minimal orders of an inner ball, each labelling
+    the same m positions, which must be the positions of the first layers
+    (``[(0,)]``, the root alone, starts from scratch).  The search labels
+    those positions from each order and continues at label m.  Up to label
+    m a fresh search reads only simplices among the first m positions, so
+    when the inner ball's own search never passed the tie cap, its final
+    branches are exactly the fresh search's branches at label m, and the
+    result is the same.
     """
     n = len(vert)
+    m = len(starts[0])
     # label k goes to the layer of position k: labels fill layers in order
     layer_mask = [0] * n
     lo = 0
@@ -383,20 +397,32 @@ def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
             layer_mask[lo:hi] = [(1 << hi) - (1 << lo)] * (hi - lo)
             lo = hi
     # incidence: each position's neighbours as bits, and the simplices of
-    # dimension >= 2 through it as (mask, positions)
+    # dimension >= 2 through it as (mask, positions); and for each position
+    # w past the m started ones, the simplices through w whose other
+    # positions are all started, by those positions: edges, then the rest
     nbrs = [[] for _ in range(n)]
     cofaces = [[] for _ in range(n)]
+    crossing = {}
     index = {v: i for i, v in enumerate(vert)}.__getitem__
     for mask, simplex in zip(masks, simplices):
         if len(simplex) == 2:
             low = mask & -mask
-            nbrs[low.bit_length() - 1].append(mask ^ low)
-            nbrs[mask.bit_length() - 1].append(low)
+            i = low.bit_length() - 1
+            w = mask.bit_length() - 1
+            nbrs[i].append(mask ^ low)
+            nbrs[w].append(low)
+            if i < m <= w:
+                crossing.setdefault(w, ([], []))[0].append(i)
         elif len(simplex) > 2:
             simplex = tuple(map(index, simplex))
             item = (mask, simplex)
             for i in simplex:
                 cofaces[i].append(item)
+            rest = mask >> m
+            if rest and not rest & (rest - 1):
+                w = rest.bit_length() - 1 + m
+                crossing.setdefault(w, ([], []))[1].append(
+                    [i for i in simplex if i != w])
     top = 1 << n
 
     # A branch is (order, blocks, labelled, bits): positions in label order,
@@ -410,10 +436,28 @@ def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
     # holds bit k and outweighs every earlier entry, so blocks only grow at
     # their end.  (The singleton adds 0 to every block and is left out.)
     # The smallest block wins the label; every tie is carried as its own
-    # branch.
-    partials = [((), [(top,)] * n, 0, [0] * n)]
+    # branch.  A started branch has labelled positions 0..m-1, so the
+    # block of each later position holds one entry per crossing simplex,
+    # sorted: the blocks a search from the root would have built by then.
+    partials = []
+    started = (1 << m) - 1
+    for start in starts:
+        bits = [0] * n
+        for k, i in enumerate(start):
+            bits[i] = 1 << k
+        blocks = [(top,)] * n
+        get = bits.__getitem__
+        for w, (ends, faces) in crossing.items():
+            if faces:
+                entries = [*map(get, ends), *[sum(map(get, f)) for f in faces]]
+                entries.sort()
+                blocks[w] = (*entries, top)
+            else:
+                blocks[w] = (*sorted(map(get, ends)), top)
+        partials.append((tuple(start), blocks, started, bits))
+    pruned = False
     ctx = None
-    for k in range(n):
+    for k in range(m, n):
         in_layer = layer_mask[k]
         best = None
         chosen = []
@@ -470,13 +514,22 @@ def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
             partials.append((order, blocks, labelled, bits))
         partials.reverse()
         if len(partials) > _TIE_CAP:
+            pruned = True
             if ctx is None:
                 # the ball is cut only here, for the automorphism searches
                 ball = cx if n == len(cx.faces(0)) else cx.induced(vert)
                 ctx = _IsoContext(ball)
                 colour = [ctx.colors[ctx.idx[v]] for v in vert]
             partials = _prune_automorphic(ctx, vert, colour, partials)
-    return partials[0][0]
+    return [branch[0] for branch in partials], pruned
+
+
+def _pack(masks: list, width: int) -> int:
+    """One int holding ``masks`` at ``width`` bits each, the first lowest."""
+    packed = 0
+    for mask in reversed(masks):
+        packed = packed << width | mask
+    return packed
 
 
 def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
@@ -486,11 +539,21 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     One breadth-first search puts the ball's vertices at positions in
     (distance, id) order, and one pass over their stars finds the ball's
     simplices: a simplex is taken from the star of its first vertex, and
-    only the stars of the outer layer are filtered.  The simplices as
-    bitmasks of positions key ``_CODE_CACHE``.  On a miss the masks give
-    the canonical search its incidence, and the simplices, relabelled,
-    the code's indices.  The ball is cut only when a tie passes
-    ``_TIE_CAP`` and automorphisms are searched.
+    only the stars of the outer layer are filtered.  ``_CODE_CACHE`` is
+    keyed by the vertex count n and the simplices as bitmasks of
+    positions, sorted and packed at n bits each (:func:`_pack`).  On a miss
+    the masks give the canonical search its incidence, and the simplices,
+    relabelled, the code's indices.  The ball is cut only when a tie
+    passes ``_TIE_CAP`` and automorphisms are searched.
+
+    An entry is (code, orders).  ``orders`` holds the search's tied minimal
+    orders back to back, one byte per position while n < 256 (an array of
+    unsigned ints past that), when the search never passed the tie cap and
+    the component has a simplex beyond the ball; else None.  The masks of a ball's (L-1)-ball, L its last
+    layer, are the masks below ``1 << m``, m the positions closer than L:
+    a prefix of the sorted masks, at the same positions.  So on a miss
+    with L >= 2 the search resumes from the orders of that inner entry, if
+    it has any, and starts from the root otherwise.
     """
     if r is not None and r < 0:
         raise ValidationError("ball radius must be nonnegative")
@@ -506,17 +569,36 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
                   if s[0] == v and all(map(inside, s))]
     get = bit.__getitem__
     masks = [sum(map(get, s)) for s in simplices]
-    key = frozenset(masks)
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        order = _canonical_order(cx, vert, [dist[v] for v in vert], masks,
-                                 simplices)
-        get = {vert[i]: 1 << k for k, i in enumerate(order)}.__getitem__
+    n = len(vert)
+    ordered = sorted(masks)
+    key = (n, _pack(ordered, n))
+    entry = _CODE_CACHE.get(key)
+    if entry is None:
+        layer = [dist[v] for v in vert]
+        last = layer[-1]
+        starts = [(0,)]
+        if last >= 2:
+            m = layer.index(last)
+            inner_key = (m, _pack(ordered[:bisect_left(ordered, 1 << m)], m))
+            kept = _CODE_CACHE.get(inner_key, (None, None))[1]
+            if kept is not None:
+                starts = [kept[i:i + m] for i in range(0, len(kept), m)]
+        orders, pruned = _canonical_order(cx, vert, layer, masks, simplices,
+                                          starts)
+        get = {vert[i]: 1 << k for k, i in enumerate(orders[0])}.__getitem__
         code = CanonicalCode(sorted([sum(map(get, s)) - 1 for s in simplices]))
+        # pruned branches are missing from the orders, and a ball without
+        # a neighbour outside its outer layer is its root's whole component
+        if pruned or all(inside(w) for v in vert[len(inner):]
+                         for w in cx.neighbors(v)):
+            orders = None
+        else:
+            flat = list(chain.from_iterable(orders))
+            orders = bytes(flat) if n < 256 else array("L", flat)
         if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
             _CODE_CACHE.clear()
-        _CODE_CACHE[key] = code
-    return code
+        entry = _CODE_CACHE[key] = (code, orders)
+    return entry[0]
 
 
 def canonical_code(rc: RootedComplex) -> CanonicalCode:

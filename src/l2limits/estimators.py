@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
+from numbers import Rational
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import HypothesisViolationError, ValidationError
@@ -54,10 +55,23 @@ class MomentVector:
         return len(self.moments) - 1
 
     def validate(self) -> None:
-        """Positivity checks every genuine moment sequence satisfies."""
+        """Positivity checks every genuine moment sequence satisfies.
+
+        Exact moments (ints and Fractions) are checked exactly: every
+        leading Hankel matrix H_k = (m_{i+j})_{i,j<=k} with 2k <= order
+        must be positive semidefinite.  The largest is eliminated
+        symmetrically in Fractions; the smaller ones are its leading
+        blocks, so they pass with it.  Monte Carlo moments (floats) get
+        only m_0 >= 0 and the 2x2 determinant m_0 m_2 - m_1^2 >= 0, with
+        1e-7 slack for the rounding of sample means.
+        """
         if self.moments[0] < 0:
             raise ValidationError("m_0 is a mass and cannot be negative")
-        if self.order >= 2:
+        if all(isinstance(m, Rational) for m in self.moments):
+            if not _hankel_psd(self.moments):
+                raise ValidationError(
+                    "a Hankel matrix of the moments is not positive semidefinite")
+        elif self.order >= 2:
             m0, m1, m2 = (float(m) for m in self.moments[:3])
             # the floats of Monte Carlo means need a little slack
             if m0 * m2 - m1 * m1 < -1e-7:
@@ -68,6 +82,25 @@ class MomentVector:
 
     def __repr__(self) -> str:
         return f"MomentVector(p={self.p}, moments={self.moments})"
+
+
+def _hankel_psd(moments) -> bool:
+    """Whether (m_{i+j})_{i,j<=k}, k = (len(moments) - 1) // 2, is positive
+    semidefinite, by exact symmetric elimination: a negative pivot fails,
+    and a zero pivot passes only with a zero row."""
+    size = (len(moments) + 1) // 2
+    h = [[Fraction(moments[i + j]) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        pivot = h[i][i]
+        if pivot < 0 or (pivot == 0 and any(h[i][i + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for a in range(i + 1, size):
+            factor = h[a][i] / pivot
+            for b in range(i + 1, size):
+                h[a][b] -= factor * h[i][b]
+    return True
 
 
 class RootSample:

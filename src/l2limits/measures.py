@@ -221,22 +221,30 @@ def total_variation(p, q) -> Fraction:
 
 
 def _local_distance(laws_a, laws_b) -> Fraction:
-    """Sum over r of 2^-r times the TV gap between ``laws_a[r]`` and
-    ``laws_b[r]``, two lists of ball laws indexed by radius."""
+    """Sum over r >= 1 of 2^-r times the TV gap between ``laws_a[r]`` and
+    ``laws_b[r]``, two lists of ball laws indexed by radius.
+
+    Index 0 is not read: every 0-ball is the root alone, so the radius-0
+    gap of two laws is always 0.
+    """
     total = _ZERO
-    for r, (p, q) in enumerate(zip(laws_a, laws_b)):
-        total += Fraction(1, 2 ** r) * total_variation(p, q)
+    for r in range(1, min(len(laws_a), len(laws_b))):
+        total += Fraction(1, 2 ** r) * total_variation(laws_a[r], laws_b[r])
     return total
 
 
 def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
                      rmax: int) -> Fraction:
-    """Sum over r <= rmax of 2^-r times the TV gap between ball laws."""
+    """Sum over r <= rmax of 2^-r times the TV gap between ball laws.
+
+    The radius-0 term is always 0 (every 0-ball is the root alone), so ball
+    laws are built, and balls coded, only for r = 1..rmax.
+    """
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
-    radii = range(rmax + 1)
-    return _local_distance([ball_distribution(mu, r) for r in radii],
-                           [ball_distribution(nu, r) for r in radii])
+    radii = range(1, rmax + 1)
+    return _local_distance([None, *(ball_distribution(mu, r) for r in radii)],
+                           [None, *(ball_distribution(nu, r) for r in radii)])
 
 
 class MassTransportResult:

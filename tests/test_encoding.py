@@ -1,3 +1,6 @@
+import gc
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,6 +17,7 @@ from l2limits.encoding import (CanonicalCode, _ball_code, _refined_colors,
 from l2limits.errors import ValidationError
 from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import ball_distribution, uniform_rooting
+from test_golden import corpus
 
 closure = SimplicialComplex.closure
 
@@ -275,14 +279,7 @@ def test_discrete_colours_run_no_automorphism_search(monkeypatch):
     # every block, so the tie cap is passed, but refinement tells every
     # vertex apart and no branch can be another's automorphic image.
     # Neither the code nor uniform rooting then builds search masks.
-    legs = []
-    nxt = 1
-    for length in range(1, 7):
-        prev = 0
-        for _ in range(length):
-            legs.append((prev, nxt))
-            prev, nxt = nxt, nxt + 1
-    spider = closure(legs)
+    spider = _spider(range(1, 7))
     assert len(set(_refined_colors(spider).values())) == len(spider.vertices)
     prunes, searches, masks = [], [], []
     prune, search = encoding._prune_automorphic, encoding._search
@@ -309,6 +306,205 @@ def test_discrete_colours_run_no_automorphism_search(monkeypatch):
     assert len(uniform_rooting(spider)) == len(spider.vertices)
     assert searches == [] and masks == []
     assert _codes_without_pruning_match(monkeypatch, [rooted_at(spider, 0)])
+
+
+def _resume_pool():
+    """The golden corpus (fixtures, tori of side 5-7, random flag complexes
+    of seeds 0-11, Linial-Meshulam complexes) and flag complexes of seeds
+    12-59: 60 ``random_flag(16, 5/16, 3, s)`` in all."""
+    pool = [cx for _, cx in corpus()]
+    return pool + [random_flag(16, 5 / 16, 3, s) for s in range(12, 60)]
+
+
+def _spider(legs):
+    """Paths of the given lengths glued at vertex 0."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return closure(edges)
+
+
+@pytest.mark.parametrize("cap", [1, 4, 64])
+def test_resumed_search_equals_the_fresh_one(monkeypatch, cap):
+    # Radii 1, 2, 3 at every vertex, in that order, so the inner ball's
+    # entry is there when a ball misses.  Each search that resumes from
+    # an inner ball's orders runs again from the root alone: the tied
+    # orders and the pruning verdict must be identical.
+    search = encoding._canonical_order
+    resumed = []
+
+    def checked(cx, vert, layer, masks, simplices, starts):
+        got = search(cx, vert, layer, masks, simplices, starts)
+        if len(starts[0]) > 1:
+            resumed.append(len(starts))
+            assert got == search(cx, vert, layer, masks, simplices, [(0,)])
+        return got
+
+    monkeypatch.setattr(encoding, "_canonical_order", checked)
+    monkeypatch.setattr(encoding, "_TIE_CAP", cap)
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    # first a spider with legs 1..6: at cap 1 only balls without a tie
+    # keep orders, and an entry keeps the orders of the first ball coded
+    for cx in [_spider(range(1, 7))] + _resume_pool():
+        for v in cx.vertices:
+            for r in (1, 2, 3):
+                _ball_code(cx, v, r)
+    assert len(resumed) > {1: 20, 4: 400, 64: 1500}[cap]
+    if cap > 1:  # resumed with several tied orders
+        assert max(resumed) > 1
+
+
+def test_codes_do_not_depend_on_what_the_cache_holds(monkeypatch):
+    # cold: an empty cache for every code; then one cache with the
+    # requests shuffled, and one emptied before each radius
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    cache = encoding._CODE_CACHE
+    pool = list(fixtures().values()) + [torus_tower(2, 5)]
+    pool += [random_flag(16, 5 / 16, 3, s) for s in range(20)]
+    radii = (1, 2, 3, None)
+    cold = {}
+    for i, cx in enumerate(pool):
+        for v in cx.vertices:
+            for r in radii:
+                cache.clear()
+                cold[i, v, r] = _ball_code(cx, v, r)
+    jobs = list(cold)
+    random.Random(5).shuffle(jobs)
+    cache.clear()
+    assert [_ball_code(pool[i], v, r) for i, v, r in jobs] == [cold[j] for j in jobs]
+    for radius in (3, 2, None, 1):
+        cache.clear()
+        for i, v, r in jobs:
+            if r == radius:
+                assert _ball_code(pool[i], v, r) == cold[i, v, r]
+
+
+@pytest.mark.parametrize("cap", [4, 64])
+def test_orders_are_kept_only_from_unpruned_balls_with_more_beyond(
+        monkeypatch, cap):
+    # Each ball is coded into an empty cache and its one entry read back:
+    # it keeps the search's tied orders, byte-packed, unless the search
+    # passed the tie cap or the ball is its root's whole component.
+    search = encoding._canonical_order
+    results = []
+
+    def recorded(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(encoding, "_canonical_order", recorded)
+    monkeypatch.setattr(encoding, "_TIE_CAP", cap)
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    pool = list(fixtures().values()) + [torus_tower(2, 6)]
+    pool += [random_flag(16, 5 / 16, 3, s) for s in range(12)]
+    seen = set()
+    for cx in pool:
+        for v in cx.vertices:
+            dist = cx.distances(v)
+            for r in (1, 2, 3, None):
+                encoding._CODE_CACHE.clear()
+                _ball_code(cx, v, r)
+                ((n, _), (_, kept)), = encoding._CODE_CACHE.items()
+                orders, pruned = results[-1]
+                whole = r is None or max(dist.values()) <= r
+                if pruned or whole:
+                    assert kept is None
+                else:
+                    assert isinstance(kept, bytes)
+                    assert [tuple(kept[i:i + n])
+                            for i in range(0, len(kept), n)] == orders
+                seen.add((pruned, whole))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_a_ball_of_256_vertices_or_more_keeps_its_orders(monkeypatch):
+    # past 255 positions an order no longer fits one byte per position
+    search = encoding._canonical_order
+    starts = []
+
+    def recorded(*args):
+        starts.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(encoding, "_canonical_order", recorded)
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    path = closure([(i, i + 1) for i in range(300)])
+    _ball_code(path, 0, 280)
+    ((n, _), (_, kept)), = encoding._CODE_CACHE.items()
+    assert n == 281 and list(kept) == list(range(281))
+    code = _ball_code(path, 0, 281)
+    assert [list(start) for start in starts[1]] == [list(range(281))]
+    encoding._CODE_CACHE.clear()
+    assert code == canonical_code(rooted_at(path, 0).ball(281))
+
+
+def test_packed_keys_are_equal_exactly_when_the_mask_sets_are(monkeypatch):
+    # the frozenset of (distance, id) position masks was the key before
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    pairs = []
+    for cx in _resume_pool():
+        for v in cx.vertices:
+            dist = cx.distances(v)
+            for r in (1, 2, 3):
+                verts = sorted((u for u in dist if dist[u] <= r),
+                               key=lambda u: (dist[u], u))
+                bit = {u: 1 << i for i, u in enumerate(verts)}
+                masks = frozenset(sum(bit[u] for u in s)
+                                  for s in cx.induced(verts).simplices)
+                encoding._CODE_CACHE.clear()
+                _ball_code(cx, v, r)
+                key, = encoding._CODE_CACHE
+                pairs.append((masks, key))
+    assert len(pairs) > 3000
+    # equal partitions: each old key meets one new key, and back
+    assert len(set(pairs)) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+    assert len(set(pairs)) > 1000
+
+
+def test_code_cache_memory_per_entry(monkeypatch):
+    # radius-1 and radius-2 balls of every vertex of 40 sparse flag
+    # complexes; frozenset keys and bare codes retained about 4,370 B per
+    # entry here, packed keys with kept orders about 1,400 B
+    pool = [random_flag(16, 5 / 16, 3, s) for s in range(40)]
+
+    def code_all():
+        for cx in pool:
+            for v in cx.vertices:
+                for r in (1, 2):
+                    _ball_code(cx, v, r)
+
+    search = encoding._canonical_order
+    replies = []
+
+    def recorded(*args):
+        replies.append(search(*args))
+        return replies[-1]
+
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    monkeypatch.setattr(encoding, "_canonical_order", recorded)
+    code_all()
+    # The traced pass codes the same balls into an empty cache, in the
+    # same order, and replays each search's result: the searches' own
+    # short-lived allocations would make tracing slow, and no entry keeps
+    # any object they return.
+    encoding._CODE_CACHE.clear()
+    replay = iter(replies)
+    monkeypatch.setattr(encoding, "_canonical_order", lambda *args: next(replay))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code_all()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert next(replay, None) is None
+    assert len(encoding._CODE_CACHE) > 900
+    assert retained / len(encoding._CODE_CACHE) < 2500
 
 
 def test_canonical_code_rejects_disconnected():

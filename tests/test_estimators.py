@@ -300,6 +300,31 @@ def test_moment_vector_validation():
         MomentVector(0, (1.0, 2.0, 1.0)).validate()  # fails Cauchy-Schwarz
 
 
+def test_exact_moments_get_the_exact_hankel_check():
+    # H_2 of (1, 0, 1, 0, 1/2) has determinant -1/2, though its 2x2 block
+    # passes; (1, 1, 1, 2, 5) leaves a zero pivot over a nonzero row
+    for moments in ((1, 0, 1, 0, Fraction(1, 2)), (1, 1, 1, 2, 5)):
+        with pytest.raises(ValidationError, match="Hankel"):
+            MomentVector(0, moments).validate()
+        # Monte Carlo moments keep only the float 2x2 check
+        MomentVector(0, [float(m) for m in moments]).validate()
+    MomentVector(0, (1, 0, 0, 0, 0, 0, 0)).validate()  # point mass at 0
+    MomentVector(0, (2, 2, 2, 2, 2, 2, 2)).validate()  # mass 2 at 1
+    with pytest.raises(ValidationError, match="Hankel"):
+        MomentVector(0, (Fraction(1), Fraction(2), Fraction(3))).validate()
+
+
+def test_exact_check_accepts_every_golden_moment_vector():
+    from test_golden import DIMS, ORDER, corpus
+    checked = 0
+    for _, cx in corpus():
+        for p in DIMS:
+            for v in cx.vertices:
+                MomentVector(p, _local_moments(rooted_at(cx, v), p, ORDER)).validate()
+                checked += 1
+    assert checked > 1000
+
+
 def test_measure_moments_match_eigenvalues():
     rng = np.random.default_rng(73)
     for _ in range(15):

@@ -243,6 +243,32 @@ def test_measure_distance_hollow_vs_filled():
         measure_distance(hollow, filled, -1)
 
 
+def test_measure_distance_codes_no_radius_zero_ball(monkeypatch):
+    # Every 0-ball is the root alone, so the old sum from r = 0 has the
+    # same value; the distances are taken first, on fresh laws, so no
+    # code is memoized before them.
+    rng = np.random.default_rng(53)
+    laws = [uniform_rooting(random_complex(rng, 8)) for _ in range(8)]
+    radii = []
+    code = measures._ball_code
+
+    def counted(cx, root, r=None):
+        radii.append(r)
+        return code(cx, root, r)
+
+    monkeypatch.setattr(measures, "_ball_code", counted)
+    got = {(i, j, rmax): measure_distance(a, b, rmax)
+           for i, a in enumerate(laws) for j, b in enumerate(laws)
+           for rmax in range(4)}
+    assert radii and 0 not in radii
+    for (i, j, rmax), value in got.items():
+        old = sum((Fraction(1, 2 ** r) * total_variation(
+            ball_distribution(laws[i], r), ball_distribution(laws[j], r))
+            for r in range(rmax + 1)), Fraction(0))
+        assert value == old
+    assert len(set(got.values())) > 5
+
+
 def test_measure_distance_triangle_inequality():
     rng = np.random.default_rng(47)
     laws = [uniform_rooting(random_complex(rng, 8)) for _ in range(6)]
