@@ -310,10 +310,20 @@ def test_discrete_colours_run_no_automorphism_search(monkeypatch):
 
 def _resume_pool():
     """The golden corpus (fixtures, tori of side 5-7, random flag complexes
-    of seeds 0-11, Linial-Meshulam complexes) and flag complexes of seeds
-    12-59: 60 ``random_flag(16, 5/16, 3, s)`` in all."""
+    of seeds 0-11, Linial-Meshulam complexes), flag complexes of seeds
+    12-59 (60 ``random_flag(16, 5/16, 3, s)`` in all), and side-6 tori
+    with half their triangles dropped.  In a flag complex every triangle
+    is implied by its edges, so only the last group has balls whose
+    triangles tell apart vertices that their edges do not."""
     pool = [cx for _, cx in corpus()]
-    return pool + [random_flag(16, 5 / 16, 3, s) for s in range(12, 60)]
+    pool += [random_flag(16, 5 / 16, 3, s) for s in range(12, 60)]
+    torus = torus_tower(2, 6)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        tris = torus.faces(2)
+        kept = [t for t, x in zip(tris, rng.random(len(tris))) if x < 0.5]
+        pool.append(closure(list(torus.faces(1)) + kept))
+    return pool
 
 
 def _spider(legs):
