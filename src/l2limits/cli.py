@@ -17,8 +17,8 @@ from .formats import load_measure, read_scx, scx_text, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
 from .measures import (degree_truncate, mass_transport_check,
                        measure_distance, standard_battery)
-from .spectral import (_betti_numbers, _pinned_measure, _radius_bound,
-                       spectral_measure, write_spectrum_csv)
+from .spectral import (_betti_numbers, _boundary_ranks, _nonzero_spectrum,
+                       _radius_bound, spectral_measure, write_spectrum_csv)
 
 __all__ = ["main", "build_parser"]
 
@@ -67,13 +67,16 @@ def _cmd_betti(args):
         print("empty complex")
         return 0
     ps = [args.p] if args.p is not None else range(cx.dim + 1)
-    for p, b in _betti_numbers(cx, ps).items():
+    ranks = _boundary_ranks(cx, ps)
+    for p, b in _betti_numbers(cx, ps, ranks).items():
         norm = Fraction(b, len(cx.faces(0)))
         print(f"p={p} b={b} norm={norm}")
-        if args.exact:
-            # raises CrossCheckError unless the eigensolver's kernel is b
-            _pinned_measure(cx, p, b)
     if args.exact:
+        # the Gram piece of d_q serves Delta_{q-1} and Delta_q, so each is
+        # solved once; each raises CrossCheckError unless its zero cluster
+        # is its order minus rank d_q, which makes b_p the kernel of Delta_p
+        for q, rank in ranks.items():
+            _nonzero_spectrum(cx, q, rank)
         print("cross-check: eigensolver kernel mass matches exact rank")
     return 0
 

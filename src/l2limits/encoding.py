@@ -125,13 +125,16 @@ class CanonicalCode:
 def _refined_colors(cx: SimplicialComplex) -> dict:
     """Vertex colours from iterated star refinement (1-WL on simplices).
 
-    A vertex starts with the sorted sizes of its star.  Each round hashes
-    a vertex's old colour with the sorted colours of the simplices in its
-    star, a simplex's colour being the sorted colours of its vertices (the
-    vertex's own colour is known, so this splits vertices exactly as the
-    colours of each simplex's other vertices would, with one sort per
-    simplex).  Rounds stop when the number of classes stops growing or
-    every vertex has a colour of its own.
+    A vertex starts with the sorted sizes of the simplices of dimension
+    >= 1 in its star.  Each round hashes a vertex's old colour with the
+    sorted colours of those simplices, a simplex's colour being the sorted
+    colours of its vertices (the vertex's own colour is known, so this
+    splits vertices exactly as the colours of each simplex's other
+    vertices would, with one sort per simplex).  Every vertex's singleton
+    is left out: its colour would only repeat the vertex's own, so the
+    partitions are those of refining through whole stars.  Rounds stop
+    when the number of classes stops growing or every vertex has a colour
+    of its own.
 
     Colours are hashes of int tuples: the same in every process and a
     function of the isomorphism class of the complex rooted at the vertex.
@@ -143,11 +146,13 @@ def _refined_colors(cx: SimplicialComplex) -> dict:
     pos = {v: i for i, v in enumerate(verts)}
     members = []
     star = [[] for _ in verts]
-    for k, s in enumerate(cx.simplices):
-        positions = [pos[u] for u in s]
-        members.append(positions)
-        for i in positions:
-            star[i].append(k)
+    for s in cx.simplices:
+        if len(s) > 1:
+            positions = [pos[u] for u in s]
+            k = len(members)
+            members.append(positions)
+            for i in positions:
+                star[i].append(k)
     color = [hash(tuple(sorted([len(members[k]) for k in ks]))) for ks in star]
     classes = len(set(color))
     while classes < len(color):
@@ -197,18 +202,17 @@ class _IsoContext:
         self.nbr_mask = [
             sum(1 << j for j in positions) for positions in self.nbr_positions
         ]
-        self.star_items = []
-        self.star_masks = []
-        for v in self.verts:
-            items = []
-            for s in cx.star(v):
-                positions = tuple(idx[u] for u in s)
-                items.append((sum(1 << j for j in positions), positions))
-            self.star_items.append(tuple(items))
-            self.star_masks.append(tuple(mask for mask, _ in items))
-        self.simplex_masks = {
-            sum(1 << idx[u] for u in s) for s in cx.simplices
-        }
+        # one (mask, positions) item per simplex, shared by every star
+        # that holds it
+        item = {}
+        for s in cx.simplices:
+            positions = tuple(map(idx.__getitem__, s))
+            item[s] = (sum(1 << j for j in positions), positions)
+        get = item.__getitem__
+        self.star_items = [tuple(map(get, cx.star(v))) for v in self.verts]
+        self.star_masks = [tuple(mask for mask, _ in items)
+                           for items in self.star_items]
+        self.simplex_masks = {mask for mask, _ in item.values()}
 
     def bfs(self, root) -> tuple:
         """Distance of each position from ``root`` (-1 outside its
@@ -548,12 +552,14 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
     orders back to back, one byte per position while n < 256 (an array of
-    unsigned ints past that), when the search never passed the tie cap and
-    the component has a simplex beyond the ball; else None.  The masks of a ball's (L-1)-ball, L its last
-    layer, are the masks below ``1 << m``, m the positions closer than L:
-    a prefix of the sorted masks, at the same positions.  So on a miss
-    with L >= 2 the search resumes from the orders of that inner entry, if
-    it has any, and starts from the root otherwise.
+    unsigned ints past that), when the search never passed the tie cap;
+    else None.  They depend on the key alone, so they are kept even for a
+    root's whole component: the same key can be an inner ball elsewhere.
+    The masks of a ball's (L-1)-ball, L its last layer, are the masks
+    below ``1 << m``, m the positions closer than L: a prefix of the sorted
+    masks, at the same positions.  So on a miss with L >= 2 the search
+    resumes from the orders of that inner entry, if it has any, and starts
+    from the root otherwise.
     """
     if r is not None and r < 0:
         raise ValidationError("ball radius must be nonnegative")
@@ -587,10 +593,8 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
                                           starts)
         get = {vert[i]: 1 << k for k, i in enumerate(orders[0])}.__getitem__
         code = CanonicalCode(sorted([sum(map(get, s)) - 1 for s in simplices]))
-        # pruned branches are missing from the orders, and a ball without
-        # a neighbour outside its outer layer is its root's whole component
-        if pruned or all(inside(w) for v in vert[len(inner):]
-                         for w in cx.neighbors(v)):
+        # pruned branches are missing from the orders
+        if pruned:
             orders = None
         else:
             flat = list(chain.from_iterable(orders))

@@ -2,14 +2,19 @@
 
 Two independent computation routes are kept deliberately separate: Betti
 numbers come from exact rational ranks of the boundary operators, while
-spectra come from a dense symmetric eigensolver.  ``spectral_measure``
-cross-checks the eigensolver's kernel count against the exact rank route
-and refuses to return on disagreement.
+spectra come from a dense symmetric eigensolver.  The eigensolver never
+sees Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T itself: the nonzero spectrum
+of Delta_p is the union of those of its two terms (Eckmann 1944; Horak &
+Jost, Adv. Math. 2013), and each term's is that of the smaller Gram
+matrix of its d, d d^T or d^T d.  ``spectral_measure`` eigensolves those
+two pieces, checks each piece's zero cluster against its size minus the
+exact rank of its d, and refuses to return on disagreement.
 
 Both routes, and the moment walk of ``estimators``, take their signs from
 one rule, :func:`_signed_faces`; the walk's cofaces read it backwards.
 :func:`boundary_matrix` is an independent reference that computes no rank,
-Laplacian row or moment.
+Gram piece or moment, and :func:`laplacian_matrix` a dense Delta_p that
+no spectrum reads.
 """
 
 from __future__ import annotations
@@ -182,14 +187,21 @@ def boundary_rank(cx: SimplicialComplex, p: int) -> int:
     return rational_rank(dict(_signed_faces(s)) for s in cx.faces(p))
 
 
-def _betti_numbers(cx: SimplicialComplex, ps) -> dict:
-    """{p: b_p} in the order of ``ps``, computing each rank once.
+def _boundary_ranks(cx: SimplicialComplex, ps) -> dict:
+    """{q: rank d_q} for each p in ``ps`` and p+1, each rank computed once.
 
     b_p = |K(p)| - rank d_p - rank d_{p+1}, so adjacent degrees share a rank.
     """
     if any(p < 0 for p in ps):
         raise ValidationError("betti degree must be nonnegative")
-    ranks = {q: boundary_rank(cx, q) for q in {*ps, *(p + 1 for p in ps)}}
+    return {q: boundary_rank(cx, q) for q in sorted({*ps, *(p + 1 for p in ps)})}
+
+
+def _betti_numbers(cx: SimplicialComplex, ps, ranks=None) -> dict:
+    """{p: b_p} in the order of ``ps``, from ``ranks`` when the caller has
+    them (from :func:`_boundary_ranks`) and from new ones otherwise."""
+    if ranks is None:
+        ranks = _boundary_ranks(cx, ps)
     return {p: len(cx.faces(p)) - ranks[p] - ranks[p + 1] for p in ps}
 
 
@@ -235,8 +247,10 @@ def _laplacian_rows(cx: SimplicialComplex, p: int) -> list:
 def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
     """Dense Hodge Laplacian on p-simplices, in the order of ``faces(p)``.
 
-    The dtype is float64 and every entry is an exact integer: these are the
-    sparse rows the local moments read, scattered into a dense array.
+    The dtype is float64 and every entry is an exact integer: the sparse
+    rows of :func:`_laplacian_rows` scattered into a dense array.  No
+    spectrum reads it (they eigensolve Gram pieces); it is the reference
+    the tests and the golden chain digests read.
     """
     import numpy as np
 
@@ -249,6 +263,81 @@ def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
     lap[ri, ci] = np.fromiter(chain.from_iterable(row.values() for row in rows),
                               dtype=np.float64, count=len(ri))
     return lap
+
+
+def _piece_size(cx: SimplicialComplex, q: int) -> int:
+    """Order of the Gram piece of d_q: the smaller of f_{q-1} and f_q (0
+    for d_0, as there are no (-1)-simplices)."""
+    return min(len(cx.faces(q - 1)), len(cx.faces(q)))
+
+
+def _gram_piece(cx: SimplicialComplex, q: int) -> np.ndarray:
+    """The smaller Gram matrix of d_q, as float64 with exact integer entries:
+    d_q d_q^T on the (q-1)-simplices when they are no more than the
+    q-simplices, else d_q^T d_q, each in the order of ``faces``.
+
+    Entry (a, b) sums the sign products of a and b over every group of
+    d_q's incidences that holds both: a q-simplex and its faces for
+    d_q d_q^T, a (q-1)-simplex and its cofaces for d_q^T d_q.  The
+    incidences come from :func:`_signed_faces`; the pairs within each group
+    are enumerated in numpy and scattered by one ``bincount``, so neither
+    d_q nor Delta_p is formed.
+    """
+    import numpy as np
+
+    faces, simplices = cx.faces(q - 1), cx.faces(q)
+    index = {f: i for i, f in enumerate(faces)}.__getitem__
+    signed = [fs for s in simplices for fs in _signed_faces(s)]
+    face = np.fromiter((index(f) for f, _ in signed), np.intp, len(signed))
+    sign = np.fromiter((g for _, g in signed), np.intp, len(signed))
+    simplex = np.repeat(np.arange(len(simplices)), q + 1)
+    if len(faces) <= len(simplices):
+        size, group, member = len(faces), simplex, face
+    else:
+        size, order = len(simplices), np.argsort(face, kind="stable")
+        group, member, sign = face[order], simplex[order], sign[order]
+    # group is ascending: entry e pairs with every entry of its group,
+    # which runs from first[e] for width[e] entries
+    counts = np.bincount(group)
+    width = counts[group]
+    first = (np.cumsum(counts) - counts)[group]
+    left = np.repeat(np.arange(len(group)), width)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(width) - width, width)
+    right = first[left] + offset
+    gram = np.bincount(member[left] * size + member[right],
+                       weights=sign[left] * sign[right], minlength=size * size)
+    return gram.reshape(size, size)
+
+
+def _check_cap(q: int, size: int) -> None:
+    if size > DENSE_EIGENSOLVE_CAP:
+        raise ValidationError(
+            f"the Gram piece of d_{q} has {size} rows, past the dense "
+            f"eigensolver cap ({DENSE_EIGENSOLVE_CAP}); use moment "
+            "estimators at this scale")
+
+
+def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int) -> list:
+    """Nonzero eigenvalues of d_q^T d_q, ascending, from its Gram piece.
+
+    The piece's zero cluster, eigenvalues below ``ZERO_TOL``, must be its
+    order minus the exact ``rank`` of d_q, or CrossCheckError names the
+    piece.  A piece past ``DENSE_EIGENSOLVE_CAP`` is refused.
+    """
+    size = _piece_size(cx, q)
+    _check_cap(q, size)
+    if size == 0:
+        return []
+    import numpy as np
+
+    eigenvalues = np.linalg.eigvalsh(_gram_piece(cx, q))
+    zeros = size - rank
+    found = int(np.sum(np.abs(eigenvalues) < ZERO_TOL))
+    if found != zeros:
+        raise CrossCheckError(
+            f"eigensolver zero count {found} != {zeros} in the Gram piece of "
+            f"d_{q} ({size} rows, exact rank {rank}; tol {ZERO_TOL})")
+    return eigenvalues[zeros:].tolist()
 
 
 class SpectralMeasure:
@@ -308,45 +397,25 @@ class SpectralMeasure:
 def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     """Spectral measure of Delta_p with uniform weight 1/|V| per eigenvalue.
 
-    The eigensolver's zero cluster, eigenvalues below ``ZERO_TOL``, must
-    match the exact kernel dimension from the rational rank route; any
-    disagreement raises CrossCheckError.  Past ``DENSE_EIGENSOLVE_CAP``
-    p-simplices the dense eigensolver is refused.
+    The kernel is pinned to the exact b_p, and the nonzero eigenvalues are
+    those of the Gram pieces of d_p and d_{p+1} (:func:`_nonzero_spectrum`),
+    each cross-checked against its exact rank; any disagreement raises
+    CrossCheckError.  A piece past ``DENSE_EIGENSOLVE_CAP`` rows is refused
+    before any rank or eigensolve is computed.
     """
     if p < 0:
         raise ValidationError("spectral degree must be nonnegative")
-    return _pinned_measure(cx, p, None)
-
-
-def _pinned_measure(cx: SimplicialComplex, p: int,
-                    kernel: int | None) -> SpectralMeasure:
-    """:func:`spectral_measure` with the kernel pinned to ``kernel``.
-
-    ``kernel`` is the exact b_p when the caller already has it, so its
-    ranks are not computed again; None computes it with :func:`betti`.
-    The eigensolver's zero cluster is checked against it all the same.
-    """
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
-    count = len(cx.faces(p))
-    if count > DENSE_EIGENSOLVE_CAP:
-        raise ValidationError(
-            f"{count} p-simplices exceeds the dense eigensolver cap "
-            f"({DENSE_EIGENSOLVE_CAP}); use moment estimators at this scale")
-    if count == 0:
-        return SpectralMeasure(p, n, (), 0)
-    import numpy as np
-
-    eigenvalues = np.linalg.eigvalsh(laplacian_matrix(cx, p))
-    kernel_exact = betti(cx, p) if kernel is None else kernel
-    kernel_float = int(np.sum(np.abs(eigenvalues) < ZERO_TOL))
-    if kernel_float != kernel_exact:
-        raise CrossCheckError(
-            f"eigensolver kernel count {kernel_float} != exact nullity "
-            f"{kernel_exact} for p={p} (tol {ZERO_TOL})")
-    fixed = [0.0] * kernel_exact + [float(ev) for ev in eigenvalues[kernel_exact:]]
-    return SpectralMeasure(p, n, fixed, kernel_exact)
+    for q in (p, p + 1):
+        _check_cap(q, _piece_size(cx, q))
+    ranks = _boundary_ranks(cx, (p,))
+    kernel = _betti_numbers(cx, (p,), ranks)[p]
+    nonzero = _nonzero_spectrum(cx, p, ranks[p])
+    nonzero += _nonzero_spectrum(cx, p + 1, ranks[p + 1])
+    nonzero.sort()
+    return SpectralMeasure(p, n, [0.0] * kernel + nonzero, kernel)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,26 @@ def test_betti_exact_computes_each_rank_once(scx, capsys, monkeypatch):
     assert out.splitlines()[:3] == ["p=0 b=1 norm=1/6", "p=1 b=0 norm=0",
                                     "p=2 b=1 norm=1/6"]
     assert sorted(calls) == [0, 1, 2, 3]
+
+
+def test_betti_exact_solves_each_gram_piece_once(scx, capsys, monkeypatch):
+    # the piece of d_q serves Delta_{q-1} and Delta_q: the octahedron's
+    # nonempty pieces are those of d_1 and d_2
+    import numpy as np
+
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        solved.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    path = scx("octa.scx", fixtures()["octahedron"])
+    code, out, _ = run(capsys, ["betti", path, "--exact"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("cross-check:")
+    assert sorted(solved) == [6, 8]
 
 
 def test_bare_package_error_exits_3(capsys, monkeypatch):
@@ -260,6 +281,20 @@ def test_converge(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "n,|V|,p,b_p,b_p_normalized,m0,m1,m2,nu_eps_0.5"
     assert lines[1] == "4,16,1,2,1/8,3,12,66,1/8"
+
+
+def test_converge_levels_past_a_cap_below_their_edge_count(tmp_path, capsys,
+                                                          monkeypatch):
+    # a cap below f_1 of both levels (75 and 108 edges) but not below
+    # their pieces (25 and 50, 36 and 72 rows) refuses no level
+    import l2limits.spectral as spectral_mod
+    monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 74)
+    code, out, _ = run(capsys, [
+        "converge", "--family", "torus2d", "--levels", "5,6", "--p", "1",
+        "--moments", "2", "--eps", "0.5", "--out", str(tmp_path / "c.csv")])
+    assert code == 0
+    for n in (5, 6):
+        assert f"n={n} |V|={n * n} b_1=2 normalized={Fraction(2, n * n)} " in out
 
 
 def test_converge_error_paths(tmp_path, capsys):

@@ -159,6 +159,55 @@ def test_refined_colors_survive_relabeling():
         assert all(colors[v] == moved[perm[v]] for v in verts)
 
 
+def _partition(colors):
+    classes = {}
+    for v, c in colors.items():
+        classes.setdefault(c, set()).add(v)
+    return {frozenset(group) for group in classes.values()}
+
+
+def _refined_colors_with_singletons(cx):
+    """Star refinement through every simplex of each star, singletons
+    included, by the same rounds and stopping rule."""
+    stars = {v: cx.star(v) for v in cx.vertices}
+    color = {v: hash(tuple(sorted(len(s) for s in st))) for v, st in stars.items()}
+    classes = len(set(color.values()))
+    while classes < len(color):
+        refined = {v: hash((color[v], tuple(sorted(
+            hash(tuple(sorted(color[u] for u in s))) for s in st))))
+            for v, st in stars.items()}
+        count = len(set(refined.values()))
+        if count <= classes:
+            break
+        color, classes = refined, count
+    return color
+
+
+def test_refinement_without_singletons_keeps_the_partition():
+    pool = [cx for _, cx in corpus()]
+    pool += [random_flag(16, 5 / 16, 3, s) for s in range(50)]
+    for cx in pool:
+        assert (_partition(_refined_colors(cx))
+                == _partition(_refined_colors_with_singletons(cx)))
+
+
+def test_one_star_item_per_simplex():
+    for cx in [cx for _, cx in corpus()]:
+        ctx = encoding._IsoContext(cx)
+        ctx.build_masks()
+        item = {}
+        for v, items in zip(ctx.verts, ctx.star_items):
+            star = cx.star(v)
+            assert [tuple(ctx.verts[j] for j in positions)
+                    for _, positions in items] == list(star)
+            assert ctx.star_masks[ctx.idx[v]] == tuple(m for m, _ in items)
+            for s, it in zip(star, items):
+                assert it[0] == sum(1 << ctx.idx[u] for u in s)
+                assert item.setdefault(s, it) is it
+        assert len(item) == len(cx.simplices)
+        assert ctx.simplex_masks == {m for m, _ in item.values()}
+
+
 def test_equal_colors_leave_the_decision_to_the_search():
     # both are 3-regular graphs on 6 vertices: refinement cannot split them
     prism = closure([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -393,11 +442,11 @@ def test_codes_do_not_depend_on_what_the_cache_holds(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [4, 64])
-def test_orders_are_kept_only_from_unpruned_balls_with_more_beyond(
-        monkeypatch, cap):
+def test_orders_are_kept_only_from_unpruned_balls(monkeypatch, cap):
     # Each ball is coded into an empty cache and its one entry read back:
     # it keeps the search's tied orders, byte-packed, unless the search
-    # passed the tie cap or the ball is its root's whole component.
+    # passed the tie cap.  A root's whole component keeps them too, since
+    # its key can be an inner ball of another complex.
     search = encoding._canonical_order
     results = []
 
@@ -419,15 +468,26 @@ def test_orders_are_kept_only_from_unpruned_balls_with_more_beyond(
                 _ball_code(cx, v, r)
                 ((n, _), (_, kept)), = encoding._CODE_CACHE.items()
                 orders, pruned = results[-1]
-                whole = r is None or max(dist.values()) <= r
-                if pruned or whole:
+                if pruned:
                     assert kept is None
                 else:
                     assert isinstance(kept, bytes)
                     assert [tuple(kept[i:i + n])
                             for i in range(0, len(kept), n)] == orders
-                seen.add((pruned, whole))
+                seen.add((pruned, r is None or max(dist.values()) <= r))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    # the edge is its whole component and the radius-1 ball of a path's
+    # end: the path's radius-2 ball resumes from the edge's orders
+    path = closure([(0, 1), (1, 2), (2, 3)])
+    encoding._CODE_CACHE.clear()
+    fresh = _ball_code(path, 0, 2)
+    encoding._CODE_CACHE.clear()
+    _ball_code(fixtures()["edge"], 0)
+    starts = []
+    monkeypatch.setattr(encoding, "_canonical_order",
+                        lambda *args: starts.append(args[-1]) or search(*args))
+    assert _ball_code(path, 0, 2) == fresh
+    assert [[list(start) for start in s] for s in starts] == [[[0, 1]]]
 
 
 def test_a_ball_of_256_vertices_or_more_keeps_its_orders(monkeypatch):

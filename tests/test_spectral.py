@@ -12,7 +12,7 @@ from l2limits.complexes import SimplicialComplex
 from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.estimators import exhaustive_moments
 from l2limits.exact import rational_rank
-from l2limits.generators import fixtures, torus_tower
+from l2limits.generators import fixtures, linial_meshulam, torus_tower
 from l2limits.spectral import (_laplacian_rows, _radius_bound, _signed_faces,
                                betti, betti_normalized, boundary_matrix,
                                boundary_rank, euler_poincare,
@@ -205,6 +205,79 @@ def test_laplacian_matches_boundary_product():
                 nonzero = {k: v for k, v in row.items() if v}
                 assert nonzero == {int(k): int(want[j, k])
                                    for k in np.flatnonzero(want[j])}
+
+
+def _split_cases():
+    rng = np.random.default_rng(37)
+    cases = list(fixtures().values())
+    cases += [random_complex(rng, 10) for _ in range(30)]
+    cases += [torus_tower(1, 7), torus_tower(2, 5), torus_tower(2, 8),
+              linial_meshulam(2, 12, 0.3, 1)]
+    return cases
+
+
+def test_gram_pieces_give_the_laplacian_spectrum():
+    # the nonzero spectrum of Delta_p is the union of those of the Gram
+    # pieces of d_p and d_{p+1}; each piece equals the dense product of
+    # the reference boundary matrices on its smaller side
+    for cx in _split_cases():
+        for q in range(cx.dim + 2):
+            d = boundary_matrix(cx, q).dense()
+            if spectral._piece_size(cx, q):
+                want = d @ d.T if d.shape[0] <= d.shape[1] else d.T @ d
+                assert np.array_equal(spectral._gram_piece(cx, q), want)
+        for p in range(cx.dim + 2):
+            got = spectral_measure(cx, p).eigenvalues
+            want = (np.linalg.eigvalsh(laplacian_matrix(cx, p))
+                    if cx.faces(p) else [])
+            assert len(got) == len(want)
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_spectral_measure_reads_neither_dense_reference(monkeypatch):
+    def boom(cx, p):
+        raise AssertionError("a spectrum read a dense reference")
+
+    monkeypatch.setattr(spectral, "laplacian_matrix", boom)
+    monkeypatch.setattr(spectral, "boundary_matrix", boom)
+    for cx in _split_cases():
+        for p in range(cx.dim + 2):
+            spectral_measure(cx, p)
+
+
+def test_a_tolerance_that_swallows_a_piece_names_it(monkeypatch):
+    # ZERO_TOL between the two pieces' smallest nonzero eigenvalues
+    # swallows one of the lower piece only, and its check names it
+    named = set()
+    for cx in _split_cases():
+        for p in range(1, cx.dim):
+            low = {q: spectral._nonzero_spectrum(cx, q, boundary_rank(cx, q))[0]
+                   for q in (p, p + 1)}
+            if abs(low[p] - low[p + 1]) < 1e-3:
+                continue
+            lower = min(low, key=low.get)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "ZERO_TOL", sum(low.values()) / 2)
+                with pytest.raises(CrossCheckError,
+                                   match=f"Gram piece of d_{lower} "):
+                    spectral_measure(cx, p)
+            named.add(lower - p)
+    assert named == {0, 1}
+
+
+def test_the_cap_applies_per_piece(monkeypatch):
+    # the side-6 torus at p=1: pieces of 36 and 72 rows, f_1 = 108
+    torus = torus_tower(2, 6)
+    assert [spectral._piece_size(torus, q) for q in (1, 2)] == [36, 72]
+    assert len(torus.faces(1)) == 108
+    want = spectral_measure(torus, 1)
+    monkeypatch.setattr(spectral, "DENSE_EIGENSOLVE_CAP", 100)
+    got = spectral_measure(torus, 1)
+    assert got.eigenvalues == want.eigenvalues
+    assert got.mass_at_zero() == Fraction(2, 36)
+    monkeypatch.setattr(spectral, "DENSE_EIGENSOLVE_CAP", 71)
+    with pytest.raises(ValidationError, match="dense eigensolver cap"):
+        spectral_measure(torus, 1)
 
 
 def test_negative_degree_rejected_by_spectral_route():
