@@ -182,7 +182,8 @@ def _cmd_converge(args):
     report = convergence_experiment(
         sequence, args.p, args.moments, eps_list, rmax=args.rmax,
         labels=levels, degree_bound=args.degree_bound,
-        threads=args.threads, csv_path=args.out)
+        threads=args.threads)
+    report.write_csv(args.out)
     for line in report.summary_lines():
         print(line)
     print(f"wrote {args.out}")

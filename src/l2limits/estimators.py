@@ -16,7 +16,7 @@ from numbers import Rational
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import HypothesisViolationError, ValidationError
-from .measures import (RandomRootedComplex, _local_distance, ball_distribution,
+from .measures import (RandomRootedComplex, _ball_laws, _local_distance,
                        uniform_rooting)
 from .spectral import _Incidence, _radius_bound, spectral_measure
 
@@ -340,7 +340,6 @@ def _level_stats(args):
     measure = spectral_measure(cx, p)
     nu = {eps: measure.mass_at_zero() + measure.near_zero_mass(eps)
           for eps in eps_list}
-    balls = [dict(ball_distribution(mu, r)) for r in range(rmax + 1)]
     return {
         "n_vertices": len(cx.vertices),
         "max_degree": cx.max_degree(),
@@ -349,7 +348,7 @@ def _level_stats(args):
         "moments": mv.moments,
         "nu": nu,
         "spectral_radius": measure.spectral_radius(),
-        "balls": balls,
+        "balls": _ball_laws(mu, rmax),
     }
 
 
@@ -428,12 +427,14 @@ def _trend(values) -> str:
 
 def convergence_experiment(sequence, p: int, order: int, eps_list,
                            rmax: int = 2, labels=None, degree_bound=None,
-                           threads=None, csv_path=None) -> ConvergenceReport:
+                           threads=None) -> ConvergenceReport:
     """Tabulate Betti numbers, moments, and ball statistics along a sequence.
 
     The approximation statement this probes requires degrees bounded along
     the whole sequence; a strictly growing degree column (or an explicit
     ``degree_bound`` that some level violates) aborts the experiment.
+    Each eps lies strictly between 0 and 1, and no two share the ``:g``
+    label that names their column; both are checked before any level runs.
     Levels are independent and are processed in parallel when ``threads``
     allows more than one worker; the default is one.
     """
@@ -443,6 +444,10 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     eps_list = list(eps_list)
     for eps in eps_list:
         _check_eps(eps)
+    columns = [f"nu_eps_{eps:g}" for eps in eps_list]
+    if len(set(columns)) != len(columns):
+        raise ValidationError(
+            f"eps values {eps_list} repeat a column label: {columns}")
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
     _check_moment_args(p, order)
@@ -478,14 +483,11 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
                  for row in rows]
 
     trends = {"b_p_normalized": _trend([row["b_p_normalized"] for row in rows])}
-    for eps in eps_list:
-        trends[f"nu_eps_{eps:g}"] = _trend([row["nu"][eps] for row in rows])
+    for eps, column in zip(eps_list, columns):
+        trends[column] = _trend([row["nu"][eps] for row in rows])
     trends["dist_to_last"] = _trend(distances)
 
     bounds = {eps: kernel_mass_bound(observed_bound, p, eps)
               for eps in eps_list}
-    report = ConvergenceReport(p, order, eps_list, rmax, labels, rows,
-                               distances, trends, observed_bound, bounds)
-    if csv_path is not None:
-        report.write_csv(csv_path)
-    return report
+    return ConvergenceReport(p, order, eps_list, rmax, labels, rows,
+                             distances, trends, observed_bound, bounds)

@@ -233,6 +233,13 @@ def _local_distance(laws_a, laws_b) -> Fraction:
     return total
 
 
+def _ball_laws(mu: RandomRootedComplex, rmax: int) -> list:
+    """[None, law_1, ..., law_rmax]: the ball laws :func:`_local_distance`
+    reads.  No radius-0 law is built, and no 0-ball coded, as that index is
+    not read."""
+    return [None, *(ball_distribution(mu, r) for r in range(1, rmax + 1))]
+
+
 def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
                      rmax: int) -> Fraction:
     """Sum over r <= rmax of 2^-r times the TV gap between ball laws.
@@ -242,9 +249,7 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
     """
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
-    radii = range(1, rmax + 1)
-    return _local_distance([None, *(ball_distribution(mu, r) for r in radii)],
-                           [None, *(ball_distribution(nu, r) for r in radii)])
+    return _local_distance(_ball_laws(mu, rmax), _ball_laws(nu, rmax))
 
 
 class MassTransportResult:

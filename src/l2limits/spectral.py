@@ -12,9 +12,13 @@ exact rank of its d, and refuses to return on disagreement.
 
 Both routes, and the moment walk of ``estimators``, take their signs from
 one rule, :func:`_signed_faces`; the walk's cofaces read it backwards.
-:func:`boundary_matrix` is an independent reference that computes no rank,
-Gram piece or moment, and :func:`laplacian_matrix` a dense Delta_p that
-no spectrum reads.
+:func:`_gram` is the one dense assembly: the spectra eigensolve the smaller
+Gram matrix of each d, and :func:`laplacian_matrix` adds d_p^T d_p and
+d_{p+1} d_{p+1}^T for the tests and the golden digests; no spectrum reads
+it.
+The walk's exact rows (:class:`_Incidence`) are built lazily instead, so a
+local moment pays for the simplices it reaches.  :func:`boundary_matrix` is
+an independent reference that computes no rank, Gram matrix or moment.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .complexes import SimplicialComplex
@@ -218,70 +221,17 @@ def betti_normalized(cx: SimplicialComplex, p: int) -> Fraction:
     return Fraction(betti(cx, p), n)
 
 
-def _laplacian_rows(cx: SimplicialComplex, p: int) -> list:
-    """Exact sparse Delta_p: one {column: int} dict per p-simplex of faces(p).
-
-    Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T, so entry (j, k) sums the sign
-    products of j and k over each (p-1)-face they share (a row of d_p) and
-    each (p+1)-simplex holding both (a column of d_{p+1}).  Both kinds of
-    group add their outer product the same way.
-    """
-    faces = cx.faces(p)
-    index = {s: j for j, s in enumerate(faces)}
-    rows = [dict() for _ in faces]
-    sharing: dict = {}
-    for j, s in enumerate(faces):
-        for face, sign in _signed_faces(s):
-            sharing.setdefault(face, []).append((j, sign))
-    groups = list(sharing.values())
-    groups += [[(index[face], sign) for face, sign in _signed_faces(t)]
-               for t in cx.faces(p + 1)]
-    for group in groups:
-        for j, sj in group:
-            row = rows[j]
-            for k, sk in group:
-                row[k] = row.get(k, 0) + sj * sk
-    return rows
-
-
-def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
-    """Dense Hodge Laplacian on p-simplices, in the order of ``faces(p)``.
-
-    The dtype is float64 and every entry is an exact integer: the sparse
-    rows of :func:`_laplacian_rows` scattered into a dense array.  No
-    spectrum reads it (they eigensolve Gram pieces); it is the reference
-    the tests and the golden chain digests read.
-    """
-    import numpy as np
-
-    if p < 0:
-        raise ValidationError("Laplacian degree must be nonnegative")
-    rows = _laplacian_rows(cx, p)
-    lap = np.zeros((len(rows), len(rows)))
-    ri = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    ci = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(ri))
-    lap[ri, ci] = np.fromiter(chain.from_iterable(row.values() for row in rows),
-                              dtype=np.float64, count=len(ri))
-    return lap
-
-
-def _piece_size(cx: SimplicialComplex, q: int) -> int:
-    """Order of the Gram piece of d_q: the smaller of f_{q-1} and f_q (0
-    for d_0, as there are no (-1)-simplices)."""
-    return min(len(cx.faces(q - 1)), len(cx.faces(q)))
-
-
-def _gram_piece(cx: SimplicialComplex, q: int) -> np.ndarray:
-    """The smaller Gram matrix of d_q, as float64 with exact integer entries:
-    d_q d_q^T on the (q-1)-simplices when they are no more than the
-    q-simplices, else d_q^T d_q, each in the order of ``faces``.
+def _gram(cx: SimplicialComplex, q: int, upper: bool) -> np.ndarray:
+    """A Gram matrix of d_q, as float64 with exact integer entries:
+    d_q^T d_q on the q-simplices when ``upper``, else d_q d_q^T on the
+    (q-1)-simplices, each in the order of ``faces``.
 
     Entry (a, b) sums the sign products of a and b over every group of
-    d_q's incidences that holds both: a q-simplex and its faces for
-    d_q d_q^T, a (q-1)-simplex and its cofaces for d_q^T d_q.  The
-    incidences come from :func:`_signed_faces`; the pairs within each group
-    are enumerated in numpy and scattered by one ``bincount``, so neither
-    d_q nor Delta_p is formed.
+    d_q's incidences that holds both: a (q-1)-simplex and its cofaces for
+    d_q^T d_q, a q-simplex and its faces for d_q d_q^T.  The incidences
+    come from :func:`_signed_faces`; the pairs within each group are
+    enumerated in numpy and scattered by one ``bincount``, so d_q is never
+    formed.
     """
     import numpy as np
 
@@ -290,12 +240,12 @@ def _gram_piece(cx: SimplicialComplex, q: int) -> np.ndarray:
     signed = [fs for s in simplices for fs in _signed_faces(s)]
     face = np.fromiter((index(f) for f, _ in signed), np.intp, len(signed))
     sign = np.fromiter((g for _, g in signed), np.intp, len(signed))
-    simplex = np.repeat(np.arange(len(simplices)), q + 1)
-    if len(faces) <= len(simplices):
-        size, group, member = len(faces), simplex, face
-    else:
+    simplex = np.arange(len(signed)) // (q + 1)
+    if upper:
         size, order = len(simplices), np.argsort(face, kind="stable")
         group, member, sign = face[order], simplex[order], sign[order]
+    else:
+        size, group, member = len(faces), simplex, face
     # group is ascending: entry e pairs with every entry of its group,
     # which runs from first[e] for width[e] entries
     counts = np.bincount(group)
@@ -306,7 +256,27 @@ def _gram_piece(cx: SimplicialComplex, q: int) -> np.ndarray:
     right = first[left] + offset
     gram = np.bincount(member[left] * size + member[right],
                        weights=sign[left] * sign[right], minlength=size * size)
-    return gram.reshape(size, size)
+    # bincount of nothing is int64 whatever its weights
+    return gram.astype(np.float64, copy=False).reshape(size, size)
+
+
+def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
+    """Dense Hodge Laplacian on p-simplices, in the order of ``faces(p)``.
+
+    Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T, the sum of two :func:`_gram`
+    matrices, as float64 with exact integer entries.  No spectrum reads it
+    (they eigensolve the smaller Gram matrix of each d); it is the reference
+    the tests and the golden chain digests read.
+    """
+    if p < 0:
+        raise ValidationError("Laplacian degree must be nonnegative")
+    return _gram(cx, p, upper=True) + _gram(cx, p + 1, upper=False)
+
+
+def _piece_size(cx: SimplicialComplex, q: int) -> int:
+    """Order of the Gram piece of d_q: the smaller of f_{q-1} and f_q (0
+    for d_0, as there are no (-1)-simplices)."""
+    return min(len(cx.faces(q - 1)), len(cx.faces(q)))
 
 
 def _check_cap(q: int, size: int) -> None:
@@ -330,7 +300,8 @@ def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int) -> list:
         return []
     import numpy as np
 
-    eigenvalues = np.linalg.eigvalsh(_gram_piece(cx, q))
+    upper = len(cx.faces(q - 1)) > len(cx.faces(q))
+    eigenvalues = np.linalg.eigvalsh(_gram(cx, q, upper))
     zeros = size - rank
     found = int(np.sum(np.abs(eigenvalues) < ZERO_TOL))
     if found != zeros:

@@ -111,7 +111,7 @@ def test_betti_exact_computes_each_rank_once(scx, capsys, monkeypatch):
     assert sorted(calls) == [0, 1, 2, 3]
 
 
-def test_betti_exact_solves_each_gram_piece_once(scx, capsys, monkeypatch):
+def test_betti_exact_solves_each_piece_once(scx, capsys, monkeypatch):
     # the piece of d_q serves Delta_{q-1} and Delta_q: the octahedron's
     # nonempty pieces are those of d_1 and d_2
     import numpy as np
@@ -314,11 +314,12 @@ def test_converge_bad_eps_exits_3_before_any_level(tmp_path, capsys,
     import l2limits.estimators as estimators
     levels = []
     monkeypatch.setattr(estimators, "_level_stats", levels.append)
-    code, out, err = run(capsys, [
-        "converge", "--family", "torus2d", "--levels", "4,6", "--p", "1",
-        "--eps", "0.1,2", "--out", str(tmp_path / "c.csv")])
-    assert code == 3
-    assert err.startswith("error:") and "eps" in err
+    for eps in ("0.1,2", "0.1,0.1000001", "0.5,0.5"):
+        code, out, err = run(capsys, [
+            "converge", "--family", "torus2d", "--levels", "4,6", "--p", "1",
+            "--eps", eps, "--out", str(tmp_path / "c.csv")])
+        assert code == 3
+        assert err.startswith("error:") and "eps" in err
     assert levels == []
     assert not (tmp_path / "c.csv").exists()
 

@@ -15,10 +15,11 @@ from l2limits.estimators import (MomentVector, RootSample, _local_moments,
                                  local_moment, monte_carlo_moments,
                                  moments_of_measure, vertex_sampler)
 from l2limits.generators import fixtures, torus_tower
-from l2limits.measures import expected_p_degree, uniform_rooting
-from l2limits.spectral import (SpectralMeasure, _Incidence, _laplacian_rows,
-                               _signed_faces, boundary_matrix,
-                               laplacian_matrix, spectral_measure)
+from l2limits.measures import (ball_distribution, expected_p_degree,
+                               total_variation, uniform_rooting)
+from l2limits.spectral import (SpectralMeasure, _Incidence, _signed_faces,
+                               boundary_matrix, laplacian_matrix,
+                               spectral_measure)
 
 closure = SimplicialComplex.closure
 
@@ -145,9 +146,9 @@ def test_moments_read_only_the_half_order_ball():
     assert proper > 0
 
 
-def test_incidence_rows_reproduce_laplacian_rows():
-    # the walk's rows, the eigensolver's rows and the dense reference
-    # d_p^T d_p + d_{p+1} d_{p+1}^T agree, with zero entries dropped
+def test_incidence_rows_reproduce_the_dense_laplacian():
+    # the walk's rows and the dense reference d_p^T d_p + d_{p+1} d_{p+1}^T
+    # agree, with zero entries dropped
     rng = np.random.default_rng(97)
     for _ in range(20):
         cx = random_complex(rng, 10)
@@ -158,11 +159,10 @@ def test_incidence_rows_reproduce_laplacian_rows():
             down = boundary_matrix(cx, p).dense()
             up = boundary_matrix(cx, p + 1).dense()
             dense = down.T @ down + up @ up.T
-            for j, row in enumerate(_laplacian_rows(cx, p)):
-                got = incidence.row(faces[j])
+            for j, s in enumerate(faces):
+                got = incidence.row(s)
                 assert all(c for _, c in got)
-                got = {index[s]: c for s, c in got}
-                assert got == {k: c for k, c in row.items() if c}
+                got = {index[t]: c for t, c in got}
                 assert got == {int(k): int(dense[j, k])
                                for k in np.flatnonzero(dense[j])}
 
@@ -423,6 +423,11 @@ def test_convergence_experiment_checks_eps_first(monkeypatch):
         with pytest.raises(ValidationError, match="strictly between 0 and 1"):
             convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
                                    1, 2, eps_list, threads=1)
+    # two values with one :g label would share a CSV column and a trend
+    for eps_list in ([0.1, 0.1000001], [0.5, 0.5]):
+        with pytest.raises(ValidationError, match="repeat a column label"):
+            convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
+                                   1, 2, eps_list, threads=1)
     assert levels == []
 
 
@@ -506,6 +511,34 @@ def test_convergence_experiment_torus_rows():
     assert report.distances_to_last[2] == 0
 
 
+def test_convergence_experiment_codes_no_radius_zero_ball(monkeypatch):
+    # every 0-ball is the root alone, so the distances equal the old sum
+    # from r = 0 without coding one
+    import l2limits.measures as measures
+    rng = np.random.default_rng(59)
+    levels = [random_complex(rng, 8) for _ in range(5)]
+    radii = []
+    code = measures._ball_code
+
+    def counted(cx, root, r=None):
+        radii.append(r)
+        return code(cx, root, r)
+
+    monkeypatch.setattr(measures, "_ball_code", counted)
+    report = convergence_experiment(levels, 1, 2, [0.5], rmax=3,
+                                    degree_bound=8)
+    assert radii and 0 not in radii
+    last = uniform_rooting(levels[-1])
+    old = []
+    for cx in levels:
+        mu = uniform_rooting(cx)
+        old.append(sum((Fraction(1, 2 ** r) * total_variation(
+            ball_distribution(mu, r), ball_distribution(last, r))
+            for r in range(4)), Fraction(0)))
+    assert report.distances_to_last == old
+    assert len(set(old)) > 2
+
+
 def test_convergence_experiment_constant_sequence():
     cx = torus_tower(1, 6)
     report = convergence_experiment([cx, cx, cx], p=1, order=1, eps_list=[0.5])
@@ -550,7 +583,7 @@ def test_convergence_experiment_csv(tmp_path):
     convergence_experiment(
         [torus_tower(2, n) for n in (4, 6)],
         p=1, order=2, eps_list=[0.5, 0.1], labels=[4, 6],
-        degree_bound=6, csv_path=out)
+        degree_bound=6).write_csv(out)
     lines = out.read_text().splitlines()
     assert lines[0] == "n,|V|,p,b_p,b_p_normalized,m0,m1,m2,nu_eps_0.5,nu_eps_0.1"
     assert lines[1] == "4,16,1,2,1/8,3,12,66,1/8,1/8"

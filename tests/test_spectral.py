@@ -13,8 +13,8 @@ from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.estimators import exhaustive_moments
 from l2limits.exact import rational_rank
 from l2limits.generators import fixtures, linial_meshulam, torus_tower
-from l2limits.spectral import (_laplacian_rows, _radius_bound, _signed_faces,
-                               betti, betti_normalized, boundary_matrix,
+from l2limits.spectral import (_radius_bound, _signed_faces, betti,
+                               betti_normalized, boundary_matrix,
                                boundary_rank, euler_poincare,
                                laplacian_matrix, operator_norm_bounds,
                                spectral_measure, write_betti_csv,
@@ -187,10 +187,13 @@ def test_betti_normalized():
 
 def test_laplacian_matches_boundary_product():
     # D^T D + U U^T from the dense boundary matrices is an oracle that does
-    # not share the sparse-row builder with laplacian_matrix or local moments
+    # not share the Gram assembly of laplacian_matrix and the spectra, nor
+    # the rows of local moments.  Both Gram terms sum no pair at p = 0 of
+    # an edgeless complex and at p = dim + 1, where a bincount is int64.
     rng = np.random.default_rng(31)
     cases = list(fixtures().values()) + [torus_tower(2, 5)]
     cases += [random_complex(rng, 10) for _ in range(30)]
+    cases += [closure([(0,), (1,), (2,)])]
     for cx in cases:
         for p in range(cx.dim + 2):
             down = boundary_matrix(cx, p).dense()
@@ -199,12 +202,6 @@ def test_laplacian_matches_boundary_product():
             lap = laplacian_matrix(cx, p)
             assert lap.dtype == np.float64
             assert np.array_equal(lap, want)
-            rows = _laplacian_rows(cx, p)
-            assert len(rows) == len(want)
-            for j, row in enumerate(rows):
-                nonzero = {k: v for k, v in row.items() if v}
-                assert nonzero == {int(k): int(want[j, k])
-                                   for k in np.flatnonzero(want[j])}
 
 
 def _split_cases():
@@ -216,16 +213,17 @@ def _split_cases():
     return cases
 
 
-def test_gram_pieces_give_the_laplacian_spectrum():
+def test_gram_matrices_give_the_laplacian_spectrum():
     # the nonzero spectrum of Delta_p is the union of those of the Gram
-    # pieces of d_p and d_{p+1}; each piece equals the dense product of
-    # the reference boundary matrices on its smaller side
+    # pieces of d_p and d_{p+1}; both Gram matrices of each d equal the
+    # dense products of the reference boundary matrix
     for cx in _split_cases():
-        for q in range(cx.dim + 2):
+        for q in range(1, cx.dim + 2):
             d = boundary_matrix(cx, q).dense()
-            if spectral._piece_size(cx, q):
-                want = d @ d.T if d.shape[0] <= d.shape[1] else d.T @ d
-                assert np.array_equal(spectral._gram_piece(cx, q), want)
+            for upper, want in ((True, d.T @ d), (False, d @ d.T)):
+                gram = spectral._gram(cx, q, upper)
+                assert gram.dtype == np.float64
+                assert np.array_equal(gram, want)
         for p in range(cx.dim + 2):
             got = spectral_measure(cx, p).eigenvalues
             want = (np.linalg.eigvalsh(laplacian_matrix(cx, p))
