@@ -1,7 +1,8 @@
 """Finite abstract simplicial complexes and rooted variants.
 
-A complex is stored as the full downward-closed set of simplices; a simplex
-is a sorted tuple of distinct integer vertices.  Instances are immutable and
+A complex is stored as its simplices grouped by dimension, each group a
+sorted tuple, with the star and neighbours of every vertex; a simplex is a
+sorted tuple of distinct integer vertices.  Instances are immutable and
 hashable, so they are safe to share across threads and to use as cache keys.
 """
 
@@ -38,29 +39,44 @@ def _as_simplex(vertices) -> tuple:
 class SimplicialComplex:
     """Immutable finite abstract simplicial complex on integer vertices."""
 
-    __slots__ = ("_simplices", "_by_dim", "_star", "_neighbors", "_hash",
-                 "_connected")
+    __slots__ = ("_by_dim", "_star", "_neighbors", "_hash", "_connected")
 
-    def __init__(self, simplices, _validated: bool = False):
+    def __init__(self, simplices):
         """Build from an iterable of simplices that is already downward closed.
 
         Use :meth:`closure` to build from maximal simplices.  Raises
         ``ValidationError`` if some face of a listed simplex is missing.
         """
-        normalized = frozenset(s if _validated else _as_simplex(s) for s in simplices)
-        if not _validated:
-            for s in normalized:
-                if len(s) > 1:
-                    for face in combinations(s, len(s) - 1):
-                        if face not in normalized:
-                            raise ValidationError(f"missing face {face} of simplex {s}")
-        by_dim: list[list[tuple]] = []
-        for s in normalized:
-            p = len(s) - 1
-            while len(by_dim) <= p:
-                by_dim.append([])
-            by_dim[p].append(s)
-        by_dim = [sorted(group) for group in by_dim]
+        groups: list[set] = []
+        for raw in simplices:
+            s = _as_simplex(raw)
+            while len(groups) < len(s):
+                groups.append(set())
+            groups[len(s) - 1].add(s)
+        for p in range(1, len(groups)):
+            for s in groups[p]:
+                for face in combinations(s, p):
+                    if face not in groups[p - 1]:
+                        raise ValidationError(f"missing face {face} of simplex {s}")
+        self._build(groups)
+
+    @classmethod
+    def _from_faces(cls, groups) -> "SimplicialComplex":
+        """Trusted fast path: the list ``groups`` holds at ``p`` the distinct
+        normalized p-simplices, in any order, and together they are downward
+        closed.  The list is consumed: each group becomes its sorted tuple."""
+        cx = object.__new__(cls)
+        cx._build(groups)
+        return cx
+
+    def _build(self, by_dim: list) -> None:
+        # Groups, stars and neighbour lists are each swapped for a tuple in
+        # place, so each is freed as its tuple is made and the peak stays
+        # near the finished complex's size.
+        for p, group in enumerate(by_dim):
+            by_dim[p] = tuple(sorted(group))
+        while by_dim and not by_dim[-1]:
+            by_dim.pop()
         # Stars read the sorted faces, so each is in (dimension, lexicographic)
         # order and filtering keeps that order.  Vertices come first, so they
         # key the stars in ascending order.
@@ -73,12 +89,14 @@ class SimplicialComplex:
         for u, w in by_dim[1] if len(by_dim) > 1 else ():
             neighbors[u].append(w)
             neighbors[w].append(u)
-        self._fill(normalized, tuple(tuple(group) for group in by_dim),
-                   {v: tuple(group) for v, group in star.items()},
-                   {v: tuple(sorted(ns)) for v, ns in neighbors.items()})
+        for v, group in star.items():
+            star[v] = tuple(group)
+        for v, ns in neighbors.items():
+            ns.sort()
+            neighbors[v] = tuple(ns)
+        self._fill(tuple(by_dim), star, neighbors)
 
-    def _fill(self, simplices, by_dim, star, neighbors) -> None:
-        self._simplices = simplices
+    def _fill(self, by_dim, star, neighbors) -> None:
         self._by_dim = by_dim
         self._star = star
         self._neighbors = neighbors
@@ -88,20 +106,23 @@ class SimplicialComplex:
     @classmethod
     def closure(cls, maximal) -> "SimplicialComplex":
         """The smallest simplicial complex containing every listed simplex."""
-        closed: set[tuple] = set()
+        groups: list[set] = []
         for raw in maximal:
             simplex = _as_simplex(raw)
-            if simplex in closed:
+            while len(groups) < len(simplex):
+                groups.append(set())
+            if simplex in groups[len(simplex) - 1]:
                 continue
             for size in range(1, len(simplex) + 1):
-                closed.update(combinations(simplex, size))
-        return cls(closed, _validated=True)
+                groups[size - 1].update(combinations(simplex, size))
+        return cls._from_faces(groups)
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def simplices(self) -> frozenset:
-        return self._simplices
+        """Every simplex, built on each call from the sorted faces."""
+        return frozenset(chain.from_iterable(self._by_dim))
 
     @property
     def vertices(self) -> tuple:
@@ -127,7 +148,7 @@ class SimplicialComplex:
     def maximal_simplices(self) -> tuple:
         """Simplices that are not a face of any larger simplex, sorted."""
         maximal = []
-        for s in self._simplices:
+        for s in chain.from_iterable(self._by_dim):
             cofaces = self._star[s[0]]
             if not any(len(t) > len(s) and set(s) <= set(t) for t in cofaces):
                 maximal.append(s)
@@ -210,26 +231,26 @@ class SimplicialComplex:
         while by_dim and not by_dim[-1]:
             by_dim.pop()
         sub = object.__new__(SimplicialComplex)
-        sub._fill(frozenset(chain.from_iterable(by_dim)),
-                  tuple(tuple(group) for group in by_dim), star, neighbors)
+        sub._fill(tuple(tuple(group) for group in by_dim), star, neighbors)
         return sub
 
     # -- dunder surface -----------------------------------------------------
 
     def __contains__(self, simplex) -> bool:
-        return tuple(sorted(simplex)) in self._simplices
+        simplex = tuple(sorted(simplex))
+        return bool(simplex) and simplex in self._star.get(simplex[0], ())
 
     def __len__(self) -> int:
-        return len(self._simplices)
+        return sum(self.f_vector())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._simplices == other._simplices
+        return self._by_dim == other._by_dim
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._simplices)
+            self._hash = hash(self._by_dim)
         return self._hash
 
     def __repr__(self) -> str:

@@ -15,6 +15,8 @@ search below restrict itself to layer-by-layer orderings.
 
 from __future__ import annotations
 
+import struct
+
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
@@ -78,29 +80,56 @@ class CanonicalCode:
     Ordering follows the first-difference rule: at the first position where
     two sequences differ, the one holding a 1 is smaller.  On a shared
     prefix the longer code (more simplices) is therefore the smaller one.
+
+    The positions are kept packed into one int (:func:`_pack`), each in a
+    field of ``_width`` bytes, the fewest of :func:`_field_bytes` that
+    hold the largest; the width is a function of the positions, so equal
+    codes pack equally.
     """
 
-    __slots__ = ("indices", "_hash")
+    __slots__ = ("_packed", "_count", "_width")
 
     def __init__(self, indices):
-        self.indices = tuple(indices)
-        self._hash = hash(self.indices)
+        indices = tuple(indices)
+        self._width = _field_bytes(max(indices).bit_length() if indices else 0)
+        try:
+            self._packed = _pack(indices, self._width)
+        except (struct.error, OverflowError):
+            raise ValidationError(f"code indices must be nonnegative: {indices}") from None
+        self._count = len(indices)
+
+    @property
+    def indices(self) -> tuple:
+        """The positions as a tuple, unpacked on each read."""
+        return _unpack(self._packed, self._count, self._width)
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalCode):
             return NotImplemented
-        return self.indices == other.indices
+        return (self._packed == other._packed and self._count == other._count
+                and self._width == other._width)
 
     def __hash__(self):
-        return self._hash
+        return hash(self._packed)
 
     def __lt__(self, other):
         if not isinstance(other, CanonicalCode):
             return NotImplemented
-        for a, b in zip(self.indices, other.indices):
-            if a != b:
-                return a < b
-        return len(self.indices) > len(other.indices)
+        shared = min(self._count, other._count)
+        if self._width == other._width:
+            # the lowest differing bit lies in the first differing field
+            bits = 8 * self._width
+            diff = (self._packed ^ other._packed) & ((1 << bits * shared) - 1)
+            if diff:
+                shift = ((diff & -diff).bit_length() - 1) // bits * bits
+                field = (1 << bits) - 1
+                return ((self._packed >> shift) & field
+                        < (other._packed >> shift) & field)
+        else:
+            for a, b in zip(self.indices, other.indices):
+                if a != b:
+                    return a < b
+        return self._count > other._count
 
     def __le__(self, other):
         return self == other or self < other
@@ -146,13 +175,12 @@ def _refined_colors(cx: SimplicialComplex) -> dict:
     pos = {v: i for i, v in enumerate(verts)}
     members = []
     star = [[] for _ in verts]
-    for s in cx.simplices:
-        if len(s) > 1:
-            positions = [pos[u] for u in s]
-            k = len(members)
-            members.append(positions)
-            for i in positions:
-                star[i].append(k)
+    for s in chain.from_iterable(map(cx.faces, range(1, cx.dim + 1))):
+        positions = [pos[u] for u in s]
+        k = len(members)
+        members.append(positions)
+        for i in positions:
+            star[i].append(k)
     color = [hash(tuple(sorted([len(members[k]) for k in ks]))) for ks in star]
     classes = len(set(color))
     while classes < len(color):
@@ -205,7 +233,7 @@ class _IsoContext:
         # one (mask, positions) item per simplex, shared by every star
         # that holds it
         item = {}
-        for s in cx.simplices:
+        for s in chain.from_iterable(map(cx.faces, range(cx.dim + 1))):
             positions = tuple(map(idx.__getitem__, s))
             item[s] = (sum(1 << j for j in positions), positions)
         get = item.__getitem__
@@ -528,12 +556,38 @@ def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
     return [branch[0] for branch in partials], pruned
 
 
-def _pack(masks: list, width: int) -> int:
-    """One int holding ``masks`` at ``width`` bits each, the first lowest."""
-    packed = 0
-    for mask in reversed(masks):
-        packed = packed << width | mask
-    return packed
+# struct codes of the field widths up to 8 bytes; wider fields take one
+# ``to_bytes`` per value
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_bytes(bits: int) -> int:
+    """Bytes per packed field for values of up to ``bits`` bits: 1, 2, 4
+    or 8, and past 8 as many as the values need."""
+    size = (bits + 7) // 8
+    return size if size > 8 else 1 << max(size - 1, 0).bit_length()
+
+
+def _pack(values, width: int) -> int:
+    """One int holding the nonnegative ``values`` (a sequence) in fields of
+    ``width`` bytes, the first lowest: one ``int.from_bytes`` over their
+    fixed-width bytes."""
+    code = _FORMATS.get(width)
+    if code is None:
+        data = b"".join([v.to_bytes(width, "little") for v in values])
+    else:
+        data = struct.pack(f"<{len(values)}{code}", *values)
+    return int.from_bytes(data, "little")
+
+
+def _unpack(packed: int, count: int, width: int) -> tuple:
+    """The ``count`` values that :func:`_pack` put into ``packed``."""
+    data = packed.to_bytes(count * width, "little")
+    code = _FORMATS.get(width)
+    if code is None:
+        return tuple(int.from_bytes(data[i:i + width], "little")
+                     for i in range(0, len(data), width))
+    return struct.unpack(f"<{count}{code}", data)
 
 
 def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
@@ -545,9 +599,10 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     simplices: a simplex is taken from the star of its first vertex, and
     only the stars of the outer layer are filtered.  ``_CODE_CACHE`` is
     keyed by the vertex count n and the simplices as bitmasks of
-    positions, sorted and packed at n bits each (:func:`_pack`).  On a miss
-    the masks give the canonical search its incidence, and the simplices,
-    relabelled, the code's indices.  The ball is cut only when a tie
+    positions, sorted and packed in fields of ``_field_bytes(n)`` bytes
+    (:func:`_pack`); every mask is nonzero, so the key fixes their count.
+    On a miss the masks give the canonical search its incidence, and the
+    simplices, relabelled, the code's indices.  The ball is cut only when a tie
     passes ``_TIE_CAP`` and automorphisms are searched.
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
@@ -577,7 +632,7 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     masks = [sum(map(get, s)) for s in simplices]
     n = len(vert)
     ordered = sorted(masks)
-    key = (n, _pack(ordered, n))
+    key = (n, _pack(ordered, _field_bytes(n)))
     entry = _CODE_CACHE.get(key)
     if entry is None:
         layer = [dist[v] for v in vert]
@@ -585,7 +640,8 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
         starts = [(0,)]
         if last >= 2:
             m = layer.index(last)
-            inner_key = (m, _pack(ordered[:bisect_left(ordered, 1 << m)], m))
+            inner_key = (m, _pack(ordered[:bisect_left(ordered, 1 << m)],
+                                  _field_bytes(m)))
             kept = _CODE_CACHE.get(inner_key, (None, None))[1]
             if kept is not None:
                 starts = [kept[i:i + m] for i in range(0, len(kept), m)]

@@ -352,6 +352,11 @@ def _level_stats(args):
     }
 
 
+def _eps_column(eps) -> str:
+    """The CSV column and trend name of an eps value."""
+    return f"nu_eps_{eps:g}"
+
+
 class ConvergenceReport:
     """Per-level statistics of a complex sequence plus trend summaries."""
 
@@ -374,7 +379,7 @@ class ConvergenceReport:
     def header(self):
         cols = ["n", "|V|", "p", "b_p", "b_p_normalized"]
         cols += [f"m{r}" for r in range(self.order + 1)]
-        cols += [f"nu_eps_{eps:g}" for eps in self.eps_list]
+        cols += [_eps_column(eps) for eps in self.eps_list]
         return cols
 
     def _cell(self, value) -> str:
@@ -444,7 +449,7 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     eps_list = list(eps_list)
     for eps in eps_list:
         _check_eps(eps)
-    columns = [f"nu_eps_{eps:g}" for eps in eps_list]
+    columns = [_eps_column(eps) for eps in eps_list]
     if len(set(columns)) != len(columns):
         raise ValidationError(
             f"eps values {eps_list} repeat a column label: {columns}")

@@ -75,26 +75,20 @@ def random_flag(n: int, prob: float, max_dim: int, seed: int) -> SimplicialCompl
 
     rng = np.random.default_rng(seed)
     adj = {v: set() for v in range(n)}
-    simplices = [(v,) for v in range(n)]
+    layer = []
     for u, v in combinations(range(n), 2):
         if rng.random() < prob:
             adj[u].add(v)
             adj[v].add(u)
-            simplices.append((u, v))
+            layer.append((u, v))
+    groups = [[(v,) for v in range(n)], layer]
     # grow cliques one vertex at a time, always extending past the maximum
-    layer = [s for s in simplices if len(s) == 2]
-    dim = 1
-    while layer and dim < max_dim:
-        nxt = []
-        for s in layer:
-            common = set.intersection(*(adj[v] for v in s))
-            for w in sorted(common):
-                if w > s[-1]:
-                    nxt.append(s + (w,))
-        simplices.extend(nxt)
-        layer = nxt
-        dim += 1
-    return SimplicialComplex(simplices, _validated=True)
+    while layer and len(groups) <= max_dim:
+        layer = [s + (w,) for s in layer
+                 for w in sorted(set.intersection(*(adj[v] for v in s)))
+                 if w > s[-1]]
+        groups.append(layer)
+    return SimplicialComplex._from_faces(groups)
 
 
 def fixtures() -> dict:

@@ -384,8 +384,9 @@ def degree_truncate(cx: SimplicialComplex, max_deg: int) -> SimplicialComplex:
         nbr_top = max(cx.degree(u) for u in nbrs)
         u = min(w for w in nbrs if cx.degree(w) == nbr_top)
         a, b = (v, u) if v < u else (u, v)
-        kept = [s for s in cx.simplices if not (a in s and b in s)]
-        cx = SimplicialComplex(kept, _validated=True)
+        cx = SimplicialComplex._from_faces(
+            [[s for s in cx.faces(p) if not (a in s and b in s)]
+             for p in range(cx.dim + 1)])
     return cx
 
 

@@ -6,8 +6,8 @@ import pytest
 from conftest import random_complex
 from l2limits.complexes import RootedComplex, SimplicialComplex, _bfs, rooted_at
 from l2limits.errors import MalformedInputError, ValidationError
-from l2limits.generators import fixtures, torus_tower
-from l2limits.measures import uniform_rooting
+from l2limits.generators import fixtures, random_flag, torus_tower
+from l2limits.measures import degree_truncate, uniform_rooting
 
 closure = SimplicialComplex.closure
 
@@ -113,12 +113,46 @@ def test_induced_subcomplex():
     assert cx.induced({0, 3}) == closure([(0,), (3,)])
 
 
+def test_the_three_constructors_compare_and_hash_equal():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        cx = random_complex(rng, 9)
+        listed = SimplicialComplex(sorted(cx.simplices, reverse=True))
+        extra = max(cx.vertices) + 1
+        wider = closure([*cx.maximal_simplices(),
+                         *((v, extra) for v in cx.vertices[::2])])
+        for other in (listed, wider.induced(cx.vertices), cx.induced(cx.vertices)):
+            assert other == cx and hash(other) == hash(cx)
+            assert other.simplices == cx.simplices
+        assert wider != cx
+        assert len(cx) == len(cx.simplices)
+
+
+def test_trusted_builds_equal_the_validating_constructor():
+    # random_flag and degree_truncate can leave the top dimension empty
+    cases = [random_flag(6, 0.0, 3, 1), random_flag(8, 0.5, 3, 2),
+             degree_truncate(closure([(0, 1, 2)]), 1),
+             degree_truncate(closure([(0, 1, 2, 3)]), 2)]
+    for cx in cases:
+        again = SimplicialComplex(cx.simplices)
+        assert cx == again and hash(cx) == hash(again) and cx.dim == again.dim
+
+
+def test_membership_reads_the_stars():
+    cx = closure([(0, 1, 2), (2, 3)])
+    for s in cx.simplices:
+        assert s in cx and s[::-1] in cx and list(s) in cx
+    for s in [(0, 3), (3, 1), (1, 2, 3), (4,), (0, 1, 2, 3), (4, 0)]:
+        assert s not in cx
+    assert () not in cx
+    assert (0,) not in SimplicialComplex([])
+
+
 def _percolated_torus(side, keep, seed):
     full = torus_tower(2, side)
     rng = np.random.default_rng(seed)
     drop = {t for t in full.faces(2) if rng.random() >= keep}
-    return SimplicialComplex([s for s in full.simplices if s not in drop],
-                             _validated=True)
+    return SimplicialComplex([s for s in full.simplices if s not in drop])
 
 
 def _induced_cases():

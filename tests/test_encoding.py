@@ -52,6 +52,53 @@ def test_code_order_prefers_earlier_ones():
     assert not CanonicalCode((0, 1)) < CanonicalCode((0, 1))
 
 
+def _first_difference_less(a, b):
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return len(a) > len(b)
+
+
+def test_packed_codes_keep_indices_equality_and_order():
+    # indices of one to nine bytes, so pairs meet unequal field widths
+    rng = random.Random(5)
+    tops = (2, 200, 70_000, 2 ** 64, 2 ** 70)
+
+    def draw():
+        top = rng.choice(tops)
+        return sorted({rng.randrange(top) for _ in range(rng.randrange(1, 12))})
+
+    pairs = [((256, 0), (0, 1)), ((), (0,)), ((0,), (0, 2 ** 64)),
+             ((2 ** 64,), (2 ** 64, 2 ** 64 + 1))]
+    for _ in range(3000):
+        a = draw()
+        k = rng.randrange(len(a) + 1)
+        b = rng.choice([a, a[:k], a + [a[-1] + 1], draw(),
+                        a[:k] + [rng.randrange(2 ** 70)] + a[k + 1:]])
+        pairs.append((tuple(a), tuple(b)))
+    for a, b in pairs:
+        ca, cb = CanonicalCode(a), CanonicalCode(b)
+        assert ca.indices == a and CanonicalCode(ca.indices) == ca
+        assert hash(CanonicalCode(ca.indices)) == hash(ca)
+        assert (ca == cb) == (a == b)
+        assert (ca < cb) == _first_difference_less(a, b)
+        assert (ca <= cb) == (a == b or _first_difference_less(a, b))
+    for indices in ((3, -1), (-(2 ** 70), 2 ** 70)):
+        with pytest.raises(ValidationError):
+            CanonicalCode(indices)
+
+
+def test_pack_matches_the_shift_loop_and_unpacks():
+    rng = random.Random(9)
+    for width in (1, 2, 3, 4, 8, 9, 16):
+        values = [rng.randrange(1 << 8 * width) for _ in range(200)]
+        packed = 0
+        for value in reversed(values):
+            packed = packed << 8 * width | value
+        assert encoding._pack(values, width) == packed
+        assert encoding._unpack(packed, len(values), width) == tuple(values)
+
+
 def test_single_vertex_and_edge_codes():
     v = rooted_at(closure([(0,)]), 0)
     assert canonical_code(v).indices == (0,)
@@ -537,7 +584,8 @@ def test_packed_keys_are_equal_exactly_when_the_mask_sets_are(monkeypatch):
 def test_code_cache_memory_per_entry(monkeypatch):
     # radius-1 and radius-2 balls of every vertex of 40 sparse flag
     # complexes; frozenset keys and bare codes retained about 4,370 B per
-    # entry here, packed keys with kept orders about 1,400 B
+    # entry here, packed keys with kept orders about 1,400 B, and codes
+    # packed into one int as well about 510 B
     pool = [random_flag(16, 5 / 16, 3, s) for s in range(40)]
 
     def code_all():
@@ -574,7 +622,7 @@ def test_code_cache_memory_per_entry(monkeypatch):
         tracemalloc.stop()
     assert next(replay, None) is None
     assert len(encoding._CODE_CACHE) > 900
-    assert retained / len(encoding._CODE_CACHE) < 2500
+    assert retained / len(encoding._CODE_CACHE) < 800
 
 
 def test_canonical_code_rejects_disconnected():
