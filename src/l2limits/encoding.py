@@ -81,55 +81,43 @@ class CanonicalCode:
     two sequences differ, the one holding a 1 is smaller.  On a shared
     prefix the longer code (more simplices) is therefore the smaller one.
 
-    The positions are kept packed into one int (:func:`_pack`), each in a
-    field of ``_width`` bytes, the fewest of :func:`_field_bytes` that
-    hold the largest; the width is a function of the positions, so equal
-    codes pack equally.
+    The positions are kept packed into one bytes string (:func:`_pack`),
+    each in a field of ``_width`` bytes, the fewest of :func:`_field_bytes`
+    that hold the largest; the width is a function of the positions, so
+    equal codes pack equally.
     """
 
-    __slots__ = ("_packed", "_count", "_width")
+    __slots__ = ("_data", "_width")
 
     def __init__(self, indices):
         indices = tuple(indices)
         self._width = _field_bytes(max(indices).bit_length() if indices else 0)
         try:
-            self._packed = _pack(indices, self._width)
+            self._data = _pack(indices, self._width)
         except (struct.error, OverflowError):
             raise ValidationError(f"code indices must be nonnegative: {indices}") from None
-        self._count = len(indices)
 
     @property
     def indices(self) -> tuple:
         """The positions as a tuple, unpacked on each read."""
-        return _unpack(self._packed, self._count, self._width)
+        return _unpack(self._data, self._width)
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalCode):
             return NotImplemented
-        return (self._packed == other._packed and self._count == other._count
-                and self._width == other._width)
+        return self._data == other._data and self._width == other._width
 
     def __hash__(self):
-        return hash(self._packed)
+        return hash(self._data)
 
     def __lt__(self, other):
         if not isinstance(other, CanonicalCode):
             return NotImplemented
-        shared = min(self._count, other._count)
-        if self._width == other._width:
-            # the lowest differing bit lies in the first differing field
-            bits = 8 * self._width
-            diff = (self._packed ^ other._packed) & ((1 << bits * shared) - 1)
-            if diff:
-                shift = ((diff & -diff).bit_length() - 1) // bits * bits
-                field = (1 << bits) - 1
-                return ((self._packed >> shift) & field
-                        < (other._packed >> shift) & field)
-        else:
-            for a, b in zip(self.indices, other.indices):
-                if a != b:
-                    return a < b
-        return self._count > other._count
+        a, b = self.indices, other.indices
+        for x, y in zip(a, b):
+            if x != y:
+                return x < y
+        return len(a) > len(b)
 
     def __le__(self, other):
         return self == other or self < other
@@ -568,26 +556,22 @@ def _field_bytes(bits: int) -> int:
     return size if size > 8 else 1 << max(size - 1, 0).bit_length()
 
 
-def _pack(values, width: int) -> int:
-    """One int holding the nonnegative ``values`` (a sequence) in fields of
-    ``width`` bytes, the first lowest: one ``int.from_bytes`` over their
-    fixed-width bytes."""
+def _pack(values, width: int) -> bytes:
+    """The bytes of the nonnegative ``values`` (a sequence), in order, each
+    in a little-endian field of ``width`` bytes."""
     code = _FORMATS.get(width)
     if code is None:
-        data = b"".join([v.to_bytes(width, "little") for v in values])
-    else:
-        data = struct.pack(f"<{len(values)}{code}", *values)
-    return int.from_bytes(data, "little")
+        return b"".join([v.to_bytes(width, "little") for v in values])
+    return struct.pack(f"<{len(values)}{code}", *values)
 
 
-def _unpack(packed: int, count: int, width: int) -> tuple:
-    """The ``count`` values that :func:`_pack` put into ``packed``."""
-    data = packed.to_bytes(count * width, "little")
+def _unpack(data: bytes, width: int) -> tuple:
+    """The values that :func:`_pack` put into ``data``."""
     code = _FORMATS.get(width)
     if code is None:
         return tuple(int.from_bytes(data[i:i + width], "little")
                      for i in range(0, len(data), width))
-    return struct.unpack(f"<{count}{code}", data)
+    return struct.unpack(f"<{len(data) // width}{code}", data)
 
 
 def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
@@ -600,7 +584,7 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     only the stars of the outer layer are filtered.  ``_CODE_CACHE`` is
     keyed by the vertex count n and the simplices as bitmasks of
     positions, sorted and packed in fields of ``_field_bytes(n)`` bytes
-    (:func:`_pack`); every mask is nonzero, so the key fixes their count.
+    (:func:`_pack`).
     On a miss the masks give the canonical search its incidence, and the
     simplices, relabelled, the code's indices.  The ball is cut only when a tie
     passes ``_TIE_CAP`` and automorphisms are searched.

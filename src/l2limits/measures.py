@@ -291,7 +291,7 @@ def mass_transport_check(mu: RandomRootedComplex, fn,
 
 
 def _adjacent(cx: SimplicialComplex, x: int, y: int) -> bool:
-    return x != y and tuple(sorted((x, y))) in cx
+    return y in cx.neighbors(x)
 
 
 def standard_battery():

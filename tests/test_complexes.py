@@ -146,6 +146,15 @@ def test_membership_reads_the_stars():
         assert s not in cx
     assert () not in cx
     assert (0,) not in SimplicialComplex([])
+    # every simplex, and every simplex with one vertex added, against the
+    # frozenset of simplices
+    cx = random_flag(14, 0.4, 3, 2)
+    present = cx.simplices
+    for s in present:
+        assert s in cx
+        for v in range(-1, 15):
+            grown = tuple(sorted(set(s) | {v}))
+            assert (grown in cx) == (grown in present)
 
 
 def _percolated_torus(side, keep, seed):

@@ -68,8 +68,9 @@ def test_packed_codes_keep_indices_equality_and_order():
         top = rng.choice(tops)
         return sorted({rng.randrange(top) for _ in range(rng.randrange(1, 12))})
 
-    pairs = [((256, 0), (0, 1)), ((), (0,)), ((0,), (0, 2 ** 64)),
-             ((2 ** 64,), (2 ** 64, 2 ** 64 + 1))]
+    # (513, 1027) packs to the bytes of (1, 2, 3, 4) at half the width
+    pairs = [((256, 0), (0, 1)), ((513, 1027), (1, 2, 3, 4)), ((), (0,)),
+             ((0,), (0, 2 ** 64)), ((2 ** 64,), (2 ** 64, 2 ** 64 + 1))]
     for _ in range(3000):
         a = draw()
         k = rng.randrange(len(a) + 1)
@@ -95,8 +96,9 @@ def test_pack_matches_the_shift_loop_and_unpacks():
         packed = 0
         for value in reversed(values):
             packed = packed << 8 * width | value
-        assert encoding._pack(values, width) == packed
-        assert encoding._unpack(packed, len(values), width) == tuple(values)
+        data = encoding._pack(values, width)
+        assert int.from_bytes(data, "little") == packed
+        assert encoding._unpack(data, width) == tuple(values)
 
 
 def test_single_vertex_and_edge_codes():
@@ -585,7 +587,7 @@ def test_code_cache_memory_per_entry(monkeypatch):
     # radius-1 and radius-2 balls of every vertex of 40 sparse flag
     # complexes; frozenset keys and bare codes retained about 4,370 B per
     # entry here, packed keys with kept orders about 1,400 B, and codes
-    # packed into one int as well about 510 B
+    # packed into bytes as well about 505 B
     pool = [random_flag(16, 5 / 16, 3, s) for s in range(40)]
 
     def code_all():

@@ -286,6 +286,19 @@ def test_battery_shape():
     assert len({name for name, _ in battery}) == 12
 
 
+def test_adjacency_is_membership_of_the_edge():
+    adjacency = dict(standard_battery())["adjacency"]
+    rng = np.random.default_rng(61)
+    cases = [fixtures()["path3"], random_flag(20, 0.2, 2, 4)]
+    cases += [random_complex(rng, 9) for _ in range(10)]
+    for cx in cases:
+        edges = set(cx.faces(1))
+        points = list(cx.vertices) + [max(cx.vertices) + 1]
+        for x in points:
+            for y in points:
+                assert adjacency(cx, x, y) == (tuple(sorted((x, y))) in edges)
+
+
 def test_mass_transport_exact_on_fixtures():
     for name, cx in fixtures().items():
         mu = uniform_rooting(cx)
