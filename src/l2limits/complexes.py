@@ -195,7 +195,7 @@ class SimplicialComplex:
         """Vertex sets of the connected components, sorted by smallest vertex."""
         seen: set[int] = set()
         comps = []
-        for v in sorted(self._star):
+        for v in self.vertices:
             if v in seen:
                 continue
             comp = frozenset(self.distances(v))

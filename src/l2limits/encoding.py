@@ -198,7 +198,7 @@ class _IsoContext:
 
     def __init__(self, cx: SimplicialComplex):
         self.cx = cx
-        self.verts = sorted(v for v, in cx.faces(0))
+        self.verts = cx.vertices
         self.idx = {v: i for i, v in enumerate(self.verts)}
         self.n = len(self.verts)
         colors = _refined_colors(cx)

@@ -16,8 +16,7 @@ from numbers import Rational
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import HypothesisViolationError, ValidationError
-from .measures import (RandomRootedComplex, _ball_laws, _local_distance,
-                       uniform_rooting)
+from .measures import RandomRootedComplex, measure_distance, uniform_rooting
 from .spectral import _Incidence, _radius_bound, spectral_measure
 
 __all__ = [
@@ -304,23 +303,20 @@ def _check_eps(eps) -> None:
         raise ValidationError("eps must lie strictly between 0 and 1")
 
 
-def kernel_mass_bound(degree_bound: int, p: int, eps: float,
-                      radius: float | None = None) -> float:
+def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
     """Upper bound on spectral mass in (-eps, eps) excluding the atom at 0.
 
     The nonzero eigenvalues of an integer positive semidefinite matrix have
     product at least 1, so few of them fit below eps once the spectral
-    radius is known.  ``radius`` defaults to the proven a priori bound
+    radius is known.  The radius used is the proven a priori bound
     max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p)) on the spectral radius of
-    Delta_p at max degree D; pass the true radius when available for a
-    sharper bound.  A radius at most 1 forces the nonzero spectrum to be
-    empty and the bound collapses to 0.
+    Delta_p at max degree D.  A radius at most 1 forces the nonzero
+    spectrum to be empty and the bound collapses to 0.
     """
     _check_eps(eps)
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
-    if radius is None:
-        radius = _radius_bound(p, degree_bound)
+    radius = _radius_bound(p, degree_bound)
     if radius <= 1:
         return 0.0
     return (math.log(radius) * math.comb(degree_bound, p)
@@ -334,7 +330,8 @@ def _resolve_threads(threads) -> int:
 
 
 def _level_stats(args):
-    cx, p, order, eps_list, rmax = args
+    """One level's row, and its uniform-rooting law for the distances."""
+    cx, p, order, eps_list = args
     mu = uniform_rooting(cx)
     mv = moments_of_measure(mu, p, order)
     measure = spectral_measure(cx, p)
@@ -342,14 +339,11 @@ def _level_stats(args):
           for eps in eps_list}
     return {
         "n_vertices": len(cx.vertices),
-        "max_degree": cx.max_degree(),
         "b_p": measure.kernel_dim,
         "b_p_normalized": measure.mass_at_zero(),
         "moments": mv.moments,
         "nu": nu,
-        "spectral_radius": measure.spectral_radius(),
-        "balls": _ball_laws(mu, rmax),
-    }
+    }, mu
 
 
 def _eps_column(eps) -> str:
@@ -474,18 +468,18 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
             "the approximation statement needs uniformly bounded degree")
     observed_bound = degree_bound if degree_bound is not None else max(degrees)
 
-    jobs = [(cx, p, order, eps_list, rmax) for cx in sequence]
+    jobs = [(cx, p, order, eps_list) for cx in sequence]
     workers = _resolve_threads(threads)
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            rows = list(pool.map(_level_stats, jobs))
+            stats = list(pool.map(_level_stats, jobs))
     else:
-        rows = [_level_stats(job) for job in jobs]
+        stats = [_level_stats(job) for job in jobs]
+    rows, laws = map(list, zip(*stats))
 
-    distances = [_local_distance(row["balls"], rows[-1]["balls"])
-                 for row in rows]
+    distances = [measure_distance(law, laws[-1], rmax) for law in laws]
 
     trends = {"b_p_normalized": _trend([row["b_p_normalized"] for row in rows])}
     for eps, column in zip(eps_list, columns):

@@ -79,11 +79,8 @@ def read_scx(source):
 
 
 def scx_text(cx: SimplicialComplex, root=None) -> str:
-    lines = []
-    if root is not None:
-        lines.append(f"root {root}")
-    for s in sorted(cx.maximal_simplices()):
-        lines.append(" ".join(str(v) for v in s))
+    lines = [] if root is None else [f"root {root}"]
+    lines += [" ".join(str(v) for v in s) for s in cx.maximal_simplices()]
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -144,15 +141,11 @@ def load_measure(source) -> RandomRootedComplex:
 
 
 def measure_json(mu: RandomRootedComplex) -> str:
-    support = []
-    for pt in mu.points:
-        support.append({
-            "weight": str(pt.weight),
-            "maximal_simplices": [
-                list(s) for s in sorted(pt.rooted.complex.maximal_simplices())
-            ],
-            "root": pt.rooted.root,
-        })
+    support = [{
+        "weight": str(pt.weight),
+        "maximal_simplices": [list(s) for s in pt.rooted.complex.maximal_simplices()],
+        "root": pt.rooted.root,
+    } for pt in mu.points]
     return json.dumps({"support": support}, indent=2) + "\n"
 
 

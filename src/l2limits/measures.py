@@ -8,6 +8,8 @@ most once and expectations are plain weighted sums.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import combinations
 
 from .complexes import RootedComplex, SimplicialComplex
 from .encoding import CanonicalCode, _ball_code, _IsoContext, _search
@@ -120,7 +122,7 @@ def uniform_rooting(cx: SimplicialComplex) -> RandomRootedComplex:
     once; on vertex-transitive inputs a handful of searches classify all
     roots.
     """
-    verts = sorted(cx.vertices)
+    verts = cx.vertices
     if not verts:
         raise ValidationError("cannot root an empty complex")
     comps = ((cx,) if cx.is_connected()
@@ -220,36 +222,20 @@ def total_variation(p, q) -> Fraction:
     return sum((abs(p.get(k, _ZERO) - q.get(k, _ZERO)) for k in keys), _ZERO) / 2
 
 
-def _local_distance(laws_a, laws_b) -> Fraction:
-    """Sum over r >= 1 of 2^-r times the TV gap between ``laws_a[r]`` and
-    ``laws_b[r]``, two lists of ball laws indexed by radius.
-
-    Index 0 is not read: every 0-ball is the root alone, so the radius-0
-    gap of two laws is always 0.
-    """
-    total = _ZERO
-    for r in range(1, min(len(laws_a), len(laws_b))):
-        total += Fraction(1, 2 ** r) * total_variation(laws_a[r], laws_b[r])
-    return total
-
-
-def _ball_laws(mu: RandomRootedComplex, rmax: int) -> list:
-    """[None, law_1, ..., law_rmax]: the ball laws :func:`_local_distance`
-    reads.  No radius-0 law is built, and no 0-ball coded, as that index is
-    not read."""
-    return [None, *(ball_distribution(mu, r) for r in range(1, rmax + 1))]
-
-
 def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
                      rmax: int) -> Fraction:
     """Sum over r <= rmax of 2^-r times the TV gap between ball laws.
 
     The radius-0 term is always 0 (every 0-ball is the root alone), so ball
-    laws are built, and balls coded, only for r = 1..rmax.
+    laws are built, and balls coded, only for r = 1..rmax.  Support points
+    memoize their ball codes, so measuring many laws against one codes
+    each of its balls once.
     """
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
-    return _local_distance(_ball_laws(mu, rmax), _ball_laws(nu, rmax))
+    return sum((Fraction(1, 2 ** r) * total_variation(
+        ball_distribution(mu, r), ball_distribution(nu, r))
+        for r in range(1, rmax + 1)), _ZERO)
 
 
 class MassTransportResult:
@@ -295,7 +281,19 @@ def _adjacent(cx: SimplicialComplex, x: int, y: int) -> bool:
 
 
 def standard_battery():
-    """Named isomorphism-invariant transport functions for identity checks."""
+    """Named isomorphism-invariant transport functions for identity checks.
+
+    The distance functions share one search per (complex, vertex), read
+    from either end of a pair, so a transport check searches once per root.
+    """
+    searched = {}
+
+    def distance(cx, x, y):
+        if (cx, y) in searched:
+            return searched[cx, y].get(x)
+        if (cx, x) not in searched:
+            searched[cx, x] = cx.distances(x)
+        return searched[cx, x].get(y)
 
     def same_vertex(cx, x, y):
         return 1 if x == y else 0
@@ -329,14 +327,14 @@ def standard_battery():
         return sum(1 for s in cx.star(x) if len(s) == 3 and y in s)
 
     def at_distance_two(cx, x, y):
-        return 1 if cx.distances(x).get(y) == 2 else 0
+        return 1 if distance(cx, x, y) == 2 else 0
 
     def inverse_distance(cx, x, y):
-        d = cx.distances(x).get(y)
+        d = distance(cx, x, y)
         return _ZERO if d is None else Fraction(1, 1 + d)
 
     def nearby_triangle_degree(cx, x, y):
-        d = cx.distances(x).get(y)
+        d = distance(cx, x, y)
         return cx.p_degree(y, 2) if d is not None and d <= 2 else 0
 
     return (
@@ -373,25 +371,37 @@ def degree_truncate(cx: SimplicialComplex, max_deg: int) -> SimplicialComplex:
     lowest-numbered vertex of maximum degree, detach it from its
     lowest-numbered neighbor of maximum degree, and drop every simplex
     containing that edge.  Vertices are never removed, so truncation can
-    leave isolated vertices behind.
+    leave isolated vertices behind.  A deletion removes no other edge, so
+    the rule runs on the graph alone and the complex is built once.
     """
     if max_deg < 0:
         raise ValidationError("degree bound must be nonnegative")
-    while cx.max_degree() > max_deg:
-        top = cx.max_degree()
-        v = min(u for u in cx.vertices if cx.degree(u) == top)
-        nbrs = cx.neighbors(v)
-        nbr_top = max(cx.degree(u) for u in nbrs)
-        u = min(w for w in nbrs if cx.degree(w) == nbr_top)
-        a, b = (v, u) if v < u else (u, v)
-        cx = SimplicialComplex._from_faces(
-            [[s for s in cx.faces(p) if not (a in s and b in s)]
-             for p in range(cx.dim + 1)])
-    return cx
+    if cx.max_degree() <= max_deg:
+        return cx
+    nbrs = {v: set(cx.neighbors(v)) for v in cx.vertices}
+
+    def rank(w):  # maximum degree first, then the lowest-numbered vertex
+        return -len(nbrs[w]), w
+
+    heap = sorted(map(rank, nbrs))  # a sorted list is a heap
+    deleted = set()
+    while True:
+        top = heappop(heap)
+        v = top[1]
+        if top != rank(v):
+            continue  # stale: v has lost an edge since
+        if -top[0] <= max_deg:
+            break
+        u = min(nbrs[v], key=rank)
+        for a, b in ((v, u), (u, v)):
+            nbrs[a].remove(b)
+            heappush(heap, rank(a))
+        deleted.add((v, u) if v < u else (u, v))
+    return SimplicialComplex._from_faces(
+        [[s for s in cx.faces(p) if deleted.isdisjoint(combinations(s, 2))]
+         for p in range(cx.dim + 1)])
 
 
 def expected_p_degree(mu: RandomRootedComplex, p: int) -> Fraction:
     """Mean number of p-simplices containing the root."""
-    return sum(
-        (pt.weight * pt.rooted.p_degree(p) for pt in mu.points), _ZERO
-    )
+    return mu.expect(lambda pt: pt.rooted.p_degree(p))

@@ -449,14 +449,11 @@ def test_kernel_mass_bound_formula():
     radius = 27  # max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p))
     want = math.log(radius) * math.comb(d, p) / ((p + 1) * math.log(1 / eps))
     assert kernel_mass_bound(d, p, eps) == pytest.approx(want)
-    sharper = kernel_mass_bound(d, p, eps, radius=2.0)
-    assert sharper < want
-    assert kernel_mass_bound(d, p, eps, radius=1.0) == 0.0
     assert kernel_mass_bound(0, 0, 0.5) == 0.0  # a priori radius is 1
 
 
 def test_kernel_mass_bound_default_radius_holds():
-    # The bound grows with the radius, so a default radius at least the
+    # The bound grows with the radius, so an a priori radius at least the
     # true one gives a bound at least the one from the true radius.  The
     # old default 2*sqrt((p+2)*D) = 8.49 fails this on torus_tower(2, 8),
     # p=1, whose spectral radius is 8.83.
@@ -466,8 +463,9 @@ def test_kernel_mass_bound_default_radius_holds():
         for p in range(cx.dim + 1):
             radius = spectral_measure(cx, p).spectral_radius()
             for eps in (0.5, 0.1):
-                true_bound = kernel_mass_bound(degree, p, eps,
-                                               radius=radius)
+                true_bound = 0.0 if radius <= 1 else (
+                    math.log(radius) * math.comb(degree, p)
+                    / ((p + 1) * math.log(1 / eps)))
                 assert kernel_mass_bound(degree, p, eps) >= \
                     true_bound - 1e-12, (name, p, eps)
 
@@ -574,7 +572,6 @@ def test_convergence_experiment_parallel_matches_serial():
         assert a["moments"] == b["moments"]
         assert a["b_p"] == b["b_p"]
         assert a["nu"] == b["nu"]
-        assert a["balls"] == b["balls"]
     assert serial.distances_to_last == parallel.distances_to_last
 
 

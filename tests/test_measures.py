@@ -316,6 +316,89 @@ def test_mass_transport_exact_on_random_complexes():
             assert result.passed, fn_name
 
 
+def _per_pair_battery():
+    """The battery written pair by pair: each distance is a fresh search."""
+
+    def adjacent(cx, x, y):
+        return y in cx.neighbors(x)
+
+    def distance(cx, x, y):
+        return cx.distances(x).get(y)
+
+    def within_two(cx, x, y):
+        d = distance(cx, x, y)
+        return d is not None and d <= 2
+
+    return {
+        "same_vertex": lambda cx, x, y: int(x == y),
+        "degree_at_self": lambda cx, x, y: cx.degree(x) if x == y else 0,
+        "adjacency": lambda cx, x, y: int(adjacent(cx, x, y)),
+        "adjacency_times_far_degree":
+            lambda cx, x, y: cx.degree(y) if adjacent(cx, x, y) else 0,
+        "adjacency_uphill": lambda cx, x, y: int(
+            adjacent(cx, x, y) and cx.degree(x) > cx.degree(y)),
+        "adjacency_min_degree": lambda cx, x, y: min(
+            cx.degree(x), cx.degree(y)) if adjacent(cx, x, y) else 0,
+        "adjacency_to_degree_two": lambda cx, x, y: int(
+            adjacent(cx, x, y) and cx.degree(y) == 2),
+        "common_neighbors": lambda cx, x, y: len(
+            set(cx.neighbors(x)) & set(cx.neighbors(y)))
+        if adjacent(cx, x, y) else 0,
+        "shared_triangles": lambda cx, x, y: sum(
+            1 for s in cx.faces(2) if x in s and y in s)
+        if adjacent(cx, x, y) else 0,
+        "at_distance_two": lambda cx, x, y: int(distance(cx, x, y) == 2),
+        "inverse_distance": lambda cx, x, y: Fraction(0)
+        if distance(cx, x, y) is None else Fraction(1, 1 + distance(cx, x, y)),
+        "nearby_triangle_degree": lambda cx, x, y: cx.p_degree(y, 2)
+        if within_two(cx, x, y) else 0,
+    }
+
+
+def test_battery_matches_the_per_pair_reference():
+    rng = np.random.default_rng(67)
+    laws = [uniform_rooting(cx) for cx in fixtures().values()]
+    laws += [uniform_rooting(random_complex(rng, 9)) for _ in range(12)]
+    laws += [uniform_rooting(random_flag(14, 0.3, 3, s)) for s in range(2)]
+    reference = _per_pair_battery()
+    battery = standard_battery()
+    assert [name for name, _ in battery] == list(reference)
+    for mu in laws:
+        for name, fn in battery:
+            ref = reference[name]
+            assert tuple(mass_transport_check(mu, fn)) == \
+                tuple(mass_transport_check(mu, ref)), name
+            # every pair, in reverse order so both ends' searches are read
+            cx = mu.points[0].rooted.complex
+            verts = cx.vertices[::-1]
+            for x in verts:
+                for y in verts:
+                    assert fn(cx, x, y) == ref(cx, x, y), (name, x, y)
+
+
+def test_battery_searches_once_per_root(monkeypatch):
+    import l2limits.complexes as complexes
+    bfs = complexes._bfs
+    calls = []
+
+    def counted(cx, root, radius=None):
+        calls.append(root)
+        return bfs(cx, root, radius)
+
+    laws = [uniform_rooting(random_flag(36, 0.25, 3, s)) for s in range(3)]
+    monkeypatch.setattr(complexes, "_bfs", counted)
+    for name in ("at_distance_two", "inverse_distance",
+                 "nearby_triangle_degree"):
+        for mu in laws:
+            fn = dict(standard_battery())[name]
+            calls.clear()
+            mass_transport_check(mu, fn)
+            support = {id(pt.rooted.complex): len(pt.rooted.complex.vertices)
+                       for pt in mu}
+            assert len(calls) <= sum(support.values()), name
+            assert len(calls) <= len(mu), name
+
+
 def test_mass_transport_known_values():
     mu = uniform_rooting(fixtures()["path3"])
     battery = dict(standard_battery())
@@ -385,6 +468,38 @@ def test_degree_truncate_properties():
         # result is downward closed and truncation is idempotent
         assert SimplicialComplex(out.simplices).simplices == out.simplices
         assert degree_truncate(out, cap) is out
+
+
+def _one_edge_truncate(cx, max_deg):
+    """The greedy rule deleting one edge per rebuild of the complex."""
+    while cx.max_degree() > max_deg:
+        top = cx.max_degree()
+        v = min(u for u in cx.vertices if cx.degree(u) == top)
+        nbrs = cx.neighbors(v)
+        nbr_top = max(cx.degree(u) for u in nbrs)
+        u = min(w for w in nbrs if cx.degree(w) == nbr_top)
+        a, b = (v, u) if v < u else (u, v)
+        cx = SimplicialComplex._from_faces(
+            [[s for s in cx.faces(p) if not (a in s and b in s)]
+             for p in range(cx.dim + 1)])
+    return cx
+
+
+def test_degree_truncate_matches_the_one_edge_rule():
+    rng = np.random.default_rng(71)
+    cases = [random_complex(rng, 12, max_pieces=10) for _ in range(200)]
+    cases += [random_flag(20, 0.4, 3, s) for s in range(4)]
+    met = 0
+    for cx in cases:
+        assert cx.dim <= 3
+        top = cx.max_degree()
+        for cap in {0, int(rng.integers(0, top + 1)), top, top + 1}:
+            out = degree_truncate(cx, cap)
+            assert out == _one_edge_truncate(cx, cap), (cx, cap)
+            if cap >= top:
+                assert out is cx
+                met += 1
+    assert met >= 2 * len(cases)
 
 
 def test_expected_p_degree():
