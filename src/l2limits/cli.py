@@ -181,8 +181,7 @@ def _cmd_converge(args):
     sequence = [torus_tower(d, n) for n in levels]
     report = convergence_experiment(
         sequence, args.p, args.moments, eps_list, rmax=args.rmax,
-        labels=levels, degree_bound=args.degree_bound,
-        threads=args.threads)
+        labels=levels, degree_bound=args.degree_bound)
     report.write_csv(args.out)
     for line in report.summary_lines():
         print(line)
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, default=2)
     p.add_argument("--degree-bound", type=int, default=None,
                    help="enforce this uniform degree bound on every level")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default="experiment.csv")
     p.set_defaults(fn=_cmd_converge)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import struct
 
-from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
@@ -590,10 +589,10 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     passes ``_TIE_CAP`` and automorphisms are searched.
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
-    orders back to back, one byte per position while n < 256 (an array of
-    unsigned ints past that), when the search never passed the tie cap;
-    else None.  They depend on the key alone, so they are kept even for a
-    root's whole component: the same key can be an inner ball elsewhere.
+    orders back to back, packed in fields of ``_field_bytes(n.bit_length())``
+    bytes, when the search never passed the tie cap; else None.  They
+    depend on the key alone, so they are kept even for a root's whole
+    component: the same key can be an inner ball elsewhere.
     The masks of a ball's (L-1)-ball, L its last layer, are the masks
     below ``1 << m``, m the positions closer than L: a prefix of the sorted
     masks, at the same positions.  So on a miss with L >= 2 the search
@@ -628,6 +627,7 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
                                   _field_bytes(m)))
             kept = _CODE_CACHE.get(inner_key, (None, None))[1]
             if kept is not None:
+                kept = _unpack(kept, _field_bytes(m.bit_length()))
                 starts = [kept[i:i + m] for i in range(0, len(kept), m)]
         orders, pruned = _canonical_order(cx, vert, layer, masks, simplices,
                                           starts)
@@ -637,8 +637,8 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
         if pruned:
             orders = None
         else:
-            flat = list(chain.from_iterable(orders))
-            orders = bytes(flat) if n < 256 else array("L", flat)
+            orders = _pack(list(chain.from_iterable(orders)),
+                           _field_bytes(n.bit_length()))
         if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
             _CODE_CACHE.clear()
         entry = _CODE_CACHE[key] = (code, orders)

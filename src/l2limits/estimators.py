@@ -316,6 +316,8 @@ def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
     _check_eps(eps)
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
+    if p < 0:
+        raise ValidationError("dimension must be nonnegative")
     radius = _radius_bound(p, degree_bound)
     if radius <= 1:
         return 0.0
@@ -323,15 +325,8 @@ def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
             / ((p + 1) * math.log(1.0 / eps)))
 
 
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        return 1
-    return max(1, min(int(threads), 32))
-
-
-def _level_stats(args):
+def _level_stats(cx, p, order, eps_list):
     """One level's row, and its uniform-rooting law for the distances."""
-    cx, p, order, eps_list = args
     mu = uniform_rooting(cx)
     mv = moments_of_measure(mu, p, order)
     measure = spectral_measure(cx, p)
@@ -432,11 +427,13 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     The approximation statement this probes requires degrees bounded along
     the whole sequence; a strictly growing degree column (or an explicit
     ``degree_bound`` that some level violates) aborts the experiment.
-    Each eps lies strictly between 0 and 1, and no two share the ``:g``
-    label that names their column; both are checked before any level runs.
-    Levels are independent and are processed in parallel when ``threads``
-    allows more than one worker; the default is one.
+    Each eps lies strictly between 0 and 1, no two share the ``:g`` label
+    that names their column, and ``degree_bound`` is not negative; all are
+    checked before any level runs.  Levels run in turn, in this process:
+    ``threads`` may only be None or 1.
     """
+    if threads not in (None, 1):
+        raise ValidationError(f"threads={threads!r}: levels run in one process")
     sequence = list(sequence)
     if not sequence:
         raise ValidationError("need at least one complex")
@@ -449,6 +446,8 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
             f"eps values {eps_list} repeat a column label: {columns}")
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
+    if degree_bound is not None and degree_bound < 0:
+        raise ValidationError("degree bound must be nonnegative")
     _check_moment_args(p, order)
     if labels is None:
         labels = list(range(len(sequence)))
@@ -468,16 +467,8 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
             "the approximation statement needs uniformly bounded degree")
     observed_bound = degree_bound if degree_bound is not None else max(degrees)
 
-    jobs = [(cx, p, order, eps_list) for cx in sequence]
-    workers = _resolve_threads(threads)
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            stats = list(pool.map(_level_stats, jobs))
-    else:
-        stats = [_level_stats(job) for job in jobs]
-    rows, laws = map(list, zip(*stats))
+    rows, laws = map(list, zip(*(_level_stats(cx, p, order, eps_list)
+                                 for cx in sequence)))
 
     distances = [measure_distance(law, laws[-1], rmax) for law in laws]
 

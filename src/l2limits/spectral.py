@@ -18,7 +18,8 @@ d_{p+1} d_{p+1}^T for the tests and the golden digests; no spectrum reads
 it.
 The walk's exact rows (:class:`_Incidence`) are built lazily instead, so a
 local moment pays for the simplices it reaches.  :func:`boundary_matrix` is
-an independent reference that computes no rank, Gram matrix or moment.
+an independent reference for the tests: no rank, Gram matrix, moment or
+norm bound reads it.
 """
 
 from __future__ import annotations
@@ -69,28 +70,21 @@ class _Incidence:
     Faces come from :func:`_signed_faces`.  A simplex's cofaces are read
     from the star of its first vertex; the face of a coface omitting its
     i-th vertex carries sign (-1)**i there, so the simplex's sign in a
-    coface is read from the index of the vertex the coface adds.  Faces,
-    cofaces and rows are memoized for the lifetime of the instance, so
-    walks pay for the simplices they reach and for no others.  ``walks``
-    keeps the diagonal ⟨Δ^r σ, σ⟩ of each carrier σ that the moment walk of
+    coface is read from the index of the vertex the coface adds.  Cofaces
+    and rows are memoized for the lifetime of the instance, so walks pay
+    for the simplices they reach and for no others.  ``walks`` keeps the
+    diagonal ⟨Δ^r σ, σ⟩ of each carrier σ that the moment walk of
     ``estimators`` computed, keyed by (carrier, order), so a carrier shared
     by several roots is walked once.
     """
 
-    __slots__ = ("star", "walks", "_faces", "_cofaces", "_rows")
+    __slots__ = ("star", "walks", "_cofaces", "_rows")
 
     def __init__(self, cx: SimplicialComplex):
         self.star = cx.star
         self.walks: dict = {}
-        self._faces: dict = {}
         self._cofaces: dict = {}
         self._rows: dict = {}
-
-    def faces(self, s: tuple) -> list:
-        hit = self._faces.get(s)
-        if hit is None:
-            hit = self._faces[s] = _signed_faces(s)
-        return hit
 
     def cofaces(self, s: tuple) -> list:
         hit = self._cofaces.get(s)
@@ -120,7 +114,7 @@ class _Incidence:
     def _row(self, s: tuple) -> list:
         entries: dict = {}
         get = entries.get
-        faces, cofaces = self.faces, self.cofaces
+        faces, cofaces = _signed_faces, self.cofaces
         for f, a in faces(s):
             for t, b in cofaces(f):
                 entries[t] = get(t, 0) + a * b
@@ -400,30 +394,19 @@ def operator_norm_bounds(cx: SimplicialComplex, p: int,
                          degree_bound: int) -> NormBounds:
     """Proven degree-based bounds on ||d_p|| and rho(Delta_p), checked.
 
-    Checks exactly that every column of d_p has p+1 entries and every row at
-    most degree_bound-p+1, which gives ||d_p||^2 <= (p+1)(D-p+1) (Schur's
-    test); the adjoint d_p* has the same norm.  The spectral radius of
-    Delta_p is that of :func:`spectral_measure`, with its cap, its kernel
-    cross-check and its refusal of the empty complex, and it is checked
-    against the Gershgorin bound of :func:`_radius_bound`; a radius above
-    it raises CrossCheckError.
+    A column of d_p has p+1 entries.  A row has at most D-p+1 once the
+    max degree, checked, is at most D: a coface of a (p-1)-simplex adds a
+    neighbour of one of its vertices, p-1 of whose neighbours it holds.
+    So ||d_p||^2 = ||d_p*||^2 <= (p+1)(D-p+1) (Schur's test).  The radius
+    of Delta_p is that of :func:`spectral_measure`, with its cap, kernel
+    cross-check and refusal of the empty complex; one above the Gershgorin
+    bound of :func:`_radius_bound` raises CrossCheckError.
     """
     if p < 1:
         raise ValidationError("norm bounds are stated for p >= 1")
     if cx.max_degree() > degree_bound:
         raise ValidationError(
             f"max degree {cx.max_degree()} exceeds declared bound {degree_bound}")
-    bm = boundary_matrix(cx, p)
-    for entries in bm.by_col:
-        if len(entries) != p + 1:
-            raise CrossCheckError("boundary column with wrong face count")
-    row_counts = [0] * len(bm.rows)
-    for entries in bm.by_col:
-        for i, _ in entries:
-            row_counts[i] += 1
-    if row_counts and max(row_counts) > degree_bound - p + 1:
-        raise CrossCheckError(
-            f"a (p-1)-simplex has {max(row_counts)} cofaces, above D-p+1")
     radius = spectral_measure(cx, p).spectral_radius()
     lap_bound = _radius_bound(p, degree_bound)
     if radius > lap_bound + 1e-9:

@@ -307,6 +307,13 @@ def test_converge_error_paths(tmp_path, capsys):
         "--degree-bound", "5", "--out", str(tmp_path / "b.csv")])
     assert code == 4
     assert "bounded degree" in err
+    # levels run in one process: there is no --threads option
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--family", "torus2d", "--levels", "4,6", "--p", "1",
+              "--threads", "2", "--out", str(tmp_path / "t.csv")])
+    assert exc.value.code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_converge_bad_eps_exits_3_before_any_level(tmp_path, capsys,
@@ -332,6 +339,7 @@ def test_converge_negative_rmax_exits_3_before_any_level(tmp_path, capsys,
     for p, extra, message in [
             ("1", ["--rmax", "-1"], "rmax must be nonnegative"),
             ("1", ["--moments", "-1"], "moment order must be nonnegative"),
+            ("1", ["--degree-bound", "-1"], "degree bound must be nonnegative"),
             ("-1", [], "dimension must be nonnegative")]:
         code, out, err = run(capsys, [
             "converge", "--family", "torus2d", "--levels", "6,8", "--p", p,

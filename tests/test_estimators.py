@@ -9,8 +9,8 @@ import l2limits.estimators as estimators
 from conftest import random_complex
 from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.errors import HypothesisViolationError, ValidationError
-from l2limits.estimators import (MomentVector, RootSample, _local_moments,
-                                 _resolve_threads, convergence_experiment,
+from l2limits.estimators import (ConvergenceReport, MomentVector, RootSample,
+                                 _local_moments, convergence_experiment,
                                  exhaustive_moments, kernel_mass_bound,
                                  local_moment, monte_carlo_moments,
                                  moments_of_measure, vertex_sampler)
@@ -442,6 +442,11 @@ def test_convergence_experiment_checks_rmax_first(monkeypatch):
             convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
                                    p, order, [0.5], rmax=rmax, threads=1)
     assert levels == []
+    # a negative bound is a bad argument, not a level breaking the bound
+    with pytest.raises(ValidationError, match="degree bound must be nonnegative"):
+        convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
+                               1, 2, [0.5], degree_bound=-1)
+    assert levels == []
 
 
 def test_kernel_mass_bound_formula():
@@ -476,6 +481,8 @@ def test_kernel_mass_bound_validation():
             kernel_mass_bound(6, 1, bad_eps)
     with pytest.raises(ValidationError):
         kernel_mass_bound(-1, 1, 0.5)
+    with pytest.raises(ValidationError, match="dimension must be nonnegative"):
+        kernel_mass_bound(6, -1, 0.5)
 
 
 def test_kernel_mass_bound_checks_measures():
@@ -564,15 +571,18 @@ def test_convergence_experiment_input_checks():
         convergence_experiment([torus_tower(1, 4)], 1, 1, [0.5], labels=[1, 2])
 
 
-def test_convergence_experiment_parallel_matches_serial():
+def test_convergence_experiment_threads_is_none_or_one(monkeypatch):
     tori = [torus_tower(1, n) for n in (5, 6, 7)]
-    serial = convergence_experiment(tori, 1, 2, [0.5, 0.1], threads=1)
-    parallel = convergence_experiment(tori, 1, 2, [0.5, 0.1], threads=2)
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a["moments"] == b["moments"]
-        assert a["b_p"] == b["b_p"]
-        assert a["nu"] == b["nu"]
-    assert serial.distances_to_last == parallel.distances_to_last
+    default = convergence_experiment(tori, 1, 2, [0.5, 0.1])
+    one = convergence_experiment(tori, 1, 2, [0.5, 0.1], threads=1)
+    for name in ConvergenceReport.__slots__:
+        assert getattr(default, name) == getattr(one, name)
+    levels = []
+    monkeypatch.setattr(estimators, "_level_stats", levels.append)
+    for threads in (2, 0):
+        with pytest.raises(ValidationError, match="threads"):
+            convergence_experiment(tori, 1, 2, [0.5], threads=threads)
+    assert levels == []
 
 
 def test_convergence_experiment_csv(tmp_path):
@@ -588,10 +598,3 @@ def test_convergence_experiment_csv(tmp_path):
     footers = [line for line in lines if line.startswith("#")]
     assert len(footers) == 2
     assert footers[0].startswith("# kernel_mass_bound eps=0.5 D=6 p=1: ")
-
-
-def test_resolve_threads():
-    assert _resolve_threads(4) == 4
-    assert _resolve_threads(100) == 32
-    assert _resolve_threads(-3) == 1
-    assert _resolve_threads(None) == 1

@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -27,3 +28,24 @@ def test_cli_examples_parse():
         assert argv[0] == "l2limits"
         args = parser.parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+def _options(parser) -> set:
+    """Every option string of ``parser`` and of its subcommands, nested."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _options(sub)
+    return found
+
+
+def test_cli_section_names_only_real_options():
+    section = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    flags = {flag for span in re.findall(r"`([^`]+)`", prose)
+             for flag in re.findall(r"--[a-z][\w-]*", span)}
+    assert {"--eps", "--rmax"} <= flags  # the spans were found
+    options = _options(build_parser())
+    assert flags <= options, flags - options

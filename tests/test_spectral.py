@@ -133,8 +133,8 @@ def test_rank_of_d1_counts_components():
 
 
 def test_computation_path_reads_no_boundary_matrix(monkeypatch):
-    # boundary_matrix is the independent reference: ranks, Laplacian rows
-    # and moments read signs from _signed_faces alone
+    # boundary_matrix is the independent reference: ranks, Laplacian rows,
+    # moments and norm bounds read signs from _signed_faces alone
     calls = []
     reference = spectral.boundary_matrix
 
@@ -150,6 +150,8 @@ def test_computation_path_reads_no_boundary_matrix(monkeypatch):
             laplacian_matrix(cx, p)
             spectral_measure(cx, p)
             exhaustive_moments(cx, p, 3)
+            if p >= 1:
+                operator_norm_bounds(cx, p, cx.max_degree())
     assert calls == []
 
 
