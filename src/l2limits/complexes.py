@@ -70,16 +70,16 @@ class SimplicialComplex:
         return cx
 
     def _build(self, by_dim: list) -> None:
-        # Groups, stars and neighbour lists are each swapped for a tuple in
-        # place, so each is freed as its tuple is made and the peak stays
-        # near the finished complex's size.
+        """The one layout of every complex: sorted faces per dimension, stars
+        in (dimension, lexicographic) order and sorted neighbours.  Each
+        group, star and neighbour list is swapped for its tuple in place, so
+        the peak stays near the finished complex's size."""
         for p, group in enumerate(by_dim):
             by_dim[p] = tuple(sorted(group))
         while by_dim and not by_dim[-1]:
             by_dim.pop()
         # Stars read the sorted faces, so each is in (dimension, lexicographic)
-        # order and filtering keeps that order.  Vertices come first, so they
-        # key the stars in ascending order.
+        # order, and the vertices, read first, key them in ascending order.
         star: dict[int, list[tuple]] = {}
         for group in by_dim:
             for s in group:
@@ -94,10 +94,7 @@ class SimplicialComplex:
         for v, ns in neighbors.items():
             ns.sort()
             neighbors[v] = tuple(ns)
-        self._fill(tuple(by_dim), star, neighbors)
-
-    def _fill(self, by_dim, star, neighbors) -> None:
-        self._by_dim = by_dim
+        self._by_dim = tuple(by_dim)
         self._star = star
         self._neighbors = neighbors
         self._hash = None
@@ -204,35 +201,16 @@ class SimplicialComplex:
         return tuple(comps)
 
     def induced(self, vertex_subset) -> "SimplicialComplex":
-        """Full subcomplex on the given vertices.
-
-        Built from this complex's sorted structures: a kept vertex whose
-        neighbours are all kept shares its star and neighbour tuples, and
-        only the stars of the boundary layer are filtered, in order.
-        """
+        """Full subcomplex on the given vertices (other ids are ignored):
+        each kept simplex is taken from the star of its first vertex, and
+        :meth:`_from_faces` lays the groups out."""
         keep = frozenset(vertex_subset)
-        all_stars = self._star
-        all_neighbors = self._neighbors
-        star = {}
-        neighbors = {}
-        by_dim: list[list[tuple]] = [[] for _ in self._by_dim]
-        for v in sorted(v for v in keep if v in all_stars):
-            group = all_stars[v]
-            ns = all_neighbors[v]
-            if not keep.issuperset(ns):
-                group = tuple([s for s in group if keep.issuperset(s)])
-                ns = tuple([w for w in ns if w in keep])
-            star[v] = group
-            neighbors[v] = ns
-            # a simplex is met once, in the star of its smallest vertex; with
-            # vertices ascending and stars sorted, each dimension comes sorted
-            for s in [s for s in group if s[0] == v]:
-                by_dim[len(s) - 1].append(s)
-        while by_dim and not by_dim[-1]:
-            by_dim.pop()
-        sub = object.__new__(SimplicialComplex)
-        sub._fill(tuple(tuple(group) for group in by_dim), star, neighbors)
-        return sub
+        groups: list[list] = [[] for _ in self._by_dim]
+        for v in keep:
+            for s in self._star.get(v, ()):
+                if s[0] == v and keep.issuperset(s):
+                    groups[len(s) - 1].append(s)
+        return SimplicialComplex._from_faces(groups)
 
     # -- dunder surface -----------------------------------------------------
 
@@ -260,7 +238,7 @@ class SimplicialComplex:
 class RootedComplex:
     """A connected simplicial complex with a distinguished root vertex."""
 
-    __slots__ = ("complex", "root", "_hash")
+    __slots__ = ("complex", "root")
 
     def __init__(self, complex: SimplicialComplex, root: int):
         if not complex.has_vertex(root):
@@ -269,7 +247,6 @@ class RootedComplex:
             raise ValidationError("rooted complex must be connected")
         self.complex = complex
         self.root = root
-        self._hash = None
 
     @classmethod
     def _make(cls, complex: SimplicialComplex, root: int) -> "RootedComplex":
@@ -277,7 +254,6 @@ class RootedComplex:
         rc = object.__new__(cls)
         rc.complex = complex
         rc.root = root
-        rc._hash = None
         return rc
 
     def ball(self, r: int) -> "RootedComplex":
@@ -305,9 +281,7 @@ class RootedComplex:
         return self.root == other.root and self.complex == other.complex
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.complex, self.root))
-        return self._hash
+        return hash((self.complex, self.root))
 
     def __repr__(self) -> str:
         return f"RootedComplex(root={self.root}, f_vector={self.complex.f_vector()})"

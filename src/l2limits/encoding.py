@@ -386,16 +386,16 @@ def _prune_automorphic(ctx, vert, colour, partials):
     return kept
 
 
-def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
-                     masks: list, simplices: list, starts: list) -> tuple:
+def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
+                     starts: list) -> tuple:
     """The tied minimal label orders, as positions, and whether the search
     passed ``_TIE_CAP`` (and so searched automorphisms).
 
-    Position i is vertex ``vert[i]`` of ``cx``, at distance ``layer[i]``
-    from the root at position 0.  The ball's simplices are given as
-    bitmasks of positions (``masks``) and, in the same order, as vertex
-    tuples of ``cx`` (``simplices``).  ``cx`` is read only to cut the ball
-    when a tie passes ``_TIE_CAP`` and automorphisms are searched.
+    Position i is vertex ``vert[i]``, at distance ``layer[i]`` from the
+    root at position 0.  The ball's simplices are given as bitmasks of
+    positions (``masks``) and, in the same order, as vertex tuples
+    (``simplices``).  The ball is built as a complex from those tuples
+    only when a tie passes ``_TIE_CAP`` and automorphisms are searched.
 
     ``starts`` are the tied minimal orders of an inner ball, each labelling
     the same m positions, which must be the positions of the first layers
@@ -535,9 +535,11 @@ def _canonical_order(cx: SimplicialComplex, vert: list, layer: list,
         if len(partials) > _TIE_CAP:
             pruned = True
             if ctx is None:
-                # the ball is cut only here, for the automorphism searches
-                ball = cx if n == len(cx.faces(0)) else cx.induced(vert)
-                ctx = _IsoContext(ball)
+                # the ball is built only here, for the automorphism searches
+                groups = [[] for _ in range(max(map(len, simplices)))]
+                for simplex in simplices:
+                    groups[len(simplex) - 1].append(simplex)
+                ctx = _IsoContext(SimplicialComplex._from_faces(groups))
                 colour = [ctx.colors[ctx.idx[v]] for v in vert]
             partials = _prune_automorphic(ctx, vert, colour, partials)
     return [branch[0] for branch in partials], pruned
@@ -585,8 +587,8 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     positions, sorted and packed in fields of ``_field_bytes(n)`` bytes
     (:func:`_pack`).
     On a miss the masks give the canonical search its incidence, and the
-    simplices, relabelled, the code's indices.  The ball is cut only when a tie
-    passes ``_TIE_CAP`` and automorphisms are searched.
+    simplices, relabelled, the code's indices.  The ball is built as a complex
+    only when a tie passes ``_TIE_CAP`` and automorphisms are searched.
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
     orders back to back, packed in fields of ``_field_bytes(n.bit_length())``
@@ -629,7 +631,7 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
             if kept is not None:
                 kept = _unpack(kept, _field_bytes(m.bit_length()))
                 starts = [kept[i:i + m] for i in range(0, len(kept), m)]
-        orders, pruned = _canonical_order(cx, vert, layer, masks, simplices,
+        orders, pruned = _canonical_order(vert, layer, masks, simplices,
                                           starts)
         get = {vert[i]: 1 << k for k, i in enumerate(orders[0])}.__getitem__
         code = CanonicalCode(sorted([sum(map(get, s)) - 1 for s in simplices]))

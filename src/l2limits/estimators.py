@@ -272,6 +272,8 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
 
     if n_samples < 1:
         raise ValidationError("need at least one sample")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     values = [[] for _ in range(order + 1)]
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
@@ -371,11 +373,6 @@ class ConvergenceReport:
         cols += [_eps_column(eps) for eps in self.eps_list]
         return cols
 
-    def _cell(self, value) -> str:
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -385,7 +382,7 @@ class ConvergenceReport:
                          row["b_p_normalized"]]
                 cells += list(row["moments"])
                 cells += [row["nu"][eps] for eps in self.eps_list]
-                writer.writerow([self._cell(c) for c in cells])
+                writer.writerow([str(c) for c in cells])
             for eps, bound in self.bounds.items():
                 fh.write(f"# kernel_mass_bound eps={eps:g} D={self.degree_bound} "
                          f"p={self.p}: {bound!r}\n")

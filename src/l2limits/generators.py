@@ -53,6 +53,8 @@ def linial_meshulam(d: int, n: int, prob: float, seed: int) -> SimplicialComplex
         raise ValidationError(f"need at least {d + 1} vertices")
     if not 0 <= prob <= 1:
         raise ValidationError("probability must lie in [0, 1]")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -69,6 +71,8 @@ def random_flag(n: int, prob: float, max_dim: int, seed: int) -> SimplicialCompl
         raise ValidationError("need at least one vertex")
     if not 0 <= prob <= 1:
         raise ValidationError("probability must lie in [0, 1]")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     if max_dim < 1:
         raise ValidationError("flag completion starts at dimension 1")
     import numpy as np

@@ -496,3 +496,81 @@ def test_non_utf8_input_exits_2_without_traceback(tmp_path):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and "UTF-8" in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+
+# Bad arguments for every subcommand, with the exit code of errors.py's
+# table: 1 usage, 2 malformed input or a missing file, 3 validation.  An
+# empty complex has no Betti numbers to print, which is not an error.
+# ``{d}`` is a directory holding the files the ``bad_inputs`` fixture
+# writes; nothing named out.csv is there.
+_BAD_ARGUMENTS = [
+    ([], 1),
+    (["no-such-command"], 1),
+    (["validate", "{d}/missing.scx"], 2),
+    (["validate", "{d}/bad.scx"], 2),
+    (["validate", "{d}/badroot.scx"], 3),
+    (["betti", "{d}/empty.scx"], 0),
+    (["betti", "{d}/path.scx", "--p", "-1"], 3),
+    (["betti", "{d}/path.scx", "--p", "x"], 1),
+    (["spectrum", "{d}/path.scx"], 1),
+    (["spectrum", "{d}/path.scx", "--p", "-1"], 3),
+    (["spectrum", "{d}/empty.scx", "--p", "0"], 3),
+    (["canon", "{d}/path.scx"], 2),
+    (["canon", "{d}/path.scx", "--root", "9"], 3),
+    (["bs-distance", "{d}/path.scx", "{d}/path.scx:0"], 2),
+    (["bs-distance", "{d}/path.scx:0", "{d}/path.scx:0", "--rmax", "-1"], 3),
+    (["measure-distance", "{d}/bad.json", "{d}/bad.json", "--rmax", "1"], 2),
+    (["measure-distance", "{d}/bad.json", "{d}/bad.json"], 1),
+    (["mass-transport", "{d}/bad.json"], 2),
+    (["mass-transport", "{d}/missing.json"], 2),
+    (["truncate", "{d}/path.scx", "--degree", "-1"], 3),
+    (["generate", "torus1d", "--n", "2"], 3),
+    (["generate", "torus2d", "--n", "1"], 3),
+    (["generate", "flag", "--n", "5", "--prob", "0.5", "--seed", "-1"], 3),
+    (["generate", "lm", "--n", "5", "--prob", "0.5", "--seed", "-1"], 3),
+    (["generate", "flag", "--n", "5", "--prob", "2"], 3),
+    (["generate", "fixture", "nonesuch"], 3),
+    (["generate", "klein"], 1),
+    (["converge", "--family", "torus2d", "--levels", ",", "--p", "1"], 2),
+    (["converge", "--family", "torus2d", "--levels", "4,a", "--p", "1"], 2),
+    (["converge", "--family", "torus1d", "--levels", "2", "--p", "0"], 3),
+    (["converge", "--family", "torus2d", "--levels", "4", "--p", "-1"], 3),
+    (["converge", "--family", "torus2d", "--levels", "4", "--p", "1",
+      "--moments", "-1"], 3),
+    (["converge", "--family", "torus2d", "--levels", "4", "--p", "1",
+      "--rmax", "-1"], 3),
+    (["converge", "--family", "torus2d", "--levels", "4", "--p", "1",
+      "--degree-bound", "-1"], 3),
+    (["converge", "--family", "torus2d", "--levels", "4", "--p", "1",
+      "--eps", "2"], 3),
+    (["converge", "--family", "torus3d", "--levels", "4", "--p", "1"], 1),
+]
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    (tmp_path / "empty.scx").write_text("")
+    (tmp_path / "bad.scx").write_text("0 zero\n")
+    (tmp_path / "badroot.scx").write_text("root 9\n0 1\n")
+    (tmp_path / "bad.json").write_text("{")
+    write_scx(fixtures()["path3"], tmp_path / "path.scx")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, want", _BAD_ARGUMENTS,
+                         ids=[" ".join(argv) or "none" for argv, _ in _BAD_ARGUMENTS])
+def test_bad_arguments_exit_with_their_documented_code(bad_inputs, capsys,
+                                                       argv, want):
+    argv = [arg.format(d=bad_inputs) for arg in argv]
+    if argv[:1] == ["converge"]:
+        argv += ["--out", str(bad_inputs / "out.csv")]
+    # argparse ends a usage error with SystemExit; any other exception
+    # escaping main fails the test
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert ("error:" in err) == (want != 0) and "Traceback" not in err
+    assert not (bad_inputs / "out.csv").exists()

@@ -34,6 +34,9 @@ def test_simplex_normalization_and_errors():
         closure([()])
     with pytest.raises(MalformedInputError):
         closure([(-1, 0)])
+    for vertex in (1.5, "1", None):
+        with pytest.raises(MalformedInputError):
+            SimplicialComplex([(0,), (vertex,)])
 
 
 def test_faces_sorted_and_counts():
@@ -223,8 +226,8 @@ def test_balls_share_their_parents_stars_and_neighbours(monkeypatch):
         ball = rooted_at(torus, v).ball(3).complex
         assert len(ball.vertices) < len(torus.vertices)
         for u in _bfs(torus, v, 2):
-            assert ball.star(u) is torus.star(u)
-            assert ball.neighbors(u) is torus.neighbors(u)
+            assert ball.star(u) == torus.star(u)
+            assert ball.neighbors(u) == torus.neighbors(u)
     assert built == []
 
 
@@ -235,8 +238,8 @@ def test_components_share_every_star():
     for pt in points:
         comp = pt.rooted.complex
         for v in comp.vertices:
-            assert comp.star(v) is cx.star(v)
-            assert comp.neighbors(v) is cx.neighbors(v)
+            assert comp.star(v) == cx.star(v)
+            assert comp.neighbors(v) == cx.neighbors(v)
 
 
 def test_rooted_complex_validation():

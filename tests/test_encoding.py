@@ -32,6 +32,11 @@ def test_subset_enumeration_roundtrip():
         assert index_of_subset(subset_from_index(i)) == i
     assert index_of_subset({0, 1, 2}) == 6
     assert index_of_subset({5}) == 31
+    with pytest.raises(ValidationError):
+        subset_from_index(-1)
+    for subset in (set(), {-1}, {2, -3}):
+        with pytest.raises(ValidationError):
+            index_of_subset(subset)
 
 
 def test_first_block_contains_exactly_the_small_subsets():
@@ -291,6 +296,52 @@ def test_automorphism_pruning_keeps_the_code(monkeypatch):
     assert _codes_without_pruning_match(monkeypatch, balls)
 
 
+def test_an_exhausted_automorphism_budget_keeps_every_branch(monkeypatch):
+    # With no feasibility check allowed, every automorphism search gives
+    # up: each tied branch is kept, and the codes stay the same.
+    torus = torus_tower(2, 8)
+    balls = [rooted_at(torus, 0).ball(r) for r in (1, 2)]
+    balls += [rooted_at(fixtures()[name], 0) for name in ("octahedron", "star5")]
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    want = [canonical_code(rc) for rc in balls]
+    prune, search = encoding._prune_automorphic, encoding._search
+    kept, found = [], []
+
+    def recorded_prune(ctx, vert, colour, partials):
+        out = prune(ctx, vert, colour, partials)
+        kept.append(out == partials)
+        return out
+
+    def recorded_search(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(encoding, "_prune_automorphic", recorded_prune)
+    monkeypatch.setattr(encoding, "_search", recorded_search)
+    monkeypatch.setattr(encoding, "_AUTOMORPHISM_BUDGET", 0)
+    monkeypatch.setattr(encoding, "_TIE_CAP", 1)
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    assert [canonical_code(rc) for rc in balls] == want
+    assert kept and all(kept)
+    assert found and found == [None] * len(found)
+
+
+def test_a_full_code_cache_is_cleared_and_codes_hold(monkeypatch):
+    pool = [torus_tower(2, 5)] + [random_flag(16, 5 / 16, 3, s) for s in range(4)]
+    jobs = [(cx, v, r) for cx in pool for v in cx.vertices for r in (1, 2, None)]
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    want = [_ball_code(*job) for job in jobs]
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    monkeypatch.setattr(encoding, "_CODE_CACHE_LIMIT", 3)
+    got, sizes = [], []
+    for job in jobs:
+        got.append(_ball_code(*job))
+        sizes.append(len(encoding._CODE_CACHE))
+    assert got == want
+    # filled to the limit, then cleared and refilled
+    assert max(sizes) == 3 and sizes.count(1) > 1
+
+
 def test_one_breadth_first_search_per_root_per_code(monkeypatch):
     # Past the tie cap every automorphism search starts from the root, and
     # the context keeps that root's search: the code's one search (key and
@@ -444,11 +495,11 @@ def test_resumed_search_equals_the_fresh_one(monkeypatch, cap):
     search = encoding._canonical_order
     resumed = []
 
-    def checked(cx, vert, layer, masks, simplices, starts):
-        got = search(cx, vert, layer, masks, simplices, starts)
+    def checked(vert, layer, masks, simplices, starts):
+        got = search(vert, layer, masks, simplices, starts)
         if len(starts[0]) > 1:
             resumed.append(len(starts))
-            assert got == search(cx, vert, layer, masks, simplices, [(0,)])
+            assert got == search(vert, layer, masks, simplices, [(0,)])
         return got
 
     monkeypatch.setattr(encoding, "_canonical_order", checked)

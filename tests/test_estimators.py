@@ -381,6 +381,15 @@ def test_monte_carlo_input_contracts():
     path = fixtures()["path4"]
     with pytest.raises(ValidationError):
         monte_carlo_moments(vertex_sampler(path, 3), 0, 2, 0, seed=1)
+    with pytest.raises(ValidationError):
+        monte_carlo_moments(vertex_sampler(path, 3), 0, 2, 5, seed=-1)
+    with pytest.raises(ValidationError):
+        vertex_sampler(closure([]), 3)
+    with pytest.raises(ValidationError):
+        vertex_sampler(path, -1)
+    # one sample has no spread to estimate
+    one = monte_carlo_moments(vertex_sampler(path, 3), 0, 2, 1, seed=1)
+    assert one.stderrs == (0.0, 0.0, 0.0)
     # declared ball radius too small for the requested order
     with pytest.raises(ValidationError):
         monte_carlo_moments(vertex_sampler(path, 1), 0, 2, 5, seed=1)

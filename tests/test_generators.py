@@ -87,6 +87,8 @@ def test_linial_meshulam_validation():
         linial_meshulam(2, 2, 0.5, seed=1)
     with pytest.raises(ValidationError):
         linial_meshulam(2, 5, 1.5, seed=1)
+    with pytest.raises(ValidationError):
+        linial_meshulam(2, 5, 0.5, seed=-1)
 
 
 def test_random_flag_is_a_flag_complex():
@@ -116,6 +118,8 @@ def test_random_flag_determinism_and_validation():
         random_flag(5, -0.1, 2, seed=1)
     with pytest.raises(ValidationError):
         random_flag(5, 0.5, 0, seed=1)
+    with pytest.raises(ValidationError):
+        random_flag(5, 0.5, 2, seed=-1)
 
 
 def test_fixture_corpus():
