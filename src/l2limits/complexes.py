@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 
 from .errors import MalformedInputError, ValidationError
 
@@ -22,8 +22,13 @@ __all__ = [
 
 
 def _as_simplex(vertices) -> tuple:
+    # A tuple that is already normalized is returned as it is, so a complex
+    # built from another complex's faces shares that complex's tuples.
+    if (type(vertices) is tuple and {*map(type, vertices)} == {int}
+            and vertices[0] >= 0 and all(map(operator.lt, vertices, vertices[1:]))):
+        return vertices
     try:
-        simplex = tuple(sorted(operator.index(v) for v in vertices))
+        simplex = tuple(sorted(map(operator.index, vertices)))
     except TypeError:
         raise MalformedInputError(f"vertex ids must be integers: {vertices!r}")
     if len(simplex) == 0:
@@ -80,11 +85,11 @@ class SimplicialComplex:
             by_dim.pop()
         # Stars read the sorted faces, so each is in (dimension, lexicographic)
         # order, and the vertices, read first, key them in ascending order.
-        star: dict[int, list[tuple]] = {}
-        for group in by_dim:
+        star = {s[0]: [s] for s in by_dim[0]} if by_dim else {}
+        for group in by_dim[1:]:
             for s in group:
                 for v in s:
-                    star.setdefault(v, []).append(s)
+                    star[v].append(s)
         neighbors: dict[int, list[int]] = {v: [] for v in star}
         for u, w in by_dim[1] if len(by_dim) > 1 else ():
             neighbors[u].append(w)
@@ -102,16 +107,22 @@ class SimplicialComplex:
 
     @classmethod
     def closure(cls, maximal) -> "SimplicialComplex":
-        """The smallest simplicial complex containing every listed simplex."""
-        groups: list[set] = []
-        for raw in maximal:
-            simplex = _as_simplex(raw)
+        """The smallest simplicial complex containing every listed simplex.
+
+        The faces are added one dimension at a time, from the top down, so
+        each face is made once per simplex one dimension above it; a face
+        that is listed keeps its listed tuple.
+        """
+        groups: list[set] = [set()]
+        for simplex in map(_as_simplex, maximal):
             while len(groups) < len(simplex):
                 groups.append(set())
-            if simplex in groups[len(simplex) - 1]:
-                continue
-            for size in range(1, len(simplex) + 1):
-                groups[size - 1].update(combinations(simplex, size))
+            groups[len(simplex) - 1].add(simplex)
+        for p in range(len(groups) - 1, 1, -1):
+            groups[p - 1].update(chain.from_iterable(
+                map(combinations, groups[p], repeat(p))))
+        if len(groups) > 1:
+            groups[0].update((v,) for v in set(chain.from_iterable(groups[1])))
         return cls._from_faces(groups)
 
     # -- basic queries ------------------------------------------------------

@@ -29,20 +29,30 @@ def torus_tower(d: int, n: int) -> SimplicialComplex:
     """
     if n < 3:
         raise ValidationError("side length below 3 does not quotient simplicially")
+    if d not in (1, 2):
+        raise ValidationError("only dimensions 1 and 2 are generated")
+    # The faces are listed in closed form, each once, and every face holds
+    # the one int object of each of its vertices.
+    ids = list(range(n ** d))
+    vertices = [(v,) for v in ids]
     if d == 1:
-        return SimplicialComplex.closure(
-            [(i, (i + 1) % n) for i in range(n)])
-    if d == 2:
-        def vid(i: int, j: int) -> int:
-            return (i % n) * n + (j % n)
+        return SimplicialComplex._from_faces(
+            [vertices, [(ids[0], ids[-1])] + list(zip(ids, ids[1:]))])
+    edges = []
+    triangles = []
+    for i in range(n):
+        row, up = i * n, (i + 1) % n * n
+        for j in range(n):
+            k = (j + 1) % n
+            # the unit square a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
+            a, b, c, d_ = ids[row + j], ids[up + j], ids[up + k], ids[row + k]
+            edges += [_pair(a, b), _pair(a, c), _pair(a, d_)]
+            triangles += [tuple(sorted((a, b, c))), tuple(sorted((a, d_, c)))]
+    return SimplicialComplex._from_faces([vertices, edges, triangles])
 
-        triangles = []
-        for i in range(n):
-            for j in range(n):
-                triangles.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-                triangles.append((vid(i, j), vid(i, j + 1), vid(i + 1, j + 1)))
-        return SimplicialComplex.closure(triangles)
-    raise ValidationError("only dimensions 1 and 2 are generated")
+
+def _pair(u: int, w: int) -> tuple:
+    return (u, w) if u < w else (w, u)
 
 
 def linial_meshulam(d: int, n: int, prob: float, seed: int) -> SimplicialComplex:
@@ -58,11 +68,10 @@ def linial_meshulam(d: int, n: int, prob: float, seed: int) -> SimplicialComplex
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    maximal = list(combinations(range(n), d))
-    for face in combinations(range(n), d + 1):
-        if rng.random() < prob:
-            maximal.append(face)
-    return SimplicialComplex.closure(maximal)
+    ids = list(range(n))
+    groups = [list(combinations(ids, k)) for k in range(1, d + 1)]
+    groups.append([face for face in combinations(ids, d + 1) if rng.random() < prob])
+    return SimplicialComplex._from_faces(groups)
 
 
 def random_flag(n: int, prob: float, max_dim: int, seed: int) -> SimplicialComplex:

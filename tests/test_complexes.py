@@ -1,4 +1,7 @@
+import operator
+
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,15 +31,89 @@ def test_constructor_requires_downward_closure():
 def test_simplex_normalization_and_errors():
     cx = closure([(2, 0, 1)])
     assert (0, 1, 2) in cx
-    with pytest.raises(MalformedInputError):
-        closure([(0, 0, 1)])
-    with pytest.raises(MalformedInputError):
-        closure([()])
-    with pytest.raises(MalformedInputError):
-        closure([(-1, 0)])
-    for vertex in (1.5, "1", None):
-        with pytest.raises(MalformedInputError):
-            SimplicialComplex([(0,), (vertex,)])
+    cases = [((0, 0, 1), "duplicate vertices inside one simplex: (0, 0, 1)"),
+             ((), "empty simplex"),
+             ((-1, 0), "vertex ids must be nonnegative: (-1, 0)"),
+             ((1.5,), "vertex ids must be integers: (1.5,)"),
+             (("1",), "vertex ids must be integers: ('1',)"),
+             ((None,), "vertex ids must be integers: (None,)"),
+             ("1", "vertex ids must be integers: '1'"),
+             (None, "vertex ids must be integers: None")]
+    for raw, message in cases:
+        for build in (closure, SimplicialComplex):
+            with pytest.raises(MalformedInputError) as caught:
+                build([(0,), raw])
+            assert str(caught.value) == message
+
+
+def _reference_layout(maximal):
+    """The per-simplex closure the builder replaced, as a reference: every
+    face of every listed simplex is made once per simplex holding it, and
+    the stars are grown with ``setdefault`` over the sorted faces."""
+    groups = []
+    for raw in maximal:
+        simplex = tuple(sorted(operator.index(v) for v in raw))
+        while len(groups) < len(simplex):
+            groups.append(set())
+        for size in range(1, len(simplex) + 1):
+            groups[size - 1].update(combinations(simplex, size))
+    by_dim = tuple(tuple(sorted(group)) for group in groups)
+    star = {}
+    for group in by_dim:
+        for s in group:
+            for v in s:
+                star.setdefault(v, []).append(s)
+    neighbors = {v: [] for v in star}
+    for u, w in by_dim[1] if len(by_dim) > 1 else ():
+        neighbors[u].append(w)
+        neighbors[w].append(u)
+    return (by_dim, {v: tuple(ss) for v, ss in star.items()},
+            {v: tuple(sorted(ns)) for v, ns in neighbors.items()})
+
+
+def _assert_layout(cx, by_dim, star, neighbors):
+    assert cx._by_dim == by_dim
+    assert list(cx._star) == list(star) and cx._star == star
+    assert list(cx._neighbors) == list(neighbors) and cx._neighbors == neighbors
+
+
+def _as_given(rng, simplex):
+    """One simplex in one of the spellings callers use: a shuffled tuple or
+    list, numpy ints, or bools for the ids 0 and 1."""
+    vs = [simplex[i] for i in rng.permutation(len(simplex))]
+    form = int(rng.integers(5))
+    if form == 1:
+        return vs
+    if form == 2:
+        return tuple(np.array(vs, dtype=np.int64))
+    if form == 3:
+        return np.array(vs, dtype=np.int32)
+    if form == 4:
+        return [bool(v) if v < 2 else v for v in vs]
+    return tuple(vs)
+
+
+def test_closure_matches_the_per_simplex_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        listed = [tuple(sorted(rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)),
+                                          replace=False).tolist()))
+                  for _ in range(int(rng.integers(0, 10)))]
+        # repeats and faces of listed simplices, in any order
+        listed += [s[:int(rng.integers(1, len(s) + 1))] for s in listed[::2]]
+        listed += listed[1::3]
+        order = rng.permutation(len(listed))
+        given = [_as_given(rng, listed[i]) for i in order]
+        _assert_layout(closure(given), *_reference_layout(given))
+
+
+def test_closure_shares_the_tuples_it_is_given():
+    torus = torus_tower(2, 20)
+    again = closure(list(torus.faces(1)) + list(torus.faces(2)))
+    assert again == torus
+    for p in (1, 2):
+        assert all(a is b for a, b in zip(again.faces(p), torus.faces(p)))
 
 
 def test_faces_sorted_and_counts():
@@ -212,7 +289,7 @@ def test_induced_matches_a_complex_built_from_scratch():
     assert disconnected and non_vertices
 
 
-def test_balls_share_their_parents_stars_and_neighbours(monkeypatch):
+def test_balls_equal_their_parents_stars_and_neighbours(monkeypatch):
     built = []
     original = SimplicialComplex.__init__
 
@@ -227,11 +304,12 @@ def test_balls_share_their_parents_stars_and_neighbours(monkeypatch):
         assert len(ball.vertices) < len(torus.vertices)
         for u in _bfs(torus, v, 2):
             assert ball.star(u) == torus.star(u)
+            assert all(a is b for a, b in zip(ball.star(u), torus.star(u)))
             assert ball.neighbors(u) == torus.neighbors(u)
     assert built == []
 
 
-def test_components_share_every_star():
+def test_components_equal_their_parents_stars():
     cx = closure([(0, 1, 2), (2, 3), (5, 6, 7), (7, 8), (8, 9), (10,)])
     points = uniform_rooting(cx).points
     assert len({pt.rooted.complex for pt in points}) == 3
@@ -239,6 +317,7 @@ def test_components_share_every_star():
         comp = pt.rooted.complex
         for v in comp.vertices:
             assert comp.star(v) == cx.star(v)
+            assert all(a is b for a, b in zip(comp.star(v), cx.star(v)))
             assert comp.neighbors(v) == cx.neighbors(v)
 
 

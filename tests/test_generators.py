@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from l2limits.complexes import rooted_at
+from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.errors import ValidationError
 from l2limits.generators import (fixtures, linial_meshulam, random_flag,
@@ -138,3 +138,22 @@ def test_fixture_corpus():
         sub = cx.induced(comp)
         codes.add(min(canonical_code(rooted_at(sub, v)) for v in sub.vertices))
     assert len(codes) >= 12
+
+
+def _layout(cx):
+    return cx._by_dim, list(cx._star.items()), list(cx._neighbors.items())
+
+
+def test_generators_equal_the_closure_of_their_maximal_simplices():
+    built = [torus_tower(1, n) for n in range(3, 10)]
+    built += [torus_tower(2, n) for n in range(3, 13)]
+    built += [linial_meshulam(d, d + 4, prob, seed)
+              for d in (1, 2, 3) for seed in range(10) for prob in (0.0, 0.4, 1.0)]
+    for cx in built:
+        assert _layout(cx) == _layout(SimplicialComplex.closure(cx.maximal_simplices()))
+
+
+def test_torus_faces_hold_one_int_per_vertex():
+    for n in (3, 17, 20):
+        triangles = torus_tower(2, n).faces(2)
+        assert len({id(v) for t in triangles for v in t}) == n * n
