@@ -13,7 +13,7 @@ from .complexes import rooted_at
 from .encoding import bs_distance, canonical_code
 from .errors import L2LimitsError, MalformedInputError, ValidationError
 from .estimators import convergence_experiment
-from .formats import load_measure, read_scx, scx_text, write_scx
+from .formats import load_measure, read_scx, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
 from .measures import (degree_truncate, mass_transport_check,
                        measure_distance, standard_battery)
@@ -110,7 +110,7 @@ def _cmd_canon(args):
     print("code:", " ".join(str(i) for i in code.indices))
     decoded = code.decode()
     print("minimal representative (root 0):")
-    sys.stdout.write(scx_text(decoded.complex, decoded.root))
+    write_scx(decoded.complex, sys.stdout, decoded.root)
     return 0
 
 
@@ -142,7 +142,7 @@ def _cmd_mass_transport(args):
 def _cmd_truncate(args):
     cx, root = read_scx(args.file)
     out = degree_truncate(cx, args.degree)
-    sys.stdout.write(scx_text(out, root))
+    write_scx(out, sys.stdout, root)
     return 0
 
 
@@ -161,11 +161,9 @@ def _cmd_generate(args):
             raise ValidationError(
                 f"unknown fixture {args.name!r}; choices: {', '.join(sorted(corpus))}")
         cx = corpus[args.name]
+    write_scx(cx, args.out or sys.stdout)
     if args.out:
-        write_scx(cx, args.out)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(scx_text(cx))
     return 0
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "canonical_code",
     "subset_from_index",
     "index_of_subset",
-    "rooted_isomorphic",
     "find_rooted_isomorphism",
     "bs_distance",
 ]
@@ -658,11 +657,6 @@ def canonical_code(rc: RootedComplex) -> CanonicalCode:
     canonicalized once.
     """
     return _ball_code(rc.complex, rc.root)
-
-
-def rooted_isomorphic(a: RootedComplex, b: RootedComplex) -> bool:
-    """Equality of rooted isomorphism classes, decided by canonical codes."""
-    return canonical_code(a) == canonical_code(b)
 
 
 def bs_distance(a: RootedComplex, b: RootedComplex, rmax=None) -> Fraction:

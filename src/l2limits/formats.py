@@ -16,17 +16,15 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-from .complexes import RootedComplex, SimplicialComplex
+from .complexes import RootedComplex, SimplicialComplex, _as_simplex
 from .errors import MalformedInputError
 from .measures import RandomRootedComplex, SupportPoint
 
 __all__ = [
     "read_scx",
     "write_scx",
-    "scx_text",
     "load_measure",
     "save_measure",
-    "measure_json",
 ]
 
 
@@ -58,13 +56,11 @@ def _parse_scx_lines(lines):
                 raise MalformedInputError(f"line {lineno}: vertex ids are nonnegative")
             continue
         try:
-            simplex = tuple(int(tok) for tok in parts)
+            simplex = _as_simplex([int(tok) for tok in parts])
         except ValueError:
             raise MalformedInputError(f"line {lineno}: vertex ids must be integers")
-        if any(v < 0 for v in simplex):
-            raise MalformedInputError(f"line {lineno}: vertex ids are nonnegative")
-        if len(set(simplex)) != len(simplex):
-            raise MalformedInputError(f"line {lineno}: repeated vertex in simplex")
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"line {lineno}: {exc}")
         maximal.append(simplex)
     return SimplicialComplex.closure(maximal), root
 
@@ -78,16 +74,11 @@ def read_scx(source):
         raise MalformedInputError(f"not UTF-8 text: {exc}")
 
 
-def scx_text(cx: SimplicialComplex, root=None) -> str:
+def write_scx(cx: SimplicialComplex, target, root=None) -> None:
     lines = [] if root is None else [f"root {root}"]
     lines += [" ".join(str(v) for v in s) for s in cx.maximal_simplices()]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_scx(cx: SimplicialComplex, target, root=None) -> None:
-    text = scx_text(cx, root)
     with _text(target, "w") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n" if lines else "")
 
 
 def _is_id(value) -> bool:
@@ -116,14 +107,12 @@ def _measure_from_obj(obj) -> RandomRootedComplex:
                 f"support[{i}].weight is not an exact rational")
         if not isinstance(maximal, list) or not _is_id(root):
             raise MalformedInputError(f"support[{i}] has wrong field types")
-        simplices = []
-        for s in maximal:
-            if (not isinstance(s, list) or not s
-                    or any(not _is_id(v) or v < 0 for v in s)):
-                raise MalformedInputError(
-                    f"support[{i}]: simplices are non-empty lists of ids")
-            simplices.append(tuple(s))
-        cx = SimplicialComplex.closure(simplices)
+        if not all(isinstance(s, list) and all(map(_is_id, s)) for s in maximal):
+            raise MalformedInputError(f"support[{i}]: simplices are lists of ids")
+        try:
+            cx = SimplicialComplex.closure(maximal)
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"support[{i}]: {exc}")
         points.append(SupportPoint(RootedComplex(cx, root), weight))
     return RandomRootedComplex(points)
 
@@ -140,16 +129,11 @@ def load_measure(source) -> RandomRootedComplex:
     return _measure_from_obj(obj)
 
 
-def measure_json(mu: RandomRootedComplex) -> str:
+def save_measure(mu: RandomRootedComplex, target) -> None:
     support = [{
         "weight": str(pt.weight),
         "maximal_simplices": [list(s) for s in pt.rooted.complex.maximal_simplices()],
         "root": pt.rooted.root,
     } for pt in mu.points]
-    return json.dumps({"support": support}, indent=2) + "\n"
-
-
-def save_measure(mu: RandomRootedComplex, target) -> None:
-    text = measure_json(mu)
     with _text(target, "w") as fh:
-        fh.write(text)
+        fh.write(json.dumps({"support": support}, indent=2) + "\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import RootedComplex, SimplicialComplex
 from .encoding import CanonicalCode, _ball_code, _IsoContext, _search
@@ -238,33 +239,21 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
         for r in range(1, rmax + 1)), _ZERO)
 
 
-class MassTransportResult:
-    """Sent/received expectations plus the verdict; unpacks as a triple."""
+class MassTransportResult(NamedTuple):
+    """Sent and received expectations, and whether they are equal."""
 
-    __slots__ = ("lhs", "rhs", "passed")
-
-    def __init__(self, lhs, rhs, tolerance: float):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.passed = abs(lhs - rhs) <= tolerance
-
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.passed))
-
-    def __repr__(self) -> str:
-        return (f"MassTransportResult(lhs={self.lhs}, "
-                f"rhs={self.rhs}, passed={self.passed})")
+    lhs: Fraction
+    rhs: Fraction
+    passed: bool
 
 
-def mass_transport_check(mu: RandomRootedComplex, fn,
-                         tolerance: float = 0) -> MassTransportResult:
+def mass_transport_check(mu: RandomRootedComplex, fn) -> MassTransportResult:
     """Compare expected mass sent from the root against mass received by it.
 
     ``fn(cx, x, y)`` must depend only on the isomorphism class of
     ``(cx, x, y)``.  For laws given by uniform rooting the two sides agree
     exactly; a skewed root distribution can break the identity.  Weights
-    are exact, so by default the check passes only when the sides are
-    equal.
+    are exact, so the check passes only when the sides are equal.
     """
     lhs = _ZERO
     rhs = _ZERO
@@ -273,7 +262,7 @@ def mass_transport_check(mu: RandomRootedComplex, fn,
         root = pt.rooted.root
         lhs += pt.weight * sum(fn(cx, root, y) for y in cx.vertices)
         rhs += pt.weight * sum(fn(cx, x, root) for x in cx.vertices)
-    return MassTransportResult(lhs, rhs, tolerance)
+    return MassTransportResult(lhs, rhs, lhs == rhs)
 
 
 def _adjacent(cx: SimplicialComplex, x: int, y: int) -> bool:

@@ -25,9 +25,8 @@ norm bound reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .complexes import SimplicialComplex
 from .errors import CrossCheckError, ValidationError
@@ -124,8 +123,7 @@ class _Incidence:
         return [(t, c) for t, c in entries.items() if c]
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(NamedTuple):
     """Signed incidence of p-simplices (columns) against their faces (rows).
 
     The face omitting the i-th vertex of an ascending-ordered simplex
@@ -321,10 +319,6 @@ class SpectralMeasure:
         self.eigenvalues = tuple(eigenvalues)
         self.kernel_dim = kernel_dim
 
-    @property
-    def weight_unit(self) -> Fraction:
-        return Fraction(1, self.n_vertices)
-
     def total_mass(self) -> Fraction:
         return Fraction(len(self.eigenvalues), self.n_vertices)
 
@@ -333,10 +327,6 @@ class SpectralMeasure:
 
     def spectral_radius(self) -> float:
         return max(self.eigenvalues, default=0.0)
-
-    def count_in(self, lo: float, hi: float) -> int:
-        """Number of eigenvalues in the open interval (lo, hi)."""
-        return sum(1 for ev in self.eigenvalues if lo < ev < hi)
 
     def near_zero_mass(self, eps: float) -> Fraction:
         """Mass of (-eps, eps) minus the exact atom at zero."""
@@ -355,8 +345,7 @@ class SpectralMeasure:
                 out[-1] = (value, count + 1)
             else:
                 out.append((ev, 1))
-        unit = self.weight_unit
-        return [(value, unit * count) for value, count in out]
+        return [(value, Fraction(count, self.n_vertices)) for value, count in out]
 
 
 def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
@@ -383,8 +372,7 @@ def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     return SpectralMeasure(p, n, [0.0] * kernel + nonzero, kernel)
 
 
-@dataclass(frozen=True)
-class NormBounds:
+class NormBounds(NamedTuple):
     boundary_norm_bound: float  # sqrt((p+1)(D-p+1)), bounds ||d_p|| = ||d_p*||
     laplacian_bound: int        # _radius_bound(p, D), bounds rho(Delta_p)
     spectral_radius: float
@@ -440,12 +428,9 @@ def euler_poincare(cx: SimplicialComplex):
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("Euler-Poincare needs a nonempty complex")
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for p, b in _betti_numbers(cx, range(cx.dim + 1)).items():
-        lhs += Fraction((-1) ** p * b, n)
-        rhs += Fraction((-1) ** p * len(cx.faces(p)), n)
-    return lhs, rhs
+    alternating = sum((-1) ** p * b
+                      for p, b in _betti_numbers(cx, range(cx.dim + 1)).items())
+    return Fraction(alternating, n), Fraction(cx.euler_characteristic(), n)
 
 
 def write_spectrum_csv(measure: SpectralMeasure, stream) -> None:

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -255,6 +256,11 @@ def test_truncate(scx, capsys):
 def test_generate(tmp_path, capsys):
     code, out, _ = run(capsys, ["generate", "fixture", "book"])
     assert code == 0 and out == "0 1 2\n0 1 3\n"
+    for name, cx in fixtures().items():
+        want = io.StringIO()
+        write_scx(cx, want)
+        code, out, _ = run(capsys, ["generate", "fixture", name])
+        assert code == 0 and out == want.getvalue(), name
     target = tmp_path / "torus.scx"
     code, out, _ = run(capsys, ["generate", "torus2d", "--n", "4",
                                 "--out", str(target)])
@@ -409,7 +415,8 @@ def test_rank_commands_leave_numpy_unloaded(scx):
         f"    assert main(['betti', {path!r}]) == 0\n"
         f"    assert main(['validate', {path!r}]) == 0\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('numpy', 'concurrent')))\n")
+        "             if m.split('.')[0] in ('numpy', 'concurrent',\n"
+        "                                    'dataclasses', 'inspect')))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr

@@ -5,10 +5,21 @@ from fractions import Fraction
 import pytest
 
 from l2limits.errors import MalformedInputError, ValidationError
-from l2limits.formats import (load_measure, measure_json, read_scx,
-                              save_measure, scx_text, write_scx)
+from l2limits.formats import load_measure, read_scx, save_measure, write_scx
 from l2limits.generators import fixtures
 from l2limits.measures import uniform_rooting
+
+
+def scx_text(cx, root=None):
+    stream = io.StringIO()
+    write_scx(cx, stream, root)
+    return stream.getvalue()
+
+
+def measure_json(mu):
+    stream = io.StringIO()
+    save_measure(mu, stream)
+    return stream.getvalue()
 
 
 def test_read_scx_basic():
@@ -41,8 +52,9 @@ def test_read_scx_errors():
 
 
 def test_scx_error_messages_carry_line_numbers():
-    with pytest.raises(MalformedInputError, match="line 3"):
-        read_scx(io.StringIO("0 1\n1 2\n2 two\n"))
+    for bad in ("2 two", "2 -3", "2 3 2"):
+        with pytest.raises(MalformedInputError, match="line 3"):
+            read_scx(io.StringIO(f"0 1\n1 2\n{bad}\n"))
 
 
 def test_scx_round_trip_is_byte_exact(tmp_path):
@@ -110,10 +122,10 @@ def test_load_measure_rejects_bad_documents():
     with pytest.raises(MalformedInputError):
         loads({"support": [{"weight": "a/b", "maximal_simplices": [[0]],
                             "root": 0}]})
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match=r"support\[0\]"):
         loads({"support": [{"weight": "1", "maximal_simplices": [[0, -1]],
                             "root": 0}]})
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match=r"support\[0\]"):
         loads({"support": [{"weight": "1", "maximal_simplices": [[]],
                             "root": 0}]})
 

@@ -303,7 +303,7 @@ def test_mass_transport_exact_on_fixtures():
     for name, cx in fixtures().items():
         mu = uniform_rooting(cx)
         for fn_name, fn in standard_battery():
-            lhs, rhs, passed = mass_transport_check(mu, fn, tolerance=0)
+            lhs, rhs, passed = mass_transport_check(mu, fn)
             assert passed and lhs == rhs, (name, fn_name)
 
 
@@ -312,7 +312,7 @@ def test_mass_transport_exact_on_random_complexes():
     for _ in range(15):
         mu = uniform_rooting(random_complex(rng, 9))
         for fn_name, fn in standard_battery():
-            result = mass_transport_check(mu, fn, tolerance=0)
+            result = mass_transport_check(mu, fn)
             assert result.passed, fn_name
 
 

@@ -331,9 +331,9 @@ def test_cycle_spectrum_matches_closed_form():
 
 def test_measure_bookkeeping():
     nu = spectral_measure(torus_tower(1, 5), 1)
-    assert nu.weight_unit == Fraction(1, 5)
     assert nu.total_mass() == 1  # 5 edges over 5 vertices
-    assert nu.count_in(-0.5, 0.5) == 1  # just the kernel
+    # (-0.5, 0.5) holds the kernel alone
+    assert nu.mass_at_zero() + nu.near_zero_mass(0.5) == Fraction(1, 5)
     assert nu.near_zero_mass(0.5) == 0  # zero excluded, no small nonzeros
     assert nu.near_zero_mass(5.0) == Fraction(4, 5)
     lap = laplacian_matrix(torus_tower(1, 5), 1)
