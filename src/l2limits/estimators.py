@@ -144,8 +144,8 @@ def _carrier_walk(row, carrier: tuple, order: int) -> tuple:
     return tuple(diagonal)
 
 
-def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple:
-    """m_0..m_order at ``root``: Σ ⟨Δ^r σ, σ⟩/(p+1) over its carriers σ.
+def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> list:
+    """Σ ⟨Δ^r σ, σ⟩ over the carriers σ of ``root``: (p+1)·m_r, r ≤ order.
 
     Per carrier σ, with v_0 = σ and v_k = Δ v_{k-1}, symmetry of Δ gives
     ⟨Δ^{2k-1} σ, σ⟩ = ⟨v_k, v_{k-1}⟩ and ⟨Δ^{2k} σ, σ⟩ = ‖v_k‖², so
@@ -154,9 +154,9 @@ def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple
     a face or a coface with its own, so the walk reads only the stars of
     the (order//2 + 1)-ball around the root, wherever the complex ends.
     The incidence keeps each carrier's diagonal, keyed by (carrier,
-    order), so roots that share a carrier walk it once.
+    order), so roots that share a carrier walk it once.  The totals are
+    exact integers; callers check (p, order) once per estimator call.
     """
-    _check_moment_args(p, order)
     totals = [0] * (order + 1)
     walks = incidence.walks
     for carrier in incidence.star(root):
@@ -168,7 +168,7 @@ def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> tuple
             diagonal = walks[key] = _carrier_walk(incidence.row, carrier, order)
         for r, m in enumerate(diagonal):
             totals[r] += m
-    return tuple(Fraction(t, p + 1) for t in totals)
+    return totals
 
 
 def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
@@ -178,7 +178,9 @@ def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
     builds only the Laplacian rows it reaches, so a sample costs what the
     walk reaches.
     """
-    return _walk_moments(_Incidence(rc.complex), rc.root, p, order)
+    _check_moment_args(p, order)
+    totals = _walk_moments(_Incidence(rc.complex), rc.root, p, order)
+    return tuple(Fraction(t, p + 1) for t in totals)
 
 
 def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
@@ -196,14 +198,15 @@ def _weighted_moments(roots, p: int, order: int) -> MomentVector:
     Roots in one complex share one :class:`_Incidence`: its rows, and the
     walk of each carrier, are computed once.
     """
+    _check_moment_args(p, order)
     moments = [_ZERO] * (order + 1)
     incidences = {}
     for cx, root, weight in roots:
         incidence = incidences.get(id(cx))
         if incidence is None:
             incidence = incidences[id(cx)] = _Incidence(cx)
-        for r, m in enumerate(_walk_moments(incidence, root, p, order)):
-            moments[r] += weight * m
+        for r, t in enumerate(_walk_moments(incidence, root, p, order)):
+            moments[r] += weight * Fraction(t, p + 1)
     mv = MomentVector(p, moments)
     mv.validate()
     return mv
@@ -274,6 +277,7 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
         raise ValidationError("need at least one sample")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
+    _check_moment_args(p, order)
     values = [[] for _ in range(order + 1)]
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
@@ -284,8 +288,11 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
             raise ValidationError(
                 f"sample ball radius {sample.declared_radius} cannot support "
                 f"order-{order} moments")
-        for r, m in enumerate(_local_moments(sample.rooted, p, order)):
-            values[r].append(float(m))
+        rooted = sample.rooted
+        totals = _walk_moments(_Incidence(rooted.complex), rooted.root, p, order)
+        for r, t in enumerate(totals):
+            # int / int rounds the rational t/(p+1) once, as float(Fraction) does
+            values[r].append(t / (p + 1))
     means = [math.fsum(col) / n_samples for col in values]
     if n_samples == 1:
         errs = [0.0] * (order + 1)

@@ -16,15 +16,17 @@ one rule, :func:`_signed_faces`; the walk's cofaces read it backwards.
 Gram matrix of each d, and :func:`laplacian_matrix` adds d_p^T d_p and
 d_{p+1} d_{p+1}^T for the tests and the golden digests; no spectrum reads
 it.
-The walk's exact rows (:class:`_Incidence`) are built lazily instead, so a
-local moment pays for the simplices it reaches.  :func:`boundary_matrix` is
-an independent reference for the tests: no rank, Gram matrix, moment or
-norm bound reads it.
+The walk's exact rows (:class:`_Incidence`) are built lazily instead, by
+the combinatorial rule for Delta_p from cofaces read off the dimension
+blocks of the stars, so a local moment pays for the simplices it reaches.
+:func:`boundary_matrix` is an independent reference for the tests: no
+rank, Gram matrix, moment or norm bound reads it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -64,17 +66,20 @@ def _signed_faces(s: tuple) -> list:
 
 
 class _Incidence:
-    """Signed faces, cofaces and Laplacian rows of one complex, on demand.
+    """Cofaces and Laplacian rows of one complex, on demand.
 
-    Faces come from :func:`_signed_faces`.  A simplex's cofaces are read
-    from the star of its first vertex; the face of a coface omitting its
-    i-th vertex carries sign (-1)**i there, so the simplex's sign in a
-    coface is read from the index of the vertex the coface adds.  Cofaces
-    and rows are memoized for the lifetime of the instance, so walks pay
-    for the simplices they reach and for no others.  ``walks`` keeps the
-    diagonal ⟨Δ^r σ, σ⟩ of each carrier σ that the moment walk of
-    ``estimators`` computed, keyed by (carrier, order), so a carrier shared
-    by several roots is walked once.
+    A simplex's cofaces are the simplices one vertex larger that hold it,
+    read from the block of its first vertex's star that has that size:
+    stars are in (dimension, lexicographic) order, so one bisection finds
+    the block, and a vertex's block holds only its own edges.  The
+    simplex's sign in a coface is that of the face omitting the vertex the
+    coface adds, (-1)**i at its index i (:func:`_signed_faces`).  Rows
+    follow the combinatorial rule for Delta_p (Goldberg 2002; Horak & Jost,
+    Adv. Math. 2013; see :meth:`row`).  Cofaces and rows are memoized for
+    the lifetime of the instance, so walks pay for the simplices they reach
+    and for no others.  ``walks`` keeps the diagonal ⟨Δ^r σ, σ⟩ of each
+    carrier σ that the moment walk of ``estimators`` computed, keyed by
+    (carrier, order), so a carrier shared by several roots is walked once.
     """
 
     __slots__ = ("star", "walks", "_cofaces", "_rows")
@@ -86,41 +91,62 @@ class _Incidence:
         self._rows: dict = {}
 
     def cofaces(self, s: tuple) -> list:
+        """[(coface, sign of ``s`` in it, the vertex it adds)] of ``s``."""
         hit = self._cofaces.get(s)
         if hit is None:
             n = len(s)
-            hit = self._cofaces[s] = []
-            for t in self.star(s[0]):
-                if len(t) == n + 1:
+            v = s[0]
+            star = self.star(v)
+            if n == 1:
+                hit = [(t, -1, t[1]) if t[0] == v else (t, 1, t[0])
+                       for t in star[1:bisect_left(star, 3, 1, key=len)]]
+            else:
+                lo = bisect_left(star, n + 1, key=len)
+                hit = []
+                for t in star[lo:bisect_left(star, n + 2, lo, key=len)]:
                     # s is the face of t omitting t[i], if any, where i is
                     # the first index at which the two differ
                     i = 0
                     while i < n and t[i] == s[i]:
                         i += 1
                     if t[i + 1:] == s[i:]:
-                        hit.append((t, -1 if i & 1 else 1))
+                        hit.append((t, -1 if i & 1 else 1, t[i]))
+            self._cofaces[s] = hit
         return hit
 
     def row(self, s: tuple) -> list:
         """[(simplex, entry)] of the row of Delta_p at the p-simplex ``s``,
-        without zero entries: d_p^T d_p through its faces' cofaces, plus
-        d_{p+1} d_{p+1}^T through its cofaces' faces."""
+        without zero entries.
+
+        At p = 0 it is the graph Laplacian's: the degree on the diagonal
+        and -1 at each neighbour.  At p >= 1 the diagonal is p + 1 plus the
+        number of cofaces, and a p-simplex t sharing the face omitting s[i]
+        has (-1)**i times the sign of that face in t, unless s and t span a
+        coface, whose term of d_{p+1} d_{p+1}^T cancels it.
+        """
         hit = self._rows.get(s)
         if hit is None:
             hit = self._rows[s] = self._row(s)
         return hit
 
     def _row(self, s: tuple) -> list:
-        entries: dict = {}
-        get = entries.get
-        faces, cofaces = _signed_faces, self.cofaces
-        for f, a in faces(s):
-            for t, b in cofaces(f):
-                entries[t] = get(t, 0) + a * b
-        for t, a in cofaces(s):
-            for f, b in faces(t):
-                entries[f] = get(f, 0) + a * b
-        return [(t, c) for t, c in entries.items() if c]
+        cofaces = self.cofaces
+        up = cofaces(s)
+        n = len(s)
+        if n == 1:
+            if not up:
+                return []
+            return [(s, len(up))] + [((w,), -1) for _, _, w in up]
+        added = {w for _, _, w in up}
+        row = [(s, n + len(up))]
+        for i in range(n):
+            # a coface t of the face adds w: t is s when w is s[i], and s
+            # and t span a coface when w is a vertex that one adds to s
+            skip = {*added, s[i]}
+            a = -1 if i & 1 else 1
+            row += [(t, a * b) for t, b, w in cofaces(s[:i] + s[i + 1:])
+                    if w not in skip]
+        return row
 
 
 class BoundaryMatrix(NamedTuple):

@@ -17,9 +17,9 @@ from l2limits.estimators import (ConvergenceReport, MomentVector, RootSample,
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import (ball_distribution, expected_p_degree,
                                total_variation, uniform_rooting)
-from l2limits.spectral import (SpectralMeasure, _Incidence, _signed_faces,
-                               boundary_matrix, laplacian_matrix,
-                               spectral_measure)
+from l2limits.spectral import (SpectralMeasure, _gram, _Incidence,
+                               _signed_faces, boundary_matrix,
+                               laplacian_matrix, spectral_measure)
 
 closure = SimplicialComplex.closure
 
@@ -148,12 +148,18 @@ def test_moments_read_only_the_half_order_ball():
 
 def test_incidence_rows_reproduce_the_dense_laplacian():
     # the walk's rows and the dense reference d_p^T d_p + d_{p+1} d_{p+1}^T
-    # agree, with zero entries dropped
+    # agree, with zero entries dropped, at every p up to dim + 1: p = 0
+    # (isolated vertices have empty rows), p = dim (no cofaces) and
+    # p > dim (no carriers); the diagonal is p + 1 (0 at p = 0) plus the
+    # number of cofaces in the star
     rng = np.random.default_rng(97)
-    for _ in range(20):
-        cx = random_complex(rng, 10)
+    isolated = deep = 0
+    for _ in range(30):
+        cx = random_complex(rng, 10, max_simplex=5)
+        isolated += any(cx.degree(v) == 0 for v in cx.vertices)
+        deep += cx.dim >= 3
         incidence = _Incidence(cx)
-        for p in range(3):
+        for p in range(cx.dim + 2):
             faces = cx.faces(p)
             index = {s: i for i, s in enumerate(faces)}
             down = boundary_matrix(cx, p).dense()
@@ -162,13 +168,19 @@ def test_incidence_rows_reproduce_the_dense_laplacian():
             for j, s in enumerate(faces):
                 got = incidence.row(s)
                 assert all(c for _, c in got)
+                cofaces = [t for t in cx.star(s[0])
+                           if len(t) == p + 2 and set(s) <= set(t)]
+                assert dict(got).get(s, 0) == (p + 1 if p else 0) + len(cofaces)
                 got = {index[t]: c for t, c in got}
                 assert got == {int(k): int(dense[j, k])
                                for k in np.flatnonzero(dense[j])}
+        assert exhaustive_moments(cx, cx.dim + 1, 3).moments == (0,) * 4
+    assert isolated and deep
 
 
 def test_coface_signs_invert_signed_faces():
-    # a coface's sign is the simplex's sign among that coface's faces
+    # a coface's sign is the simplex's sign among that coface's faces, and
+    # its third field the vertex it adds
     rng = np.random.default_rng(101)
     cases = list(fixtures().values())
     cases += [random_complex(rng, 10) for _ in range(20)]
@@ -177,10 +189,11 @@ def test_coface_signs_invert_signed_faces():
         for p in range(cx.dim + 1):
             for s in cx.faces(p):
                 cofaces = incidence.cofaces(s)
-                assert sorted(t for t, _ in cofaces) == \
+                assert sorted(t for t, _, _ in cofaces) == \
                     [t for t in cx.faces(p + 1) if set(s) <= set(t)]
-                for t, sign in cofaces:
+                for t, sign, w in cofaces:
                     assert (s, sign) in _signed_faces(t)
+                    assert set(t) - set(s) == {w}
 
 
 def test_exhaustive_moments_order_8_is_the_trace():
@@ -223,6 +236,53 @@ def test_exhaustive_moments_build_each_row_and_walk_each_carrier_once(
             # every p-simplex is a carrier of each of its p + 1 vertices
             assert sorted(walked) == list(cx.faces(p))
             assert len(built) == len(set(built)) == len(cx.faces(p))
+
+
+def _gram_traces(cx, q, order):
+    """tr(G^r) for r = 1..order, in Python ints, of the Gram piece G of d_q
+    that the eigensolver reads (0 where d_q has no piece)."""
+    if not (cx.faces(q - 1) and cx.faces(q)):
+        return [0] * order
+    upper = len(cx.faces(q - 1)) > len(cx.faces(q))
+    gram = _gram(cx, q, upper).astype(np.int64).astype(object)
+    power, traces = gram, []
+    for _ in range(order):
+        traces.append(np.trace(power))
+        power = power @ gram
+    return traces
+
+
+def test_exhaustive_moments_are_the_traces_of_the_gram_pieces():
+    # a second exact route: Delta_p^r = (d_p^T d_p)^r + (d_{p+1} d_{p+1}^T)^r
+    # for r >= 1, and each term's trace is that of the smaller Gram matrix
+    # of its d, the piece the eigensolver reads
+    cases = list(fixtures().values()) + [torus_tower(2, n) for n in (5, 6, 7)]
+    for cx in cases:
+        n = len(cx.vertices)
+        for p in range(cx.dim + 1):
+            want = [a + b for a, b in zip(_gram_traces(cx, p, 6),
+                                          _gram_traces(cx, p + 1, 6))]
+            moments = exhaustive_moments(cx, p, 6).moments
+            assert [n * m for m in moments[1:]] == want
+
+
+def test_local_moments_build_as_many_rows_on_a_larger_torus(monkeypatch):
+    # a local statistic's cost must not grow with |V|: one order-4 walk at
+    # p = 1 builds the same number of rows on tori of side 20 and 60
+    built = []
+    build = _Incidence._row
+
+    def counted_build(self, s):
+        built.append(s)
+        return build(self, s)
+
+    monkeypatch.setattr(_Incidence, "_row", counted_build)
+    counts = []
+    for side in (20, 60):
+        built.clear()
+        _local_moments(rooted_at(torus_tower(2, side), 0), 1, 4)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.fixture
