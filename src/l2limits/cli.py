@@ -17,8 +17,8 @@ from .formats import load_measure, read_scx, write_scx
 from .generators import fixtures, linial_meshulam, random_flag, torus_tower
 from .measures import (degree_truncate, mass_transport_check,
                        measure_distance, standard_battery)
-from .spectral import (_betti_numbers, _boundary_ranks, _nonzero_spectrum,
-                       _radius_bound, spectral_measure, write_spectrum_csv)
+from .spectral import (_chain_numbers, _nonzero_spectrum, _radius_bound,
+                       spectral_measure, write_spectrum_csv)
 
 __all__ = ["main", "build_parser"]
 
@@ -67,8 +67,8 @@ def _cmd_betti(args):
         print("empty complex")
         return 0
     ps = [args.p] if args.p is not None else range(cx.dim + 1)
-    ranks = _boundary_ranks(cx, ps)
-    for p, b in _betti_numbers(cx, ps, ranks).items():
+    bettis, ranks = _chain_numbers(cx, ps)
+    for p, b in bettis.items():
         norm = Fraction(b, len(cx.faces(0)))
         print(f"p={p} b={b} norm={norm}")
     if args.exact:

@@ -15,6 +15,7 @@ search below restrict itself to layer-by-layer orderings.
 
 from __future__ import annotations
 
+import operator
 import struct
 
 from bisect import bisect_left
@@ -46,9 +47,12 @@ def subset_from_index(n: int) -> frozenset:
     n + 1, e.g. 0 -> {0}, 1 -> {1}, 2 -> {0, 1}, 3 -> {2}, 7 -> {3}.  Every
     subset of {0..k} occurs among the first 2**(k+1) positions.
     """
-    if n < 0:
+    try:
+        bits = operator.index(n) + 1
+    except TypeError:
+        raise ValidationError(f"subset index must be an integer: {n!r}") from None
+    if bits < 1:
         raise ValidationError("subset index must be nonnegative")
-    bits = n + 1
     out = []
     pos = 0
     while bits:
@@ -61,7 +65,10 @@ def subset_from_index(n: int) -> frozenset:
 
 def index_of_subset(subset) -> int:
     """Inverse of :func:`subset_from_index`."""
-    members = set(subset)
+    try:
+        members = set(map(operator.index, subset))
+    except TypeError:
+        raise ValidationError(f"subsets must contain integers: {subset!r}") from None
     if not members:
         raise ValidationError("the empty set has no index")
     total = 0
@@ -89,11 +96,12 @@ class CanonicalCode:
 
     def __init__(self, indices):
         indices = tuple(indices)
-        self._width = _field_bytes(max(indices).bit_length() if indices else 0)
         try:
+            self._width = _field_bytes(max(indices).bit_length() if indices else 0)
             self._data = _pack(indices, self._width)
-        except (struct.error, OverflowError):
-            raise ValidationError(f"code indices must be nonnegative: {indices}") from None
+        except (struct.error, OverflowError, TypeError, AttributeError):
+            raise ValidationError(
+                f"code indices must be nonnegative integers: {indices}") from None
 
     @property
     def indices(self) -> tuple:
@@ -273,37 +281,14 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
     mapping = [-1] * n
     used = 0
     assigned = 0
-    cand_lists: list = [None] * n
-    ptrs = [0] * n
     full = (1 << n) - 1
     checks = 0
-    depth = 0
-
-    while True:
-        if depth == n:
-            return {ctxa.verts[i]: ctxb.verts[mapping[i]] for i in range(n)}
+    # candidate images of order[d] per depth d; smap pins the root order[0]
+    stack = [iter((smap[order[0]],))]
+    while stack:
+        depth = len(stack) - 1
         u = order[depth]
-        if cand_lists[depth] is None:
-            if u in smap:
-                cands = [smap[u]]
-            else:
-                cm = full & ~used
-                for w in ctxa.nbr_positions[u]:
-                    if mapping[w] >= 0:
-                        cm &= ctxb.nbr_mask[mapping[w]]
-                cands = []
-                while cm:
-                    low = cm & -cm
-                    cands.append(low.bit_length() - 1)
-                    cm ^= low
-            cand_lists[depth] = cands
-            ptrs[depth] = 0
-
-        advanced = False
-        cands = cand_lists[depth]
-        while ptrs[depth] < len(cands):
-            v = cands[ptrs[depth]]
-            ptrs[depth] += 1
+        for v in stack[-1]:
             if used >> v & 1:
                 continue
             if dista[u] != distb[v] or ctxa.colors[u] != ctxb.colors[v]:
@@ -314,7 +299,6 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
             tenta = assigned | (1 << u)
             tentb = used | (1 << v)
             cnt_a = 0
-            ok = True
             for mask, positions in ctxa.star_items[u]:
                 if mask & ~tenta:
                     continue
@@ -322,33 +306,45 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
                 for w in positions:
                     img |= 1 << (v if w == u else mapping[w])
                 if img not in ctxb.simplex_masks:
-                    ok = False
                     break
                 cnt_a += 1
-            if ok:
+            else:
+                # v is feasible if these images are all its mapped simplices
                 cnt_b = 0
                 for maskb in ctxb.star_masks[v]:
                     if not maskb & ~tentb:
                         cnt_b += 1
-                ok = cnt_a == cnt_b
-            if ok:
-                mapping[u] = v
-                used = tentb
-                assigned = tenta
-                depth += 1
-                advanced = True
-                break
-        if advanced:
+                if cnt_a == cnt_b:
+                    break
+        else:
+            # exhausted: unmap the vertex before and resume its candidates
+            stack.pop()
+            if stack:
+                u = order[depth - 1]
+                used &= ~(1 << mapping[u])
+                assigned &= ~(1 << u)
+                mapping[u] = -1
             continue
-        cand_lists[depth] = None
-        depth -= 1
-        if depth < 0:
-            return None
-        u = order[depth]
-        v = mapping[u]
-        mapping[u] = -1
-        used &= ~(1 << v)
-        assigned &= ~(1 << u)
+        mapping[u] = v
+        used = tentb
+        assigned = tenta
+        if depth + 1 == n:
+            return {ctxa.verts[i]: ctxb.verts[mapping[i]] for i in range(n)}
+        u = order[depth + 1]
+        if u in smap:
+            cands = [smap[u]]
+        else:
+            cm = full & ~used
+            for w in ctxa.nbr_positions[u]:
+                if mapping[w] >= 0:
+                    cm &= ctxb.nbr_mask[mapping[w]]
+            cands = []
+            while cm:
+                low = cm & -cm
+                cands.append(low.bit_length() - 1)
+                cm ^= low
+        stack.append(iter(cands))
+    return None
 
 
 def find_rooted_isomorphism(a: RootedComplex, b: RootedComplex):

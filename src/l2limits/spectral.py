@@ -1,10 +1,10 @@
 """Boundary operators, Hodge Laplacians, Betti numbers, spectral measures.
 
 Two independent computation routes are kept deliberately separate: Betti
-numbers come from exact rational ranks of the boundary operators, while
-spectra come from a dense symmetric eigensolver.  The eigensolver never
-sees Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T itself: the nonzero spectrum
-of Delta_p is the union of those of its two terms (Eckmann 1944; Horak &
+numbers and ranks come exactly from :func:`_chain_numbers`, while spectra
+come from a dense symmetric eigensolver.  The eigensolver never sees
+Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T itself: the nonzero spectrum of
+Delta_p is the union of those of its two terms (Eckmann 1944; Horak &
 Jost, Adv. Math. 2013), and each term's is that of the smaller Gram
 matrix of its d, d d^T or d^T d.  ``spectral_measure`` eigensolves those
 two pieces, checks each piece's zero cluster against its size minus the
@@ -19,8 +19,8 @@ it.
 The walk's exact rows (:class:`_Incidence`) are built lazily instead, by
 the combinatorial rule for Delta_p from cofaces read off the dimension
 blocks of the stars, so a local moment pays for the simplices it reaches.
-:func:`boundary_matrix` is an independent reference for the tests: no
-rank, Gram matrix, moment or norm bound reads it.
+:func:`boundary_matrix`, a dense int64 array, is an independent reference
+for the tests: no rank, Gram matrix, moment or norm bound reads it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "BoundaryMatrix",
     "boundary_matrix",
     "boundary_rank",
     "betti",
@@ -149,48 +148,22 @@ class _Incidence:
         return row
 
 
-class BoundaryMatrix(NamedTuple):
-    """Signed incidence of p-simplices (columns) against their faces (rows).
+def boundary_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
+    """The boundary operator from p-chains to (p-1)-chains as a dense int64
+    array, rows ``faces(p-1)`` by columns ``faces(p)``; d_0 is zero.  The
+    face omitting the i-th vertex of an ascending simplex carries sign
+    (-1)**i, by a sign loop of its own, so tests can check
+    :func:`_signed_faces` on it."""
+    import numpy as np
 
-    The face omitting the i-th vertex of an ascending-ordered simplex
-    carries sign (-1)**i.
-    """
-
-    rows: tuple
-    cols: tuple
-    by_col: tuple  # per column: ((row_index, sign), ...)
-
-    def dense(self) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros((len(self.rows), len(self.cols)), dtype=np.int64)
-        for j, entries in enumerate(self.by_col):
-            for i, sign in entries:
-                out[i, j] = sign
-        return out
-
-
-def boundary_matrix(cx: SimplicialComplex, p: int) -> BoundaryMatrix:
-    """The boundary operator from p-chains to (p-1)-chains; d_0 is zero.
-
-    Its sign loop is its own, so tests can check :func:`_signed_faces` on it.
-    """
-    if p < 0:
-        return BoundaryMatrix((), (), ())
-    if p == 0:
-        cols = cx.faces(0)
-        return BoundaryMatrix((), cols, tuple(() for _ in cols))
-    rows = cx.faces(p - 1)
-    cols = cx.faces(p)
-    row_index = {s: i for i, s in enumerate(rows)}
-    by_col = []
-    for s in cols:
-        entries = []
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            entries.append((row_index[face], -1 if i % 2 else 1))
-        by_col.append(tuple(entries))
-    return BoundaryMatrix(rows=rows, cols=cols, by_col=tuple(by_col))
+    rows, cols = cx.faces(p - 1), cx.faces(p)
+    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    if p >= 1:
+        row_index = {s: i for i, s in enumerate(rows)}
+        for j, s in enumerate(cols):
+            for i in range(len(s)):
+                out[row_index[s[:i] + s[i + 1:]], j] = -1 if i % 2 else 1
+    return out
 
 
 def boundary_rank(cx: SimplicialComplex, p: int) -> int:
@@ -208,27 +181,19 @@ def boundary_rank(cx: SimplicialComplex, p: int) -> int:
     return rational_rank(dict(_signed_faces(s)) for s in cx.faces(p))
 
 
-def _boundary_ranks(cx: SimplicialComplex, ps) -> dict:
-    """{q: rank d_q} for each p in ``ps`` and p+1, each rank computed once.
-
-    b_p = |K(p)| - rank d_p - rank d_{p+1}, so adjacent degrees share a rank.
-    """
+def _chain_numbers(cx: SimplicialComplex, ps) -> tuple:
+    """({p: b_p} in the order of ``ps``, {q: rank d_q} in ascending q for
+    each p in ``ps`` and p + 1), each rank computed once: adjacent degrees
+    share one, as b_p = |K(p)| - rank d_p - rank d_{p+1}."""
     if any(p < 0 for p in ps):
         raise ValidationError("betti degree must be nonnegative")
-    return {q: boundary_rank(cx, q) for q in sorted({*ps, *(p + 1 for p in ps)})}
-
-
-def _betti_numbers(cx: SimplicialComplex, ps, ranks=None) -> dict:
-    """{p: b_p} in the order of ``ps``, from ``ranks`` when the caller has
-    them (from :func:`_boundary_ranks`) and from new ones otherwise."""
-    if ranks is None:
-        ranks = _boundary_ranks(cx, ps)
-    return {p: len(cx.faces(p)) - ranks[p] - ranks[p + 1] for p in ps}
+    ranks = {q: boundary_rank(cx, q) for q in sorted({*ps, *(p + 1 for p in ps)})}
+    return {p: len(cx.faces(p)) - ranks[p] - ranks[p + 1] for p in ps}, ranks
 
 
 def betti(cx: SimplicialComplex, p: int) -> int:
     """dim ker Delta_p = |K(p)| - rank d_p - rank d_{p+1}, computed exactly."""
-    return _betti_numbers(cx, (p,))[p]
+    return _chain_numbers(cx, (p,))[0][p]
 
 
 def betti_normalized(cx: SimplicialComplex, p: int) -> Fraction:
@@ -390,8 +355,8 @@ def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
         raise ValidationError("spectral measure needs a nonempty complex")
     for q in (p, p + 1):
         _check_cap(q, _piece_size(cx, q))
-    ranks = _boundary_ranks(cx, (p,))
-    kernel = _betti_numbers(cx, (p,), ranks)[p]
+    bettis, ranks = _chain_numbers(cx, (p,))
+    kernel = bettis[p]
     nonzero = _nonzero_spectrum(cx, p, ranks[p])
     nonzero += _nonzero_spectrum(cx, p + 1, ranks[p + 1])
     nonzero.sort()
@@ -454,8 +419,8 @@ def euler_poincare(cx: SimplicialComplex):
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("Euler-Poincare needs a nonempty complex")
-    alternating = sum((-1) ** p * b
-                      for p, b in _betti_numbers(cx, range(cx.dim + 1)).items())
+    bettis = _chain_numbers(cx, range(cx.dim + 1))[0]
+    alternating = sum((-1) ** p * b for p, b in bettis.items())
     return Fraction(alternating, n), Fraction(cx.euler_characteristic(), n)
 
 
@@ -469,5 +434,5 @@ def write_spectrum_csv(measure: SpectralMeasure, stream) -> None:
 def write_betti_csv(cx: SimplicialComplex, stream) -> None:
     stream.write("p,b_p,normalized\n")
     n = len(cx.faces(0))
-    for p, b in _betti_numbers(cx, range(cx.dim + 1)).items():
+    for p, b in _chain_numbers(cx, range(cx.dim + 1))[0].items():
         stream.write(f"{p},{b},{Fraction(b, n)}\n")

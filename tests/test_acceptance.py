@@ -140,7 +140,7 @@ def test_criterion_5_norm_bounds(criterion):
     for name, cx in cases:
         degree = cx.max_degree()
         for p in range(1, cx.dim + 1):
-            dense = boundary_matrix(cx, p).dense().astype(np.float64)
+            dense = boundary_matrix(cx, p).astype(np.float64)
             if dense.size:
                 top = float(np.linalg.norm(dense, 2))
                 if top > math.sqrt(p + 1) + 1e-9:

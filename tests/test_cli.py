@@ -396,14 +396,24 @@ def _src_env():
     return env
 
 
-def test_python_dash_m_package_runs_the_cli(scx):
+def test_python_dash_m_package_runs_the_cli(scx, tmp_path):
+    def package(*argv):
+        return subprocess.run([sys.executable, "-m", "l2limits", *argv],
+                              capture_output=True, text=True, env=_src_env())
+
     path = scx("tri.scx", fixtures()["filled_triangle"])
-    proc = subprocess.run(
-        [sys.executable, "-m", "l2limits", "betti", path],
-        capture_output=True, text=True, env=_src_env())
+    proc = package("betti", path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["p=0 b=1 norm=1/3", "p=1 b=0 norm=0",
                                         "p=2 b=0 norm=0"]
+    proc = package("validate", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "valid"
+    bad = tmp_path / "bad.scx"
+    bad.write_text("0 1.5\n")
+    proc = package("validate", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
 def test_rank_commands_leave_numpy_unloaded(scx):

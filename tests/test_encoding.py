@@ -39,6 +39,19 @@ def test_subset_enumeration_roundtrip():
             index_of_subset(subset)
 
 
+def test_code_inputs_must_be_nonnegative_integers():
+    for call, arg in ((index_of_subset, [1.5]), (index_of_subset, "12"),
+                      (subset_from_index, "3"), (subset_from_index, 2.0),
+                      (CanonicalCode, [1.5]), (CanonicalCode, ["a"]),
+                      (CanonicalCode, [1, "a"]), (CanonicalCode, [0.5, 3]),
+                      (CanonicalCode, [1.5, 2 ** 70]), (CanonicalCode, [-1]),
+                      (CanonicalCode, [-1, 2 ** 70])):
+        with pytest.raises(ValidationError):
+            call(arg)
+    assert index_of_subset([np.int64(2)]) == 3
+    assert subset_from_index(np.int64(3)) == {2}
+
+
 def test_first_block_contains_exactly_the_small_subsets():
     # every subset of {0..n} appears among the first 2^(n+1) indices
     for n in range(4):
@@ -198,6 +211,14 @@ def test_isomorphism_map_is_a_bijection():
     vmap = find_rooted_isomorphism(rooted_at(octa, 0), rooted_at(octa, 4))
     assert vmap is not None
     assert sorted(vmap) == sorted(vmap.values())
+
+
+def test_search_refuses_unequal_profiles_and_disconnected_complexes():
+    path4 = fixtures()["path4"]
+    assert find_rooted_isomorphism(rooted_at(path4, 0), rooted_at(path4, 1)) is None
+    ctx = encoding._IsoContext(fixtures()["two_triangles"])
+    with pytest.raises(ValidationError, match="requires connected complexes"):
+        encoding._search(ctx, 0, ctx, 0)
 
 
 def test_refined_colors_survive_relabeling():

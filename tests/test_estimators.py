@@ -162,8 +162,8 @@ def test_incidence_rows_reproduce_the_dense_laplacian():
         for p in range(cx.dim + 2):
             faces = cx.faces(p)
             index = {s: i for i, s in enumerate(faces)}
-            down = boundary_matrix(cx, p).dense()
-            up = boundary_matrix(cx, p + 1).dense()
+            down = boundary_matrix(cx, p)
+            up = boundary_matrix(cx, p + 1)
             dense = down.T @ down + up @ up.T
             for j, s in enumerate(faces):
                 got = incidence.row(s)

@@ -13,6 +13,7 @@ from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.estimators import exhaustive_moments
 from l2limits.exact import rational_rank
 from l2limits.generators import fixtures, linial_meshulam, torus_tower
+from l2limits.measures import uniform_rooting
 from l2limits.spectral import (_radius_bound, _signed_faces, betti,
                                betti_normalized, boundary_matrix,
                                boundary_rank, euler_poincare,
@@ -46,21 +47,23 @@ def test_boundary_composition_vanishes():
     for _ in range(30):
         cx = random_complex(rng, 9)
         for p in range(1, cx.dim + 1):
-            down = boundary_matrix(cx, p).dense()
-            up = boundary_matrix(cx, p + 1).dense()
+            down = boundary_matrix(cx, p)
+            up = boundary_matrix(cx, p + 1)
             if down.size and up.size:
                 assert not (down @ up).any()
 
 
 def test_boundary_matrix_shape_and_signs():
     cx = closure([(0, 1, 2)])
-    bm = boundary_matrix(cx, 1)
-    assert bm.rows == ((0,), (1,), (2,))
-    assert bm.cols == ((0, 1), (0, 2), (1, 2))
-    dense = bm.dense()
-    assert dense.tolist() == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
-    b2 = boundary_matrix(cx, 2).dense()
+    # rows (0,), (1,), (2,); columns (0, 1), (0, 2), (1, 2)
+    d1 = boundary_matrix(cx, 1)
+    assert d1.shape == (3, 3) and d1.dtype == np.int64
+    assert d1.tolist() == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    b2 = boundary_matrix(cx, 2)
     assert b2.tolist() == [[1], [-1], [1]]
+    # d_0 has no rows, and past the top dimension there are no columns
+    shapes = [boundary_matrix(cx, p).shape for p in (-1, 0, 3, 4)]
+    assert shapes == [(0, 0), (0, 3), (1, 0), (0, 0)]
 
 
 def test_rational_rank_matches_numpy():
@@ -78,7 +81,7 @@ def test_boundary_rank_matches_numpy():
     for _ in range(25):
         cx = random_complex(rng, 9)
         for p in range(1, cx.dim + 1):
-            dense = boundary_matrix(cx, p).dense()
+            dense = boundary_matrix(cx, p)
             assert boundary_rank(cx, p) == np.linalg.matrix_rank(dense)
 
 
@@ -133,8 +136,9 @@ def test_rank_of_d1_counts_components():
 
 
 def test_computation_path_reads_no_boundary_matrix(monkeypatch):
-    # boundary_matrix is the independent reference: ranks, Laplacian rows,
-    # moments and norm bounds read signs from _signed_faces alone
+    # boundary_matrix, a dense array, is the independent reference: ranks
+    # (each computed once by _chain_numbers), Laplacian rows, moments and
+    # norm bounds read signs from _signed_faces alone
     calls = []
     reference = spectral.boundary_matrix
 
@@ -187,6 +191,20 @@ def test_betti_normalized():
     assert betti_normalized(torus_tower(2, 4), 1) == Fraction(2, 16)
 
 
+def test_whole_complex_statistics_refuse_the_empty_complex():
+    empty = SimplicialComplex([])
+    for call, message in (
+            (lambda: exhaustive_moments(empty, 1, 2),
+             "cannot average over an empty complex"),
+            (lambda: uniform_rooting(empty), "cannot root an empty complex"),
+            (lambda: betti_normalized(empty, 0),
+             "normalized Betti number needs a nonempty complex"),
+            (lambda: euler_poincare(empty),
+             "Euler-Poincare needs a nonempty complex")):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
 def test_laplacian_matches_boundary_product():
     # D^T D + U U^T from the dense boundary matrices is an oracle that does
     # not share the Gram assembly of laplacian_matrix and the spectra, nor
@@ -198,8 +216,8 @@ def test_laplacian_matches_boundary_product():
     cases += [closure([(0,), (1,), (2,)])]
     for cx in cases:
         for p in range(cx.dim + 2):
-            down = boundary_matrix(cx, p).dense()
-            up = boundary_matrix(cx, p + 1).dense()
+            down = boundary_matrix(cx, p)
+            up = boundary_matrix(cx, p + 1)
             want = down.T @ down + up @ up.T
             lap = laplacian_matrix(cx, p)
             assert lap.dtype == np.float64
@@ -221,7 +239,7 @@ def test_gram_matrices_give_the_laplacian_spectrum():
     # dense products of the reference boundary matrix
     for cx in _split_cases():
         for q in range(1, cx.dim + 2):
-            d = boundary_matrix(cx, q).dense()
+            d = boundary_matrix(cx, q)
             for upper, want in ((True, d.T @ d), (False, d @ d.T)):
                 gram = spectral._gram(cx, q, upper)
                 assert gram.dtype == np.float64
@@ -395,13 +413,9 @@ def test_column_and_row_counts_hold_corpus_wide():
     for cx in cases:
         degree = cx.max_degree()
         for p in range(1, cx.dim + 1):
-            bm = boundary_matrix(cx, p)
-            assert all(len(entries) == p + 1 for entries in bm.by_col)
-            row_counts = [0] * len(bm.rows)
-            for entries in bm.by_col:
-                for i, _ in entries:
-                    row_counts[i] += 1
-            assert max(row_counts) <= degree - p + 1
+            nonzero = boundary_matrix(cx, p) != 0
+            assert (nonzero.sum(axis=0) == p + 1).all()
+            assert nonzero.sum(axis=1).max() <= degree - p + 1
 
 
 def test_boundary_norm_within_entry_count_bound():
@@ -412,7 +426,7 @@ def test_boundary_norm_within_entry_count_bound():
     for cx in cases:
         degree = cx.max_degree()
         for p in range(1, cx.dim + 1):
-            dense = boundary_matrix(cx, p).dense().astype(np.float64)
+            dense = boundary_matrix(cx, p).astype(np.float64)
             if not dense.size:
                 continue
             top = float(np.linalg.norm(dense, 2))
