@@ -41,6 +41,16 @@ def _as_simplex(vertices) -> tuple:
     return simplex
 
 
+def _grouped(simplices) -> list[set]:
+    """The normalized ``simplices``, one set per dimension up to the top."""
+    groups: list[set] = []
+    for s in simplices:
+        while len(groups) < len(s):
+            groups.append(set())
+        groups[len(s) - 1].add(s)
+    return groups
+
+
 class SimplicialComplex:
     """Immutable finite abstract simplicial complex on integer vertices."""
 
@@ -52,12 +62,7 @@ class SimplicialComplex:
         Use :meth:`closure` to build from maximal simplices.  Raises
         ``ValidationError`` if some face of a listed simplex is missing.
         """
-        groups: list[set] = []
-        for raw in simplices:
-            s = _as_simplex(raw)
-            while len(groups) < len(s):
-                groups.append(set())
-            groups[len(s) - 1].add(s)
+        groups = _grouped(map(_as_simplex, simplices))
         for p in range(1, len(groups)):
             for s in groups[p]:
                 for face in combinations(s, p):
@@ -113,11 +118,7 @@ class SimplicialComplex:
         each face is made once per simplex one dimension above it; a face
         that is listed keeps its listed tuple.
         """
-        groups: list[set] = [set()]
-        for simplex in map(_as_simplex, maximal):
-            while len(groups) < len(simplex):
-                groups.append(set())
-            groups[len(simplex) - 1].add(simplex)
+        groups = _grouped(map(_as_simplex, maximal))
         for p in range(len(groups) - 1, 1, -1):
             groups[p - 1].update(chain.from_iterable(
                 map(combinations, groups[p], repeat(p))))

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 
-from .complexes import RootedComplex, SimplicialComplex, _bfs
+from .complexes import RootedComplex, SimplicialComplex, _bfs, _grouped
 from .errors import ValidationError
 
 __all__ = [
@@ -395,11 +395,12 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
     ``starts`` are the tied minimal orders of an inner ball, each labelling
     the same m positions, which must be the positions of the first layers
     (``[(0,)]``, the root alone, starts from scratch).  The search labels
-    those positions from each order and continues at label m.  Up to label
-    m a fresh search reads only simplices among the first m positions, so
-    when the inner ball's own search never passed the tie cap, its final
-    branches are exactly the fresh search's branches at label m, and the
-    result is the same.
+    those positions from each order, one entry per crossing simplex (edge
+    or face) in each later position's block, and continues at label m.  Up
+    to label m a fresh search reads only simplices among the first m
+    positions, so when the inner ball's own search never passed the tie
+    cap, its final branches are exactly the fresh search's branches at
+    label m, and the result is the same.
     """
     n = len(vert)
     m = len(starts[0])
@@ -412,11 +413,13 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
             lo = hi
     # incidence: each position's neighbours as bits, and the simplices of
     # dimension >= 2 through it as (mask, positions); and for each position
-    # w past the m started ones, the simplices through w whose other
-    # positions are all started, by those positions: edges, then the rest
+    # w past the m started ones, each simplex through w whose other
+    # positions are all started: an edge as its other position i, a larger
+    # simplex as n + its index in ``faces``, which lists its other positions
     nbrs = [[] for _ in range(n)]
     cofaces = [[] for _ in range(n)]
     crossing = {}
+    faces = []
     index = {v: i for i, v in enumerate(vert)}.__getitem__
     for mask, simplex in zip(masks, simplices):
         if len(simplex) == 2:
@@ -426,7 +429,7 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
             nbrs[i].append(mask ^ low)
             nbrs[w].append(low)
             if i < m <= w:
-                crossing.setdefault(w, ([], []))[0].append(i)
+                crossing.setdefault(w, []).append(i)
         elif len(simplex) > 2:
             simplex = tuple(map(index, simplex))
             item = (mask, simplex)
@@ -435,8 +438,8 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
             rest = mask >> m
             if rest and not rest & (rest - 1):
                 w = rest.bit_length() - 1 + m
-                crossing.setdefault(w, ([], []))[1].append(
-                    [i for i in simplex if i != w])
+                crossing.setdefault(w, []).append(n + len(faces))
+                faces.append([i for i in simplex if i != w])
     top = 1 << n
 
     # A branch is (order, blocks, labelled, bits): positions in label order,
@@ -460,14 +463,9 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
         for k, i in enumerate(start):
             bits[i] = 1 << k
         blocks = [(top,)] * n
-        get = bits.__getitem__
-        for w, (ends, faces) in crossing.items():
-            if faces:
-                entries = [*map(get, ends), *[sum(map(get, f)) for f in faces]]
-                entries.sort()
-                blocks[w] = (*entries, top)
-            else:
-                blocks[w] = (*sorted(map(get, ends)), top)
+        sums = bits + [sum(map(bits.__getitem__, f)) for f in faces]
+        for w, ends in crossing.items():
+            blocks[w] = (*sorted(map(sums.__getitem__, ends)), top)
         partials.append((tuple(start), blocks, started, bits))
     pruned = False
     ctx = None
@@ -531,10 +529,8 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
             pruned = True
             if ctx is None:
                 # the ball is built only here, for the automorphism searches
-                groups = [[] for _ in range(max(map(len, simplices)))]
-                for simplex in simplices:
-                    groups[len(simplex) - 1].append(simplex)
-                ctx = _IsoContext(SimplicialComplex._from_faces(groups))
+                ctx = _IsoContext(
+                    SimplicialComplex._from_faces(_grouped(simplices)))
                 colour = [ctx.colors[ctx.idx[v]] for v in vert]
             partials = _prune_automorphic(ctx, vert, colour, partials)
     return [branch[0] for branch in partials], pruned

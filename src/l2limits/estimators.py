@@ -13,6 +13,7 @@ import csv
 import math
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import HypothesisViolationError, ValidationError
@@ -102,14 +103,11 @@ def _hankel_psd(moments) -> bool:
     return True
 
 
-class RootSample:
+class RootSample(NamedTuple):
     """A rooted complex sampled for Monte Carlo, with the radius it is declared to reach."""
 
-    __slots__ = ("rooted", "declared_radius")
-
-    def __init__(self, rooted: RootedComplex, declared_radius=None):
-        self.rooted = rooted
-        self.declared_radius = declared_radius
+    rooted: RootedComplex
+    declared_radius: int | None = None
 
     def covers(self, r: int) -> bool:
         """True when moments of order r are computable from this sample:
@@ -374,16 +372,12 @@ class ConvergenceReport:
         self.degree_bound = degree_bound
         self.bounds = bounds
 
-    def header(self):
-        cols = ["n", "|V|", "p", "b_p", "b_p_normalized"]
-        cols += [f"m{r}" for r in range(self.order + 1)]
-        cols += [_eps_column(eps) for eps in self.eps_list]
-        return cols
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(self.header())
+            writer.writerow(["n", "|V|", "p", "b_p", "b_p_normalized",
+                             *[f"m{r}" for r in range(self.order + 1)],
+                             *map(_eps_column, self.eps_list)])
             for label, row in zip(self.labels, self.rows):
                 cells = [label, row["n_vertices"], self.p, row["b_p"],
                          row["b_p_normalized"]]

@@ -258,16 +258,15 @@ def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
 
 def _piece_size(cx: SimplicialComplex, q: int) -> int:
     """Order of the Gram piece of d_q: the smaller of f_{q-1} and f_q (0
-    for d_0, as there are no (-1)-simplices)."""
-    return min(len(cx.faces(q - 1)), len(cx.faces(q)))
-
-
-def _check_cap(q: int, size: int) -> None:
+    for d_0, as there are no (-1)-simplices).  A piece past
+    ``DENSE_EIGENSOLVE_CAP`` rows raises ValidationError instead."""
+    size = min(len(cx.faces(q - 1)), len(cx.faces(q)))
     if size > DENSE_EIGENSOLVE_CAP:
         raise ValidationError(
             f"the Gram piece of d_{q} has {size} rows, past the dense "
             f"eigensolver cap ({DENSE_EIGENSOLVE_CAP}); use moment "
             "estimators at this scale")
+    return size
 
 
 def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int) -> list:
@@ -278,7 +277,6 @@ def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int) -> list:
     piece.  A piece past ``DENSE_EIGENSOLVE_CAP`` is refused.
     """
     size = _piece_size(cx, q)
-    _check_cap(q, size)
     if size == 0:
         return []
     import numpy as np
@@ -294,21 +292,18 @@ def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int) -> list:
     return eigenvalues[zeros:].tolist()
 
 
-class SpectralMeasure:
+class SpectralMeasure(NamedTuple):
     """Spectral measure of Delta_p under uniform rooting of one complex.
 
-    Atom at each eigenvalue with weight 1/|V|; kernel mass is pinned to the
-    exact Betti number, so ``mass_at_zero`` is exact even though nonzero
-    eigenvalues are floating point.
+    Atom at each eigenvalue (a tuple, ascending) with weight 1/|V|; kernel
+    mass is pinned to the exact Betti number, so ``mass_at_zero`` is exact
+    even though nonzero eigenvalues are floating point.
     """
 
-    __slots__ = ("p", "n_vertices", "eigenvalues", "kernel_dim")
-
-    def __init__(self, p, n_vertices, eigenvalues, kernel_dim):
-        self.p = p
-        self.n_vertices = n_vertices
-        self.eigenvalues = tuple(eigenvalues)
-        self.kernel_dim = kernel_dim
+    p: int
+    n_vertices: int
+    eigenvalues: tuple
+    kernel_dim: int
 
     def total_mass(self) -> Fraction:
         return Fraction(len(self.eigenvalues), self.n_vertices)
@@ -354,13 +349,13 @@ def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
     for q in (p, p + 1):
-        _check_cap(q, _piece_size(cx, q))
+        _piece_size(cx, q)  # refuses a piece past the cap
     bettis, ranks = _chain_numbers(cx, (p,))
     kernel = bettis[p]
     nonzero = _nonzero_spectrum(cx, p, ranks[p])
     nonzero += _nonzero_spectrum(cx, p + 1, ranks[p + 1])
     nonzero.sort()
-    return SpectralMeasure(p, n, [0.0] * kernel + nonzero, kernel)
+    return SpectralMeasure(p, n, tuple([0.0] * kernel + nonzero), kernel)
 
 
 class NormBounds(NamedTuple):

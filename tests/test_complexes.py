@@ -369,3 +369,9 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != closure([(0, 1), (1, 2), (0, 2)])
+    # equal rooted complexes hash alike and share one dict entry
+    ra, rb = rooted_at(a, 0), rooted_at(b, 0)
+    assert ra == rb and hash(ra) == hash(rb)
+    assert {ra: 1, rb: 2} == {ra: 2} and ra != rooted_at(a, 1)
+    # another type is unequal, not an error
+    assert (a == 3) is False and (ra == 3) is False

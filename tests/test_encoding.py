@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import l2limits.encoding as encoding
+import l2limits.measures as measures
 from conftest import random_connected_complex
 from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.encoding import (CanonicalCode, _ball_code, _refined_colors,
@@ -68,6 +69,10 @@ def test_code_order_prefers_earlier_ones():
     assert CanonicalCode((0, 1, 2)) < CanonicalCode((0, 1, 3))
     assert CanonicalCode((0, 1, 2, 3)) < CanonicalCode((0, 1, 2))
     assert not CanonicalCode((0, 1)) < CanonicalCode((0, 1))
+    # another type is unequal and unordered
+    assert (CanonicalCode((0, 1)) == 3) is False
+    with pytest.raises(TypeError):
+        CanonicalCode((0, 1)) < 3
 
 
 def _first_difference_less(a, b):
@@ -470,6 +475,9 @@ def test_discrete_colours_run_no_automorphism_search(monkeypatch):
     monkeypatch.setattr(encoding, "_CODE_CACHE", {})
     monkeypatch.setattr(encoding, "_prune_automorphic", counted_prune)
     monkeypatch.setattr(encoding, "_search", counted_search)
+    # measures bound ``_search`` by name at import, so uniform rooting's
+    # searches are seen only through its own binding
+    monkeypatch.setattr(measures, "_search", counted_search)
     monkeypatch.setattr(encoding._IsoContext, "build_masks", counted_masks)
     canonical_code(rooted_at(spider, 0))
     assert prunes and max(prunes) > encoding._TIE_CAP

@@ -349,6 +349,7 @@ def test_rooting_remembers_connectivity(whole_searches):
 def test_moment_vector_validation():
     mv = MomentVector(0, (Fraction(1), Fraction(2), Fraction(5)))
     assert mv.order == 2
+    assert list(mv) == list(mv.moments)
     mv.validate()
     with pytest.raises(ValidationError):
         MomentVector(0, ())
