@@ -145,19 +145,20 @@ class CanonicalCode:
 # Vertices are handled as bit positions so the inner loop is integer work.
 
 
-def _refined_colors(cx: SimplicialComplex) -> dict:
-    """Vertex colours from iterated star refinement (1-WL on simplices).
+def _refined_colors(members: list, star: list) -> list:
+    """Position colours from iterated star refinement (1-WL on simplices).
 
-    A vertex starts with the sorted sizes of the simplices of dimension
-    >= 1 in its star.  Each round hashes a vertex's old colour with the
-    sorted colours of those simplices, a simplex's colour being the sorted
-    colours of its vertices (the vertex's own colour is known, so this
-    splits vertices exactly as the colours of each simplex's other
-    vertices would, with one sort per simplex).  Every vertex's singleton
-    is left out: its colour would only repeat the vertex's own, so the
-    partitions are those of refining through whole stars.  Rounds stop
-    when the number of classes stops growing or every vertex has a colour
-    of its own.
+    ``members`` holds the simplices of dimension >= 1 as position tuples
+    and ``star[i]`` the indices of those through position i.  A position
+    starts with the sorted sizes of its star's simplices.  Each round
+    hashes a position's old colour with the sorted colours of those
+    simplices, a simplex's colour being the sorted colours of its
+    positions (the position's own colour is known, so this splits
+    positions exactly as the colours of each simplex's other positions
+    would, with one sort per simplex).  Singletons are left out: their
+    colours would only repeat the positions' own, so the partitions are
+    those of refining through whole stars.  Rounds stop when the number
+    of classes stops growing or every position has a colour of its own.
 
     Colours are hashes of int tuples: the same in every process and a
     function of the isomorphism class of the complex rooted at the vertex.
@@ -165,16 +166,6 @@ def _refined_colors(cx: SimplicialComplex) -> dict:
     never mapped onto each other.  Equal colours prove nothing: all twelve
     vertices of a triangular prism and of K_{3,3} get one colour.
     """
-    verts = cx.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    members = []
-    star = [[] for _ in verts]
-    for s in chain.from_iterable(map(cx.faces, range(1, cx.dim + 1))):
-        positions = [pos[u] for u in s]
-        k = len(members)
-        members.append(positions)
-        for i in positions:
-            star[i].append(k)
     color = [hash(tuple(sorted([len(members[k]) for k in ks]))) for ks in star]
     classes = len(set(color))
     while classes < len(color):
@@ -186,68 +177,67 @@ def _refined_colors(cx: SimplicialComplex) -> dict:
         if count <= classes:
             break
         color, classes = refined, count
-    return dict(zip(verts, color))
+    return color
 
 
 class _IsoContext:
     """Bitmask view of one complex, reusable across searches.
 
-    Vertex order, f-vector and refined colours are computed at once: they
-    are all a caller reads when colours alone decide.  The neighbour, star
-    and simplex masks are built by the first search that needs them, and a
-    root's breadth-first search is kept for every search from that root.
+    Position i is the i-th smallest vertex.  The complex is indexed once,
+    into the lists that :func:`_refined_colors` reads.  Colours and
+    f-vector, all a caller reads when colours alone decide, are computed
+    at once; the masks are built from those lists by the first search that
+    needs them, and a root's breadth-first search is kept for the next.
     """
 
-    __slots__ = ("cx", "verts", "idx", "n", "nbr_positions", "nbr_mask",
-                 "star_items", "star_masks", "simplex_masks", "colors",
-                 "fvec", "searched")
+    __slots__ = ("cx", "verts", "idx", "n", "members", "star",
+                 "nbr_positions", "nbr_mask", "star_items", "star_masks",
+                 "simplex_masks", "colors", "fvec", "searched")
 
     def __init__(self, cx: SimplicialComplex):
         self.cx = cx
         self.verts = cx.vertices
         self.idx = {v: i for i, v in enumerate(self.verts)}
         self.n = len(self.verts)
-        colors = _refined_colors(cx)
-        self.colors = [colors[v] for v in self.verts]
+        get = self.idx.__getitem__
+        self.members = members = [tuple(map(get, s)) for s in chain.from_iterable(
+            map(cx.faces, range(1, cx.dim + 1)))]
+        self.star = star = [[] for _ in self.verts]
+        for k, positions in enumerate(members):
+            for i in positions:
+                star[i].append(k)
+        self.colors = _refined_colors(members, star)
         self.fvec = cx.f_vector()
         self.nbr_positions = None
         self.searched = {}
 
     def build_masks(self) -> None:
+        """Star items (one (mask, positions) per simplex, shared by its
+        stars), masks and neighbours, read from ``members`` and ``star``."""
         if self.nbr_positions is not None:
             return
-        cx = self.cx
-        idx = self.idx
+        items = [(sum(1 << j for j in s), s) for s in self.members]
+        self.star_items = [((1 << i, (i,)), *map(items.__getitem__, ks))
+                           for i, ks in enumerate(self.star)]
+        self.star_masks = [tuple(mask for mask, _ in its)
+                           for its in self.star_items]
+        self.simplex_masks = set(chain.from_iterable(self.star_masks))
         self.nbr_positions = [
-            tuple(idx[w] for w in cx.neighbors(v)) for v in self.verts
-        ]
-        self.nbr_mask = [
-            sum(1 << j for j in positions) for positions in self.nbr_positions
-        ]
-        # one (mask, positions) item per simplex, shared by every star
-        # that holds it
-        item = {}
-        for s in chain.from_iterable(map(cx.faces, range(cx.dim + 1))):
-            positions = tuple(map(idx.__getitem__, s))
-            item[s] = (sum(1 << j for j in positions), positions)
-        get = item.__getitem__
-        self.star_items = [tuple(map(get, cx.star(v))) for v in self.verts]
-        self.star_masks = [tuple(mask for mask, _ in items)
-                           for items in self.star_items]
-        self.simplex_masks = {mask for mask, _ in item.values()}
+            tuple(j for _, s in its if len(s) == 2 for j in s if j != i)
+            for i, its in enumerate(self.star_items)]
+        self.nbr_mask = [sum(1 << j for j in js) for js in self.nbr_positions]
 
     def bfs(self, root) -> tuple:
-        """Distance of each position from ``root`` (-1 outside its
-        component) and the positions in breadth-first order, from one
+        """Distance of each position from the vertex ``root`` (-1 outside
+        its component) and the positions in breadth-first order, from one
         search per root."""
         found = self.searched.get(root)
         if found is None:
-            idx = self.idx
+            reached = _bfs(self.cx, root)
+            order = list(map(self.idx.__getitem__, reached))
             dist = [-1] * self.n
-            order = []
-            for v, d in _bfs(self.cx, root).items():
-                dist[idx[v]] = d
-                order.append(idx[v])
+            for i, d in zip(order, reached.values()):
+                dist[i] = d
             found = self.searched[root] = (dist, order)
         return found
 
@@ -259,7 +249,7 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
     A candidate image must lie at the same distance from the root and carry
     the same refined colour (:func:`_refined_colors`); only candidates that
     pass both are checked against the simplices already mapped.  ``seed``
-    pins part of the map (used for automorphism extension).  With
+    pins part of the map, between positions (automorphism extension).  With
     ``budget`` set, the search gives up after that many feasibility checks
     and returns None; callers treat that as "not proven isomorphic".
     """
@@ -275,7 +265,7 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
     if len(order) < n:
         raise ValidationError("isomorphism search requires connected complexes")
 
-    smap = {ctxa.idx[u]: ctxb.idx[v] for u, v in (seed or {}).items()}
+    smap = dict(seed or {})
     smap.setdefault(ctxa.idx[roota], ctxb.idx[rootb])
 
     mapping = [-1] * n
@@ -355,42 +345,38 @@ def find_rooted_isomorphism(a: RootedComplex, b: RootedComplex):
 # -- canonical code search ---------------------------------------------------
 
 
-def _prune_automorphic(ctx, vert, colour, partials):
+def _prune_automorphic(ctx: _IsoContext, partials: list) -> list:
     """Drop tied branches that a proven automorphism maps onto the first.
 
-    Branch orders are positions; ``vert`` turns them into vertices and
-    ``colour`` gives each position its refined colour.  An automorphism
-    preserves refined colours, so only a branch whose colour sequence
-    equals the first's can be its image: the others are kept unsearched,
-    and when colours are discrete nothing is searched.
+    ``ctx`` is the ball on vertices 0..n-1, so its positions are the
+    ball's and a branch's order pairs with the first's as a seed.  An
+    automorphism preserves refined colours, so only a branch whose colour
+    sequence equals the first's can be its image: the others are kept
+    unsearched, and when colours are discrete nothing is searched.
     """
+    colour = ctx.colors
     base = partials[0][0]
     base_colours = [colour[i] for i in base]
-    root = vert[0]
     kept = [partials[0]]
     for cand in partials[1:]:
         order = cand[0]
-        if [colour[i] for i in order] != base_colours:
-            kept.append(cand)
-            continue
-        seed = {vert[a]: vert[b] for a, b in zip(base, order)}
-        auto = _search(ctx, root, ctx, root, seed=seed,
-                       budget=_AUTOMORPHISM_BUDGET)
-        if auto is None:
+        if ([colour[i] for i in order] != base_colours
+                or _search(ctx, 0, ctx, 0, seed=dict(zip(base, order)),
+                           budget=_AUTOMORPHISM_BUDGET) is None):
             kept.append(cand)
     return kept
 
 
-def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
+def _canonical_order(layer: list, masks: list, faces: list,
                      starts: list) -> tuple:
     """The tied minimal label orders, as positions, and whether the search
     passed ``_TIE_CAP`` (and so searched automorphisms).
 
-    Position i is vertex ``vert[i]``, at distance ``layer[i]`` from the
-    root at position 0.  The ball's simplices are given as bitmasks of
-    positions (``masks``) and, in the same order, as vertex tuples
-    (``simplices``).  The ball is built as a complex from those tuples
-    only when a tie passes ``_TIE_CAP`` and automorphisms are searched.
+    Position i lies at distance ``layer[i]`` from the root at position 0.
+    ``masks`` holds the ball's simplices as bitmasks of positions, and
+    ``faces`` those of dimension >= 2 as (mask, positions) items.  Only
+    when a tie passes ``_TIE_CAP`` is the ball built, on vertices 0..n-1,
+    for the automorphism searches.
 
     ``starts`` are the tied minimal orders of an inner ball, each labelling
     the same m positions, which must be the positions of the first layers
@@ -402,7 +388,7 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
     cap, its final branches are exactly the fresh search's branches at
     label m, and the result is the same.
     """
-    n = len(vert)
+    n = len(layer)
     m = len(starts[0])
     # label k goes to the layer of position k: labels fill layers in order
     layer_mask = [0] * n
@@ -411,18 +397,17 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
         if hi == n or layer[hi] != layer[lo]:
             layer_mask[lo:hi] = [(1 << hi) - (1 << lo)] * (hi - lo)
             lo = hi
-    # incidence: each position's neighbours as bits, and the simplices of
-    # dimension >= 2 through it as (mask, positions); and for each position
-    # w past the m started ones, each simplex through w whose other
-    # positions are all started: an edge as its other position i, a larger
-    # simplex as n + its index in ``faces``, which lists its other positions
+    # incidence: each position's neighbours as bits, and the items of
+    # ``faces`` through it; and for each position w past the m started
+    # ones, each simplex through w whose other positions are all started:
+    # an edge as its other position i, a larger simplex as n + its index in
+    # ``others``, which lists its other positions
     nbrs = [[] for _ in range(n)]
     cofaces = [[] for _ in range(n)]
     crossing = {}
-    faces = []
-    index = {v: i for i, v in enumerate(vert)}.__getitem__
-    for mask, simplex in zip(masks, simplices):
-        if len(simplex) == 2:
+    others = []
+    for mask in masks:
+        if mask.bit_count() == 2:
             low = mask & -mask
             i = low.bit_length() - 1
             w = mask.bit_length() - 1
@@ -430,16 +415,15 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
             nbrs[w].append(low)
             if i < m <= w:
                 crossing.setdefault(w, []).append(i)
-        elif len(simplex) > 2:
-            simplex = tuple(map(index, simplex))
-            item = (mask, simplex)
-            for i in simplex:
-                cofaces[i].append(item)
-            rest = mask >> m
-            if rest and not rest & (rest - 1):
-                w = rest.bit_length() - 1 + m
-                crossing.setdefault(w, []).append(n + len(faces))
-                faces.append([i for i in simplex if i != w])
+    for item in faces:
+        mask, simplex = item
+        for i in simplex:
+            cofaces[i].append(item)
+        rest = mask >> m
+        if rest and not rest & (rest - 1):
+            w = rest.bit_length() - 1 + m
+            crossing.setdefault(w, []).append(n + len(others))
+            others.append([i for i in simplex if i != w])
     top = 1 << n
 
     # A branch is (order, blocks, labelled, bits): positions in label order,
@@ -463,7 +447,7 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
         for k, i in enumerate(start):
             bits[i] = 1 << k
         blocks = [(top,)] * n
-        sums = bits + [sum(map(bits.__getitem__, f)) for f in faces]
+        sums = bits + [sum(map(bits.__getitem__, f)) for f in others]
         for w, ends in crossing.items():
             blocks[w] = (*sorted(map(sums.__getitem__, ends)), top)
         partials.append((tuple(start), blocks, started, bits))
@@ -529,10 +513,11 @@ def _canonical_order(vert: list, layer: list, masks: list, simplices: list,
             pruned = True
             if ctx is None:
                 # the ball is built only here, for the automorphism searches
-                ctx = _IsoContext(
-                    SimplicialComplex._from_faces(_grouped(simplices)))
-                colour = [ctx.colors[ctx.idx[v]] for v in vert]
-            partials = _prune_automorphic(ctx, vert, colour, partials)
+                ctx = _IsoContext(SimplicialComplex._from_faces(_grouped(chain(
+                    ((i,) for i in range(n)), (tuple(sorted(s)) for _, s in faces),
+                    ((i, w.bit_length() - 1) for i in range(n) for w in nbrs[i]
+                     if w > 1 << i)))))
+            partials = _prune_automorphic(ctx, partials)
     return [branch[0] for branch in partials], pruned
 
 
@@ -577,9 +562,9 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     keyed by the vertex count n and the simplices as bitmasks of
     positions, sorted and packed in fields of ``_field_bytes(n)`` bytes
     (:func:`_pack`).
-    On a miss the masks give the canonical search its incidence, and the
-    simplices, relabelled, the code's indices.  The ball is built as a complex
-    only when a tie passes ``_TIE_CAP`` and automorphisms are searched.
+    On a miss the masks, and the positions of each simplex of dimension
+    >= 2, give the canonical search its incidence, so no vertex id reaches
+    it; the simplices, relabelled by its first order, give the code.
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
     orders back to back, packed in fields of ``_field_bytes(n.bit_length())``
@@ -611,6 +596,9 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     key = (n, _pack(ordered, _field_bytes(n)))
     entry = _CODE_CACHE.get(key)
     if entry is None:
+        index = {v: i for i, v in enumerate(vert)}.__getitem__
+        faces = [(mask, tuple(map(index, s)))
+                 for mask, s in zip(masks, simplices) if len(s) > 2]
         layer = [dist[v] for v in vert]
         last = layer[-1]
         starts = [(0,)]
@@ -622,8 +610,7 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
             if kept is not None:
                 kept = _unpack(kept, _field_bytes(m.bit_length()))
                 starts = [kept[i:i + m] for i in range(0, len(kept), m)]
-        orders, pruned = _canonical_order(vert, layer, masks, simplices,
-                                          starts)
+        orders, pruned = _canonical_order(layer, masks, faces, starts)
         get = {vert[i]: 1 << k for k, i in enumerate(orders[0])}.__getitem__
         code = CanonicalCode(sorted([sum(map(get, s)) - 1 for s in simplices]))
         # pruned branches are missing from the orders

@@ -2,8 +2,9 @@
 
 `.scx` is line-oriented UTF-8: one maximal simplex per line as
 space-separated vertex ids, `#` starts a comment, and an optional
-`root <id>` line marks a distinguished vertex.  Writing always emits the
-sorted maximal simplices, so read -> write -> read round-trips exactly.
+`root <id>` line marks a distinguished vertex of the complex.  Writing
+always emits the sorted maximal simplices, so read -> write -> read
+round-trips exactly.
 
 Measures are JSON documents of the shape
 ``{"support": [{"weight": "p/q", "maximal_simplices": [[...]], "root": id}]}``
@@ -17,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .complexes import RootedComplex, SimplicialComplex, _as_simplex
-from .errors import MalformedInputError
+from .errors import MalformedInputError, ValidationError
 from .measures import RandomRootedComplex, SupportPoint
 
 __all__ = [
@@ -48,6 +49,7 @@ def _parse_scx_lines(lines):
                 raise MalformedInputError(f"line {lineno}: root takes one vertex id")
             if root is not None:
                 raise MalformedInputError(f"line {lineno}: second root directive")
+            root_line = lineno
             try:
                 root = int(parts[1])
             except ValueError:
@@ -62,11 +64,15 @@ def _parse_scx_lines(lines):
         except MalformedInputError as exc:
             raise MalformedInputError(f"line {lineno}: {exc}")
         maximal.append(simplex)
-    return SimplicialComplex.closure(maximal), root
+    cx = SimplicialComplex.closure(maximal)
+    if root is not None and not cx.has_vertex(root):
+        raise ValidationError(f"line {root_line}: root {root} is not a vertex")
+    return cx, root
 
 
 def read_scx(source):
-    """Parse an `.scx` file; returns (complex, root or None)."""
+    """Parse an `.scx` file; returns (complex, root or None).  A root
+    directive that names no vertex raises :class:`ValidationError`."""
     try:
         with _text(source, "r") as fh:
             return _parse_scx_lines(fh)

@@ -1,9 +1,10 @@
 """Random rooted complexes: finite-support laws on rooted isomorphism classes.
 
 A law is stored as a list of support points, each a rooted complex with a
-positive rational weight; weights sum to one.  Support points are pairwise
-non-isomorphic as rooted complexes, so every isomorphism class appears at
-most once and expectations are plain weighted sums.
+positive rational weight; weights sum to one.  Expectations are plain
+weighted sums, so points that share a rooted isomorphism class count as
+one point of their summed weight in every statistic; only
+:meth:`RandomRootedComplex.validate` refuses such a law.
 """
 from __future__ import annotations
 
@@ -72,7 +73,8 @@ class SupportPoint:
 
 
 class RandomRootedComplex:
-    """Finitely supported probability law on rooted isomorphism classes."""
+    """Finitely supported probability law on rooted isomorphism classes;
+    points of one class count as one point of their summed weight."""
 
     __slots__ = ("points",)
 
@@ -128,11 +130,7 @@ def uniform_rooting(cx: SimplicialComplex) -> RandomRootedComplex:
         raise ValidationError("cannot root an empty complex")
     comps = ((cx,) if cx.is_connected()
              else tuple(cx.induced(c) for c in cx.components()))
-    ctx_of = {}
-    for comp in comps:
-        ctx = _IsoContext(comp)
-        for v in ctx.verts:
-            ctx_of[v] = ctx
+    ctx_of = {v: ctx for ctx in map(_IsoContext, comps) for v in ctx.verts}
 
     parent = {v: v for v in verts}
 

@@ -53,8 +53,10 @@ def test_validate_error_exit_codes(scx, capsys, tmp_path):
     assert code == 2
     rootless = tmp_path / "badroot.scx"
     rootless.write_text("root 9\n0 1\n")
-    code, _, err = run(capsys, ["validate", str(rootless)])
-    assert code == 3
+    code, out, err = run(capsys, ["validate", str(rootless)])
+    # the reader refuses the file before any line of the report
+    assert code == 3 and out == ""
+    assert "line 1: root 9 is not a vertex" in err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -526,6 +528,10 @@ _BAD_ARGUMENTS = [
     (["validate", "{d}/missing.scx"], 2),
     (["validate", "{d}/bad.scx"], 2),
     (["validate", "{d}/badroot.scx"], 3),
+    (["betti", "{d}/badroot.scx"], 3),
+    (["canon", "{d}/badroot.scx", "--root", "0"], 3),
+    (["bs-distance", "{d}/badroot.scx:0", "{d}/path.scx:0"], 3),
+    (["truncate", "{d}/badroot.scx", "--degree", "2"], 3),
     (["betti", "{d}/empty.scx"], 0),
     (["betti", "{d}/path.scx", "--p", "-1"], 3),
     (["betti", "{d}/path.scx", "--p", "x"], 1),

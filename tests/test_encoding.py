@@ -11,8 +11,8 @@ import l2limits.encoding as encoding
 import l2limits.measures as measures
 from conftest import random_connected_complex
 from l2limits.complexes import SimplicialComplex, rooted_at
-from l2limits.encoding import (CanonicalCode, _ball_code, _refined_colors,
-                               bs_distance, canonical_code,
+from l2limits.encoding import (CanonicalCode, _ball_code, bs_distance,
+                               canonical_code,
                                find_rooted_isomorphism, index_of_subset,
                                subset_from_index)
 from l2limits.errors import ValidationError
@@ -226,6 +226,13 @@ def test_search_refuses_unequal_profiles_and_disconnected_complexes():
         encoding._search(ctx, 0, ctx, 0)
 
 
+def _refined_colors(cx):
+    """Each vertex's refined colour, read from the complex's search
+    context."""
+    ctx = encoding._IsoContext(cx)
+    return dict(zip(ctx.verts, ctx.colors))
+
+
 def test_refined_colors_survive_relabeling():
     rng = np.random.default_rng(61)
     pool = list(fixtures().values())
@@ -333,8 +340,12 @@ def test_an_exhausted_automorphism_budget_keeps_every_branch(monkeypatch):
     prune, search = encoding._prune_automorphic, encoding._search
     kept, found = [], []
 
-    def recorded_prune(ctx, vert, colour, partials):
-        out = prune(ctx, vert, colour, partials)
+    def recorded_prune(ctx, partials):
+        # the pruning ball is cut on vertices 0..n-1, so its positions
+        # are the ball's positions and its root is vertex 0
+        assert ctx.verts == tuple(range(ctx.n))
+        assert all(branch[0][0] == 0 for branch in partials)
+        out = prune(ctx, partials)
         kept.append(out == partials)
         return out
 
@@ -524,11 +535,11 @@ def test_resumed_search_equals_the_fresh_one(monkeypatch, cap):
     search = encoding._canonical_order
     resumed = []
 
-    def checked(vert, layer, masks, simplices, starts):
-        got = search(vert, layer, masks, simplices, starts)
+    def checked(layer, masks, faces, starts):
+        got = search(layer, masks, faces, starts)
         if len(starts[0]) > 1:
             resumed.append(len(starts))
-            assert got == search(vert, layer, masks, simplices, [(0,)])
+            assert got == search(layer, masks, faces, [(0,)])
         return got
 
     monkeypatch.setattr(encoding, "_canonical_order", checked)

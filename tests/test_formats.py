@@ -36,6 +36,16 @@ def test_read_scx_root_directive():
     assert cx.f_vector() == (3, 2)
 
 
+def test_read_scx_refuses_a_root_that_is_no_vertex():
+    # checked once the complex is built, so the directive may come first
+    # or last; a file without simplices has no vertex to name
+    for text, where in (("root 9\n0 1 2\n2 3\n", "line 1: root 9"),
+                        ("0 1 2\n# comment\nroot 9\n2 3\n", "line 3: root 9"),
+                        ("root 0\n", "line 1: root 0")):
+        with pytest.raises(ValidationError, match=f"{where} is not a vertex"):
+            read_scx(io.StringIO(text))
+
+
 def test_read_scx_errors():
     cases = [
         "root 1 2\n",          # root takes one id

@@ -8,6 +8,7 @@ import l2limits.measures as measures
 from l2limits.complexes import RootedComplex, SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.errors import ValidationError
+from l2limits.estimators import moments_of_measure
 from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import (BallDistribution, RandomRootedComplex,
                                SupportPoint, ball_distribution, degree_truncate,
@@ -511,3 +512,38 @@ def test_expected_p_degree():
     torus = uniform_rooting(fixtures()["torus4"])
     assert expected_p_degree(torus, 1) == 6
     assert expected_p_degree(torus, 2) == 6
+
+
+def test_repeated_classes_count_as_one_point_of_their_summed_weight():
+    # one class split over two points, one of them relabelled, with
+    # weights 1/3 and 2/3, against the same class as one point
+    cx = random_flag(16, 5 / 16, 3, 1)
+    rc = rooted_at(cx, 0)
+    perm = {v: 3 * v + 7 for v in rc.complex.vertices}
+    image = RootedComplex(SimplicialComplex(
+        [tuple(sorted(perm[v] for v in s)) for s in rc.complex.simplices]),
+        perm[0])
+    merged = RandomRootedComplex.point_mass(rc)
+    split = RandomRootedComplex([SupportPoint(rc, Fraction(1, 3)),
+                                 SupportPoint(image, Fraction(2, 3))])
+    for r in (1, 2):
+        assert ball_distribution(split, r) == ball_distribution(merged, r)
+    for p in (0, 1):
+        assert (moments_of_measure(split, p, 4).moments
+                == moments_of_measure(merged, p, 4).moments)
+    for _, fn in standard_battery():
+        assert (mass_transport_check(split, fn)[:2]
+                == mass_transport_check(merged, fn)[:2])
+    assert measure_distance(split, merged, 3) == 0
+    merged.validate()
+    with pytest.raises(ValidationError, match="share an isomorphism class"):
+        split.validate()
+
+
+def test_reprs_name_the_shape():
+    path = closure([(0, 1), (1, 2)])
+    mu = uniform_rooting(path)
+    assert repr(path) == "SimplicialComplex(f_vector=(3, 2))"
+    assert repr(mu.points[0].rooted) == "RootedComplex(root=0, f_vector=(3, 2))"
+    assert repr(mu.points[0]) == "SupportPoint(root=0, weight=2/3)"
+    assert repr(mu) == "RandomRootedComplex(2 support points)"
