@@ -369,8 +369,9 @@ def _prune_automorphic(ctx: _IsoContext, partials: list) -> list:
 
 def _canonical_order(layer: list, masks: list, faces: list,
                      starts: list) -> tuple:
-    """The tied minimal label orders, as positions, and whether the search
-    passed ``_TIE_CAP`` (and so searched automorphisms).
+    """The tied minimal label orders, as positions, the block that won
+    each label from m on, and whether the search passed ``_TIE_CAP`` (and
+    so searched automorphisms).
 
     Position i lies at distance ``layer[i]`` from the root at position 0.
     ``masks`` holds the ball's simplices as bitmasks of positions, and
@@ -387,6 +388,12 @@ def _canonical_order(layer: list, masks: list, faces: list,
     positions, so when the inner ball's own search never passed the tie
     cap, its final branches are exactly the fresh search's branches at
     label m, and the result is the same.
+
+    Every tied branch gives label k the same block, so the winning blocks
+    are those of the first order.  Each simplex of two or more vertices is
+    an entry e of the block of its last-labelled vertex, say of label k,
+    and its mask of labels is e + 2**k: so the blocks, with the labels
+    0..m-1 of the inner ball, hold the whole labelled ball.
     """
     n = len(layer)
     m = len(starts[0])
@@ -453,6 +460,7 @@ def _canonical_order(layer: list, masks: list, faces: list,
         partials.append((tuple(start), blocks, started, bits))
     pruned = False
     ctx = None
+    won = []
     for k in range(m, n):
         in_layer = layer_mask[k]
         best = None
@@ -518,7 +526,8 @@ def _canonical_order(layer: list, masks: list, faces: list,
                     ((i, w.bit_length() - 1) for i in range(n) for w in nbrs[i]
                      if w > 1 << i)))))
             partials = _prune_automorphic(ctx, partials)
-    return [branch[0] for branch in partials], pruned
+        won.append(best)
+    return [branch[0] for branch in partials], won, pruned
 
 
 # struct codes of the field widths up to 8 bytes; wider fields take one
@@ -564,7 +573,10 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     (:func:`_pack`).
     On a miss the masks, and the positions of each simplex of dimension
     >= 2, give the canonical search its incidence, so no vertex id reaches
-    it; the simplices, relabelled by its first order, give the code.
+    it.  The code is read off the search's winning blocks, already in
+    ascending order: after the inner ball's code (the root's 0 when the
+    search starts from the root), label k adds its singleton, 2**k - 1,
+    and e + 2**k - 1 for each entry e of its block.
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
     orders back to back, packed in fields of ``_field_bytes(n.bit_length())``
@@ -602,17 +614,24 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
         layer = [dist[v] for v in vert]
         last = layer[-1]
         starts = [(0,)]
+        indices = [0]
         if last >= 2:
             m = layer.index(last)
             inner_key = (m, _pack(ordered[:bisect_left(ordered, 1 << m)],
                                   _field_bytes(m)))
-            kept = _CODE_CACHE.get(inner_key, (None, None))[1]
+            inner_code, kept = _CODE_CACHE.get(inner_key, (None, None))
             if kept is not None:
                 kept = _unpack(kept, _field_bytes(m.bit_length()))
                 starts = [kept[i:i + m] for i in range(0, len(kept), m)]
-        orders, pruned = _canonical_order(layer, masks, faces, starts)
-        get = {vert[i]: 1 << k for k, i in enumerate(orders[0])}.__getitem__
-        code = CanonicalCode(sorted([sum(map(get, s)) - 1 for s in simplices]))
+                indices = list(inner_code.indices)
+        orders, won, pruned = _canonical_order(layer, masks, faces, starts)
+        # label k adds its singleton, at 2**k - 1, and the simplex of each
+        # entry e of its block, at e + 2**k - 1: all ascending
+        for k, block in enumerate(won, len(starts[0])):
+            base = (1 << k) - 1
+            indices.append(base)
+            indices += [e + base for e in block[:-1]]
+        code = CanonicalCode(indices)
         # pruned branches are missing from the orders
         if pruned:
             orders = None

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import HypothesisViolationError, ValidationError
-from .measures import RandomRootedComplex, measure_distance, uniform_rooting
+from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
+                       uniform_rooting)
 from .spectral import _Incidence, _radius_bound, spectral_measure
 
 __all__ = [
@@ -32,9 +33,6 @@ __all__ = [
     "ConvergenceReport",
     "convergence_experiment",
 ]
-
-_ZERO = Fraction(0)
-
 
 class MomentVector:
     """Moments m_0..m_R of one spectral measure, with optional Monte Carlo errors."""
@@ -194,18 +192,22 @@ def _weighted_moments(roots, p: int, order: int) -> MomentVector:
     """Σ weight · m_r over (complex, root, weight) triples, exactly.
 
     Roots in one complex share one :class:`_Incidence`: its rows, and the
-    walk of each carrier, are computed once.
+    walk of each carrier, are computed once.  With D the lcm of the
+    weights' denominators, each order sums the integers weight · D times
+    the walk's total, and becomes one fraction over D (p+1).
     """
     _check_moment_args(p, order)
-    moments = [_ZERO] * (order + 1)
+    roots = list(roots)
+    d, weights = _integer_weights(weight for _, _, weight in roots)
+    sums = [0] * (order + 1)
     incidences = {}
-    for cx, root, weight in roots:
+    for (cx, root, _), w in zip(roots, weights):
         incidence = incidences.get(id(cx))
         if incidence is None:
             incidence = incidences[id(cx)] = _Incidence(cx)
         for r, t in enumerate(_walk_moments(incidence, root, p, order)):
-            moments[r] += weight * Fraction(t, p + 1)
-    mv = MomentVector(p, moments)
+            sums[r] += w * t
+    mv = MomentVector(p, [Fraction(s, d * (p + 1)) for s in sums])
     mv.validate()
     return mv
 

@@ -8,6 +8,7 @@ one point of their summed weight in every statistic; only
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
@@ -200,20 +201,31 @@ class BallDistribution(dict):
                     f"key is not a radius-{self.radius} ball: {code}")
 
 
+def _integer_weights(weights) -> tuple:
+    """(D, [w * D for each weight w]): D the lcm of the weights'
+    denominators, so every scaled weight is an integer and a sum of weights
+    is one integer over D."""
+    weights = list(weights)
+    d = math.lcm(*[w.denominator for w in weights])
+    return d, [w.numerator * (d // w.denominator) for w in weights]
+
+
 def ball_distribution(mu: RandomRootedComplex, r: int) -> BallDistribution:
     """Law of the radius-``r`` ball at the root, keyed by canonical code.
 
     Codes come from :meth:`SupportPoint.ball_code`, so a law's ball at a
     radius is coded once, from its parent complex, however often it is
-    asked for.
+    asked for.  Weights are summed per code as integers over the lcm of
+    their denominators, and each code's sum becomes one fraction.
     """
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
-    out = {}
-    for pt in mu.points:
+    d, weights = _integer_weights(pt.weight for pt in mu.points)
+    sums = {}
+    for pt, w in zip(mu.points, weights):
         code = pt.ball_code(r)
-        out[code] = out.get(code, _ZERO) + pt.weight
-    return BallDistribution(r, out)
+        sums[code] = sums.get(code, 0) + w
+    return BallDistribution(r, {code: Fraction(w, d) for code, w in sums.items()})
 
 
 def total_variation(p, q) -> Fraction:
@@ -225,16 +237,29 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
                      rmax: int) -> Fraction:
     """Sum over r <= rmax of 2^-r times the TV gap between ball laws.
 
-    The radius-0 term is always 0 (every 0-ball is the root alone), so ball
-    laws are built, and balls coded, only for r = 1..rmax.  Support points
-    memoize their ball codes, so measuring many laws against one codes
-    each of its balls once.
+    The radius-0 term is always 0 (every 0-ball is the root alone), so
+    balls are coded only for r = 1..rmax.  Support points memoize their
+    ball codes, so measuring many laws against one codes each of its balls
+    once.  No ball law is built: with D the lcm of both laws' weight
+    denominators, each radius sums the integer weights w * D per code, +
+    for ``mu`` and - for ``nu``, and its gap g_r is the sum of their
+    absolute values, so the distance is one fraction,
+    Σ g_r 2^(rmax-r) / (D 2^(rmax+1)).
     """
     if rmax < 0:
         raise ValidationError("rmax must be nonnegative")
-    return sum((Fraction(1, 2 ** r) * total_variation(
-        ball_distribution(mu, r), ball_distribution(nu, r))
-        for r in range(1, rmax + 1)), _ZERO)
+    points = mu.points + nu.points
+    split = len(mu.points)
+    d, weights = _integer_weights(pt.weight for pt in points)
+    signed = list(zip(points, weights[:split] + [-w for w in weights[split:]]))
+    total = 0
+    for r in range(1, rmax + 1):
+        sums = {}
+        for pt, w in signed:
+            code = pt.ball_code(r)
+            sums[code] = sums.get(code, 0) + w
+        total += sum(map(abs, sums.values())) << (rmax - r)
+    return Fraction(total, d << (rmax + 1))
 
 
 class MassTransportResult(NamedTuple):

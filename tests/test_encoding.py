@@ -531,15 +531,21 @@ def test_resumed_search_equals_the_fresh_one(monkeypatch, cap):
     # Radii 1, 2, 3 at every vertex, in that order, so the inner ball's
     # entry is there when a ball misses.  Each search that resumes from
     # an inner ball's orders runs again from the root alone: the tied
-    # orders and the pruning verdict must be identical.
+    # orders, the winning blocks from label m on and the pruning verdict
+    # must be identical.  Each code read off a search must equal the
+    # ball's simplices relabelled by its first order.
     search = encoding._canonical_order
     resumed = []
+    results = []
 
     def checked(layer, masks, faces, starts):
         got = search(layer, masks, faces, starts)
-        if len(starts[0]) > 1:
+        m = len(starts[0])
+        if m > 1:
             resumed.append(len(starts))
-            assert got == search(layer, masks, faces, [(0,)])
+            orders, won, pruned = search(layer, masks, faces, [(0,)])
+            assert got == (orders, won[m - 1:], pruned)
+        results.append(got)
         return got
 
     monkeypatch.setattr(encoding, "_canonical_order", checked)
@@ -547,10 +553,23 @@ def test_resumed_search_equals_the_fresh_one(monkeypatch, cap):
     monkeypatch.setattr(encoding, "_CODE_CACHE", {})
     # first a spider with legs 1..6: at cap 1 only balls without a tie
     # keep orders, and an entry keeps the orders of the first ball coded
+    misses = 0
     for cx in [_spider(range(1, 7))] + _resume_pool():
         for v in cx.vertices:
+            dist = cx.distances(v)
             for r in (1, 2, 3):
-                _ball_code(cx, v, r)
+                searched = len(results)
+                code = _ball_code(cx, v, r)
+                if len(results) == searched:
+                    continue
+                misses += 1
+                verts = sorted((u for u in dist if dist[u] <= r),
+                               key=lambda u: (dist[u], u))
+                bit = {verts[i]: 1 << k for k, i in enumerate(results[-1][0][0])}
+                assert code.indices == tuple(sorted(
+                    sum(map(bit.__getitem__, s)) - 1
+                    for s in cx.induced(verts).simplices))
+    assert misses > 1000
     assert len(resumed) > {1: 20, 4: 400, 64: 1500}[cap]
     if cap > 1:  # resumed with several tied orders
         assert max(resumed) > 1
@@ -607,7 +626,7 @@ def test_orders_are_kept_only_from_unpruned_balls(monkeypatch, cap):
                 encoding._CODE_CACHE.clear()
                 _ball_code(cx, v, r)
                 ((n, _), (_, kept)), = encoding._CODE_CACHE.items()
-                orders, pruned = results[-1]
+                orders, _, pruned = results[-1]
                 if pruned:
                     assert kept is None
                 else:

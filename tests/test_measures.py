@@ -8,7 +8,7 @@ import l2limits.measures as measures
 from l2limits.complexes import RootedComplex, SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.errors import ValidationError
-from l2limits.estimators import moments_of_measure
+from l2limits.estimators import local_moment, moments_of_measure
 from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import (BallDistribution, RandomRootedComplex,
                                SupportPoint, ball_distribution, degree_truncate,
@@ -538,6 +538,60 @@ def test_repeated_classes_count_as_one_point_of_their_summed_weight():
     merged.validate()
     with pytest.raises(ValidationError, match="share an isomorphism class"):
         split.validate()
+
+
+def _unequal_denominator_laws():
+    """Laws whose weights have unequal denominators, over complexes of
+    different sizes, with one class shared between them: 1/3, 2/7, 8/21;
+    5/6, 1/10, 1/15; a uniform rooting; and one class split 1/3 + 2/3
+    against the same class as one point."""
+    flag = rooted_at(random_flag(16, 5 / 16, 3, 1), 0)
+    image = RootedComplex(SimplicialComplex(
+        [tuple(3 * v + 7 for v in s) for s in flag.complex.simplices]), 7)
+    fx = fixtures()
+
+    def law(*pairs):
+        return RandomRootedComplex([SupportPoint(rc, w) for rc, w in pairs])
+
+    return [
+        law((rooted_at(fx["path4"], 0), Fraction(1, 3)),
+            (flag, Fraction(2, 7)),
+            (rooted_at(torus_tower(2, 5), 0), Fraction(8, 21))),
+        law((image, Fraction(5, 6)),
+            (rooted_at(fx["star5"], 0), Fraction(1, 10)),
+            (rooted_at(fx["cycle6"], 0), Fraction(1, 15))),
+        uniform_rooting(random_flag(16, 5 / 16, 3, 2)),
+        law((flag, Fraction(1, 3)), (image, Fraction(2, 3))),
+        RandomRootedComplex.point_mass(flag),
+    ]
+
+
+def test_integer_weight_sums_equal_the_fraction_sums():
+    laws = _unequal_denominator_laws()
+    for mu in laws:
+        for r in (1, 2, 3):
+            want = {}
+            for pt in mu.points:
+                code = pt.ball_code(r)
+                want[code] = want.get(code, Fraction(0)) + pt.weight
+            got = ball_distribution(mu, r)
+            assert got == want and got.radius == r
+            assert all(type(w) is Fraction for w in got.values())
+        for p in (0, 1):
+            assert moments_of_measure(mu, p, 4).moments == tuple(
+                sum((pt.weight * local_moment(pt.rooted, p, k)
+                     for pt in mu.points), Fraction(0)) for k in range(5))
+    gaps = set()
+    for mu in laws:
+        for nu in laws:
+            for rmax in (0, 1, 3):
+                want = sum((Fraction(1, 2 ** r) * total_variation(
+                    ball_distribution(mu, r), ball_distribution(nu, r))
+                    for r in range(1, rmax + 1)), Fraction(0))
+                got = measure_distance(mu, nu, rmax)
+                assert got == want and type(got) is Fraction
+                gaps.add(got)
+    assert len(gaps) > 5
 
 
 def test_reprs_name_the_shape():
