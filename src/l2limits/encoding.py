@@ -140,8 +140,9 @@ class CanonicalCode:
 # -- exact isomorphism search ----------------------------------------------
 #
 # Backtracking over vertex bijections, used three ways: as an independent
-# oracle against code equality, to merge root orbits in uniform rootings,
-# and to prune automorphic branches inside the canonical-code search.
+# oracle against code equality, to sort rooted complexes into classes
+# (:func:`_root_classes`, for uniform rootings and law validation), and to
+# prune automorphic branches inside the canonical-code search.
 # Vertices are handled as bit positions so the inner loop is integer work.
 
 
@@ -340,6 +341,63 @@ def _search(ctxa: _IsoContext, roota, ctxb: _IsoContext, rootb,
 def find_rooted_isomorphism(a: RootedComplex, b: RootedComplex):
     """Exhaustive root-preserving isomorphism search, independent of codes."""
     return _search(_IsoContext(a.complex), a.root, _IsoContext(b.complex), b.root)
+
+
+def _root_classes(rooted: list) -> list:
+    """For each (connected complex, root) pair of ``rooted``, the index of
+    the first pair rooted isomorphic to it: its class representative.
+
+    A search runs only between roots of equal fingerprint (vertex count,
+    f-vector, the root's refined colour): unequal ones prove two roots
+    non-isomorphic, so without symmetry no search runs.  A found isomorphism
+    is a vertex bijection, and merging ``z ~ map(z)`` for every ``z``
+    collapses whole orbits, so a handful of searches classify the roots
+    of a vertex-transitive complex.  Contexts are built once per complex
+    object, and union-find keys are (complex id, vertex), so pairs held
+    in different complexes meet.
+    """
+    ctxs = {}
+    parent = {}
+
+    def find(key):
+        root = key
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while key != root:
+            parent[key], key = root, parent[key]
+        return root
+
+    # A representative is the first pair of its class, made and kept the
+    # root of its union-find tree, so "already classified" is a lookup.
+    reps = {}
+    reps_by_print = {}
+    out = []
+    for i, (cx, v) in enumerate(rooted):
+        ctx = ctxs.get(id(cx))
+        if ctx is None:
+            ctx = ctxs[id(cx)] = _IsoContext(cx)
+        key = (id(cx), v)
+        rep = root = find(key)
+        if root not in reps:
+            candidates = reps_by_print.setdefault(
+                (ctx.n, ctx.fvec, ctx.colors[ctx.idx[v]]), [])
+            for rep in candidates:
+                vmap = _search(ctxs[rep[0]], rep[1], ctx, v)
+                if vmap is not None:
+                    # sending rep to v, it classifies every vertex it maps
+                    for z, w in vmap.items():
+                        pa, pb = find((rep[0], z)), find((key[0], w))
+                        if pa != pb:
+                            if pb in reps:
+                                pa, pb = pb, pa
+                            parent[pb] = pa
+                    break
+            else:
+                rep = parent[root] = parent[key] = key
+                reps[key] = i
+                candidates.append(key)
+        out.append(reps[rep])
+    return out
 
 
 # -- canonical code search ---------------------------------------------------

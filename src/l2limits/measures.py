@@ -9,13 +9,14 @@ one point of their summed weight in every statistic; only
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
 from .complexes import RootedComplex, SimplicialComplex
-from .encoding import CanonicalCode, _ball_code, _IsoContext, _search
+from .encoding import CanonicalCode, _ball_code, _root_classes
 from .errors import ValidationError
 
 __all__ = [
@@ -54,11 +55,6 @@ class SupportPoint:
         self.weight = weight
         self._ball_codes = {}
 
-    @property
-    def code(self) -> CanonicalCode:
-        # computed on demand: whole-complex canonicalization can be costly
-        return self.ball_code(None)
-
     def ball_code(self, r: int | None) -> CanonicalCode:
         """Code of the radius-``r`` ball at the root (the whole complex when
         ``r`` is None), computed once and read from the rooted complex
@@ -93,9 +89,10 @@ class RandomRootedComplex:
         return cls((SupportPoint(rooted, Fraction(1)),))
 
     def validate(self) -> None:
-        """Full check: weights already verified, here codes must be distinct."""
-        codes = [pt.code for pt in self.points]
-        if len(set(codes)) != len(codes):
+        """Full check: weights were verified on construction; here no two
+        points may share a class, decided by search, not by codes."""
+        pairs = [(pt.rooted.complex, pt.rooted.root) for pt in self.points]
+        if len(set(_root_classes(pairs))) != len(pairs):
             raise ValidationError("two support points share an isomorphism class")
 
     def expect(self, fn):
@@ -113,73 +110,18 @@ class RandomRootedComplex:
 
 
 def uniform_rooting(cx: SimplicialComplex) -> RandomRootedComplex:
-    """Root ``cx`` at a uniform vertex and group roots by isomorphism class.
-
-    Rooting lands in the root's connected component.  Classes are found by
-    explicit isomorphism search rather than by canonicalizing every rooted
-    copy, and a search runs only between roots with the same fingerprint:
-    component size, f-vector and refined vertex colour.  Unequal
-    fingerprints prove two roots non-isomorphic, so on complexes without
-    symmetry colours alone separate the classes and no search runs.  Each
-    successful search yields a whole vertex bijection, and merging
-    ``z ~ map(z)`` for every ``z`` collapses entire automorphism orbits at
-    once; on vertex-transitive inputs a handful of searches classify all
-    roots.
-    """
+    """Root ``cx`` at a uniform vertex, in its connected component, and
+    group roots by isomorphism search (:func:`encoding._root_classes`):
+    each class is its smallest root, weighted by its share of roots."""
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot root an empty complex")
-    comps = ((cx,) if cx.is_connected()
-             else tuple(cx.induced(c) for c in cx.components()))
-    ctx_of = {v: ctx for ctx in map(_IsoContext, comps) for v in ctx.verts}
-
-    parent = {v: v for v in verts}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    # A representative is the first vertex of its class and stays the root
-    # of its union-find tree, so "already classified" is a set lookup.
-    reps = set()
-    reps_by_print = {}
-    for v in verts:
-        if find(v) in reps:
-            continue
-        ctx = ctx_of[v]
-        candidates = reps_by_print.setdefault(
-            (ctx.n, ctx.fvec, ctx.colors[ctx.idx[v]]), [])
-        for r in candidates:
-            vmap = _search(ctx_of[r], r, ctx, v)
-            if vmap is not None:
-                # vmap is a bijection from r's component onto v's sending r
-                # to v; it identifies the class of every vertex it touches
-                for z, w in vmap.items():
-                    pa, pb = find(z), find(w)
-                    if pa != pb:
-                        if pb in reps:
-                            pa, pb = pb, pa
-                        parent[pb] = pa
-                break
-        else:
-            reps.add(v)
-            candidates.append(v)
-
-    # every root is a representative, met first at its smallest vertex
-    counts = {}
-    for v in verts:
-        root = find(v)
-        counts[root] = counts.get(root, 0) + 1
-    n = len(verts)
-    points = [
-        SupportPoint(RootedComplex._make(ctx_of[r].cx, r), Fraction(count, n))
-        for r, count in counts.items()
-    ]
-    return RandomRootedComplex(points)
+    comps = (cx,) if cx.is_connected() else map(cx.induced, cx.components())
+    comp_of = {v: comp for comp in comps for v in comp.vertices}
+    pairs = [(comp_of[v], v) for v in verts]
+    return RandomRootedComplex(
+        SupportPoint(RootedComplex._make(*pairs[i]), Fraction(count, len(verts)))
+        for i, count in Counter(_root_classes(pairs)).items())
 
 
 class BallDistribution(dict):

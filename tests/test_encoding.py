@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import l2limits.encoding as encoding
-import l2limits.measures as measures
 from conftest import random_connected_complex
 from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.encoding import (CanonicalCode, _ball_code, bs_distance,
@@ -486,9 +485,6 @@ def test_discrete_colours_run_no_automorphism_search(monkeypatch):
     monkeypatch.setattr(encoding, "_CODE_CACHE", {})
     monkeypatch.setattr(encoding, "_prune_automorphic", counted_prune)
     monkeypatch.setattr(encoding, "_search", counted_search)
-    # measures bound ``_search`` by name at import, so uniform rooting's
-    # searches are seen only through its own binding
-    monkeypatch.setattr(measures, "_search", counted_search)
     monkeypatch.setattr(encoding._IsoContext, "build_masks", counted_masks)
     canonical_code(rooted_at(spider, 0))
     assert prunes and max(prunes) > encoding._TIE_CAP

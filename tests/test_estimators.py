@@ -350,6 +350,8 @@ def test_moment_vector_validation():
     mv = MomentVector(0, (Fraction(1), Fraction(2), Fraction(5)))
     assert mv.order == 2
     assert list(mv) == list(mv.moments)
+    assert repr(mv) == ("MomentVector(p=0, moments="
+                        "(Fraction(1, 1), Fraction(2, 1), Fraction(5, 1)))")
     mv.validate()
     with pytest.raises(ValidationError):
         MomentVector(0, ())
@@ -620,6 +622,11 @@ def test_convergence_experiment_constant_sequence():
     assert all(d == 0 for d in report.distances_to_last)
     assert report.labels == [0, 1, 2]
     assert all(flag == "constant" for flag in report.trends.values())
+    # one level is its own last, and a single value has no trend
+    single = convergence_experiment([cx], p=1, order=1, eps_list=[0.5])
+    assert single.distances_to_last == [0]
+    assert len(single.trends) == 3
+    assert all(flag == "constant" for flag in single.trends.values())
 
 
 def test_convergence_experiment_hypothesis_violations():

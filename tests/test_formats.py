@@ -100,7 +100,8 @@ def test_measure_round_trip(tmp_path):
             assert len(again) == len(mu)
             assert sorted(pt.weight for pt in again) == \
                 sorted(pt.weight for pt in mu)
-            assert {pt.code for pt in again} == {pt.code for pt in mu}
+            assert ({pt.ball_code(None) for pt in again}
+                    == {pt.ball_code(None) for pt in mu})
             assert measure_json(again) == measure_json(mu)
 
 

@@ -9,7 +9,8 @@ from l2limits.complexes import RootedComplex, SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
 from l2limits.errors import ValidationError
 from l2limits.estimators import local_moment, moments_of_measure
-from l2limits.generators import fixtures, random_flag, torus_tower
+from l2limits.generators import (fixtures, linial_meshulam, random_flag,
+                                 torus_tower)
 from l2limits.measures import (BallDistribution, RandomRootedComplex,
                                SupportPoint, ball_distribution, degree_truncate,
                                expected_p_degree, mass_transport_check,
@@ -76,32 +77,62 @@ def defect_torus(side, removed):
         list(full.faces(1)) + [t for t in tris if t not in drop])
 
 
+def _assert_grouped_by_code(cx):
+    """``uniform_rooting(cx)`` has one point per canonical code of a root,
+    of weight the share of such roots, rooted at the smallest of them."""
+    n = len(cx.vertices)
+    by_code = {}
+    first_root = {}
+    for v in sorted(cx.vertices):
+        code = canonical_code(rooted_at(cx, v))
+        by_code[code] = by_code.get(code, 0) + Fraction(1, n)
+        first_root.setdefault(code, v)
+    mu = uniform_rooting(cx)
+    assert {pt.ball_code(None): pt.weight for pt in mu} == by_code
+    # each class is represented by its smallest root, in root order
+    assert ([(pt.ball_code(None), pt.rooted.root) for pt in mu]
+            == list(first_root.items()))
+
+
 def test_uniform_rooting_matches_grouping_by_code_on_defect_tori():
     for side in (5, 6):
         for removed in (0, 1, 2):
-            cx = defect_torus(side, removed)
-            n = len(cx.vertices)
-            by_code = {}
-            first_root = {}
-            for v in sorted(cx.vertices):
-                code = canonical_code(rooted_at(cx, v))
-                by_code[code] = by_code.get(code, 0) + Fraction(1, n)
-                first_root.setdefault(code, v)
-            mu = uniform_rooting(cx)
-            assert {pt.code: pt.weight for pt in mu} == by_code
-            # each class is represented by its smallest root, in root order
-            assert [(pt.code, pt.rooted.root) for pt in mu] == list(first_root.items())
+            _assert_grouped_by_code(defect_torus(side, removed))
+
+
+def test_smallest_roots_represent_classes_under_any_labelling():
+    # An isomorphism found between two roots also merges the roots of
+    # later classes, so a class's smallest root may be met in a tree rooted
+    # at a larger root of its class.  Here the search from root 0 to root 2
+    # puts pendant roots 3, 4 and 5 in one tree rooted at 4 before 3 is met.
+    _assert_grouped_by_code(closure(
+        [(0, 1), (1, 2), (0, 2), (0, 5), (1, 3), (2, 4)]))
+    # triangles and pentagons with pendant paths, and prisms, relabelled
+    rng = np.random.default_rng(5)
+    for k, legs in ((3, 1), (3, 2), (5, 2), (4, 0), (5, 0)):
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        if legs:
+            edges += [(i + j * k, i + (j + 1) * k)
+                      for i in range(k) for j in range(legs)]
+        else:  # a prism
+            edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+            edges += [(i, k + i) for i in range(k)]
+        for _ in range(12):
+            perm = rng.permutation(k * (legs or 1) + k)
+            _assert_grouped_by_code(closure(
+                [(int(perm[a]), int(perm[b])) for a, b in edges]))
 
 
 def test_uniform_rooting_needs_no_search_without_symmetry(monkeypatch):
+    import l2limits.encoding as encoding
     calls = []
-    real = measures._search
+    real = encoding._search
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(measures, "_search", counted)
+    monkeypatch.setattr(encoding, "_search", counted)
     mu = uniform_rooting(defect_torus(12, 4))
     # refined colours alone separate all 144 roots
     assert len(mu) == 144
@@ -199,8 +230,8 @@ def test_support_point_codes_its_complex_once(monkeypatch):
     import l2limits.encoding as encoding
     mu = uniform_rooting(random_flag(16, 5 / 16, 3, 3))
     assert len(mu) > 1
-    for pt in mu:
-        assert pt.code == canonical_code(pt.rooted)
+    codes = [pt.ball_code(None) for pt in mu]
+    assert codes == [canonical_code(pt.rooted) for pt in mu]
     calls = []
     for module in (encoding, measures):
         code = module._ball_code
@@ -210,8 +241,8 @@ def test_support_point_codes_its_complex_once(monkeypatch):
             return code(*args)
 
         monkeypatch.setattr(module, "_ball_code", counted)
-    for pt in mu:
-        assert pt.ball_code(None) is pt.code
+    for pt, code in zip(mu, codes):
+        assert pt.ball_code(None) is code
     assert calls == []
 
 
@@ -538,6 +569,63 @@ def test_repeated_classes_count_as_one_point_of_their_summed_weight():
     merged.validate()
     with pytest.raises(ValidationError, match="share an isomorphism class"):
         split.validate()
+
+
+def _relabelled(rc):
+    """``rc`` with each vertex v renamed 3v + 7, in a new complex object."""
+    return RootedComplex(SimplicialComplex(
+        [tuple(3 * v + 7 for v in s) for s in rc.complex.simplices]),
+        3 * rc.root + 7)
+
+
+def test_validation_decides_classes_by_search_not_codes(monkeypatch):
+    import l2limits.encoding as encoding
+
+    def no_code(*args):
+        raise AssertionError("validation computed a canonical code")
+
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    monkeypatch.setattr(encoding, "_canonical_order", no_code)
+    mu = uniform_rooting(random_flag(60, 0.08, 3, 0))
+    assert len(mu) == 60
+    mu.validate()
+    laws = _unequal_denominator_laws()
+    for law in laws[:3] + laws[4:]:
+        law.validate()
+    with pytest.raises(ValidationError, match="share an isomorphism class"):
+        laws[3].validate()
+    # isomorphic roots held in different complex objects
+    cycle = rooted_at(fixtures()["cycle5"], 0)
+    twins = RandomRootedComplex([SupportPoint(cycle, Fraction(1, 2)),
+                                 SupportPoint(_relabelled(cycle), Fraction(1, 2))])
+    with pytest.raises(ValidationError, match="share an isomorphism class"):
+        twins.validate()
+
+
+def test_validation_refuses_exactly_the_laws_with_a_repeated_code():
+    # every root of each complex, then a relabelled copy of every fourth,
+    # so classes recur within one complex object and across objects
+    pool = [rooted_at(cx, v) for cx in
+            [*fixtures().values(), linial_meshulam(2, 10, 0.3, 0),
+             *(random_flag(16, 5 / 16, 3, s) for s in range(3))]
+            for v in cx.vertices]
+    pool += [_relabelled(rc) for rc in pool[::4]]
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(400):
+        picks = rng.choice(len(pool), int(rng.integers(2, 6)), replace=False)
+        law = RandomRootedComplex(
+            [SupportPoint(pool[i], Fraction(1, len(picks))) for i in picks])
+        codes = [pt.ball_code(None) for pt in law]
+        repeated = len(set(codes)) < len(codes)
+        try:
+            law.validate()
+        except ValidationError:
+            assert repeated
+        else:
+            assert not repeated
+        verdicts.append(repeated)
+    assert 40 < sum(verdicts) < 360
 
 
 def _unequal_denominator_laws():

@@ -47,3 +47,23 @@ def test_sources_parse_at_the_declared_python_floor():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_only_encoding_binds_the_isomorphism_search():
+    # rooted classes are decided in one place: no other module may define
+    # or import the search or its context
+    names = {"_IsoContext", "_search"}
+    binders = set()
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = {node.name}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound = {node.id}
+            else:
+                continue
+            if bound & names:
+                binders.add(path.stem)
+    assert binders == {"encoding"}
