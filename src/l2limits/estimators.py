@@ -1,11 +1,14 @@
 """Spectral-moment estimation from local neighbourhoods.
 
-The r-th diagonal entry of the p-Laplacian power at a simplex through the
-root depends only on the (r//2 + 1)-ball around the root, so moments of
-the spectral measure come from walks that start at the root's simplices,
-without cutting that ball or assembling any matrix.  This drives exact
-moment computation for finite-support laws, Monte Carlo estimation on
-large complexes, and a small convergence-experiment harness.
+Every exact moment here is one weighted sum of ⟨Δ_p^r σ, σ⟩/(p+1) over
+carriers σ, the p-simplices at a root: a root's moment, a law's moment and
+a complex's vertex average alike (:func:`_weighted_moments`).  The r-th
+diagonal entry at a carrier depends only on the (r//2 + 1)-ball around the
+root, so it comes from a walk that starts at the carrier
+(:func:`_carrier_walk`), without cutting that ball or assembling any
+matrix, and a carrier shared by several roots is walked once.  Monte Carlo
+estimation walks each sampled root's carriers itself, because it needs
+each sample's value; a small convergence-experiment harness sits on top.
 """
 from __future__ import annotations
 
@@ -109,7 +112,7 @@ class RootSample(NamedTuple):
 
     def covers(self, r: int) -> bool:
         """True when moments of order r are computable from this sample:
-        :func:`_local_moments` reads only the (r//2 + 1)-ball."""
+        the walk of each carrier at the root reads only the (r//2 + 1)-ball."""
         radius = self.declared_radius
         return radius is None or radius >= r // 2 + 1
 
@@ -122,9 +125,15 @@ def _check_moment_args(p: int, order: int) -> None:
 
 
 def _carrier_walk(row, carrier: tuple, order: int) -> tuple:
-    """⟨Δ^r σ, σ⟩ for r = 0..order at the carrier σ: each pass takes
-    v_k = Δ v_{k-1} over the rows of v_{k-1}'s simplices, then
-    ⟨v_k, v_{k-1}⟩ and ‖v_k‖² (see :func:`_walk_moments`)."""
+    """⟨Δ^r σ, σ⟩ for r = 0..order at the carrier σ, exactly.
+
+    With v_0 = σ and v_k = Δ v_{k-1}, taken over the ``row`` of each
+    simplex of v_{k-1}, symmetry of Δ gives ⟨Δ^{2k-1} σ, σ⟩ = ⟨v_k, v_{k-1}⟩
+    and ⟨Δ^{2k} σ, σ⟩ = ‖v_k‖², so ceil(order/2) passes yield every order.
+    A row reaches the simplices sharing a face or a coface with its own, so
+    at a carrier of a root the walk reads only the stars of the
+    (order//2 + 1)-ball around that root, wherever the complex ends.
+    """
     diagonal = [1]
     prev = {carrier: 1}
     while len(diagonal) <= order:
@@ -140,43 +149,36 @@ def _carrier_walk(row, carrier: tuple, order: int) -> tuple:
     return tuple(diagonal)
 
 
-def _walk_moments(incidence: _Incidence, root: int, p: int, order: int) -> list:
-    """Σ ⟨Δ^r σ, σ⟩ over the carriers σ of ``root``: (p+1)·m_r, r ≤ order.
+def _weighted_moments(roots, p: int, order: int) -> MomentVector:
+    """Σ weight · m_r over (complex, root, weight) triples, exactly.
 
-    Per carrier σ, with v_0 = σ and v_k = Δ v_{k-1}, symmetry of Δ gives
-    ⟨Δ^{2k-1} σ, σ⟩ = ⟨v_k, v_{k-1}⟩ and ⟨Δ^{2k} σ, σ⟩ = ‖v_k‖², so
-    ceil(order/2) passes of :func:`_carrier_walk` over the incidence's
-    memoized rows yield every order.  A row reaches the simplices sharing
-    a face or a coface with its own, so the walk reads only the stars of
-    the (order//2 + 1)-ball around the root, wherever the complex ends.
-    The incidence keeps each carrier's diagonal, keyed by (carrier,
-    order), so roots that share a carrier walk it once.  The totals are
-    exact integers; callers check (p, order) once per estimator call.
-    """
-    totals = [0] * (order + 1)
-    walks = incidence.walks
-    for carrier in incidence.star(root):
-        if len(carrier) != p + 1:
-            continue
-        key = (carrier, order)
-        diagonal = walks.get(key)
-        if diagonal is None:
-            diagonal = walks[key] = _carrier_walk(incidence.row, carrier, order)
-        for r, m in enumerate(diagonal):
-            totals[r] += m
-    return totals
-
-
-def _local_moments(rc: RootedComplex, p: int, order: int) -> tuple:
-    """m_0..m_order of :func:`local_moment`, from one walk per carrier.
-
-    The walk reads the stars of ``rc.complex`` itself: it cuts no ball and
-    builds only the Laplacian rows it reaches, so a sample costs what the
-    walk reaches.
+    Every exact moment is this one sum of ⟨Δ^r σ, σ⟩/(p+1) over the
+    carriers σ, the p-simplices at a root.  With D the lcm of the weights'
+    denominators, each root adds its integer weight · D onto its carriers,
+    per complex object; each carrier is then walked once
+    (:func:`_carrier_walk`) over one :class:`_Incidence` per complex, so
+    rows are built once and roots that share a carrier share its walk.
+    Each order's integer sum becomes one fraction over D (p+1).  The walks
+    read ``cx`` itself: no ball is cut and no matrix assembled.
     """
     _check_moment_args(p, order)
-    totals = _walk_moments(_Incidence(rc.complex), rc.root, p, order)
-    return tuple(Fraction(t, p + 1) for t in totals)
+    roots = list(roots)
+    d, weights = _integer_weights(weight for _, _, weight in roots)
+    by_complex = {}
+    for (cx, root, _), w in zip(roots, weights):
+        carriers = by_complex.setdefault(id(cx), (cx, {}))[1]
+        for s in cx.star(root):
+            if len(s) == p + 1:
+                carriers[s] = carriers.get(s, 0) + w
+    sums = [0] * (order + 1)
+    for cx, carriers in by_complex.values():
+        row = _Incidence(cx).row
+        for s, w in carriers.items():
+            for r, m in enumerate(_carrier_walk(row, s, order)):
+                sums[r] += w * m
+    mv = MomentVector(p, [Fraction(s, d * (p + 1)) for s in sums])
+    mv.validate()
+    return mv
 
 
 def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
@@ -185,31 +187,7 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
     Only the (r//2 + 1)-ball around the root enters the answer, so the input
     may be the whole complex or any subcomplex containing that ball.
     """
-    return _local_moments(rc, p, r)[r]
-
-
-def _weighted_moments(roots, p: int, order: int) -> MomentVector:
-    """Σ weight · m_r over (complex, root, weight) triples, exactly.
-
-    Roots in one complex share one :class:`_Incidence`: its rows, and the
-    walk of each carrier, are computed once.  With D the lcm of the
-    weights' denominators, each order sums the integers weight · D times
-    the walk's total, and becomes one fraction over D (p+1).
-    """
-    _check_moment_args(p, order)
-    roots = list(roots)
-    d, weights = _integer_weights(weight for _, _, weight in roots)
-    sums = [0] * (order + 1)
-    incidences = {}
-    for (cx, root, _), w in zip(roots, weights):
-        incidence = incidences.get(id(cx))
-        if incidence is None:
-            incidence = incidences[id(cx)] = _Incidence(cx)
-        for r, t in enumerate(_walk_moments(incidence, root, p, order)):
-            sums[r] += w * t
-    mv = MomentVector(p, [Fraction(s, d * (p + 1)) for s in sums])
-    mv.validate()
-    return mv
+    return _weighted_moments(((rc.complex, rc.root, 1),), p, r).moments[r]
 
 
 def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVector:
@@ -222,12 +200,12 @@ def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVec
 def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVector:
     """Average local moments over every vertex; equals the uniform-rooting moments.
 
-    One walk per p-simplex over ``cx`` itself: a simplex is a carrier of
-    each of its p+1 vertices but is walked once, and each row of Δ_p is
-    built once; no ball is cut and nothing is searched.  On a complex
-    with few rooted isomorphism classes, such as a vertex-transitive one,
-    ``moments_of_measure(uniform_rooting(cx), p, order)`` walks only the
-    carriers of one root per class and is the cheaper route.
+    Each vertex adds weight 1/|V| to its carriers, so a p-simplex, a
+    carrier of each of its p+1 vertices, is walked once and each row of
+    Δ_p is built once; no ball is cut and nothing is searched.  On a
+    complex with few rooted isomorphism classes, such as a vertex-transitive
+    one, ``moments_of_measure(uniform_rooting(cx), p, order)`` walks only
+    the carriers of one root per class and is the cheaper route.
     """
     verts = cx.vertices
     if not verts:
@@ -288,11 +266,14 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
             raise ValidationError(
                 f"sample ball radius {sample.declared_radius} cannot support "
                 f"order-{order} moments")
-        rooted = sample.rooted
-        totals = _walk_moments(_Incidence(rooted.complex), rooted.root, p, order)
-        for r, t in enumerate(totals):
-            # int / int rounds the rational t/(p+1) once, as float(Fraction) does
-            values[r].append(t / (p + 1))
+        # a float per sample, not one weighted exact sum: walk its carriers here
+        cx, root = sample.rooted.complex, sample.rooted.root
+        row = _Incidence(cx).row
+        walks = [_carrier_walk(row, s, order) for s in cx.star(root)
+                 if len(s) == p + 1]
+        for r in range(order + 1):
+            # int / int rounds the rational once, as float(Fraction) does
+            values[r].append(sum(w[r] for w in walks) / (p + 1))
     means = [math.fsum(col) / n_samples for col in values]
     if n_samples == 1:
         errs = [0.0] * (order + 1)

@@ -18,7 +18,8 @@ d_{p+1} d_{p+1}^T for the tests and the golden digests; no spectrum reads
 it.
 The walk's exact rows (:class:`_Incidence`) are built lazily instead, by
 the combinatorial rule for Delta_p from cofaces read off the dimension
-blocks of the stars, so a local moment pays for the simplices it reaches.
+blocks of the stars, so a moment pays for the simplices its walks reach;
+``estimators`` walks each carrier once, over one incidence per complex.
 :func:`boundary_matrix`, a dense int64 array, is an independent reference
 for the tests: no rank, Gram matrix, moment or norm bound reads it.
 """
@@ -76,16 +77,13 @@ class _Incidence:
     follow the combinatorial rule for Delta_p (Goldberg 2002; Horak & Jost,
     Adv. Math. 2013; see :meth:`row`).  Cofaces and rows are memoized for
     the lifetime of the instance, so walks pay for the simplices they reach
-    and for no others.  ``walks`` keeps the diagonal ⟨Δ^r σ, σ⟩ of each
-    carrier σ that the moment walk of ``estimators`` computed, keyed by
-    (carrier, order), so a carrier shared by several roots is walked once.
+    and for no others.
     """
 
-    __slots__ = ("star", "walks", "_cofaces", "_rows")
+    __slots__ = ("star", "_cofaces", "_rows")
 
     def __init__(self, cx: SimplicialComplex):
         self.star = cx.star
-        self.walks: dict = {}
         self._cofaces: dict = {}
         self._rows: dict = {}
 

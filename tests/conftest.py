@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from l2limits.complexes import SimplicialComplex
+from l2limits.estimators import moments_of_measure
+from l2limits.measures import RandomRootedComplex
 
 
 def pytest_configure(config):
@@ -45,3 +47,8 @@ def random_connected_complex(rng: np.random.Generator,
     cx = random_complex(rng, max_vertices)
     comp = cx.components()[0]
     return cx.induced(comp)
+
+
+def point_moments(rc, p: int, order: int) -> tuple:
+    """Exact m_0..m_order at one root: the moments of its point mass."""
+    return moments_of_measure(RandomRootedComplex.point_mass(rc), p, order).moments

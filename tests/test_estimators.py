@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 import l2limits.estimators as estimators
-from conftest import random_complex
+from conftest import point_moments, random_complex
 from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.errors import HypothesisViolationError, ValidationError
 from l2limits.estimators import (ConvergenceReport, MomentVector, RootSample,
-                                 _local_moments, convergence_experiment,
+                                 convergence_experiment,
                                  exhaustive_moments, kernel_mass_bound,
                                  local_moment, monte_carlo_moments,
                                  moments_of_measure, vertex_sampler)
 from l2limits.generators import fixtures, torus_tower
-from l2limits.measures import (ball_distribution, expected_p_degree,
+from l2limits.measures import (RandomRootedComplex, SupportPoint,
+                               ball_distribution, expected_p_degree,
                                total_variation, uniform_rooting)
 from l2limits.spectral import (SpectralMeasure, _gram, _Incidence,
                                _signed_faces, boundary_matrix,
@@ -95,19 +96,24 @@ def test_one_ball_gives_every_order():
         for v in cx.vertices:
             rc = rooted_at(cx, v)
             for p in range(cx.dim + 1):
-                ms = _local_moments(rc, p, 4)
+                ms = point_moments(rc, p, 4)
                 assert len(ms) == 5
                 for r in range(5):
                     assert ms[r] == local_moment(rc, p, r)
 
 
-def test_local_moments_exact_where_the_ball_is_cut():
-    # balls smaller than the complex, handed in whole or cut at the
-    # (order//2 + 1)-ball: truncated rows must not leak in
+def _percolated_torus():
+    """The side-10 torus with each triangle kept with probability 0.7."""
     rng = np.random.default_rng(83)
     torus = torus_tower(2, 10)
     kept = [t for t in torus.faces(2) if rng.random() < 0.7]
-    cx = closure(list(torus.faces(1)) + kept)
+    return closure(list(torus.faces(1)) + kept)
+
+
+def test_local_moments_exact_where_the_ball_is_cut():
+    # balls smaller than the complex, handed in whole or cut at the
+    # (order//2 + 1)-ball: truncated rows must not leak in
+    cx = _percolated_torus()
     for p in (0, 1):
         lap = laplacian_matrix(cx, p)
         powers = [np.linalg.matrix_power(lap, r) for r in range(10)]
@@ -120,7 +126,7 @@ def test_local_moments_exact_where_the_ball_is_cut():
                 ball = rc.ball(order // 2 + 1)
                 assert len(ball.complex) < len(cx)
                 for sample in (rc, ball):
-                    assert _local_moments(sample, p, order) == want[:order + 1]
+                    assert point_moments(sample, p, order) == want[:order + 1]
 
 
 def test_moments_read_only_the_half_order_ball():
@@ -142,7 +148,7 @@ def test_moments_read_only_the_half_order_ball():
             for order in range(10):
                 ball = rc.ball(order // 2 + 1)
                 proper += len(ball.complex) < len(comp)
-                assert _local_moments(ball, p, order) == want[:order + 1]
+                assert point_moments(ball, p, order) == want[:order + 1]
     assert proper > 0
 
 
@@ -238,6 +244,56 @@ def test_exhaustive_moments_build_each_row_and_walk_each_carrier_once(
             assert len(built) == len(set(built)) == len(cx.faces(p))
 
 
+def test_a_law_walks_each_shared_carrier_once(monkeypatch):
+    # roots in one complex object add their weights onto shared carriers,
+    # which are then walked once, in the order the roots first reach them
+    from test_measures import defect_torus
+    path = fixtures()["path4"]
+    want = tuple(Fraction(1, 3) * local_moment(rooted_at(path, 0), 1, r)
+                 + Fraction(2, 3) * local_moment(rooted_at(path, 1), 1, r)
+                 for r in range(7))
+    walked = []
+    walk = estimators._carrier_walk
+
+    def counted_walk(row, carrier, order):
+        walked.append(carrier)
+        return walk(row, carrier, order)
+
+    monkeypatch.setattr(estimators, "_carrier_walk", counted_walk)
+    law = RandomRootedComplex([SupportPoint(rooted_at(path, 0), Fraction(1, 3)),
+                               SupportPoint(rooted_at(path, 1), Fraction(2, 3))])
+    assert moments_of_measure(law, 1, 6).moments == want
+    assert walked == [(0, 1), (1, 2)]
+
+    cx = defect_torus(6, 1)
+    mu = uniform_rooting(cx)
+    assert all(pt.rooted.complex is cx for pt in mu.points)
+    for p in range(3):
+        per_root = [[s for s in cx.star(pt.rooted.root) if len(s) == p + 1]
+                    for pt in mu.points]
+        distinct = {s for carriers in per_root for s in carriers}
+        # at p >= 1 some representatives share a carrier
+        assert sum(map(len, per_root)) > len(distinct) or p == 0
+        walked.clear()
+        moments_of_measure(mu, p, 6)
+        assert len(walked) == len(set(walked))
+        assert set(walked) == distinct
+
+
+def test_monte_carlo_matches_the_exact_route_off_transitivity():
+    # Monte Carlo walks each sample's carriers by its own loop: a sampler
+    # that always returns one root of a complex with no symmetry to hide
+    # behind must give that root's exact moments, with zero spread
+    cx = _percolated_torus()
+    for v in (0, 37, 55):
+        rc = rooted_at(cx, v)
+        for p in range(3):
+            mv = monte_carlo_moments(lambda rng: rc, p, 6, 4, seed=5)
+            assert mv.moments == tuple(float(local_moment(rc, p, r))
+                                       for r in range(7))
+            assert mv.stderrs == (0.0,) * 7
+
+
 def _gram_traces(cx, q, order):
     """tr(G^r) for r = 1..order, in Python ints, of the Gram piece G of d_q
     that the eigensolver reads (0 where d_q has no piece)."""
@@ -280,7 +336,7 @@ def test_local_moments_build_as_many_rows_on_a_larger_torus(monkeypatch):
     counts = []
     for side in (20, 60):
         built.clear()
-        _local_moments(rooted_at(torus_tower(2, side), 0), 1, 4)
+        point_moments(rooted_at(torus_tower(2, side), 0), 1, 4)
         counts.append(len(built))
     assert counts[0] == counts[1] > 0
 
@@ -383,7 +439,7 @@ def test_exact_check_accepts_every_golden_moment_vector():
     for _, cx in corpus():
         for p in DIMS:
             for v in cx.vertices:
-                MomentVector(p, _local_moments(rooted_at(cx, v), p, ORDER)).validate()
+                MomentVector(p, point_moments(rooted_at(cx, v), p, ORDER)).validate()
                 checked += 1
     assert checked > 1000
 

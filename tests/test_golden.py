@@ -2,8 +2,8 @@
 
 Local moments are fixed by mathematics, not by the code that computes them,
 so a stored value that changes is a bug unless the specification changed.
-``golden_moments.json`` holds one SHA-256 digest per (complex, p) of
-``_local_moments(rooted_at(cx, v), p, 6)`` over every vertex v, the
+``golden_moments.json`` holds one SHA-256 digest per (complex, p) of the
+exact m_0..m_6 at every vertex v, the moments of its point mass, the
 exact means and standard errors of seeded ``monte_carlo_moments`` runs on
 a percolated torus, and the chain invariants of each complex for every
 p <= dim + 1: b_p, rank d_p, and the SHA-256 of the exact integer entries
@@ -28,9 +28,9 @@ import numpy as np
 
 from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
-from l2limits.estimators import _local_moments, monte_carlo_moments, vertex_sampler
+from l2limits.estimators import moments_of_measure, monte_carlo_moments, vertex_sampler
 from l2limits.generators import fixtures, linial_meshulam, random_flag, torus_tower
-from l2limits.measures import uniform_rooting
+from l2limits.measures import RandomRootedComplex, uniform_rooting
 from l2limits.spectral import betti, boundary_rank, laplacian_matrix
 
 closure = SimplicialComplex.closure
@@ -59,7 +59,8 @@ def digest(rows) -> str:
 
 def moment_digest(cx, p) -> str:
     """SHA-256 of every vertex's exact m_0..m_ORDER, in vertex order."""
-    return digest([[v, [str(m) for m in _local_moments(rooted_at(cx, v), p, ORDER)]]
+    return digest([[v, [str(m) for m in moments_of_measure(
+        RandomRootedComplex.point_mass(rooted_at(cx, v)), p, ORDER).moments]]
                    for v in cx.vertices])
 
 
