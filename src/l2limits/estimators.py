@@ -1,14 +1,12 @@
 """Spectral-moment estimation from local neighbourhoods.
 
-Every exact moment here is one weighted sum of ⟨Δ_p^r σ, σ⟩/(p+1) over
-carriers σ, the p-simplices at a root: a root's moment, a law's moment and
-a complex's vertex average alike (:func:`_weighted_moments`).  The r-th
-diagonal entry at a carrier depends only on the (r//2 + 1)-ball around the
-root, so it comes from a walk that starts at the carrier
+Every moment here is one weighted sum of ⟨Δ_p^r σ, σ⟩/(p+1) over carriers
+σ, the p-simplices at a root (:func:`_moment_sums`): a root's moment, a
+law's, a complex's vertex average and each Monte Carlo sample alike.  The
+r-th diagonal entry at a carrier depends only on the (r//2 + 1)-ball
+around the root, so it comes from a walk that starts at the carrier
 (:func:`_carrier_walk`), without cutting that ball or assembling any
-matrix, and a carrier shared by several roots is walked once.  Monte Carlo
-estimation walks each sampled root's carriers itself, because it needs
-each sample's value; a small convergence-experiment harness sits on top.
+matrix, and a carrier shared by several roots is walked once.
 """
 from __future__ import annotations
 
@@ -149,23 +147,13 @@ def _carrier_walk(row, carrier: tuple, order: int) -> tuple:
     return tuple(diagonal)
 
 
-def _weighted_moments(roots, p: int, order: int) -> MomentVector:
-    """Σ weight · m_r over (complex, root, weight) triples, exactly.
-
-    Every exact moment is this one sum of ⟨Δ^r σ, σ⟩/(p+1) over the
-    carriers σ, the p-simplices at a root.  With D the lcm of the weights'
-    denominators, each root adds its integer weight · D onto its carriers,
-    per complex object; each carrier is then walked once
-    (:func:`_carrier_walk`) over one :class:`_Incidence` per complex, so
-    rows are built once and roots that share a carrier share its walk.
-    Each order's integer sum becomes one fraction over D (p+1).  The walks
-    read ``cx`` itself: no ball is cut and no matrix assembled.
-    """
-    _check_moment_args(p, order)
-    roots = list(roots)
-    d, weights = _integer_weights(weight for _, _, weight in roots)
+def _moment_sums(roots, p: int, order: int) -> list:
+    """Σ w · ⟨Δ^r σ, σ⟩, r = 0..order, over (complex, root, integer w)
+    triples and the carriers σ at each root.  Each root adds w onto its
+    carriers, per complex object; each carrier is then walked once, over
+    one :class:`_Incidence` per complex, so rows are built once."""
     by_complex = {}
-    for (cx, root, _), w in zip(roots, weights):
+    for cx, root, w in roots:
         carriers = by_complex.setdefault(id(cx), (cx, {}))[1]
         for s in cx.star(root):
             if len(s) == p + 1:
@@ -176,9 +164,20 @@ def _weighted_moments(roots, p: int, order: int) -> MomentVector:
         for s, w in carriers.items():
             for r, m in enumerate(_carrier_walk(row, s, order)):
                 sums[r] += w * m
-    mv = MomentVector(p, [Fraction(s, d * (p + 1)) for s in sums])
-    mv.validate()
-    return mv
+    return sums
+
+
+def _weighted_moments(roots, p: int, order: int) -> MomentVector:
+    """Σ weight · m_r over (complex, root, weight) triples, exactly: the
+    integers weight · D, D the lcm of the weights' denominators, go through
+    :func:`_moment_sums`, and each order's sum becomes one fraction over
+    D (p+1).  Unvalidated: the law-level callers check positivity."""
+    _check_moment_args(p, order)
+    roots = list(roots)
+    d, weights = _integer_weights(weight for _, _, weight in roots)
+    sums = _moment_sums(((cx, root, w) for (cx, root, _), w in zip(roots, weights)),
+                        p, order)
+    return MomentVector(p, [Fraction(s, d * (p + 1)) for s in sums])
 
 
 def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
@@ -192,9 +191,11 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
 
 def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVector:
     """Exact moments m_0..m_order of the spectral measure of a finite law."""
-    return _weighted_moments(
+    mv = _weighted_moments(
         ((pt.rooted.complex, pt.rooted.root, pt.weight) for pt in mu.points),
         p, order)
+    mv.validate()
+    return mv
 
 
 def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVector:
@@ -211,7 +212,9 @@ def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVecto
     if not verts:
         raise ValidationError("cannot average over an empty complex")
     weight = Fraction(1, len(verts))
-    return _weighted_moments(((cx, v, weight) for v in verts), p, order)
+    mv = _weighted_moments(((cx, v, weight) for v in verts), p, order)
+    mv.validate()
+    return mv
 
 
 def vertex_sampler(cx: SimplicialComplex, radius: int):
@@ -266,14 +269,11 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
             raise ValidationError(
                 f"sample ball radius {sample.declared_radius} cannot support "
                 f"order-{order} moments")
-        # a float per sample, not one weighted exact sum: walk its carriers here
-        cx, root = sample.rooted.complex, sample.rooted.root
-        row = _Incidence(cx).row
-        walks = [_carrier_walk(row, s, order) for s in cx.star(root)
-                 if len(s) == p + 1]
-        for r in range(order + 1):
-            # int / int rounds the rational once, as float(Fraction) does
-            values[r].append(sum(w[r] for w in walks) / (p + 1))
+        rooted = sample.rooted
+        sums = _moment_sums(((rooted.complex, rooted.root, 1),), p, order)
+        for r, t in enumerate(sums):
+            # int / int rounds the rational t/(p+1) once, as float(Fraction) does
+            values[r].append(t / (p + 1))
     means = [math.fsum(col) / n_samples for col in values]
     if n_samples == 1:
         errs = [0.0] * (order + 1)

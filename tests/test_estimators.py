@@ -280,20 +280,6 @@ def test_a_law_walks_each_shared_carrier_once(monkeypatch):
         assert set(walked) == distinct
 
 
-def test_monte_carlo_matches_the_exact_route_off_transitivity():
-    # Monte Carlo walks each sample's carriers by its own loop: a sampler
-    # that always returns one root of a complex with no symmetry to hide
-    # behind must give that root's exact moments, with zero spread
-    cx = _percolated_torus()
-    for v in (0, 37, 55):
-        rc = rooted_at(cx, v)
-        for p in range(3):
-            mv = monte_carlo_moments(lambda rng: rc, p, 6, 4, seed=5)
-            assert mv.moments == tuple(float(local_moment(rc, p, r))
-                                       for r in range(7))
-            assert mv.stderrs == (0.0,) * 7
-
-
 def _gram_traces(cx, q, order):
     """tr(G^r) for r = 1..order, in Python ints, of the Gram piece G of d_q
     that the eigensolver reads (0 where d_q has no piece)."""
@@ -485,6 +471,16 @@ def test_monte_carlo_exact_on_transitive_complex():
     assert mv.moments[0] == 3.0
     assert all(e == 0.0 for e in mv.stderrs)
     assert mv.moments == tuple(float(m) for m in exact.moments)
+    # a sampler that always returns one root of a complex with no symmetry
+    # is exact the same way: every sample is that root's exact moments
+    cx = _percolated_torus()
+    for v in (0, 37, 55):
+        rc = rooted_at(cx, v)
+        for p in range(3):
+            mv = monte_carlo_moments(lambda rng: rc, p, 6, 4, seed=5)
+            assert mv.moments == tuple(float(local_moment(rc, p, r))
+                                       for r in range(7))
+            assert mv.stderrs == (0.0,) * 7
 
 
 def test_monte_carlo_error_scaling():
