@@ -22,6 +22,8 @@ from .spectral import (_chain_numbers, _nonzero_spectrum, _radius_bound,
 
 __all__ = ["main", "build_parser"]
 
+_TOWERS = {"torus2d": 2, "torus1d": 1}
+
 
 class _Parser(argparse.ArgumentParser):
     # spec'd exit codes reserve 2 for parse failures; usage errors exit 1
@@ -56,14 +58,13 @@ def _cmd_validate(args):
     if root is not None:
         print(f"root: {root}")
     print("valid")
-    return 0
 
 
 def _cmd_betti(args):
     cx, _ = read_scx(args.file)
     if not cx.vertices:
         print("empty complex")
-        return 0
+        return
     ps = [args.p] if args.p is not None else range(cx.dim + 1)
     bettis, ranks = _chain_numbers(cx, ps)
     for p, b in bettis.items():
@@ -76,7 +77,6 @@ def _cmd_betti(args):
         for q, rank in ranks.items():
             _nonzero_spectrum(cx, q, rank)
         print("cross-check: eigensolver kernel mass matches exact rank")
-    return 0
 
 
 def _cmd_spectrum(args):
@@ -96,7 +96,6 @@ def _cmd_spectrum(args):
         print("atoms (eigenvalue,weight):")
         for value, weight in measure.atoms():
             print(f"{value!r},{weight}")
-    return 0
 
 
 def _cmd_canon(args):
@@ -109,21 +108,18 @@ def _cmd_canon(args):
     decoded = code.decode()
     print("minimal representative (root 0):")
     write_scx(decoded.complex, sys.stdout, decoded.root)
-    return 0
 
 
 def _cmd_bs_distance(args):
     a = _rooted_from_arg(args.a)
     b = _rooted_from_arg(args.b)
     print(bs_distance(a, b, args.rmax))
-    return 0
 
 
 def _cmd_measure_distance(args):
     m1 = load_measure(args.m1)
     m2 = load_measure(args.m2)
     print(measure_distance(m1, m2, args.rmax))
-    return 0
 
 
 def _cmd_mass_transport(args):
@@ -134,21 +130,17 @@ def _cmd_mass_transport(args):
         all_pass = all_pass and passed
         print(f"{name:28s} lhs={lhs} rhs={rhs} {'pass' if passed else 'FAIL'}")
     print(f"unimodular on battery: {'yes' if all_pass else 'no'}")
-    return 0
 
 
 def _cmd_truncate(args):
     cx, root = read_scx(args.file)
     out = degree_truncate(cx, args.degree)
     write_scx(out, sys.stdout, root)
-    return 0
 
 
 def _cmd_generate(args):
-    if args.family == "torus2d":
-        cx = torus_tower(2, args.n)
-    elif args.family == "torus1d":
-        cx = torus_tower(1, args.n)
+    if args.family in _TOWERS:
+        cx = torus_tower(_TOWERS[args.family], args.n)
     elif args.family == "lm":
         cx = linial_meshulam(args.d, args.n, args.prob, args.seed)
     elif args.family == "flag":
@@ -162,7 +154,6 @@ def _cmd_generate(args):
     write_scx(cx, args.out or sys.stdout)
     if args.out:
         print(f"wrote {args.out}")
-    return 0
 
 
 def _cmd_converge(args):
@@ -173,8 +164,7 @@ def _cmd_converge(args):
         raise MalformedInputError("levels and eps must be comma-separated numbers")
     if not levels:
         raise MalformedInputError("need at least one level")
-    d = 2 if args.family == "torus2d" else 1
-    sequence = [torus_tower(d, n) for n in levels]
+    sequence = [torus_tower(_TOWERS[args.family], n) for n in levels]
     report = convergence_experiment(
         sequence, args.p, args.moments, eps_list, rmax=args.rmax,
         labels=levels, degree_bound=args.degree_bound)
@@ -182,7 +172,6 @@ def _cmd_converge(args):
     for line in report.summary_lines():
         print(line)
     print(f"wrote {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,10 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a generated complex as .scx")
     gen = p.add_subparsers(dest="family", required=True)
-    g = gen.add_parser("torus2d")
-    g.add_argument("--n", type=int, required=True)
-    g = gen.add_parser("torus1d")
-    g.add_argument("--n", type=int, required=True)
+    for family in _TOWERS:
+        gen.add_parser(family).add_argument("--n", type=int, required=True)
     g = gen.add_parser("lm")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--prob", type=float, required=True)
@@ -261,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("converge", help="statistics along a tower of complexes")
-    p.add_argument("--family", choices=["torus2d", "torus1d"], required=True)
+    p.add_argument("--family", choices=list(_TOWERS), required=True)
     p.add_argument("--levels", required=True, help="comma-separated sizes")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--moments", type=int, default=4)
@@ -279,7 +266,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        args.fn(args)
+        return 0
     except L2LimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -273,8 +273,7 @@ class RootedComplex:
 
         A ball that already holds every vertex is rooted in this complex.
         """
-        if r < 0:
-            raise ValidationError("ball radius must be nonnegative")
+        _check_radius(r)
         cx = self.complex
         inside = _bfs(cx, self.root, r)
         if len(inside) == len(cx.faces(0)):
@@ -305,9 +304,9 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
     The package's one breadth-first search.  The dict's insertion order is
     the search order, layer by layer with each vertex's neighbours in
     ascending order; the isomorphism search takes its vertex order from
-    it.  A negative ``radius`` never matches a layer, so the search covers
-    the root's whole component; callers that take a radius reject one
-    below 0 first.
+    it.  A ``radius`` that is negative or not an integer never matches a
+    layer, so the search covers the root's whole component; callers that
+    take a radius refuse such a one first, with :func:`_check_radius`.
     """
     dist = {root: 0}
     frontier = [root]
@@ -323,6 +322,15 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def _check_radius(r) -> None:
+    try:
+        negative = operator.index(r) < 0
+    except TypeError:
+        raise ValidationError(f"ball radius must be an integer, not {r!r}") from None
+    if negative:
+        raise ValidationError("ball radius must be nonnegative")
 
 
 def rooted_at(cx: SimplicialComplex, root: int) -> RootedComplex:

@@ -22,7 +22,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 
-from .complexes import RootedComplex, SimplicialComplex, _bfs, _grouped
+from .complexes import (RootedComplex, SimplicialComplex, _bfs, _check_radius,
+                        _grouped)
 from .errors import ValidationError
 
 __all__ = [
@@ -647,8 +648,8 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     resumes from the orders of that inner entry, if it has any, and starts
     from the root otherwise.
     """
-    if r is not None and r < 0:
-        raise ValidationError("ball radius must be nonnegative")
+    if r is not None:
+        _check_radius(r)
     dist = _bfs(cx, root, r)
     vert = sorted(sorted(dist), key=dist.__getitem__)
     bit = {v: 1 << i for i, v in enumerate(vert)}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex
+from .complexes import RootedComplex, SimplicialComplex, _check_radius
 from .errors import HypothesisViolationError, ValidationError
 from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
                        uniform_rooting)
@@ -184,7 +184,9 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
     """Σ over p-simplices at the root of ⟨Δ_p^r σ, σ⟩/(p+1), exactly.
 
     Only the (r//2 + 1)-ball around the root enters the answer, so the input
-    may be the whole complex or any subcomplex containing that ball.
+    may be the whole complex or any subcomplex containing that ball.  Orders
+    0..r are walked to return m_r; every order at one root comes from one
+    call, ``moments_of_measure(RandomRootedComplex.point_mass(rc), p, order)``.
     """
     return _weighted_moments(((rc.complex, rc.root, 1),), p, r).moments[r]
 
@@ -229,8 +231,7 @@ def vertex_sampler(cx: SimplicialComplex, radius: int):
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot sample from an empty complex")
-    if radius < 0:
-        raise ValidationError("ball radius must be nonnegative")
+    _check_radius(radius)
     parts = {}
     if not cx.is_connected():
         for comp in cx.components():

@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex
+from .complexes import RootedComplex, SimplicialComplex, _check_radius
 from .encoding import CanonicalCode, _ball_code, _root_classes
 from .errors import ValidationError
 
@@ -136,6 +136,8 @@ class BallDistribution(dict):
     def validate(self) -> None:
         if sum(self.values(), _ZERO) != 1:
             raise ValidationError("ball distribution weights must sum to 1")
+        if min(self.values()) <= 0:
+            raise ValidationError("ball distribution weights must be positive")
         for code in self:
             rc = code.decode()
             if _ball_code(rc.complex, rc.root, self.radius) != code:
@@ -152,6 +154,15 @@ def _integer_weights(weights) -> tuple:
     return d, [w.numerator * (d // w.denominator) for w in weights]
 
 
+def _code_sums(weighted, r: int) -> dict:
+    """Integer weight per radius-``r`` ball code over (point, weight) pairs."""
+    sums = {}
+    for pt, w in weighted:
+        code = pt.ball_code(r)
+        sums[code] = sums.get(code, 0) + w
+    return sums
+
+
 def ball_distribution(mu: RandomRootedComplex, r: int) -> BallDistribution:
     """Law of the radius-``r`` ball at the root, keyed by canonical code.
 
@@ -160,13 +171,9 @@ def ball_distribution(mu: RandomRootedComplex, r: int) -> BallDistribution:
     asked for.  Weights are summed per code as integers over the lcm of
     their denominators, and each code's sum becomes one fraction.
     """
-    if r < 0:
-        raise ValidationError("ball radius must be nonnegative")
+    _check_radius(r)
     d, weights = _integer_weights(pt.weight for pt in mu.points)
-    sums = {}
-    for pt, w in zip(mu.points, weights):
-        code = pt.ball_code(r)
-        sums[code] = sums.get(code, 0) + w
+    sums = _code_sums(zip(mu.points, weights), r)
     return BallDistribution(r, {code: Fraction(w, d) for code, w in sums.items()})
 
 
@@ -196,11 +203,7 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
     signed = list(zip(points, weights[:split] + [-w for w in weights[split:]]))
     total = 0
     for r in range(1, rmax + 1):
-        sums = {}
-        for pt, w in signed:
-            code = pt.ball_code(r)
-            sums[code] = sums.get(code, 0) + w
-        total += sum(map(abs, sums.values())) << (rmax - r)
+        total += sum(map(abs, _code_sums(signed, r).values())) << (rmax - r)
     return Fraction(total, d << (rmax + 1))
 
 
@@ -220,13 +223,10 @@ def mass_transport_check(mu: RandomRootedComplex, fn) -> MassTransportResult:
     exactly; a skewed root distribution can break the identity.  Weights
     are exact, so the check passes only when the sides are equal.
     """
-    lhs = _ZERO
-    rhs = _ZERO
-    for pt in mu.points:
-        cx = pt.rooted.complex
-        root = pt.rooted.root
-        lhs += pt.weight * sum(fn(cx, root, y) for y in cx.vertices)
-        rhs += pt.weight * sum(fn(cx, x, root) for x in cx.vertices)
+    lhs = mu.expect(lambda pt: sum(fn(pt.rooted.complex, pt.rooted.root, y)
+                                   for y in pt.rooted.complex.vertices))
+    rhs = mu.expect(lambda pt: sum(fn(pt.rooted.complex, x, pt.rooted.root)
+                                   for x in pt.rooted.complex.vertices))
     return MassTransportResult(lhs, rhs, lhs == rhs)
 
 

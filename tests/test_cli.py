@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import io
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import l2limits
-from l2limits.cli import main
+from l2limits.cli import build_parser, main
 from l2limits.errors import CrossCheckError, L2LimitsError
-from l2limits.formats import save_measure, write_scx
+from l2limits.formats import read_scx, save_measure, write_scx
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import uniform_rooting
 
@@ -276,6 +277,22 @@ def test_generate(tmp_path, capsys):
     assert code == 0 and out
     code, _, err = run(capsys, ["generate", "fixture", "nonesuch"])
     assert code == 3
+
+
+def test_generate_towers_are_converge_families(capsys):
+    code, out, _ = run(capsys, ["generate", "torus1d", "--n", "7"])
+    assert code == 0 and read_scx(io.StringIO(out)) == (torus_tower(1, 7), None)
+
+    def subcommands(parser):
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    commands = subcommands(build_parser())
+    families = next(action.choices for action in commands["converge"]._actions
+                    if action.dest == "family")
+    towers = [name for name in subcommands(commands["generate"])
+              if name not in ("lm", "flag", "fixture")]
+    assert towers == list(families) == ["torus2d", "torus1d"]
 
 
 def test_converge(tmp_path, capsys):

@@ -15,6 +15,7 @@ from l2limits.encoding import (CanonicalCode, _ball_code, bs_distance,
                                find_rooted_isomorphism, index_of_subset,
                                subset_from_index)
 from l2limits.errors import ValidationError
+from l2limits.estimators import vertex_sampler
 from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import ball_distribution, uniform_rooting
 from test_golden import corpus
@@ -457,6 +458,26 @@ def test_negative_radius_is_rejected_before_any_search(monkeypatch):
         bs_distance(a, b, -1)
     assert searches == []
     assert mu.points[0]._ball_codes == {}
+
+
+def test_non_integer_radius_is_rejected():
+    # _bfs never meets a layer equal to 1.5, so each radius taker would
+    # answer with the whole component; ball_distribution refuses 1.0 even
+    # when its memo holds radius 1
+    torus = torus_tower(2, 6)
+    rc = rooted_at(torus, 0)
+    mu = uniform_rooting(torus)
+    ball_distribution(mu, 1)
+    for call in (lambda: rc.ball(1.5),
+                 lambda: _ball_code(torus, 0, 1.5),
+                 lambda: mu.points[0].ball_code(1.5),
+                 lambda: ball_distribution(mu, 1.5),
+                 lambda: ball_distribution(mu, 1.0),
+                 lambda: vertex_sampler(torus, 1.5)):
+        with pytest.raises(ValidationError, match="ball radius must be an integer"):
+            call()
+    with pytest.raises(ValidationError, match="ball radius must be nonnegative"):
+        rc.ball(-1)
 
 
 def test_discrete_colours_run_no_automorphism_search(monkeypatch):

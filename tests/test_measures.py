@@ -175,6 +175,7 @@ def test_ball_distribution_path4():
     mu = uniform_rooting(fixtures()["path4"])
     dist = ball_distribution(mu, 1)
     assert sorted(dist.values()) == [Fraction(1, 2), Fraction(1, 2)]
+    dist.validate()
     with pytest.raises(ValidationError):
         ball_distribution(mu, -1)
 
@@ -187,6 +188,12 @@ def test_ball_distribution_validate_rejects_non_balls():
     short = BallDistribution(0, {canonical_code(center.ball(0)): Fraction(1, 2)})
     with pytest.raises(ValidationError):
         short.validate()
+    # valid radius-1 keys whose weights sum to 1 but are not all positive
+    end = canonical_code(rooted_at(fixtures()["path3"], 0).ball(1))
+    for weights in ((Fraction(3, 2), Fraction(-1, 2)), (Fraction(1), Fraction(0))):
+        law = BallDistribution(1, dict(zip((canonical_code(center), end), weights)))
+        with pytest.raises(ValidationError, match="positive"):
+            law.validate()
 
 
 def test_total_variation():
