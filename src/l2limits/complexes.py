@@ -12,7 +12,7 @@ import operator
 
 from itertools import chain, combinations, repeat
 
-from .errors import MalformedInputError, ValidationError
+from .errors import MalformedInputError, ValidationError, _check_int
 
 __all__ = [
     "SimplicialComplex",
@@ -258,7 +258,7 @@ class RootedComplex:
         if not complex.is_connected():
             raise ValidationError("rooted complex must be connected")
         self.complex = complex
-        self.root = root
+        self.root = _check_int(root, "root")
 
     @classmethod
     def _make(cls, complex: SimplicialComplex, root: int) -> "RootedComplex":
@@ -273,9 +273,8 @@ class RootedComplex:
 
         A ball that already holds every vertex is rooted in this complex.
         """
-        _check_radius(r)
         cx = self.complex
-        inside = _bfs(cx, self.root, r)
+        inside = _bfs(cx, self.root, _check_int(r, "ball radius"))
         if len(inside) == len(cx.faces(0)):
             return RootedComplex._make(cx, self.root)
         return RootedComplex._make(cx.induced(inside), self.root)
@@ -306,7 +305,7 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
     ascending order; the isomorphism search takes its vertex order from
     it.  A ``radius`` that is negative or not an integer never matches a
     layer, so the search covers the root's whole component; callers that
-    take a radius refuse such a one first, with :func:`_check_radius`.
+    take a radius refuse such a one first, with :func:`errors._check_int`.
     """
     dist = {root: 0}
     frontier = [root]
@@ -324,19 +323,11 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
     return dist
 
 
-def _check_radius(r) -> None:
-    try:
-        negative = operator.index(r) < 0
-    except TypeError:
-        raise ValidationError(f"ball radius must be an integer, not {r!r}") from None
-    if negative:
-        raise ValidationError("ball radius must be nonnegative")
-
-
 def rooted_at(cx: SimplicialComplex, root: int) -> RootedComplex:
     """Root ``cx`` at a vertex, restricting to that vertex's component."""
     if not cx.has_vertex(root):
         raise ValidationError(f"root {root} is not a vertex")
+    root = _check_int(root, "root")
     if cx.is_connected():
         return RootedComplex._make(cx, root)
     return RootedComplex._make(cx.induced(cx.distances(root)), root)

@@ -22,9 +22,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 
-from .complexes import (RootedComplex, SimplicialComplex, _bfs, _check_radius,
-                        _grouped)
-from .errors import ValidationError
+from .complexes import RootedComplex, SimplicialComplex, _bfs, _grouped
+from .errors import ValidationError, _check_int
 
 __all__ = [
     "CanonicalCode",
@@ -48,12 +47,7 @@ def subset_from_index(n: int) -> frozenset:
     n + 1, e.g. 0 -> {0}, 1 -> {1}, 2 -> {0, 1}, 3 -> {2}, 7 -> {3}.  Every
     subset of {0..k} occurs among the first 2**(k+1) positions.
     """
-    try:
-        bits = operator.index(n) + 1
-    except TypeError:
-        raise ValidationError(f"subset index must be an integer: {n!r}") from None
-    if bits < 1:
-        raise ValidationError("subset index must be nonnegative")
+    bits = _check_int(n, "subset index") + 1
     out = []
     pos = 0
     while bits:
@@ -649,7 +643,7 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     from the root otherwise.
     """
     if r is not None:
-        _check_radius(r)
+        r = _check_int(r, "ball radius")
     dist = _bfs(cx, root, r)
     vert = sorted(sorted(dist), key=dist.__getitem__)
     bit = {v: 1 << i for i, v in enumerate(vert)}
@@ -727,8 +721,8 @@ def bs_distance(a: RootedComplex, b: RootedComplex, rmax=None) -> Fraction:
     if rmax is None:
         # balls at the largest eccentricity are the full complexes
         rmax = max(a.eccentricity(), b.eccentricity())
-    elif rmax < 0:
-        raise ValidationError("rmax must be nonnegative")
+    else:
+        rmax = _check_int(rmax, "rmax")
     for r in range(1, rmax + 1):
         if (_ball_code(a.complex, a.root, r)
                 != _ball_code(b.complex, b.root, r)):

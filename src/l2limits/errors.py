@@ -13,6 +13,8 @@ should raise the most specific type that applies:
 
 from __future__ import annotations
 
+import operator
+
 __all__ = [
     "L2LimitsError",
     "MalformedInputError",
@@ -56,3 +58,16 @@ class CrossCheckError(L2LimitsError):
     """
 
     exit_code = 5
+
+
+def _check_int(value, what: str) -> int:
+    """``value`` as an int, refused unless ``operator.index`` takes it (numpy
+    integers and bools do, floats do not) and it is nonnegative; a floor
+    above 0 is the caller's to check, with its own message."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, not {value!r}") from None
+    if n < 0:
+        raise ValidationError(f"{what} must be nonnegative")
+    return n

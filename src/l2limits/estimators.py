@@ -16,8 +16,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex, _check_radius
-from .errors import HypothesisViolationError, ValidationError
+from .complexes import RootedComplex, SimplicialComplex
+from .errors import HypothesisViolationError, ValidationError, _check_int
 from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
                        uniform_rooting)
 from .spectral import _Incidence, _radius_bound, spectral_measure
@@ -115,11 +115,8 @@ class RootSample(NamedTuple):
         return radius is None or radius >= r // 2 + 1
 
 
-def _check_moment_args(p: int, order: int) -> None:
-    if p < 0:
-        raise ValidationError("dimension must be nonnegative")
-    if order < 0:
-        raise ValidationError("moment order must be nonnegative")
+def _check_moment_args(p: int, order: int) -> tuple:
+    return _check_int(p, "dimension"), _check_int(order, "moment order")
 
 
 def _carrier_walk(row, carrier: tuple, order: int) -> tuple:
@@ -172,7 +169,7 @@ def _weighted_moments(roots, p: int, order: int) -> MomentVector:
     integers weight · D, D the lcm of the weights' denominators, go through
     :func:`_moment_sums`, and each order's sum becomes one fraction over
     D (p+1).  Unvalidated: the law-level callers check positivity."""
-    _check_moment_args(p, order)
+    p, order = _check_moment_args(p, order)
     roots = list(roots)
     d, weights = _integer_weights(weight for _, _, weight in roots)
     sums = _moment_sums(((cx, root, w) for (cx, root, _), w in zip(roots, weights)),
@@ -231,7 +228,7 @@ def vertex_sampler(cx: SimplicialComplex, radius: int):
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot sample from an empty complex")
-    _check_radius(radius)
+    radius = _check_int(radius, "ball radius")
     parts = {}
     if not cx.is_connected():
         for comp in cx.components():
@@ -255,11 +252,11 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
     """
     import numpy as np
 
+    n_samples = _check_int(n_samples, "sample count")
     if n_samples < 1:
         raise ValidationError("need at least one sample")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    _check_moment_args(p, order)
+    seed = _check_int(seed, "seed")
+    p, order = _check_moment_args(p, order)
     values = [[] for _ in range(order + 1)]
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
@@ -305,10 +302,8 @@ def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
     spectrum to be empty and the bound collapses to 0.
     """
     _check_eps(eps)
-    if degree_bound < 0:
-        raise ValidationError("degree bound must be nonnegative")
-    if p < 0:
-        raise ValidationError("dimension must be nonnegative")
+    degree_bound = _check_int(degree_bound, "degree bound")
+    p = _check_int(p, "dimension")
     radius = _radius_bound(p, degree_bound)
     if radius <= 1:
         return 0.0
@@ -410,8 +405,9 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     the whole sequence; a strictly growing degree column (or an explicit
     ``degree_bound`` that some level violates) aborts the experiment.
     Each eps lies strictly between 0 and 1, no two share the ``:g`` label
-    that names their column, and ``degree_bound`` is not negative; all are
-    checked before any level runs.  Levels run in turn, in this process:
+    that names their column, and ``p``, ``order``, ``rmax`` and
+    ``degree_bound`` are nonnegative integers; all are checked before any
+    level runs.  Levels run in turn, in this process:
     ``threads`` may only be None or 1.
     """
     if threads not in (None, 1):
@@ -426,11 +422,10 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     if len(set(columns)) != len(columns):
         raise ValidationError(
             f"eps values {eps_list} repeat a column label: {columns}")
-    if rmax < 0:
-        raise ValidationError("rmax must be nonnegative")
-    if degree_bound is not None and degree_bound < 0:
-        raise ValidationError("degree bound must be nonnegative")
-    _check_moment_args(p, order)
+    rmax = _check_int(rmax, "rmax")
+    if degree_bound is not None:
+        degree_bound = _check_int(degree_bound, "degree bound")
+    p, order = _check_moment_args(p, order)
     if labels is None:
         labels = list(range(len(sequence)))
     if len(labels) != len(sequence):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .complexes import RootedComplex, SimplicialComplex, _as_simplex
-from .errors import MalformedInputError, ValidationError
+from .errors import MalformedInputError, ValidationError, _check_int
 from .measures import RandomRootedComplex, SupportPoint
 
 __all__ = [
@@ -81,7 +81,7 @@ def read_scx(source):
 
 
 def write_scx(cx: SimplicialComplex, target, root=None) -> None:
-    lines = [] if root is None else [f"root {root}"]
+    lines = [] if root is None else [f"root {_check_int(root, 'root')}"]
     lines += [" ".join(str(v) for v in s) for s in cx.maximal_simplices()]
     with _text(target, "w") as fh:
         fh.write("\n".join(lines) + "\n" if lines else "")

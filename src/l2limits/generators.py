@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 
 __all__ = [
     "torus_tower",
@@ -27,9 +27,9 @@ def torus_tower(d: int, n: int) -> SimplicialComplex:
     along its (+1,+1) diagonal, so there are n^2 vertices, 3n^2 edges and
     2n^2 triangles and every vertex has degree 6.
     """
-    if n < 3:
+    if _check_int(n, "side length") < 3:
         raise ValidationError("side length below 3 does not quotient simplicially")
-    if d not in (1, 2):
+    if _check_int(d, "torus dimension") not in (1, 2):
         raise ValidationError("only dimensions 1 and 2 are generated")
     # The faces are listed in closed form, each once, and every face holds
     # the one int object of each of its vertices.
@@ -57,14 +57,13 @@ def _pair(u: int, w: int) -> tuple:
 
 def linial_meshulam(d: int, n: int, prob: float, seed: int) -> SimplicialComplex:
     """Full (d-1)-skeleton on n vertices plus independent random d-faces."""
-    if d < 1:
+    if _check_int(d, "face dimension") < 1:
         raise ValidationError("face dimension must be at least 1")
-    if n < d + 1:
+    if _check_int(n, "vertex count") < d + 1:
         raise ValidationError(f"need at least {d + 1} vertices")
     if not 0 <= prob <= 1:
         raise ValidationError("probability must lie in [0, 1]")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    seed = _check_int(seed, "seed")
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -76,13 +75,12 @@ def linial_meshulam(d: int, n: int, prob: float, seed: int) -> SimplicialComplex
 
 def random_flag(n: int, prob: float, max_dim: int, seed: int) -> SimplicialComplex:
     """Clique complex of a G(n, prob) graph, truncated at max_dim."""
-    if n < 1:
+    if _check_int(n, "vertex count") < 1:
         raise ValidationError("need at least one vertex")
     if not 0 <= prob <= 1:
         raise ValidationError("probability must lie in [0, 1]")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    if max_dim < 1:
+    seed = _check_int(seed, "seed")
+    if _check_int(max_dim, "max_dim") < 1:
         raise ValidationError("flag completion starts at dimension 1")
     import numpy as np
 

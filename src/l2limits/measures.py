@@ -15,9 +15,9 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex, _check_radius
+from .complexes import RootedComplex, SimplicialComplex
 from .encoding import CanonicalCode, _ball_code, _root_classes
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 
 __all__ = [
     "SupportPoint",
@@ -58,7 +58,9 @@ class SupportPoint:
     def ball_code(self, r: int | None) -> CanonicalCode:
         """Code of the radius-``r`` ball at the root (the whole complex when
         ``r`` is None), computed once and read from the rooted complex
-        without cutting the ball."""
+        without cutting the ball.  ``r`` is checked before the memo is read."""
+        if r is not None:
+            r = _check_int(r, "ball radius")
         code = self._ball_codes.get(r)
         if code is None:
             rc = self.rooted
@@ -171,7 +173,8 @@ def ball_distribution(mu: RandomRootedComplex, r: int) -> BallDistribution:
     asked for.  Weights are summed per code as integers over the lcm of
     their denominators, and each code's sum becomes one fraction.
     """
-    _check_radius(r)
+    # ball_code would take r = None as the whole complex
+    r = _check_int(r, "ball radius")
     d, weights = _integer_weights(pt.weight for pt in mu.points)
     sums = _code_sums(zip(mu.points, weights), r)
     return BallDistribution(r, {code: Fraction(w, d) for code, w in sums.items()})
@@ -195,8 +198,7 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
     absolute values, so the distance is one fraction,
     Σ g_r 2^(rmax-r) / (D 2^(rmax+1)).
     """
-    if rmax < 0:
-        raise ValidationError("rmax must be nonnegative")
+    rmax = _check_int(rmax, "rmax")
     points = mu.points + nu.points
     split = len(mu.points)
     d, weights = _integer_weights(pt.weight for pt in points)
@@ -328,8 +330,7 @@ def degree_truncate(cx: SimplicialComplex, max_deg: int) -> SimplicialComplex:
     leave isolated vertices behind.  A deletion removes no other edge, so
     the rule runs on the graph alone and the complex is built once.
     """
-    if max_deg < 0:
-        raise ValidationError("degree bound must be nonnegative")
+    max_deg = _check_int(max_deg, "degree bound")
     if cx.max_degree() <= max_deg:
         return cx
     nbrs = {v: set(cx.neighbors(v)) for v in cx.vertices}
@@ -358,4 +359,5 @@ def degree_truncate(cx: SimplicialComplex, max_deg: int) -> SimplicialComplex:
 
 def expected_p_degree(mu: RandomRootedComplex, p: int) -> Fraction:
     """Mean number of p-simplices containing the root."""
+    p = _check_int(p, "dimension")
     return mu.expect(lambda pt: pt.rooted.p_degree(p))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .complexes import SimplicialComplex
-from .errors import CrossCheckError, ValidationError
+from .errors import CrossCheckError, ValidationError, _check_int
 from .exact import rational_rank
 
 if TYPE_CHECKING:
@@ -183,8 +183,7 @@ def _chain_numbers(cx: SimplicialComplex, ps) -> tuple:
     """({p: b_p} in the order of ``ps``, {q: rank d_q} in ascending q for
     each p in ``ps`` and p + 1), each rank computed once: adjacent degrees
     share one, as b_p = |K(p)| - rank d_p - rank d_{p+1}."""
-    if any(p < 0 for p in ps):
-        raise ValidationError("betti degree must be nonnegative")
+    ps = [_check_int(p, "betti degree") for p in ps]
     ranks = {q: boundary_rank(cx, q) for q in sorted({*ps, *(p + 1 for p in ps)})}
     return {p: len(cx.faces(p)) - ranks[p] - ranks[p + 1] for p in ps}, ranks
 
@@ -249,8 +248,7 @@ def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
     (they eigensolve the smaller Gram matrix of each d); it is the reference
     the tests and the golden chain digests read.
     """
-    if p < 0:
-        raise ValidationError("Laplacian degree must be nonnegative")
+    p = _check_int(p, "Laplacian degree")
     return _gram(cx, p, upper=True) + _gram(cx, p + 1, upper=False)
 
 
@@ -341,8 +339,7 @@ def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     CrossCheckError.  A piece past ``DENSE_EIGENSOLVE_CAP`` rows is refused
     before any rank or eigensolve is computed.
     """
-    if p < 0:
-        raise ValidationError("spectral degree must be nonnegative")
+    p = _check_int(p, "spectral degree")
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
@@ -374,8 +371,10 @@ def operator_norm_bounds(cx: SimplicialComplex, p: int,
     cross-check and refusal of the empty complex; one above the Gershgorin
     bound of :func:`_radius_bound` raises CrossCheckError.
     """
+    p = _check_int(p, "norm degree")
     if p < 1:
         raise ValidationError("norm bounds are stated for p >= 1")
+    degree_bound = _check_int(degree_bound, "degree bound")
     if cx.max_degree() > degree_bound:
         raise ValidationError(
             f"max degree {cx.max_degree()} exceeds declared bound {degree_bound}")

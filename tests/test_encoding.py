@@ -462,8 +462,8 @@ def test_negative_radius_is_rejected_before_any_search(monkeypatch):
 
 def test_non_integer_radius_is_rejected():
     # _bfs never meets a layer equal to 1.5, so each radius taker would
-    # answer with the whole component; ball_distribution refuses 1.0 even
-    # when its memo holds radius 1
+    # answer with the whole component; ball_distribution and ball_code
+    # refuse 1.0 even when the memo holds radius 1
     torus = torus_tower(2, 6)
     rc = rooted_at(torus, 0)
     mu = uniform_rooting(torus)
@@ -473,6 +473,7 @@ def test_non_integer_radius_is_rejected():
                  lambda: mu.points[0].ball_code(1.5),
                  lambda: ball_distribution(mu, 1.5),
                  lambda: ball_distribution(mu, 1.0),
+                 lambda: mu.points[0].ball_code(1.0),
                  lambda: vertex_sampler(torus, 1.5)):
         with pytest.raises(ValidationError, match="ball radius must be an integer"):
             call()

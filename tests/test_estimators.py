@@ -561,15 +561,20 @@ def test_convergence_experiment_checks_rmax_first(monkeypatch):
     for p, order, rmax, message in [
             (1, 2, -1, "rmax must be nonnegative"),
             (-1, 2, 2, "dimension must be nonnegative"),
-            (1, -1, 2, "moment order must be nonnegative")]:
+            (1, -1, 2, "moment order must be nonnegative"),
+            (1, 2, 1.5, "rmax must be an integer"),
+            (1, 2.0, 2, "moment order must be an integer"),
+            (1.0, 2, 2, "dimension must be an integer")]:
         with pytest.raises(ValidationError, match=message):
             convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
                                    p, order, [0.5], rmax=rmax, threads=1)
     assert levels == []
     # a negative bound is a bad argument, not a level breaking the bound
-    with pytest.raises(ValidationError, match="degree bound must be nonnegative"):
-        convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
-                               1, 2, [0.5], degree_bound=-1)
+    for bound, message in [(-1, "degree bound must be nonnegative"),
+                           (6.5, "degree bound must be an integer")]:
+        with pytest.raises(ValidationError, match=message):
+            convergence_experiment([torus_tower(2, 4), torus_tower(2, 5)],
+                                   1, 2, [0.5], degree_bound=bound)
     assert levels == []
 
 

@@ -2,12 +2,14 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from l2limits.complexes import rooted_at
 from l2limits.errors import MalformedInputError, ValidationError
 from l2limits.formats import load_measure, read_scx, save_measure, write_scx
 from l2limits.generators import fixtures
-from l2limits.measures import uniform_rooting
+from l2limits.measures import RandomRootedComplex, uniform_rooting
 
 
 def scx_text(cx, root=None):
@@ -103,6 +105,22 @@ def test_measure_round_trip(tmp_path):
             assert ({pt.ball_code(None) for pt in again}
                     == {pt.ball_code(None) for pt in mu})
             assert measure_json(again) == measure_json(mu)
+
+
+def test_roots_are_written_as_the_ints_the_readers_take():
+    # a numpy root is stored as an int, so the JSON holds one; a float root
+    # names a vertex by hash but would be written as 1.0, which the
+    # readers refuse, so it is refused up front
+    path4 = fixtures()["path4"]
+    mu = RandomRootedComplex.point_mass(rooted_at(path4, np.int64(1)))
+    assert type(mu.points[0].rooted.root) is int
+    again = load_measure(io.StringIO(measure_json(mu)))
+    assert again.points[0].rooted == mu.points[0].rooted
+    assert measure_json(again) == measure_json(mu)
+    assert read_scx(io.StringIO(scx_text(path4, np.int64(1)))) == (path4, 1)
+    for call in (lambda: rooted_at(path4, 1.0), lambda: scx_text(path4, 1.0)):
+        with pytest.raises(ValidationError, match="root must be an integer, not 1.0"):
+            call()
 
 
 def test_measure_json_is_exact():

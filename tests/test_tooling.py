@@ -67,3 +67,15 @@ def test_only_encoding_binds_the_isomorphism_search():
             if bound & names:
                 binders.add(path.stem)
     assert binders == {"encoding"}
+
+
+def test_only_errors_spells_the_integer_rule():
+    # integer arguments are checked in one place, errors._check_int: no
+    # other module may spell its refusal of a negative value
+    spellers = set()
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.endswith("must be nonnegative")):
+                spellers.add(path.stem)
+    assert spellers == {"errors"}
