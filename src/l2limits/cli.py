@@ -75,7 +75,7 @@ def _cmd_betti(args):
         # solved once; each raises CrossCheckError unless its zero cluster
         # is its order minus rank d_q, which makes b_p the kernel of Delta_p
         for q, rank in ranks.items():
-            _nonzero_spectrum(cx, q, rank)
+            _nonzero_spectrum(cx, q, rank, 0)
         print("cross-check: eigensolver kernel mass matches exact rank")
 
 

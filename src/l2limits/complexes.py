@@ -176,6 +176,7 @@ class SimplicialComplex:
 
     def p_degree(self, v: int, p: int) -> int:
         """Number of p-simplices containing v."""
+        p = _check_int(p, "dimension")
         return sum(1 for s in self._star.get(v, ()) if len(s) == p + 1)
 
     def max_degree(self) -> int:

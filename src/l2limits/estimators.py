@@ -1,12 +1,14 @@
 """Spectral-moment estimation from local neighbourhoods.
 
-Every moment here is one weighted sum of ⟨Δ_p^r σ, σ⟩/(p+1) over carriers
-σ, the p-simplices at a root (:func:`_moment_sums`): a root's moment, a
-law's, a complex's vertex average and each Monte Carlo sample alike.  The
-r-th diagonal entry at a carrier depends only on the (r//2 + 1)-ball
-around the root, so it comes from a walk that starts at the carrier
-(:func:`_carrier_walk`), without cutting that ball or assembling any
-matrix, and a carrier shared by several roots is walked once.
+Every moment here but a convergence level's is one weighted sum of
+⟨Δ_p^r σ, σ⟩/(p+1) over carriers σ, the p-simplices at a root
+(:func:`_moment_sums`): a root's moment, a law's, a complex's vertex
+average and each Monte Carlo sample alike; a level reads tr Δ_p^r / |V|
+off the Gram pieces its spectrum eigensolves.  The r-th diagonal entry at
+a carrier depends only on the (r//2 + 1)-ball around the root, so it
+comes from a walk that starts at the carrier (:func:`_carrier_walk`),
+without cutting that ball or assembling any matrix, and a carrier shared
+by several roots is walked once.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from .complexes import RootedComplex, SimplicialComplex
 from .errors import HypothesisViolationError, ValidationError, _check_int
 from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
                        uniform_rooting)
-from .spectral import _Incidence, _radius_bound, spectral_measure
+from .spectral import (_Incidence, _measure_and_traces, _piece_size,
+                       _radius_bound)
 
 __all__ = [
     "MomentVector",
@@ -312,10 +315,12 @@ def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
 
 
 def _level_stats(cx, p, order, eps_list):
-    """One level's row, and its uniform-rooting law for the distances."""
+    """One level's row, and its uniform-rooting law for the distances; the
+    moments are tr Delta_p^r / |V| from the Gram pieces of its spectrum."""
     mu = uniform_rooting(cx)
-    mv = moments_of_measure(mu, p, order)
-    measure = spectral_measure(cx, p)
+    measure, traces = _measure_and_traces(cx, p, order)
+    mv = MomentVector(p, [Fraction(t, len(cx.vertices)) for t in traces])
+    mv.validate()
     nu = {eps: measure.mass_at_zero() + measure.near_zero_mass(eps)
           for eps in eps_list}
     return {
@@ -406,8 +411,9 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     ``degree_bound`` that some level violates) aborts the experiment.
     Each eps lies strictly between 0 and 1, no two share the ``:g`` label
     that names their column, and ``p``, ``order``, ``rmax`` and
-    ``degree_bound`` are nonnegative integers; all are checked before any
-    level runs.  Levels run in turn, in this process:
+    ``degree_bound`` are nonnegative integers, and no level has a Gram
+    piece past the dense eigensolver cap; all are checked before any level
+    runs.  Levels run in turn, in this process:
     ``threads`` may only be None or 1.
     """
     if threads not in (None, 1):
@@ -430,6 +436,9 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
         labels = list(range(len(sequence)))
     if len(labels) != len(sequence):
         raise ValidationError("one label per level")
+    for cx in sequence:
+        for q in (p, p + 1):
+            _piece_size(cx, q)  # refuses a piece past the cap
 
     degrees = [cx.max_degree() for cx in sequence]
     if degree_bound is not None:

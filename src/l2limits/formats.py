@@ -81,7 +81,10 @@ def read_scx(source):
 
 
 def write_scx(cx: SimplicialComplex, target, root=None) -> None:
+    """A root that is no vertex of ``cx`` is refused before ``target`` opens."""
     lines = [] if root is None else [f"root {_check_int(root, 'root')}"]
+    if root is not None and not cx.has_vertex(root):
+        raise ValidationError(f"root {root} is not a vertex")
     lines += [" ".join(str(v) for v in s) for s in cx.maximal_simplices()]
     with _text(target, "w") as fh:
         fh.write("\n".join(lines) + "\n" if lines else "")

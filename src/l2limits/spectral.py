@@ -8,18 +8,20 @@ Delta_p is the union of those of its two terms (Eckmann 1944; Horak &
 Jost, Adv. Math. 2013), and each term's is that of the smaller Gram
 matrix of its d, d d^T or d^T d.  ``spectral_measure`` eigensolves those
 two pieces, checks each piece's zero cluster against its size minus the
-exact rank of its d, and refuses to return on disagreement.
+exact rank of its d, and refuses to return on disagreement.  The same
+pieces give a whole complex's moments exactly, tr Delta_p^r being the sum
+of their r-th power traces (:func:`_power_traces`).
 
 Both routes, and the moment walk of ``estimators``, take their signs from
 one rule, :func:`_signed_faces`; the walk's cofaces read it backwards.
-:func:`_gram` is the one dense assembly: the spectra eigensolve the smaller
-Gram matrix of each d, and :func:`laplacian_matrix` adds d_p^T d_p and
-d_{p+1} d_{p+1}^T for the tests and the golden digests; no spectrum reads
-it.
+:func:`_gram` is the one dense assembly: the spectra and power traces read
+the smaller Gram matrix of each d, and :func:`laplacian_matrix` adds
+d_p^T d_p and d_{p+1} d_{p+1}^T for the tests and the golden digests.
 The walk's exact rows (:class:`_Incidence`) are built lazily instead, by
 the combinatorial rule for Delta_p from cofaces read off the dimension
 blocks of the stars, so a moment pays for the simplices its walks reach;
-``estimators`` walks each carrier once, over one incidence per complex.
+``estimators`` walks carriers for laws, roots and samples, which are not
+whole finite complexes, each once, over one incidence per complex.
 :func:`boundary_matrix`, a dense int64 array, is an independent reference
 for the tests: no rank, Gram matrix, moment or norm bound reads it.
 """
@@ -265,27 +267,74 @@ def _piece_size(cx: SimplicialComplex, q: int) -> int:
     return size
 
 
-def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int) -> list:
-    """Nonzero eigenvalues of d_q^T d_q, ascending, from its Gram piece.
+def _power_traces(g: np.ndarray, order: int) -> list:
+    """[tr g^r, r = 1..order] as exact ints, for g positive semidefinite
+    in float64 with integer entries.
 
-    The piece's zero cluster, eigenvalues below ``ZERO_TOL``, must be its
-    order minus the exact ``rank`` of d_q, or CrossCheckError names the
-    piece.  A piece past ``DENSE_EIGENSOLVE_CAP`` is refused.
+    With R the largest absolute row sum, every partial sum below is at
+    most n R^order in size, and every trace lies in [0, n R^order].  Only
+    g^1..g^ceil(order/2) are formed, two held at a time, and tr g^(a+b) is
+    sum(g^a * g^b).  Below 2^53 one float pass is exact; past it the pass
+    runs modulo primes P < 2^20, reduced after each product, so its sums
+    stay below n P^2 and n^2 P < 2^53 up to ``DENSE_EIGENSOLVE_CAP``, and
+    the Chinese remainder theorem joins the residues once the primes'
+    product passes n R^order.
     """
-    size = _piece_size(cx, q)
-    if size == 0:
+    if order == 0:
         return []
     import numpy as np
 
+    bound = len(g) * int(np.abs(g).sum(axis=1).max(initial=0)) ** order
+    primes = [None] if bound < 1 << 53 else (
+        c for c in range((1 << 20) - 1, 2, -2)
+        if all(c % d for d in range(3, math.isqrt(c) + 1, 2)))
+    traces, modulus = [0] * order, 1
+    for prime in primes:
+        def cut(a):
+            return a if prime is None else np.fmod(a, prime)
+
+        base = g if prime is None else np.mod(g, prime)
+        power, residues = base, [int(np.trace(base))]
+        for r in range(2, order + 1):
+            low = power
+            if r % 2:
+                power = cut(power @ base)
+            residues.append(int(cut(low * power).sum()))
+        if prime is None:
+            return residues
+        step = pow(modulus, -1, prime)
+        traces = [t + modulus * ((x - t) * step % prime)
+                  for t, x in zip(traces, residues)]
+        modulus *= prime
+        if modulus > bound:
+            return traces
+
+
+def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int,
+                      order: int) -> tuple:
+    """(nonzero eigenvalues of d_q^T d_q, ascending, [tr (d_q^T d_q)^r for
+    r = 1..order]) from its Gram piece, which is built once.
+
+    The piece's zero cluster, eigenvalues below ``ZERO_TOL``, must be its
+    order minus the exact ``rank`` of d_q, or CrossCheckError names the
+    piece.  Either Gram matrix has those traces (:func:`_power_traces`).
+    A piece past ``DENSE_EIGENSOLVE_CAP`` is refused.
+    """
+    size = _piece_size(cx, q)
+    if size == 0:
+        return [], [0] * order
+    import numpy as np
+
     upper = len(cx.faces(q - 1)) > len(cx.faces(q))
-    eigenvalues = np.linalg.eigvalsh(_gram(cx, q, upper))
+    gram = _gram(cx, q, upper)
+    eigenvalues = np.linalg.eigvalsh(gram)
     zeros = size - rank
     found = int(np.sum(np.abs(eigenvalues) < ZERO_TOL))
     if found != zeros:
         raise CrossCheckError(
             f"eigensolver zero count {found} != {zeros} in the Gram piece of "
             f"d_{q} ({size} rows, exact rank {rank}; tol {ZERO_TOL})")
-    return eigenvalues[zeros:].tolist()
+    return eigenvalues[zeros:].tolist(), _power_traces(gram, order)
 
 
 class SpectralMeasure(NamedTuple):
@@ -330,6 +379,25 @@ class SpectralMeasure(NamedTuple):
         return [(value, Fraction(count, self.n_vertices)) for value, count in out]
 
 
+def _measure_and_traces(cx: SimplicialComplex, p: int, order: int) -> tuple:
+    """(:func:`spectral_measure`, [tr Delta_p^r for r = 0..order] exactly)
+    from one build of each Gram piece: as d_p d_{p+1} = 0, tr Delta_p^r is
+    tr (d_p^T d_p)^r + tr (d_{p+1} d_{p+1}^T)^r for r >= 1, and f_p at 0."""
+    p = _check_int(p, "spectral degree")
+    n = len(cx.faces(0))
+    if n == 0:
+        raise ValidationError("spectral measure needs a nonempty complex")
+    for q in (p, p + 1):
+        _piece_size(cx, q)  # refuses a piece past the cap
+    bettis, ranks = _chain_numbers(cx, (p,))
+    kernel = bettis[p]
+    low, low_traces = _nonzero_spectrum(cx, p, ranks[p], order)
+    high, high_traces = _nonzero_spectrum(cx, p + 1, ranks[p + 1], order)
+    measure = SpectralMeasure(p, n, tuple([0.0] * kernel + sorted(low + high)),
+                              kernel)
+    return measure, [len(cx.faces(p)), *map(sum, zip(low_traces, high_traces))]
+
+
 def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     """Spectral measure of Delta_p with uniform weight 1/|V| per eigenvalue.
 
@@ -339,18 +407,7 @@ def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     CrossCheckError.  A piece past ``DENSE_EIGENSOLVE_CAP`` rows is refused
     before any rank or eigensolve is computed.
     """
-    p = _check_int(p, "spectral degree")
-    n = len(cx.faces(0))
-    if n == 0:
-        raise ValidationError("spectral measure needs a nonempty complex")
-    for q in (p, p + 1):
-        _piece_size(cx, q)  # refuses a piece past the cap
-    bettis, ranks = _chain_numbers(cx, (p,))
-    kernel = bettis[p]
-    nonzero = _nonzero_spectrum(cx, p, ranks[p])
-    nonzero += _nonzero_spectrum(cx, p + 1, ranks[p + 1])
-    nonzero.sort()
-    return SpectralMeasure(p, n, tuple([0.0] * kernel + nonzero), kernel)
+    return _measure_and_traces(cx, p, 0)[0]
 
 
 class NormBounds(NamedTuple):

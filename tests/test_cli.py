@@ -322,6 +322,17 @@ def test_converge_levels_past_a_cap_below_their_edge_count(tmp_path, capsys,
         assert f"n={n} |V|={n * n} b_1=2 normalized={Fraction(2, n * n)} " in out
 
 
+def test_converge_refuses_a_level_past_the_cap_before_any_level(tmp_path,
+                                                                capsys):
+    # the side-46 torus has a piece of 4232 rows at p = 1
+    code, out, err = run(capsys, [
+        "converge", "--family", "torus2d", "--levels", "40,46", "--p", "1",
+        "--out", str(tmp_path / "c.csv")])
+    assert code == 3 and out == ""
+    assert "Gram piece of d_2 has 4232 rows" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_converge_error_paths(tmp_path, capsys):
     code, _, err = run(capsys, [
         "converge", "--family", "torus2d", "--levels", "4,x", "--p", "1",

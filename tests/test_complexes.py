@@ -140,6 +140,16 @@ def test_star_neighbors_degrees():
     assert all(2 in s for s in cx.star(2))
 
 
+def test_p_degree_refuses_a_dimension_that_is_no_nonnegative_integer():
+    rc = rooted_at(fixtures()["path4"], 1)
+    assert rc.p_degree(np.int64(1)) == rc.p_degree(1) == 2
+    for p, message in ((1.5, "dimension must be an integer, not 1.5"),
+                       (-1, "dimension must be nonnegative")):
+        for call in (lambda: rc.p_degree(p), lambda: rc.complex.p_degree(1, p)):
+            with pytest.raises(ValidationError, match=message):
+                call()
+
+
 def test_distances_and_connectivity():
     cx = closure([(0, 1), (1, 2), (3, 4)])
     d = cx.distances(0)

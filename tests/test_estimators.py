@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import l2limits.estimators as estimators
+import l2limits.spectral as spectral
 from conftest import point_moments, random_complex
 from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.errors import HypothesisViolationError, ValidationError
@@ -14,13 +15,14 @@ from l2limits.estimators import (ConvergenceReport, MomentVector, RootSample,
                                  exhaustive_moments, kernel_mass_bound,
                                  local_moment, monte_carlo_moments,
                                  moments_of_measure, vertex_sampler)
-from l2limits.generators import fixtures, torus_tower
+from l2limits.generators import fixtures, linial_meshulam, torus_tower
 from l2limits.measures import (RandomRootedComplex, SupportPoint,
                                ball_distribution, expected_p_degree,
                                total_variation, uniform_rooting)
 from l2limits.spectral import (SpectralMeasure, _gram, _Incidence,
-                               _signed_faces, boundary_matrix,
-                               laplacian_matrix, spectral_measure)
+                               _measure_and_traces, _signed_faces,
+                               boundary_matrix, laplacian_matrix,
+                               spectral_measure)
 
 closure = SimplicialComplex.closure
 
@@ -306,6 +308,60 @@ def test_exhaustive_moments_are_the_traces_of_the_gram_pieces():
                                           _gram_traces(cx, p + 1, 6))]
             moments = exhaustive_moments(cx, p, 6).moments
             assert [n * m for m in moments[1:]] == want
+
+
+def test_level_moments_are_the_power_traces_of_the_gram_pieces(monkeypatch):
+    # two exact routes agree: T_r / |V| from the Gram pieces the spectrum
+    # eigensolves, and the carrier walk over the rooting law and over every
+    # vertex; order 17 passes 2^53 on the larger pieces, so the modular
+    # loop runs
+    reductions = []
+    fmod = np.fmod
+    monkeypatch.setattr(np, "fmod", lambda *a: reductions.append(1) or fmod(*a))
+    rng = np.random.default_rng(35)
+    draws = [random_complex(rng, 9) for _ in range(8)]
+    assert not all(cx.is_connected() for cx in draws)
+    cases = [*fixtures().values(), *draws, torus_tower(2, 5),
+             linial_meshulam(2, 9, 0.4, 1)]
+    order = 17
+    for cx in cases:
+        n = len(cx.vertices)
+        mu = uniform_rooting(cx)
+        for p in range(cx.dim + 2):
+            measure, traces = _measure_and_traces(cx, p, order)
+            assert measure == spectral_measure(cx, p)
+            moments = tuple(Fraction(t, n) for t in traces)
+            assert moments == moments_of_measure(mu, p, order).moments
+            assert moments == exhaustive_moments(cx, p, order).moments
+    assert reductions
+
+
+def test_convergence_experiment_walks_no_carrier_and_builds_each_piece_once(
+        monkeypatch):
+    walks, grams = [], []
+    walk, gram = estimators._carrier_walk, spectral._gram
+    monkeypatch.setattr(estimators, "_carrier_walk",
+                        lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(spectral, "_gram",
+                        lambda cx, q, upper: grams.append((cx, q)) or gram(cx, q, upper))
+    torus = torus_tower(2, 6)
+    defect = closure(torus.faces(2)[1:])
+    levels = [torus_tower(2, 4), torus_tower(2, 5), defect]
+    for p in range(4):
+        grams.clear()
+        convergence_experiment(levels, p, 4, [0.5])
+        assert grams == [(cx, q) for cx in levels for q in (p, p + 1)
+                         if spectral._piece_size(cx, q)]
+    assert walks == []
+
+
+def test_a_level_past_the_cap_is_refused_before_any_level_runs(monkeypatch):
+    rootings = []
+    monkeypatch.setattr(estimators, "uniform_rooting", rootings.append)
+    with pytest.raises(ValidationError, match="Gram piece of d_2 has 4232 rows"):
+        convergence_experiment([torus_tower(2, 40), torus_tower(2, 46)],
+                               1, 4, [0.5])
+    assert rootings == []
 
 
 def test_local_moments_build_as_many_rows_on_a_larger_torus(monkeypatch):

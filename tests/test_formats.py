@@ -123,6 +123,18 @@ def test_roots_are_written_as_the_ints_the_readers_take():
             call()
 
 
+def test_write_scx_refuses_a_root_that_is_no_vertex(tmp_path):
+    # refused before the target is opened: no file is created or truncated
+    path4 = fixtures()["path4"]
+    fresh, kept = tmp_path / "fresh.scx", tmp_path / "kept.scx"
+    kept.write_text("0 1\n")
+    for target in (fresh, kept):
+        with pytest.raises(ValidationError, match="root 9 is not a vertex"):
+            write_scx(path4, target, 9)
+    assert not fresh.exists()
+    assert kept.read_text() == "0 1\n"
+
+
 def test_measure_json_is_exact():
     mu = uniform_rooting(fixtures()["path3"])
     doc = json.loads(measure_json(mu))

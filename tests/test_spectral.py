@@ -269,7 +269,8 @@ def test_a_tolerance_that_swallows_a_piece_names_it(monkeypatch):
     named = set()
     for cx in _split_cases():
         for p in range(1, cx.dim):
-            low = {q: spectral._nonzero_spectrum(cx, q, boundary_rank(cx, q))[0]
+            low = {q: spectral._nonzero_spectrum(cx, q, boundary_rank(cx, q),
+                                                 0)[0][0]
                    for q in (p, p + 1)}
             if abs(low[p] - low[p + 1]) < 1e-3:
                 continue
@@ -281,6 +282,38 @@ def test_a_tolerance_that_swallows_a_piece_names_it(monkeypatch):
                     spectral_measure(cx, p)
             named.add(lower - p)
     assert named == {0, 1}
+
+
+def _int_traces(g, order):
+    """tr g^r for r = 1..order by Python-int matrix powers."""
+    g = g.astype(np.int64).astype(object)
+    power, traces = g, []
+    for _ in range(order):
+        traces.append(int(np.trace(power)))
+        power = power.dot(g)
+    return traces
+
+
+def test_power_traces_are_exact_on_both_sides_of_2_53(monkeypatch):
+    # a Gram matrix b^T b of 5 rows, largest absolute row sum 24: 5 * 24^r
+    # passes 2^53 at r = 12, where one float pass gives way to primes
+    reductions = []
+    fmod = np.fmod
+    monkeypatch.setattr(np, "fmod", lambda *a: reductions.append(1) or fmod(*a))
+    b = np.array([[2, -1, 0, 3, 1], [1, 1, -2, 0, 2], [0, 3, 1, -1, 0],
+                  [1, 0, 1, 1, -3]])
+    g = (b.T @ b).astype(np.float64)
+    assert int(np.abs(g).sum(axis=1).max()) == 24
+    for order in (0, 1, 2, 11):
+        assert spectral._power_traces(g, order) == _int_traces(g, order)
+    assert reductions == []
+    for order in (12, 13, 30):
+        traces = spectral._power_traces(g, order)
+        assert traces == _int_traces(g, order)
+    assert reductions
+    assert traces[-1] > 2 ** 100
+    # primes below 2^20 keep every modular sum exact up to the cap
+    assert spectral.DENSE_EIGENSOLVE_CAP * (1 << 20) ** 2 < 2 ** 53
 
 
 def test_the_cap_applies_per_piece(monkeypatch):

@@ -79,3 +79,16 @@ def test_only_errors_spells_the_integer_rule():
                     and node.value.endswith("must be nonnegative")):
                 spellers.add(path.stem)
     assert spellers == {"errors"}
+
+
+def test_only_spectral_runs_dense_linear_algebra():
+    # one dense route, in one module: no other module may multiply
+    # matrices, eigensolve or scatter with bincount
+    users = set()
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.MatMult)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in ("eigvalsh", "bincount")):
+                users.add(path.stem)
+    assert users == {"spectral"}
