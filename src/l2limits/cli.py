@@ -33,18 +33,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _rooted_from_arg(arg: str):
-    """Parse 'file.scx:root'; fall back to the file's root directive."""
-    path, sep, root_part = arg.rpartition(":")
-    if sep and root_part.isdigit():
-        cx, _ = read_scx(path)
-        root = int(root_part)
-    else:
-        cx, root = read_scx(arg)
-        if root is None:
-            raise MalformedInputError(
-                f"{arg}: no root given (use file.scx:ROOT or a root directive)")
+def _rooted(path, root=None):
+    """The complex in ``path`` rooted at ``root``, or else at its root directive."""
+    cx, file_root = read_scx(path)
+    root = file_root if root is None else root
+    if root is None:
+        raise MalformedInputError(f"{path}: no root given and no root directive")
     return rooted_at(cx, root)
+
+
+def _rooted_from_arg(arg: str):
+    """'file.scx:ROOT' with any integer ROOT, or a file with a root directive."""
+    path, _, suffix = arg.rpartition(":")
+    integer = path and suffix.removeprefix("-").isdecimal()
+    return _rooted(path, int(suffix)) if integer else _rooted(arg)
 
 
 def _cmd_validate(args):
@@ -88,22 +90,13 @@ def _cmd_spectrum(args):
     print(f"spectral radius = {measure.spectral_radius()!r}")
     print(f"a priori bound max(0,(p+1)(D-p+1))+max(0,(p+2)(D-p)) = "
           f"{_radius_bound(args.p, degree)}")
+    write_spectrum_csv(measure, args.out or sys.stdout)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_spectrum_csv(measure, fh)
         print(f"wrote {args.out}")
-    else:
-        print("atoms (eigenvalue,weight):")
-        for value, weight in measure.atoms():
-            print(f"{value!r},{weight}")
 
 
 def _cmd_canon(args):
-    cx, file_root = read_scx(args.file)
-    root = args.root if args.root is not None else file_root
-    if root is None:
-        raise MalformedInputError("no root given (--root or a root directive)")
-    code = canonical_code(rooted_at(cx, root))
+    code = canonical_code(_rooted(args.file, args.root))
     print("code:", " ".join(str(i) for i in code.indices))
     decoded = code.decode()
     print("minimal representative (root 0):")

@@ -326,9 +326,6 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
 
 def rooted_at(cx: SimplicialComplex, root: int) -> RootedComplex:
     """Root ``cx`` at a vertex, restricting to that vertex's component."""
-    if not cx.has_vertex(root):
-        raise ValidationError(f"root {root} is not a vertex")
-    root = _check_int(root, "root")
-    if cx.is_connected():
-        return RootedComplex._make(cx, root)
-    return RootedComplex._make(cx.induced(cx.distances(root)), root)
+    if cx.has_vertex(root) and not cx.is_connected():
+        cx = cx.induced(cx.distances(_check_int(root, "root")))
+    return RootedComplex(cx, root)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import NamedTuple
 
 from .complexes import RootedComplex, SimplicialComplex
 from .errors import HypothesisViolationError, ValidationError, _check_int
+from .formats import _text
 from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
                        uniform_rooting)
 from .spectral import (_Incidence, _measure_and_traces, _piece_size,
@@ -290,8 +291,8 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
 
 
 def _check_eps(eps) -> None:
-    if not 0 < eps < 1:
-        raise ValidationError("eps must lie strictly between 0 and 1")
+    if not (isinstance(eps, Real) and 0 < eps < 1):
+        raise ValidationError(f"eps must lie strictly between 0 and 1, not {eps!r}")
 
 
 def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
@@ -356,9 +357,9 @@ class ConvergenceReport:
         self.degree_bound = degree_bound
         self.bounds = bounds
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    def write_csv(self, target) -> None:
+        with _text(target, "w") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "|V|", "p", "b_p", "b_p_normalized",
                              *[f"m{r}" for r in range(self.order + 1)],
                              *map(_eps_column, self.eps_list)])
@@ -432,8 +433,7 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     if degree_bound is not None:
         degree_bound = _check_int(degree_bound, "degree bound")
     p, order = _check_moment_args(p, order)
-    if labels is None:
-        labels = list(range(len(sequence)))
+    labels = list(range(len(sequence)) if labels is None else labels)
     if len(labels) != len(sequence):
         raise ValidationError("one label per level")
     for cx in sequence:

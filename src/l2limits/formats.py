@@ -1,4 +1,5 @@
-"""On-disk formats: `.scx` complexes and JSON measure files.
+"""On-disk formats: `.scx` complexes and JSON measure files, and :func:`_text`,
+the package's one file opener, which every reader and writer goes through.
 
 `.scx` is line-oriented UTF-8: one maximal simplex per line as
 space-separated vertex ids, `#` starts a comment, and an optional

@@ -7,6 +7,7 @@ parameters and seed.
 from __future__ import annotations
 
 from itertools import combinations
+from numbers import Real
 
 from .complexes import SimplicialComplex
 from .errors import ValidationError, _check_int
@@ -61,8 +62,8 @@ def linial_meshulam(d: int, n: int, prob: float, seed: int) -> SimplicialComplex
         raise ValidationError("face dimension must be at least 1")
     if _check_int(n, "vertex count") < d + 1:
         raise ValidationError(f"need at least {d + 1} vertices")
-    if not 0 <= prob <= 1:
-        raise ValidationError("probability must lie in [0, 1]")
+    if not (isinstance(prob, Real) and 0 <= prob <= 1):
+        raise ValidationError(f"probability must lie in [0, 1], not {prob!r}")
     seed = _check_int(seed, "seed")
     import numpy as np
 
@@ -77,8 +78,8 @@ def random_flag(n: int, prob: float, max_dim: int, seed: int) -> SimplicialCompl
     """Clique complex of a G(n, prob) graph, truncated at max_dim."""
     if _check_int(n, "vertex count") < 1:
         raise ValidationError("need at least one vertex")
-    if not 0 <= prob <= 1:
-        raise ValidationError("probability must lie in [0, 1]")
+    if not (isinstance(prob, Real) and 0 <= prob <= 1):
+        raise ValidationError(f"probability must lie in [0, 1], not {prob!r}")
     seed = _check_int(seed, "seed")
     if _check_int(max_dim, "max_dim") < 1:
         raise ValidationError("flag completion starts at dimension 1")

@@ -48,11 +48,14 @@ class SupportPoint:
     __slots__ = ("rooted", "weight", "_ball_codes")
 
     def __init__(self, rooted: RootedComplex, weight):
-        weight = Fraction(weight)
-        if weight <= 0:
-            raise ValidationError("support weights must be positive")
+        try:
+            w = Fraction(weight)
+        except (TypeError, ValueError, OverflowError):
+            w = 0
+        if w <= 0:
+            raise ValidationError(f"support weights must be positive, not {weight!r}")
         self.rooted = rooted
-        self.weight = weight
+        self.weight = w
         self._ball_codes = {}
 
     def ball_code(self, r: int | None) -> CanonicalCode:

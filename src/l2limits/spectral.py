@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .complexes import SimplicialComplex
 from .errors import CrossCheckError, ValidationError, _check_int
 from .exact import rational_rank
+from .formats import _text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -473,15 +474,17 @@ def euler_poincare(cx: SimplicialComplex):
     return Fraction(alternating, n), Fraction(cx.euler_characteristic(), n)
 
 
-def write_spectrum_csv(measure: SpectralMeasure, stream) -> None:
+def write_spectrum_csv(measure: SpectralMeasure, target) -> None:
     """Two columns: eigenvalue (shortest round-trip float), weight (exact)."""
-    stream.write("eigenvalue,weight\n")
-    for value, weight in measure.atoms():
-        stream.write(f"{value!r},{weight}\n")
+    with _text(target, "w") as fh:
+        fh.write("eigenvalue,weight\n")
+        for value, weight in measure.atoms():
+            fh.write(f"{value!r},{weight}\n")
 
 
-def write_betti_csv(cx: SimplicialComplex, stream) -> None:
-    stream.write("p,b_p,normalized\n")
-    n = len(cx.faces(0))
-    for p, b in _chain_numbers(cx, range(cx.dim + 1))[0].items():
-        stream.write(f"{p},{b},{Fraction(b, n)}\n")
+def write_betti_csv(cx: SimplicialComplex, target) -> None:
+    bettis = _chain_numbers(cx, range(cx.dim + 1))[0]
+    with _text(target, "w") as fh:
+        fh.write("p,b_p,normalized\n")
+        for p, b in bettis.items():
+            fh.write(f"{p},{b},{Fraction(b, len(cx.faces(0)))}\n")

@@ -156,10 +156,14 @@ def test_spectrum(scx, capsys, tmp_path):
     assert "nu(R) = 1" in out
     assert "0.0,1/3" in out
     csv_path = tmp_path / "atoms.csv"
-    code, out, _ = run(capsys, ["spectrum", path, "--p", "0",
-                                "--out", str(csv_path)])
+    code, out_with_file, _ = run(capsys, ["spectrum", path, "--p", "0",
+                                          "--out", str(csv_path)])
     assert code == 0
-    assert csv_path.read_text().startswith("eigenvalue,weight\n0.0,1/3\n")
+    table = csv_path.read_text()
+    assert table.startswith("eigenvalue,weight\n0.0,1/3\n")
+    # stdout carries the same table that --out writes, after the summary
+    summary = out_with_file.removesuffix(f"wrote {csv_path}\n")
+    assert out == summary + table
 
 
 def test_spectrum_negative_degree_exits_3(scx, capsys):
@@ -178,8 +182,11 @@ def test_canon(scx, capsys):
     assert lines[0] == "code: 0 1 2 3 4"
     assert lines[1] == "minimal representative (root 0):"
     assert set(lines[2:]) == {"root 0", "0 1", "0 2"}
-    code, out, _ = run(capsys, ["canon", path])
+    code, out, err = run(capsys, ["canon", path])
     assert code == 2  # no root anywhere
+    assert err == f"error: {path}: no root given and no root directive\n"
+    code, out, err = run(capsys, ["canon", path, "--root", "-1"])
+    assert (code, out, err) == (3, "", "error: root -1 is not a vertex\n")
     rooted = scx("rooted.scx", fixtures()["path3"], root=0)
     code, out, _ = run(capsys, ["canon", rooted])
     assert code == 0
@@ -199,6 +206,16 @@ def test_bs_distance(scx, capsys):
     assert code == 0 and out.strip() == "1/2"
     code, _, err = run(capsys, ["bs-distance", c5, c6])
     assert code == 2  # first file has no root directive
+    assert err == f"error: {c5}: no root given and no root directive\n"
+    # any integer suffix is a root, and meets the rule a --root meets
+    code, out, err = run(capsys, ["bs-distance", f"{c5}:-1", f"{c5}:0"])
+    assert (code, out, err) == (3, "", "error: root -1 is not a vertex\n")
+    # a suffix that is no integer is part of the file name
+    odd = scx("odd:name.scx", fixtures()["cycle5"], root=2)
+    code, out, _ = run(capsys, ["bs-distance", odd, f"{c5}:0"])
+    assert code == 0 and out.strip() == "0"
+    code, _, err = run(capsys, ["bs-distance", f"{c5}:²", f"{c5}:0"])
+    assert code == 2 and "No such file" in err  # a digit int() does not read
 
 
 def test_measure_distance(tmp_path, capsys):

@@ -342,6 +342,25 @@ def test_rooted_complex_validation():
     assert rc.root == 0
 
 
+def test_rooted_at_refuses_a_root_before_cutting_its_component(monkeypatch):
+    cuts = []
+    original = SimplicialComplex.induced
+
+    def counted(self, *args):
+        cuts.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(SimplicialComplex, "induced", counted)
+    two_triangles = fixtures()["two_triangles"]
+    with pytest.raises(ValidationError, match="root must be an integer, not 1.0"):
+        rooted_at(two_triangles, 1.0)
+    with pytest.raises(ValidationError, match="root 99 is not a vertex"):
+        rooted_at(two_triangles, 99)
+    assert cuts == []
+    assert rooted_at(two_triangles, 1).complex.vertices == (0, 1, 2)
+    assert len(cuts) == 1
+
+
 def test_ball_contents():
     path = closure([(0, 1), (1, 2), (2, 3), (3, 4)])
     rc = rooted_at(path, 0)

@@ -1,7 +1,10 @@
 """Integer arguments follow one rule, ``errors._check_int``: every public
 entry point refuses a non-integer with ValidationError, and a numpy
-integer gives the same answer as the Python int it stands for."""
+integer gives the same answer as the Python int it stands for.  Real
+arguments (probabilities, eps, support weights) refuse what is no number
+with ValidationError too."""
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from l2limits.formats import write_scx
 from l2limits.generators import linial_meshulam, random_flag, torus_tower
 from l2limits.measures import (ball_distribution, degree_truncate,
                                expected_p_degree, measure_distance,
-                               uniform_rooting)
+                               SupportPoint, uniform_rooting)
 from l2limits.spectral import (betti, laplacian_matrix, operator_norm_bounds,
                                spectral_measure)
 
@@ -104,3 +107,29 @@ def test_integer_arguments_follow_one_rule():
                 call(bad)
         assert call(np.int64(good)) == call(good), name
 
+
+
+def test_real_arguments_refuse_what_is_no_number():
+    # (call of one real argument, its rule, values it refuses, values it takes)
+    rc = rooted_at(torus_tower(1, 5), 0)
+    tower = [torus_tower(1, 5)]
+    table = [
+        (lambda x: random_flag(8, x, 2, 0), "probability must lie in",
+         ["0.5", None, float("nan"), 1.5], [0.5, np.float64(0.5), Fraction(1, 2)]),
+        (lambda x: linial_meshulam(2, 5, x, 0), "probability must lie in",
+         ["0.5", None, -0.1], [0.5, np.float32(0.5), Fraction(1, 2)]),
+        (lambda x: kernel_mass_bound(6, 1, x), "eps must lie strictly between",
+         ["0.5", None, float("nan"), 1], [0.5, np.float64(0.5), Fraction(1, 2)]),
+        (lambda x: convergence_experiment(tower, 0, 2, [x]).summary_lines(),
+         "eps must lie strictly between", ["0.5", None], [0.5, np.float64(0.5)]),
+        (lambda x: SupportPoint(rc, x).weight, "support weights must be positive",
+         ["x", None, float("nan"), float("inf"), 0, "-1/2"],
+         [0.5, np.float64(0.5), Fraction(1, 2), "1/2"]),
+    ]
+    for call, rule, refused, taken in table:
+        for bad in refused:
+            with pytest.raises(ValidationError, match=rule) as info:
+                call(bad)
+            assert repr(bad) in str(info.value)  # the message names the value
+        answers = [call(good) for good in taken]
+        assert all(answer == answers[0] for answer in answers), rule

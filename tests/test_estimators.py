@@ -779,12 +779,15 @@ def test_convergence_experiment_csv(tmp_path):
     out = tmp_path / "report.csv"
     convergence_experiment(
         [torus_tower(2, n) for n in (4, 6)],
-        p=1, order=2, eps_list=[0.5, 0.1], labels=[4, 6],
+        p=1, order=2, eps_list=[0.5, 0.1], labels=iter([4, "σ"]),
         degree_bound=6).write_csv(out)
-    lines = out.read_text().splitlines()
+    data = out.read_bytes()
+    assert b"\r" not in data  # rows end in \n, like the footers
+    assert "\nσ,".encode("utf-8") in data  # a path is written as UTF-8
+    lines = data.decode("utf-8").splitlines()
     assert lines[0] == "n,|V|,p,b_p,b_p_normalized,m0,m1,m2,nu_eps_0.5,nu_eps_0.1"
     assert lines[1] == "4,16,1,2,1/8,3,12,66,1/8,1/8"
-    assert lines[2].startswith("6,36,1,2,1/18,3,12,66,")
+    assert lines[2].startswith("σ,36,1,2,1/18,3,12,66,")
     footers = [line for line in lines if line.startswith("#")]
     assert len(footers) == 2
     assert footers[0].startswith("# kernel_mass_bound eps=0.5 D=6 p=1: ")

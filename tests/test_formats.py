@@ -7,9 +7,11 @@ import pytest
 
 from l2limits.complexes import rooted_at
 from l2limits.errors import MalformedInputError, ValidationError
+from l2limits.estimators import convergence_experiment
 from l2limits.formats import load_measure, read_scx, save_measure, write_scx
-from l2limits.generators import fixtures
+from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import RandomRootedComplex, uniform_rooting
+from l2limits.spectral import spectral_measure, write_betti_csv, write_spectrum_csv
 
 
 def scx_text(cx, root=None):
@@ -87,6 +89,28 @@ def test_scx_text_shape():
     stream = io.StringIO()
     write_scx(cx, stream)
     assert stream.getvalue() == text
+
+
+def test_every_writer_writes_a_path_as_it_writes_a_stream(tmp_path):
+    # a path becomes a UTF-8 file with \n line ends; an open stream is
+    # written as it is
+    cx = fixtures()["torus4"]
+    report = convergence_experiment([torus_tower(2, 4)], 1, 2, [0.5], labels=["σ"])
+    writers = {
+        "write_scx": lambda target: write_scx(cx, target, root=0),
+        "save_measure": lambda target: save_measure(uniform_rooting(cx), target),
+        "write_spectrum_csv":
+            lambda target: write_spectrum_csv(spectral_measure(cx, 1), target),
+        "write_betti_csv": lambda target: write_betti_csv(cx, target),
+        "ConvergenceReport.write_csv": report.write_csv,
+    }
+    for name, write in writers.items():
+        path = tmp_path / f"{name}.txt"
+        write(path)
+        stream = io.StringIO()
+        write(stream)
+        assert stream.getvalue(), name
+        assert path.read_bytes() == stream.getvalue().encode("utf-8"), name
 
 
 def test_measure_round_trip(tmp_path):

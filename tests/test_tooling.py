@@ -92,3 +92,19 @@ def test_only_spectral_runs_dense_linear_algebra():
                     and node.attr in ("eigvalsh", "bincount")):
                 users.add(path.stem)
     assert users == {"spectral"}
+
+
+def test_only_formats_opens_files():
+    # every file is opened in one place, formats._text: no other module may
+    # call open, Path.open, read_text or write_text
+    openers = set()
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute)
+                    and func.attr in ("open", "read_text", "write_text")):
+                openers.add(path.stem)
+    assert openers == {"formats"}
