@@ -9,16 +9,11 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .complexes import rooted_at
-from .encoding import bs_distance, canonical_code
+# module objects, so a command runs only the modules it calls; main's
+# except clauses need the error classes themselves
+from . import (complexes, encoding, estimators, formats, generators, measures,
+               spectral)
 from .errors import L2LimitsError, MalformedInputError, ValidationError
-from .estimators import convergence_experiment
-from .formats import load_measure, read_scx, write_scx
-from .generators import fixtures, linial_meshulam, random_flag, torus_tower
-from .measures import (degree_truncate, mass_transport_check,
-                       measure_distance, standard_battery)
-from .spectral import (_chain_numbers, _nonzero_spectrum, _radius_bound,
-                       spectral_measure, write_spectrum_csv)
 
 __all__ = ["main", "build_parser"]
 
@@ -35,11 +30,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _rooted(path, root=None):
     """The complex in ``path`` rooted at ``root``, or else at its root directive."""
-    cx, file_root = read_scx(path)
+    cx, file_root = formats.read_scx(path)
     root = file_root if root is None else root
     if root is None:
         raise MalformedInputError(f"{path}: no root given and no root directive")
-    return rooted_at(cx, root)
+    return complexes.rooted_at(cx, root)
 
 
 def _rooted_from_arg(arg: str):
@@ -50,7 +45,7 @@ def _rooted_from_arg(arg: str):
 
 
 def _cmd_validate(args):
-    cx, root = read_scx(args.file)
+    cx, root = formats.read_scx(args.file)
     fvec = cx.f_vector()
     print(f"simplices: {len(cx)}")
     print(f"f_vector: {fvec if fvec else '()'}")
@@ -63,12 +58,12 @@ def _cmd_validate(args):
 
 
 def _cmd_betti(args):
-    cx, _ = read_scx(args.file)
+    cx, _ = formats.read_scx(args.file)
     if not cx.vertices:
         print("empty complex")
         return
     ps = [args.p] if args.p is not None else range(cx.dim + 1)
-    bettis, ranks = _chain_numbers(cx, ps)
+    bettis, ranks = spectral._chain_numbers(cx, ps)
     for p, b in bettis.items():
         norm = Fraction(b, len(cx.faces(0)))
         print(f"p={p} b={b} norm={norm}")
@@ -77,74 +72,74 @@ def _cmd_betti(args):
         # solved once; each raises CrossCheckError unless its zero cluster
         # is its order minus rank d_q, which makes b_p the kernel of Delta_p
         for q, rank in ranks.items():
-            _nonzero_spectrum(cx, q, rank, 0)
+            spectral._nonzero_spectrum(cx, q, rank, 0)
         print("cross-check: eigensolver kernel mass matches exact rank")
 
 
 def _cmd_spectrum(args):
-    cx, _ = read_scx(args.file)
-    measure = spectral_measure(cx, args.p)
+    cx, _ = formats.read_scx(args.file)
+    measure = spectral.spectral_measure(cx, args.p)
     degree = cx.max_degree()
     print(f"nu({{0}}) = {measure.mass_at_zero()}")
     print(f"nu(R) = {measure.total_mass()}")
     print(f"spectral radius = {measure.spectral_radius()!r}")
     print(f"a priori bound max(0,(p+1)(D-p+1))+max(0,(p+2)(D-p)) = "
-          f"{_radius_bound(args.p, degree)}")
-    write_spectrum_csv(measure, args.out or sys.stdout)
+          f"{spectral._radius_bound(args.p, degree)}")
+    spectral.write_spectrum_csv(measure, args.out or sys.stdout)
     if args.out:
         print(f"wrote {args.out}")
 
 
 def _cmd_canon(args):
-    code = canonical_code(_rooted(args.file, args.root))
+    code = encoding.canonical_code(_rooted(args.file, args.root))
     print("code:", " ".join(str(i) for i in code.indices))
     decoded = code.decode()
     print("minimal representative (root 0):")
-    write_scx(decoded.complex, sys.stdout, decoded.root)
+    formats.write_scx(decoded.complex, sys.stdout, decoded.root)
 
 
 def _cmd_bs_distance(args):
     a = _rooted_from_arg(args.a)
     b = _rooted_from_arg(args.b)
-    print(bs_distance(a, b, args.rmax))
+    print(encoding.bs_distance(a, b, args.rmax))
 
 
 def _cmd_measure_distance(args):
-    m1 = load_measure(args.m1)
-    m2 = load_measure(args.m2)
-    print(measure_distance(m1, m2, args.rmax))
+    m1 = formats.load_measure(args.m1)
+    m2 = formats.load_measure(args.m2)
+    print(measures.measure_distance(m1, m2, args.rmax))
 
 
 def _cmd_mass_transport(args):
-    mu = load_measure(args.measure)
+    mu = formats.load_measure(args.measure)
     all_pass = True
-    for name, fn in standard_battery():
-        lhs, rhs, passed = mass_transport_check(mu, fn)
+    for name, fn in measures.standard_battery():
+        lhs, rhs, passed = measures.mass_transport_check(mu, fn)
         all_pass = all_pass and passed
         print(f"{name:28s} lhs={lhs} rhs={rhs} {'pass' if passed else 'FAIL'}")
     print(f"unimodular on battery: {'yes' if all_pass else 'no'}")
 
 
 def _cmd_truncate(args):
-    cx, root = read_scx(args.file)
-    out = degree_truncate(cx, args.degree)
-    write_scx(out, sys.stdout, root)
+    cx, root = formats.read_scx(args.file)
+    out = measures.degree_truncate(cx, args.degree)
+    formats.write_scx(out, sys.stdout, root)
 
 
 def _cmd_generate(args):
     if args.family in _TOWERS:
-        cx = torus_tower(_TOWERS[args.family], args.n)
+        cx = generators.torus_tower(_TOWERS[args.family], args.n)
     elif args.family == "lm":
-        cx = linial_meshulam(args.d, args.n, args.prob, args.seed)
+        cx = generators.linial_meshulam(args.d, args.n, args.prob, args.seed)
     elif args.family == "flag":
-        cx = random_flag(args.n, args.prob, args.maxdim, args.seed)
+        cx = generators.random_flag(args.n, args.prob, args.maxdim, args.seed)
     else:
-        corpus = fixtures()
+        corpus = generators.fixtures()
         if args.name not in corpus:
             raise ValidationError(
                 f"unknown fixture {args.name!r}; choices: {', '.join(sorted(corpus))}")
         cx = corpus[args.name]
-    write_scx(cx, args.out or sys.stdout)
+    formats.write_scx(cx, args.out or sys.stdout)
     if args.out:
         print(f"wrote {args.out}")
 
@@ -157,8 +152,8 @@ def _cmd_converge(args):
         raise MalformedInputError("levels and eps must be comma-separated numbers")
     if not levels:
         raise MalformedInputError("need at least one level")
-    sequence = [torus_tower(_TOWERS[args.family], n) for n in levels]
-    report = convergence_experiment(
+    sequence = [generators.torus_tower(_TOWERS[args.family], n) for n in levels]
+    report = estimators.convergence_experiment(
         sequence, args.p, args.moments, eps_list, rmax=args.rmax,
         labels=levels, degree_bound=args.degree_bound)
     report.write_csv(args.out)

@@ -718,12 +718,13 @@ def bs_distance(a: RootedComplex, b: RootedComplex, rmax=None) -> Fraction:
     so the value is at most 1.  With ``rmax`` only balls up to that radius
     are compared, and balls that agree that far give 0.
     """
-    if rmax is None:
-        # balls at the largest eccentricity are the full complexes
-        rmax = max(a.eccentricity(), b.eccentricity())
-    else:
+    if rmax is not None:
         rmax = _check_int(rmax, "rmax")
-    for r in range(1, rmax + 1):
+    # min(rmax, eccentricity) for each: past the larger eccentricity both
+    # balls are the roots' whole components, so no radius beyond it tells
+    # them apart
+    reach = max(max(_bfs(x.complex, x.root, rmax).values()) for x in (a, b))
+    for r in range(1, reach + 1):
         if (_ball_code(a.complex, a.root, r)
                 != _ball_code(b.complex, b.root, r)):
             return Fraction(1, 2 ** (r - 1))

@@ -13,14 +13,13 @@ with weights as exact rational strings.
 """
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
+from . import measures
 from .complexes import RootedComplex, SimplicialComplex, _as_simplex
 from .errors import MalformedInputError, ValidationError, _check_int
-from .measures import RandomRootedComplex, SupportPoint
 
 __all__ = [
     "read_scx",
@@ -96,7 +95,7 @@ def _is_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _measure_from_obj(obj) -> RandomRootedComplex:
+def _measure_from_obj(obj) -> measures.RandomRootedComplex:
     if not isinstance(obj, dict) or "support" not in obj:
         raise MalformedInputError('measure file needs a "support" array')
     support = obj["support"]
@@ -123,23 +122,29 @@ def _measure_from_obj(obj) -> RandomRootedComplex:
             cx = SimplicialComplex.closure(maximal)
         except MalformedInputError as exc:
             raise MalformedInputError(f"support[{i}]: {exc}")
-        points.append(SupportPoint(RootedComplex(cx, root), weight))
-    return RandomRootedComplex(points)
+        points.append(measures.SupportPoint(RootedComplex(cx, root), weight))
+    return measures.RandomRootedComplex(points)
 
 
-def load_measure(source) -> RandomRootedComplex:
+def load_measure(source) -> measures.RandomRootedComplex:
     """Parse a measure JSON file into a finite-support law."""
+    import json
+
     try:
         with _text(source, "r") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise MalformedInputError("invalid JSON: nested too deeply")
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"not UTF-8 text: {exc}")
     return _measure_from_obj(obj)
 
 
-def save_measure(mu: RandomRootedComplex, target) -> None:
+def save_measure(mu: measures.RandomRootedComplex, target) -> None:
+    import json
+
     support = [{
         "weight": str(pt.weight),
         "maximal_simplices": [list(s) for s in pt.rooted.complex.maximal_simplices()],

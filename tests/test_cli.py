@@ -463,21 +463,44 @@ def test_python_dash_m_package_runs_the_cli(scx, tmp_path):
     assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
+_UNUSED_BY_RANKS = ("encoding", "estimators", "generators", "measures")
+
+
+def _cli_probe(*argvs, tail=""):
+    """Run ``argvs`` through ``cli.main`` in a fresh process, then ``tail``;
+    the process's stdout, with the commands' own output dropped."""
+    lines = ["import sys, types, contextlib, io",
+             "from l2limits.cli import main",
+             "def ran(names):",
+             "    # reading type() does not run a lazy module",
+             "    return [n for n in names",
+             "            if type(sys.modules['l2limits.' + n]) is types.ModuleType]",
+             "with contextlib.redirect_stdout(io.StringIO()):"]
+    lines += [f"    assert main({argv!r}) == 0" for argv in argvs]
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines) + "\n" + tail],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_rank_commands_leave_numpy_unloaded(scx):
     path = scx("torus.scx", torus_tower(2, 4))
-    probe = (
-        "import sys, contextlib, io\n"
-        "from l2limits.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['betti', {path!r}]) == 0\n"
-        f"    assert main(['validate', {path!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('numpy', 'concurrent',\n"
-        "                                    'dataclasses', 'inspect')))\n")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=_src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    tail = ("print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('numpy', 'concurrent',\n"
+            "                                    'dataclasses', 'inspect')))\n"
+            f"print(ran({_UNUSED_BY_RANKS!r}))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['spectrum', {path!r}, '--p', '1']) == 0\n"
+            f"print(ran({_UNUSED_BY_RANKS!r}))\n")
+    out = _cli_probe(["betti", path], ["validate", path], tail=tail)
+    assert out.splitlines() == ["[]", "[]", "[]"]
+
+
+def test_converge_runs_every_module(tmp_path):
+    out = _cli_probe(["converge", "--family", "torus2d", "--levels", "3",
+                      "--p", "1", "--out", str(tmp_path / "c.csv")],
+                     tail=f"print(ran({_UNUSED_BY_RANKS!r}))\n")
+    assert out == repr(list(_UNUSED_BY_RANKS))
 
 
 def test_import_package_loads_every_submodule():
@@ -560,6 +583,18 @@ def test_non_utf8_input_exits_2_without_traceback(tmp_path):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and "UTF-8" in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+
+def test_deeply_nested_measure_exits_2(tmp_path, capsys):
+    # the JSON decoder's RecursionError is malformed input, not a crash
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    support = tmp_path / "support.json"
+    support.write_text('{"support": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for argv in (["mass-transport", str(deep)],
+                 ["measure-distance", str(support), str(support), "--rmax", "1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
 # Bad arguments for every subcommand, with the exit code of errors.py's

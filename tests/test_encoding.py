@@ -766,7 +766,7 @@ def test_canonical_code_rejects_disconnected():
         RootedComplex(cx, 0)
 
 
-def test_bs_distance_examples():
+def test_bs_distance_examples(monkeypatch):
     c5 = closure([(i, (i + 1) % 5) for i in range(5)])
     c6 = closure([(i, (i + 1) % 6) for i in range(6)])
     assert bs_distance(rooted_at(c5, 0), rooted_at(c6, 0)) == Fraction(1, 2)
@@ -774,6 +774,18 @@ def test_bs_distance_examples():
     filled = closure([(0, 1, 2)])
     assert bs_distance(rooted_at(hollow, 0), rooted_at(filled, 0)) == 1
     assert bs_distance(rooted_at(c5, 0), rooted_at(c5, 2)) == 0
+    # past the larger eccentricity both balls are whole components, so a
+    # large rmax codes no radius beyond it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ball_code(*args)
+
+    monkeypatch.setattr(encoding, "_ball_code", counted)
+    a = rooted_at(torus_tower(2, 6), 0)
+    assert bs_distance(a, a, 1000) == 0
+    assert 0 < len(calls) <= 2 * a.eccentricity()
 
 
 def test_bs_distance_is_an_ultrametric():

@@ -193,6 +193,9 @@ def test_load_measure_rejects_bad_documents():
     with pytest.raises(MalformedInputError, match=r"support\[0\]"):
         loads({"support": [{"weight": "1", "maximal_simplices": [[]],
                             "root": 0}]})
+    # deeper than the decoder's recursion limit
+    with pytest.raises(MalformedInputError, match="nested too deeply"):
+        load_measure(io.StringIO("[" * 100_000 + "]" * 100_000))
 
 
 def test_load_measure_rejects_bad_laws():

@@ -4,12 +4,16 @@ declares."""
 import ast
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy.linalg  # noqa: F401  (the tracer's eigensolver span lives there)
 
-import l2limits  # noqa: F401  (loads every submodule the tracer resolves)
-from l2limits import canonical_code, rooted_at, torus_tower, uniform_rooting
+import l2limits  # registers every submodule the tracer resolves
+from l2limits import (canonical_code, rooted_at, torus_tower, uniform_rooting,
+                      write_scx)
+from test_cli import _src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +40,62 @@ def test_tracer_spans_resolve_and_read_their_results():
     assert len(uniform_rooting(torus)) == 1
     code = canonical_code(rooted_at(torus, 0))
     assert hash(code) == hash(canonical_code(rooted_at(torus, 5)))
+
+
+def _fresh(probe):
+    """The stdout of ``probe`` run in a new interpreter on the same sources."""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_a_patch_before_first_use_is_the_one_callers_get(tmp_path):
+    # the tracer patches each submodule it finds in sys.modules, which may
+    # not have run yet; the patch must survive the module's first run
+    path = tmp_path / "torus.scx"
+    write_scx(torus_tower(2, 4), path)
+    probe = (
+        "import sys, types, contextlib, io\n"
+        "import l2limits\n"
+        "from l2limits.cli import main\n"
+        "spectral = sys.modules['l2limits.spectral']\n"
+        "calls = []\n"
+        "def counted(cx, p):\n"
+        "    calls.append(p)\n"
+        "    return 0\n"
+        "assert type(spectral) is not types.ModuleType\n"
+        "spectral.boundary_rank = counted\n"
+        "assert type(spectral) is not types.ModuleType\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['betti', {str(path)!r}]) == 0\n"
+        "print(calls)\n")
+    assert _fresh(probe) == "[0, 1, 2, 3]"
+
+
+def test_first_reads_from_many_threads_see_one_binding():
+    # more threads than cores, switching often, all at the first read
+    probe = (
+        "import sys, threading, l2limits\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier = threading.Barrier(8)\n"
+        "seen = []\n"
+        "def read():\n"
+        "    barrier.wait()\n"
+        "    seen.append((l2limits.SimplicialComplex, l2limits.__all__,\n"
+        "                 l2limits.spectral_measure))\n"
+        "threads = [threading.Thread(target=read) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert len(seen) == 8\n"
+        "assert all(a is b for got in seen for a, b in zip(got, seen[0]))\n"
+        "assert seen[0][0] is l2limits.complexes.SimplicialComplex\n"
+        "assert seen[0][2] is l2limits.spectral.spectral_measure\n"
+        "print(seen[0][1])\n")
+    assert _fresh(probe) == repr(l2limits.__all__)
 
 
 def test_sources_parse_at_the_declared_python_floor():
