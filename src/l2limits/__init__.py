@@ -39,16 +39,18 @@ _bind_lock = threading.Lock()
 
 
 def __getattr__(name):
-    """Bind every module's ``__all__`` on the package, then read ``name``."""
-    with _bind_lock:
-        if "__all__" not in globals():
-            names = []
-            for module in map(globals().get, _PUBLIC):
-                for key in module.__all__:
-                    globals()[key] = getattr(module, key)
-                names += module.__all__
-            # bound last, so a thread that finds it finds every name
-            globals()["__all__"] = [*names, "__version__"]
+    """Bind every module's ``__all__`` on the package, then read ``name``;
+    ``cli`` and ``__main__``, asked for before an import loads them, bind none."""
+    if name not in ("cli", "__main__"):
+        with _bind_lock:
+            if "__all__" not in globals():
+                names = []
+                for module in map(globals().get, _PUBLIC):
+                    for key in module.__all__:
+                        globals()[key] = getattr(module, key)
+                    names += module.__all__
+                # bound last, so a thread that finds it finds every name
+                globals()["__all__"] = [*names, "__version__"]
     try:
         return globals()[name]
     except KeyError:

@@ -17,7 +17,9 @@ from .errors import L2LimitsError, MalformedInputError, ValidationError
 
 __all__ = ["main", "build_parser"]
 
-_TOWERS = {"torus2d": 2, "torus1d": 1}
+# the tower families of generate and converge --family: a builder of level n
+_TOWERS = {"torus2d": lambda n: generators.torus_tower(2, n),
+           "torus1d": lambda n: generators.torus_tower(1, n)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,20 +128,16 @@ def _cmd_truncate(args):
     formats.write_scx(out, sys.stdout, root)
 
 
+def _fixture(args):
+    corpus = generators.fixtures()
+    if args.name not in corpus:
+        raise ValidationError(
+            f"unknown fixture {args.name!r}; choices: {', '.join(sorted(corpus))}")
+    return corpus[args.name]
+
+
 def _cmd_generate(args):
-    if args.family in _TOWERS:
-        cx = generators.torus_tower(_TOWERS[args.family], args.n)
-    elif args.family == "lm":
-        cx = generators.linial_meshulam(args.d, args.n, args.prob, args.seed)
-    elif args.family == "flag":
-        cx = generators.random_flag(args.n, args.prob, args.maxdim, args.seed)
-    else:
-        corpus = generators.fixtures()
-        if args.name not in corpus:
-            raise ValidationError(
-                f"unknown fixture {args.name!r}; choices: {', '.join(sorted(corpus))}")
-        cx = corpus[args.name]
-    formats.write_scx(cx, args.out or sys.stdout)
+    formats.write_scx(args.build(args), args.out or sys.stdout)
     if args.out:
         print(f"wrote {args.out}")
 
@@ -152,10 +150,9 @@ def _cmd_converge(args):
         raise MalformedInputError("levels and eps must be comma-separated numbers")
     if not levels:
         raise MalformedInputError("need at least one level")
-    sequence = [generators.torus_tower(_TOWERS[args.family], n) for n in levels]
     report = estimators.convergence_experiment(
-        sequence, args.p, args.moments, eps_list, rmax=args.rmax,
-        labels=levels, degree_bound=args.degree_bound)
+        [_TOWERS[args.family](n) for n in levels], args.p, args.moments,
+        eps_list, rmax=args.rmax, labels=levels, degree_bound=args.degree_bound)
     report.write_csv(args.out)
     for line in report.summary_lines():
         print(line)
@@ -217,20 +214,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a generated complex as .scx")
     gen = p.add_subparsers(dest="family", required=True)
-    for family in _TOWERS:
-        gen.add_parser(family).add_argument("--n", type=int, required=True)
-    g = gen.add_parser("lm")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--prob", type=float, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    for family, build in _TOWERS.items():
+        g = gen.add_parser(family)
+        g.add_argument("--n", type=int, required=True)
+        g.set_defaults(build=lambda a, build=build: build(a.n))
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--n", type=int, required=True)
+    sampled.add_argument("--prob", type=float, required=True)
+    sampled.add_argument("--seed", type=int, default=0)
+    g = gen.add_parser("lm", parents=[sampled])
     g.add_argument("--d", type=int, default=2)
-    g = gen.add_parser("flag")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--prob", type=float, required=True)
+    g.set_defaults(build=lambda a: generators.linial_meshulam(a.d, a.n, a.prob, a.seed))
+    g = gen.add_parser("flag", parents=[sampled])
     g.add_argument("--maxdim", type=int, default=2)
-    g.add_argument("--seed", type=int, default=0)
+    g.set_defaults(build=lambda a: generators.random_flag(a.n, a.prob, a.maxdim, a.seed))
     g = gen.add_parser("fixture")
     g.add_argument("name")
+    g.set_defaults(build=_fixture)
     for g_parser in gen.choices.values():
         g_parser.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_generate)
@@ -256,12 +256,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.fn(args)
         return 0
-    except L2LimitsError as exc:
+    except (L2LimitsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, L2LimitsError) else 2
 
 
 if __name__ == "__main__":

@@ -320,12 +320,12 @@ def _level_stats(cx, p, order, eps_list):
     moments are tr Delta_p^r / |V| from the Gram pieces of its spectrum."""
     mu = uniform_rooting(cx)
     measure, traces = _measure_and_traces(cx, p, order)
-    mv = MomentVector(p, [Fraction(t, len(cx.vertices)) for t in traces])
+    mv = MomentVector(p, [Fraction(t, measure.n_vertices) for t in traces])
     mv.validate()
     nu = {eps: measure.mass_at_zero() + measure.near_zero_mass(eps)
           for eps in eps_list}
     return {
-        "n_vertices": len(cx.vertices),
+        "n_vertices": measure.n_vertices,
         "b_p": measure.kernel_dim,
         "b_p_normalized": measure.mass_at_zero(),
         "moments": mv.moments,

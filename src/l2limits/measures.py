@@ -192,23 +192,27 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
                      rmax: int) -> Fraction:
     """Sum over r <= rmax of 2^-r times the TV gap between ball laws.
 
-    The radius-0 term is always 0 (every 0-ball is the root alone), so
-    balls are coded only for r = 1..rmax.  Support points memoize their
-    ball codes, so measuring many laws against one codes each of its balls
-    once.  No ball law is built: with D the lcm of both laws' weight
+    No ball law is built: with D the lcm of both laws' weight
     denominators, each radius sums the integer weights w * D per code, +
     for ``mu`` and - for ``nu``, and its gap g_r is the sum of their
-    absolute values, so the distance is one fraction,
-    Σ g_r 2^(rmax-r) / (D 2^(rmax+1)).
+    absolute values, so the distance is Σ g_r 2^(rmax-r) / (D 2^(rmax+1)).
+    g_0 = 0, as every 0-ball is the root alone, and past N, the largest
+    vertex count of a support complex, every ball is its whole component.
+    So balls are coded for r = 1..R, R = min(rmax, N), and the rest of the
+    sum is g_R (2^(rmax-R) - 1).  Support points memoize their codes, so
+    measuring many laws against one codes each of its balls once.
     """
     rmax = _check_int(rmax, "rmax")
     points = mu.points + nu.points
     split = len(mu.points)
     d, weights = _integer_weights(pt.weight for pt in points)
     signed = list(zip(points, weights[:split] + [-w for w in weights[split:]]))
-    total = 0
-    for r in range(1, rmax + 1):
-        total += sum(map(abs, _code_sums(signed, r).values())) << (rmax - r)
+    reach = min(rmax, max(len(pt.rooted.complex.faces(0)) for pt in points))
+    total = gap = 0
+    for r in range(1, reach + 1):
+        gap = sum(map(abs, _code_sums(signed, r).values()))
+        total += gap << (rmax - r)
+    total += gap * ((1 << (rmax - reach)) - 1)
     return Fraction(total, d << (rmax + 1))
 
 

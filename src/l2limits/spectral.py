@@ -172,11 +172,9 @@ def boundary_rank(cx: SimplicialComplex, p: int) -> int:
 
     rank d_1 = |V| - #components needs no elimination: the kernel of the
     vertex coboundary is spanned by the components' indicator vectors.
-    Above d_1 the rows eliminated are those of d_p^T, which has the same
-    rank: one {face: sign} dict per p-simplex.
+    Every other d_p, zero ones included, eliminates the rows of d_p^T
+    (same rank): one {face: sign} dict per p-simplex, empty for a vertex.
     """
-    if p < 1 or p > cx.dim:
-        return 0
     if p == 1:
         return len(cx.vertices) - len(cx.components())
     return rational_rank(dict(_signed_faces(s)) for s in cx.faces(p))
@@ -319,11 +317,10 @@ def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int,
     The piece's zero cluster, eigenvalues below ``ZERO_TOL``, must be its
     order minus the exact ``rank`` of d_q, or CrossCheckError names the
     piece.  Either Gram matrix has those traces (:func:`_power_traces`).
-    A piece past ``DENSE_EIGENSOLVE_CAP`` is refused.
+    An empty piece is 0x0: no eigenvalues, every trace 0.  A piece past
+    ``DENSE_EIGENSOLVE_CAP`` is refused.
     """
     size = _piece_size(cx, q)
-    if size == 0:
-        return [], [0] * order
     import numpy as np
 
     upper = len(cx.faces(q - 1)) > len(cx.faces(q))

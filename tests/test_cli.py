@@ -15,7 +15,8 @@ import l2limits
 from l2limits.cli import build_parser, main
 from l2limits.errors import CrossCheckError, L2LimitsError
 from l2limits.formats import read_scx, save_measure, write_scx
-from l2limits.generators import fixtures, torus_tower
+from l2limits.generators import (fixtures, linial_meshulam, random_flag,
+                                 torus_tower)
 from l2limits.measures import uniform_rooting
 
 
@@ -117,7 +118,7 @@ def test_betti_exact_computes_each_rank_once(scx, capsys, monkeypatch):
 
 def test_betti_exact_solves_each_piece_once(scx, capsys, monkeypatch):
     # the piece of d_q serves Delta_{q-1} and Delta_q: the octahedron's
-    # nonempty pieces are those of d_1 and d_2
+    # nonempty pieces are those of d_1 and d_2 (d_0 and d_3 are 0x0)
     import numpy as np
 
     solved = []
@@ -132,7 +133,7 @@ def test_betti_exact_solves_each_piece_once(scx, capsys, monkeypatch):
     code, out, _ = run(capsys, ["betti", path, "--exact"])
     assert code == 0
     assert out.splitlines()[-1].startswith("cross-check:")
-    assert sorted(solved) == [6, 8]
+    assert sorted(n for n in solved if n) == [6, 8]
 
 
 def test_bare_package_error_exits_3(capsys, monkeypatch):
@@ -287,19 +288,33 @@ def test_generate(tmp_path, capsys):
     assert code == 0 and f"wrote {target}" in out
     code, out, _ = run(capsys, ["validate", str(target)])
     assert code == 0 and "f_vector: (16, 48, 32)" in out
-    code, out, _ = run(capsys, ["generate", "lm", "--n", "6", "--prob", "0.5",
-                                "--seed", "3"])
-    assert code == 0 and out
-    code, out, _ = run(capsys, ["generate", "flag", "--n", "6", "--prob", "0.5"])
-    assert code == 0 and out
     code, _, err = run(capsys, ["generate", "fixture", "nonesuch"])
     assert code == 3
 
 
-def test_generate_towers_are_converge_families(capsys):
-    code, out, _ = run(capsys, ["generate", "torus1d", "--n", "7"])
-    assert code == 0 and read_scx(io.StringIO(out)) == (torus_tower(1, 7), None)
+# one row per generate family: its arguments, and its generator called
+# directly with the same values
+_GENERATE = [
+    (["torus1d", "--n", "5"], lambda: torus_tower(1, 5)),
+    (["torus2d", "--n", "4"], lambda: torus_tower(2, 4)),
+    (["lm", "--n", "7", "--prob", "0.4", "--seed", "2"],
+     lambda: linial_meshulam(2, 7, 0.4, 2)),
+    (["lm", "--n", "7", "--prob", "0.4", "--seed", "2", "--d", "3"],
+     lambda: linial_meshulam(3, 7, 0.4, 2)),
+    (["flag", "--n", "8", "--prob", "0.5", "--maxdim", "3", "--seed", "3"],
+     lambda: random_flag(8, 0.5, 3, 3)),
+    (["fixture", "octahedron"], lambda: fixtures()["octahedron"]),
+]
 
+
+@pytest.mark.parametrize("argv, build", _GENERATE)
+def test_each_generate_family_writes_its_generator(capsys, argv, build):
+    want = io.StringIO()
+    write_scx(build(), want)
+    assert run(capsys, ["generate", *argv]) == (0, want.getvalue(), "")
+
+
+def test_generate_towers_are_converge_families():
     def subcommands(parser):
         return next(action.choices for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
@@ -307,8 +322,9 @@ def test_generate_towers_are_converge_families(capsys):
     commands = subcommands(build_parser())
     families = next(action.choices for action in commands["converge"]._actions
                     if action.dest == "family")
-    towers = [name for name in subcommands(commands["generate"])
-              if name not in ("lm", "flag", "fixture")]
+    generate = subcommands(commands["generate"])
+    assert {argv[0] for argv, _ in _GENERATE} == set(generate)
+    towers = [name for name in generate if name not in ("lm", "flag", "fixture")]
     assert towers == list(families) == ["torus2d", "torus1d"]
 
 

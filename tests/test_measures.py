@@ -308,6 +308,40 @@ def test_measure_distance_codes_no_radius_zero_ball(monkeypatch):
     assert len(set(got.values())) > 5
 
 
+def _per_radius_distance(mu, nu, rmax):
+    """Σ_{r=1..rmax} 2^-r TV of the radius-r ball laws, one radius at a time."""
+    signed = [(pt, pt.weight) for pt in mu] + [(pt, -pt.weight) for pt in nu]
+    return sum((sum(map(abs, measures._code_sums(signed, r).values()))
+                / 2 ** (r + 1) for r in range(1, rmax + 1)), Fraction(0))
+
+
+def test_measure_distance_codes_no_ball_past_the_largest_support(monkeypatch):
+    # past the largest support's vertex count (49 here) each ball is its
+    # whole component, so the gap stays put and the tail needs no code
+    mu = uniform_rooting(torus_tower(2, 6))
+    nu = uniform_rooting(torus_tower(2, 7))
+    radii = []
+    code = measures._ball_code
+
+    def counted(cx, root, r=None):
+        radii.append(r)
+        return code(cx, root, r)
+
+    monkeypatch.setattr(measures, "_ball_code", counted)
+    far = measure_distance(mu, nu, 1000)
+    assert sorted(radii) == sorted([*range(1, 50)] * 2)
+    monkeypatch.setattr(measures, "_ball_code", code)
+    for rmax in (0, 1, 2, 5, 35, 36, 37, 48, 49, 50, 100):
+        assert measure_distance(mu, nu, rmax) == _per_radius_distance(mu, nu, rmax)
+    assert far == _per_radius_distance(mu, nu, 1000)
+    assert far.denominator.bit_length() > 1000
+    laws = [uniform_rooting(cx) for cx in fixtures().values() if cx.is_connected()]
+    for a in laws:
+        for b in laws:
+            for rmax in (1, 3, 9):
+                assert measure_distance(a, b, rmax) == _per_radius_distance(a, b, rmax)
+
+
 def test_measure_distance_triangle_inequality():
     rng = np.random.default_rng(47)
     laws = [uniform_rooting(random_complex(rng, 8)) for _ in range(6)]

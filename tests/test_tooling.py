@@ -73,6 +73,27 @@ def test_a_patch_before_first_use_is_the_one_callers_get(tmp_path):
     assert _fresh(probe) == "[0, 1, 2, 3]"
 
 
+def test_importing_cli_from_the_package_runs_no_library_module(tmp_path):
+    # the import system asks the package for cli before it loads the
+    # module; that read must not bind, and so run, every library module
+    path = tmp_path / "torus.scx"
+    write_scx(torus_tower(2, 4), path)
+    library = ("complexes", "encoding", "estimators", "generators",
+               "measures", "spectral")
+    probe = (
+        "import sys, types, contextlib, io\n"
+        "from l2limits import cli\n"
+        f"print([n for n in {library!r}\n"
+        "       if type(sys.modules['l2limits.' + n]) is types.ModuleType])\n"
+        "import l2limits\n"
+        "assert l2limits.cli is cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['betti', {str(path)!r}]) == 0\n"
+        "print(l2limits.SimplicialComplex\n"
+        "      is sys.modules['l2limits.complexes'].SimplicialComplex)\n")
+    assert _fresh(probe).splitlines() == ["[]", "True"]
+
+
 def test_first_reads_from_many_threads_see_one_binding():
     # more threads than cores, switching often, all at the first read
     probe = (
