@@ -300,10 +300,10 @@ def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
 
     The nonzero eigenvalues of an integer positive semidefinite matrix have
     product at least 1, so few of them fit below eps once the spectral
-    radius is known.  The radius used is the proven a priori bound
-    max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p)) on the spectral radius of
-    Delta_p at max degree D.  A radius at most 1 forces the nonzero
-    spectrum to be empty and the bound collapses to 0.
+    radius is known.  The radius used is the proven bound on Delta_p at max
+    degree D, max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p)): the sum of the
+    bounds on its two Gram pieces, which every spectrum checks.  A radius
+    at most 1 forces the nonzero spectrum to be empty and the bound to 0.
     """
     _check_eps(eps)
     degree_bound = _check_int(degree_bound, "degree bound")

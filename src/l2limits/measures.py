@@ -25,7 +25,6 @@ __all__ = [
     "uniform_rooting",
     "BallDistribution",
     "ball_distribution",
-    "total_variation",
     "measure_distance",
     "MassTransportResult",
     "mass_transport_check",
@@ -181,11 +180,6 @@ def ball_distribution(mu: RandomRootedComplex, r: int) -> BallDistribution:
     d, weights = _integer_weights(pt.weight for pt in mu.points)
     sums = _code_sums(zip(mu.points, weights), r)
     return BallDistribution(r, {code: Fraction(w, d) for code, w in sums.items()})
-
-
-def total_variation(p, q) -> Fraction:
-    keys = set(p) | set(q)
-    return sum((abs(p.get(k, _ZERO) - q.get(k, _ZERO)) for k in keys), _ZERO) / 2
 
 
 def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,

@@ -6,11 +6,11 @@ come from a dense symmetric eigensolver.  The eigensolver never sees
 Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T itself: the nonzero spectrum of
 Delta_p is the union of those of its two terms (Eckmann 1944; Horak &
 Jost, Adv. Math. 2013), and each term's is that of the smaller Gram
-matrix of its d, d d^T or d^T d.  ``spectral_measure`` eigensolves those
-two pieces, checks each piece's zero cluster against its size minus the
-exact rank of its d, and refuses to return on disagreement.  The same
-pieces give a whole complex's moments exactly, tr Delta_p^r being the sum
-of their r-th power traces (:func:`_power_traces`).
+matrix of its d, d d^T or d^T d.  Every spectrum eigensolves those two
+pieces in :func:`_nonzero_spectrum`, which checks each piece's zero count,
+proven norm bound and power sums and raises CrossCheckError on a failure.
+The same pieces give a whole complex's moments exactly, tr Delta_p^r being
+the sum of their r-th power traces (:func:`_power_traces`).
 
 Both routes, and the moment walk of ``estimators``, take their signs from
 one rule, :func:`_signed_faces`; the walk's cofaces read it backwards.
@@ -23,7 +23,7 @@ blocks of the stars, so a moment pays for the simplices its walks reach;
 ``estimators`` walks carriers for laws, roots and samples, which are not
 whole finite complexes, each once, over one incidence per complex.
 :func:`boundary_matrix`, a dense int64 array, is an independent reference
-for the tests: no rank, Gram matrix, moment or norm bound reads it.
+for the tests: no rank, Gram matrix, moment or spectrum check reads it.
 """
 
 from __future__ import annotations
@@ -49,11 +49,8 @@ __all__ = [
     "laplacian_matrix",
     "SpectralMeasure",
     "spectral_measure",
-    "NormBounds",
-    "operator_norm_bounds",
     "euler_poincare",
     "write_spectrum_csv",
-    "write_betti_csv",
 ]
 
 DENSE_EIGENSOLVE_CAP = 4096
@@ -309,15 +306,39 @@ def _power_traces(g: np.ndarray, order: int) -> list:
             return traces
 
 
+def _piece_bound(q: int, degree: int) -> int:
+    """Proven bound (q+1)(D-q+1), 0 when negative, on ||d_q||^2, the
+    largest eigenvalue of either Gram piece of d_q, at max vertex degree D.
+
+    Schur's test: a column of d_q has q+1 entries, and a row at most D-q+1,
+    as a coface of a (q-1)-simplex adds a neighbour of one of its vertices,
+    q-1 of whose neighbours it holds.  At D < q-1 there is no q-simplex.
+    """
+    return max(0, (q + 1) * (degree - q + 1))
+
+
+def _radius_bound(p: int, degree: int) -> int:
+    """Proven bound on the spectral radius of Delta_p at max vertex degree
+    D: the bounds of its two terms d_p^T d_p and d_{p+1} d_{p+1}^T added,
+    max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p))."""
+    return _piece_bound(p, degree) + _piece_bound(p + 1, degree)
+
+
 def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int,
                       order: int) -> tuple:
     """(nonzero eigenvalues of d_q^T d_q, ascending, [tr (d_q^T d_q)^r for
     r = 1..order]) from its Gram piece, which is built once.
 
-    The piece's zero cluster, eigenvalues below ``ZERO_TOL``, must be its
-    order minus the exact ``rank`` of d_q, or CrossCheckError names the
-    piece.  Either Gram matrix has those traces (:func:`_power_traces`).
-    An empty piece is 0x0: no eigenvalues, every trace 0.  A piece past
+    Every float spectrum passes here, and each of three checks raises
+    CrossCheckError naming the piece.  Its zero cluster, eigenvalues below
+    ``ZERO_TOL``, must be its order N minus the exact ``rank`` of d_q.  The
+    solve's backward error is taken as at most 4 N^2 u rho, u = 2^-53 and
+    rho the proven bound :func:`_piece_bound` at ``cx.max_degree()``: so
+    the largest eigenvalue may pass rho by that much, and no more, and the
+    sums of the eigenvalues and of their squares must lie within
+    4 N^2 u rho^r of the exact traces tr g and tr g^2 = ||g||_F^2.  Either
+    Gram matrix has those traces (:func:`_power_traces`).  An empty piece
+    is 0x0: no eigenvalues, every trace 0.  A piece past
     ``DENSE_EIGENSOLVE_CAP`` is refused.
     """
     size = _piece_size(cx, q)
@@ -326,13 +347,28 @@ def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int,
     upper = len(cx.faces(q - 1)) > len(cx.faces(q))
     gram = _gram(cx, q, upper)
     eigenvalues = np.linalg.eigvalsh(gram)
+    where = f"the Gram piece of d_{q} ({size} rows"
     zeros = size - rank
     found = int(np.sum(np.abs(eigenvalues) < ZERO_TOL))
     if found != zeros:
+        raise CrossCheckError(f"eigensolver zero count {found} != {zeros} in "
+                              f"{where}, exact rank {rank}; tol {ZERO_TOL})")
+    degree = cx.max_degree()
+    bound, slack = _piece_bound(q, degree), 4 * size * size * 2.0 ** -53
+    top = float(eigenvalues.max(initial=0.0))
+    if top > bound * (1 + slack):
         raise CrossCheckError(
-            f"eigensolver zero count {found} != {zeros} in the Gram piece of "
-            f"d_{q} ({size} rows, exact rank {rank}; tol {ZERO_TOL})")
-    return eigenvalues[zeros:].tolist(), _power_traces(gram, order)
+            f"largest eigenvalue {top!r} exceeds the proven bound "
+            f"(q+1)(D-q+1) = {bound} at max degree D = {degree} in {where}; "
+            f"relative tol {slack:.3g})")
+    traces = _power_traces(gram, max(order, 2))
+    sums = (eigenvalues.sum(), eigenvalues @ eigenvalues)
+    for r, total, exact in zip((1, 2), sums, traces):
+        if abs(total - exact) > slack * bound ** r:
+            raise CrossCheckError(
+                f"eigenvalue power sum {float(total)!r} != tr g^{r} = {exact} "
+                f"in {where}; tol {slack * bound ** r:.3g})")
+    return eigenvalues[zeros:].tolist(), traces[:order]
 
 
 class SpectralMeasure(NamedTuple):
@@ -408,55 +444,6 @@ def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     return _measure_and_traces(cx, p, 0)[0]
 
 
-class NormBounds(NamedTuple):
-    boundary_norm_bound: float  # sqrt((p+1)(D-p+1)), bounds ||d_p|| = ||d_p*||
-    laplacian_bound: int        # _radius_bound(p, D), bounds rho(Delta_p)
-    spectral_radius: float
-
-
-def operator_norm_bounds(cx: SimplicialComplex, p: int,
-                         degree_bound: int) -> NormBounds:
-    """Proven degree-based bounds on ||d_p|| and rho(Delta_p), checked.
-
-    A column of d_p has p+1 entries.  A row has at most D-p+1 once the
-    max degree, checked, is at most D: a coface of a (p-1)-simplex adds a
-    neighbour of one of its vertices, p-1 of whose neighbours it holds.
-    So ||d_p||^2 = ||d_p*||^2 <= (p+1)(D-p+1) (Schur's test).  The radius
-    of Delta_p is that of :func:`spectral_measure`, with its cap, kernel
-    cross-check and refusal of the empty complex; one above the Gershgorin
-    bound of :func:`_radius_bound` raises CrossCheckError.
-    """
-    p = _check_int(p, "norm degree")
-    if p < 1:
-        raise ValidationError("norm bounds are stated for p >= 1")
-    degree_bound = _check_int(degree_bound, "degree bound")
-    if cx.max_degree() > degree_bound:
-        raise ValidationError(
-            f"max degree {cx.max_degree()} exceeds declared bound {degree_bound}")
-    radius = spectral_measure(cx, p).spectral_radius()
-    lap_bound = _radius_bound(p, degree_bound)
-    if radius > lap_bound + 1e-9:
-        raise CrossCheckError(
-            f"spectral radius {radius:.6f} exceeds the proven bound {lap_bound}")
-    return NormBounds(
-        boundary_norm_bound=math.sqrt(max(0, (p + 1) * (degree_bound - p + 1))),
-        laplacian_bound=lap_bound,
-        spectral_radius=radius,
-    )
-
-
-def _radius_bound(p: int, degree: int) -> int:
-    """Proven bound on the spectral radius of Delta_p at max vertex degree D.
-
-    Gershgorin on absolute row sums: each (p-1)-face of a p-simplex has at
-    most D-p+1 cofaces, giving at most (p+1)(D-p+1) from d_p^T d_p, and the
-    simplex has at most D-p cofaces of p+2 faces each, giving at most
-    (p+2)(D-p) from d_{p+1} d_{p+1}^T.  A term whose count is negative has
-    no simplices behind it and contributes 0.
-    """
-    return max(0, (p + 1) * (degree - p + 1)) + max(0, (p + 2) * (degree - p))
-
-
 def euler_poincare(cx: SimplicialComplex):
     """Both sides of the normalized Euler-Poincare identity, exactly.
 
@@ -477,11 +464,3 @@ def write_spectrum_csv(measure: SpectralMeasure, target) -> None:
         fh.write("eigenvalue,weight\n")
         for value, weight in measure.atoms():
             fh.write(f"{value!r},{weight}\n")
-
-
-def write_betti_csv(cx: SimplicialComplex, target) -> None:
-    bettis = _chain_numbers(cx, range(cx.dim + 1))[0]
-    with _text(target, "w") as fh:
-        fh.write("p,b_p,normalized\n")
-        for p, b in bettis.items():
-            fh.write(f"{p},{b},{Fraction(b, len(cx.faces(0)))}\n")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,10 @@ def random_connected_complex(rng: np.random.Generator,
 def point_moments(rc, p: int, order: int) -> tuple:
     """Exact m_0..m_order at one root: the moments of its point mass."""
     return moments_of_measure(RandomRootedComplex.point_mass(rc), p, order).moments
+
+
+def tv_gap(a: dict, b: dict) -> Fraction:
+    """Half the sum of |a - b| over the keys of two {key: weight} laws, the
+    reference ball-law gap that measure_distance is checked against."""
+    return sum((abs(a.get(k, 0) - b.get(k, 0)) for k in {*a, *b}),
+               Fraction(0)) / 2

@@ -21,8 +21,7 @@ from l2limits.generators import linial_meshulam, random_flag, torus_tower
 from l2limits.measures import (ball_distribution, degree_truncate,
                                expected_p_degree, measure_distance,
                                SupportPoint, uniform_rooting)
-from l2limits.spectral import (betti, laplacian_matrix, operator_norm_bounds,
-                               spectral_measure)
+from l2limits.spectral import betti, laplacian_matrix, spectral_measure
 
 
 def _moments(mv):
@@ -81,9 +80,6 @@ def _entry_points():
         ("betti", lambda x: betti(torus, x), 1),
         ("laplacian_matrix", lambda x: laplacian_matrix(torus, x).tolist(), 1),
         ("spectral_measure", lambda x: spectral_measure(torus, x), 1),
-        ("operator_norm_bounds p", lambda x: operator_norm_bounds(torus, x, 6), 1),
-        ("operator_norm_bounds degree_bound",
-         lambda x: operator_norm_bounds(torus, 1, x), 6),
         ("torus_tower d", lambda x: torus_tower(x, 5), 2),
         ("torus_tower n", lambda x: torus_tower(2, x), 5),
         ("linial_meshulam d", lambda x: linial_meshulam(x, 6, 0.5, 0), 2),

@@ -7,7 +7,7 @@ import pytest
 
 import l2limits.estimators as estimators
 import l2limits.spectral as spectral
-from conftest import point_moments, random_complex
+from conftest import point_moments, random_complex, tv_gap
 from l2limits.complexes import SimplicialComplex, rooted_at
 from l2limits.errors import HypothesisViolationError, ValidationError
 from l2limits.estimators import (ConvergenceReport, MomentVector, RootSample,
@@ -18,7 +18,7 @@ from l2limits.estimators import (ConvergenceReport, MomentVector, RootSample,
 from l2limits.generators import fixtures, linial_meshulam, torus_tower
 from l2limits.measures import (RandomRootedComplex, SupportPoint,
                                ball_distribution, expected_p_degree,
-                               total_variation, uniform_rooting)
+                               uniform_rooting)
 from l2limits.spectral import (SpectralMeasure, _gram, _Incidence,
                                _measure_and_traces, _signed_faces,
                                boundary_matrix, laplacian_matrix,
@@ -721,7 +721,7 @@ def test_convergence_experiment_codes_no_radius_zero_ball(monkeypatch):
     old = []
     for cx in levels:
         mu = uniform_rooting(cx)
-        old.append(sum((Fraction(1, 2 ** r) * total_variation(
+        old.append(sum((Fraction(1, 2 ** r) * tv_gap(
             ball_distribution(mu, r), ball_distribution(last, r))
             for r in range(4)), Fraction(0)))
     assert report.distances_to_last == old

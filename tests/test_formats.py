@@ -11,7 +11,7 @@ from l2limits.estimators import convergence_experiment
 from l2limits.formats import load_measure, read_scx, save_measure, write_scx
 from l2limits.generators import fixtures, torus_tower
 from l2limits.measures import RandomRootedComplex, uniform_rooting
-from l2limits.spectral import spectral_measure, write_betti_csv, write_spectrum_csv
+from l2limits.spectral import spectral_measure, write_spectrum_csv
 
 
 def scx_text(cx, root=None):
@@ -101,7 +101,6 @@ def test_every_writer_writes_a_path_as_it_writes_a_stream(tmp_path):
         "save_measure": lambda target: save_measure(uniform_rooting(cx), target),
         "write_spectrum_csv":
             lambda target: write_spectrum_csv(spectral_measure(cx, 1), target),
-        "write_betti_csv": lambda target: write_betti_csv(cx, target),
         "ConvergenceReport.write_csv": report.write_csv,
     }
     for name, write in writers.items():

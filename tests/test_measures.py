@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_complex
+from conftest import random_complex, tv_gap
 import l2limits.measures as measures
 from l2limits.complexes import RootedComplex, SimplicialComplex, rooted_at
 from l2limits.encoding import canonical_code
@@ -15,8 +15,7 @@ from l2limits.measures import (BallDistribution, RandomRootedComplex,
                                SupportPoint, ball_distribution, degree_truncate,
                                expected_p_degree, mass_transport_check,
                                measure_distance, non_unimodular_example,
-                               standard_battery, total_variation,
-                               uniform_rooting)
+                               standard_battery, uniform_rooting)
 
 closure = SimplicialComplex.closure
 
@@ -196,14 +195,6 @@ def test_ball_distribution_validate_rejects_non_balls():
             law.validate()
 
 
-def test_total_variation():
-    a = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
-    b = {"y": Fraction(1, 2), "z": Fraction(1, 2)}
-    assert total_variation(a, a) == 0
-    assert total_variation(a, b) == Fraction(1, 2)
-    assert total_variation(a, {"z": Fraction(1)}) == 1
-
-
 def test_measure_distance_cycle_example():
     mu5 = uniform_rooting(fixtures()["cycle5"])
     mu6 = uniform_rooting(fixtures()["cycle6"])
@@ -301,7 +292,7 @@ def test_measure_distance_codes_no_radius_zero_ball(monkeypatch):
            for rmax in range(4)}
     assert radii and 0 not in radii
     for (i, j, rmax), value in got.items():
-        old = sum((Fraction(1, 2 ** r) * total_variation(
+        old = sum((Fraction(1, 2 ** r) * tv_gap(
             ball_distribution(laws[i], r), ball_distribution(laws[j], r))
             for r in range(rmax + 1)), Fraction(0))
         assert value == old
@@ -714,7 +705,7 @@ def test_integer_weight_sums_equal_the_fraction_sums():
     for mu in laws:
         for nu in laws:
             for rmax in (0, 1, 3):
-                want = sum((Fraction(1, 2 ** r) * total_variation(
+                want = sum((Fraction(1, 2 ** r) * tv_gap(
                     ball_distribution(mu, r), ball_distribution(nu, r))
                     for r in range(1, rmax + 1)), Fraction(0))
                 got = measure_distance(mu, nu, rmax)

@@ -3,6 +3,7 @@ import re
 import shlex
 from pathlib import Path
 
+import l2limits
 from l2limits.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -49,3 +50,13 @@ def test_cli_section_names_only_real_options():
     assert {"--eps", "--rmax"} <= flags  # the spans were found
     options = _options(build_parser())
     assert flags <= options, flags - options
+
+
+def test_library_at_a_glance_names_every_public_name():
+    # the module list names each public name in a span of its own
+    section = README.split("\n## Library at a glance\n", 1)[1]
+    prose = re.sub(r"```.*?```", "", section.split("\n## ", 1)[0], flags=re.S)
+    spans = set(re.findall(r"`([^`]+)`", prose))
+    missing = [name for name in l2limits.__all__
+               if name != "__version__" and name not in spans]
+    assert missing == []

@@ -8,17 +8,18 @@ import pytest
 
 import l2limits.spectral as spectral
 from conftest import random_complex, random_connected_complex
+from l2limits.cli import main
 from l2limits.complexes import SimplicialComplex
 from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.estimators import exhaustive_moments
 from l2limits.exact import rational_rank
+from l2limits.formats import write_scx
 from l2limits.generators import fixtures, linial_meshulam, torus_tower
 from l2limits.measures import uniform_rooting
-from l2limits.spectral import (_radius_bound, _signed_faces, betti,
-                               betti_normalized, boundary_matrix,
+from l2limits.spectral import (_piece_bound, _radius_bound, _signed_faces,
+                               betti, betti_normalized, boundary_matrix,
                                boundary_rank, euler_poincare,
-                               laplacian_matrix, operator_norm_bounds,
-                               spectral_measure, write_betti_csv,
+                               laplacian_matrix, spectral_measure,
                                write_spectrum_csv)
 
 closure = SimplicialComplex.closure
@@ -138,7 +139,7 @@ def test_rank_of_d1_counts_components():
 def test_computation_path_reads_no_boundary_matrix(monkeypatch):
     # boundary_matrix, a dense array, is the independent reference: ranks
     # (each computed once by _chain_numbers), Laplacian rows, moments and
-    # norm bounds read signs from _signed_faces alone
+    # the spectra's checks read signs from _signed_faces alone
     calls = []
     reference = spectral.boundary_matrix
 
@@ -154,12 +155,10 @@ def test_computation_path_reads_no_boundary_matrix(monkeypatch):
             laplacian_matrix(cx, p)
             spectral_measure(cx, p)
             exhaustive_moments(cx, p, 3)
-            if p >= 1:
-                operator_norm_bounds(cx, p, cx.max_degree())
     assert calls == []
 
 
-def test_betti_loops_compute_each_rank_once(monkeypatch):
+def test_betti_loops_compute_each_rank_once(monkeypatch, tmp_path):
     calls = []
     rank = spectral.boundary_rank
 
@@ -169,7 +168,8 @@ def test_betti_loops_compute_each_rank_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "boundary_rank", counted)
     cx = fixtures()["octahedron"]
-    write_betti_csv(cx, io.StringIO())
+    write_scx(cx, tmp_path / "octa.scx")
+    assert main(["betti", str(tmp_path / "octa.scx")]) == 0
     assert sorted(calls) == [0, 1, 2, 3]
     calls.clear()
     assert euler_poincare(cx) == (Fraction(2, 6), Fraction(2, 6))
@@ -405,15 +405,10 @@ def test_spectral_measure_guard_rails(monkeypatch):
     empty_degree = spectral_measure(cx, 5)
     assert empty_degree.total_mass() == 0
     assert empty_degree.spectral_radius() == 0.0
-    # operator_norm_bounds takes its radius from spectral_measure, so both
-    # refuse the empty complex alike and read the cap and the zero
-    # tolerance when called
-    empty = SimplicialComplex([])
-    with pytest.raises(ValidationError) as measured:
-        spectral_measure(empty, 1)
-    with pytest.raises(ValidationError) as bounded:
-        operator_norm_bounds(empty, 1, 0)
-    assert str(bounded.value) == str(measured.value)
+    # the empty complex is refused, and the cap and the zero tolerance are
+    # read when called
+    with pytest.raises(ValidationError):
+        spectral_measure(SimplicialComplex([]), 1)
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "DENSE_EIGENSOLVE_CAP", 2)
         with pytest.raises(ValidationError, match="dense eigensolver cap"):
@@ -422,8 +417,6 @@ def test_spectral_measure_guard_rails(monkeypatch):
     monkeypatch.setattr(spectral, "ZERO_TOL", 2.0)
     with pytest.raises(CrossCheckError):
         spectral_measure(torus_tower(1, 5), 0)
-    with pytest.raises(CrossCheckError):
-        operator_norm_bounds(torus_tower(1, 5), 1, 2)
 
 
 def test_euler_poincare_fixtures_and_random():
@@ -466,52 +459,82 @@ def test_boundary_norm_within_entry_count_bound():
             assert top ** 2 <= (p + 1) * (degree - p + 1) + 1e-9
 
 
-def test_norm_bounds_reporting():
-    cx = fixtures()["book"]
-    degree = cx.max_degree()
-    nb = operator_norm_bounds(cx, 1, degree)
-    assert nb.boundary_norm_bound == pytest.approx(math.sqrt(2 * degree))
-    assert nb.laplacian_bound == _radius_bound(1, degree)
-    assert nb.spectral_radius == pytest.approx(
-        spectral_measure(cx, 1).spectral_radius())
-    assert nb.spectral_radius <= nb.laplacian_bound
-    with pytest.raises(ValidationError):
-        operator_norm_bounds(cx, 0, degree)
-    with pytest.raises(ValidationError):
-        operator_norm_bounds(cx, 1, degree - 1)
-    # no 3-simplices and D < p - 1: every bound is 0, with no square root
-    # of a negative count
-    nb = operator_norm_bounds(fixtures()["edge"], 3, 1)
-    assert nb.boundary_norm_bound == nb.laplacian_bound == nb.spectral_radius == 0
+def test_tight_pieces_meet_their_norm_bound():
+    # each of these pieces has a largest eigenvalue equal to (q+1)(D-q+1),
+    # within the eigensolver's rounding, and passes the check
+    for name, q in (("edge", 1), ("cycle6", 1), ("filled_triangle", 2),
+                    ("solid_tetrahedron", 3)):
+        cx = fixtures()[name]
+        top = spectral._nonzero_spectrum(cx, q, boundary_rank(cx, q), 0)[0][-1]
+        assert top == pytest.approx(_piece_bound(q, cx.max_degree()),
+                                    rel=1e-15), name
 
 
 def test_laplacian_radius_bound_holds_on_dense_complexes():
-    # flat tori and complete graphs exceed 2*sqrt((p+2)*D); the returned
+    # flat tori and complete graphs exceed 2*sqrt((p+2)*D); the proven
     # bound holds on them
     torus = torus_tower(2, 8)
-    nb = operator_norm_bounds(torus, 1, 6)
-    assert nb.spectral_radius == pytest.approx(8.83, abs=0.01)
-    assert nb.laplacian_bound == 27
+    assert spectral_measure(torus, 1).spectral_radius() == pytest.approx(
+        8.83, abs=0.01)
+    assert _radius_bound(1, torus.max_degree()) == 27
     k13 = closure(list(combinations(range(13), 2)))
-    nb = operator_norm_bounds(k13, 1, 12)
-    assert nb.spectral_radius == pytest.approx(13.0)
-    assert nb.laplacian_bound == 57
+    assert spectral_measure(k13, 1).spectral_radius() == pytest.approx(13.0)
+    assert _radius_bound(1, k13.max_degree()) == 57
 
 
-def test_norm_bounds_refuse_past_the_eigensolver_cap(monkeypatch):
-    import l2limits.spectral as spectral_mod
-    monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 10)
-    with pytest.raises(ValidationError, match="dense eigensolver cap"):
-        operator_norm_bounds(torus_tower(2, 6), 1, 6)
-
-
-def test_norm_bounds_cross_check_the_radius(monkeypatch):
-    # a radius above the stated bound is refused, not reported
-    import l2limits.spectral as spectral_mod
-    monkeypatch.setattr(spectral_mod, "_radius_bound", lambda p, degree: 1)
+def test_a_piece_past_its_norm_bound_is_refused(monkeypatch, tmp_path,
+                                                capsys):
+    # a largest eigenvalue above the proven bound is refused, not reported:
+    # by the library, and by every command that eigensolves, with exit 5,
+    # one error line and no CSV
+    monkeypatch.setattr(spectral, "_piece_bound", lambda q, degree: 1)
     book = fixtures()["book"]
-    with pytest.raises(CrossCheckError):
-        operator_norm_bounds(book, 1, book.max_degree())
+    with pytest.raises(CrossCheckError,
+                       match="proven bound .*Gram piece of d_1 "):
+        spectral_measure(book, 1)
+    path = str(tmp_path / "book.scx")
+    write_scx(book, path)
+    out = tmp_path / "exp.csv"
+    for argv in (["spectrum", path, "--p", "1"], ["betti", path, "--exact"],
+                 ["converge", "--family", "torus2d", "--levels", "4,5",
+                  "--p", "1", "--out", str(out)]):
+        assert main(argv) == 5, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
+        assert "proven bound" in lines[0], argv
+    assert not out.exists()
+
+
+def _lose_one(ev):
+    """The eigenvalues without the largest nonzero one."""
+    return ev[:-1]
+
+
+def _repeat_one(ev):
+    """The eigenvalues with the largest one replaced by a copy of a
+    distinct smaller one."""
+    ev = ev.copy()
+    ev[-1] = ev[ev < ev[-1] - 1e-3][-1]
+    return ev
+
+
+@pytest.mark.parametrize("corrupt", [_lose_one, _repeat_one])
+def test_power_sums_catch_a_lost_or_repeated_eigenvalue(monkeypatch, corrupt):
+    # the sums of the eigenvalues and of their squares match the exact
+    # traces on every fixture and torus, and an eigenvalue dropped, or
+    # repeated in place of a distinct one, breaks them
+    cases = list(fixtures().values()) + [torus_tower(2, n) for n in (3, 8)]
+    for cx in cases:
+        for p in range(cx.dim + 1):
+            spectral_measure(cx, p)
+    eigvalsh = np.linalg.eigvalsh
+    # a 0x0 piece has no eigenvalue to corrupt
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: corrupt(eigvalsh(a)) if len(a) else eigvalsh(a))
+    for cx in (fixtures()["octahedron"], torus_tower(2, 6)):
+        with pytest.raises(CrossCheckError,
+                           match=r"power sum .* != tr g\^1 .*Gram piece of d_1 "):
+            spectral_measure(cx, 0)
 
 
 def test_radius_bound_holds_and_clamps():
@@ -538,7 +561,3 @@ def test_csv_writers():
     assert lines[1] == "0.0,1/3"
     assert lines[2].endswith(",2/3")
     assert float(lines[2].split(",")[0]) == pytest.approx(3.0)
-    out = io.StringIO()
-    write_betti_csv(cx, out)
-    assert out.getvalue() == ("p,b_p,normalized\n"
-                              "0,1,1/3\n1,0,0\n2,0,0\n")
