@@ -48,9 +48,8 @@ def _rooted_from_arg(arg: str):
 
 def _cmd_validate(args):
     cx, root = formats.read_scx(args.file)
-    fvec = cx.f_vector()
     print(f"simplices: {len(cx)}")
-    print(f"f_vector: {fvec if fvec else '()'}")
+    print(f"f_vector: {cx.f_vector()}")
     print(f"dim: {cx.dim}")
     print(f"connected: {'yes' if cx.is_connected() else 'no'}")
     print(f"components: {len(cx.components())}")
@@ -85,7 +84,7 @@ def _cmd_spectrum(args):
     print(f"nu({{0}}) = {measure.mass_at_zero()}")
     print(f"nu(R) = {measure.total_mass()}")
     print(f"spectral radius = {measure.spectral_radius()!r}")
-    print(f"a priori bound max(0,(p+1)(D-p+1))+max(0,(p+2)(D-p)) = "
+    print(f"a priori bound at D={degree} = "
           f"{spectral._radius_bound(args.p, degree)}")
     spectral.write_spectrum_csv(measure, args.out or sys.stdout)
     if args.out:

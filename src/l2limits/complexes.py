@@ -180,9 +180,7 @@ class SimplicialComplex:
         return sum(1 for s in self._star.get(v, ()) if len(s) == p + 1)
 
     def max_degree(self) -> int:
-        if not self._neighbors:
-            return 0
-        return max(len(ns) for ns in self._neighbors.values())
+        return max(map(len, self._neighbors.values()), default=0)
 
     def has_vertex(self, v: int) -> bool:
         return v in self._star

@@ -301,9 +301,9 @@ def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
     The nonzero eigenvalues of an integer positive semidefinite matrix have
     product at least 1, so few of them fit below eps once the spectral
     radius is known.  The radius used is the proven bound on Delta_p at max
-    degree D, max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p)): the sum of the
-    bounds on its two Gram pieces, which every spectrum checks.  A radius
-    at most 1 forces the nonzero spectrum to be empty and the bound to 0.
+    degree D, max((p+1)(D-p+1), (p+2)(D-p), 0): the larger of the bounds
+    on its two Gram pieces, which every spectrum checks.  A radius at most
+    1 forces the nonzero spectrum to be empty and the bound to 0.
     """
     _check_eps(eps)
     degree_bound = _check_int(degree_bound, "degree bound")
@@ -333,9 +333,9 @@ def _level_stats(cx, p, order, eps_list):
     }, mu
 
 
-def _eps_column(eps) -> str:
-    """The CSV column and trend name of an eps value."""
-    return f"nu_eps_{eps:g}"
+def _eps_label(eps) -> str:
+    """An eps as its column, footer and summary line write it, from its float."""
+    return f"{float(eps):g}"
 
 
 class ConvergenceReport:
@@ -362,7 +362,7 @@ class ConvergenceReport:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "|V|", "p", "b_p", "b_p_normalized",
                              *[f"m{r}" for r in range(self.order + 1)],
-                             *map(_eps_column, self.eps_list)])
+                             *(f"nu_eps_{_eps_label(e)}" for e in self.eps_list)])
             for label, row in zip(self.labels, self.rows):
                 cells = [label, row["n_vertices"], self.p, row["b_p"],
                          row["b_p_normalized"]]
@@ -370,8 +370,8 @@ class ConvergenceReport:
                 cells += [row["nu"][eps] for eps in self.eps_list]
                 writer.writerow([str(c) for c in cells])
             for eps, bound in self.bounds.items():
-                fh.write(f"# kernel_mass_bound eps={eps:g} D={self.degree_bound} "
-                         f"p={self.p}: {bound!r}\n")
+                fh.write(f"# kernel_mass_bound eps={_eps_label(eps)} "
+                         f"D={self.degree_bound} p={self.p}: {bound!r}\n")
 
     def summary_lines(self):
         lines = []
@@ -385,13 +385,11 @@ class ConvergenceReport:
             lines.append(f"trend {column}: {flag}")
         for eps, bound in self.bounds.items():
             lines.append(
-                f"kernel_mass_bound eps={eps:g}: {bound:.6g}")
+                f"kernel_mass_bound eps={_eps_label(eps)}: {bound:.6g}")
         return lines
 
 
 def _trend(values) -> str:
-    if len(values) < 2:
-        return "constant"
     diffs = [b - a for a, b in zip(values, values[1:])]
     if all(d == 0 for d in diffs):
         return "constant"
@@ -425,7 +423,7 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     eps_list = list(eps_list)
     for eps in eps_list:
         _check_eps(eps)
-    columns = [_eps_column(eps) for eps in eps_list]
+    columns = [f"nu_eps_{_eps_label(eps)}" for eps in eps_list]
     if len(set(columns)) != len(columns):
         raise ValidationError(
             f"eps values {eps_list} repeat a column label: {columns}")

@@ -294,20 +294,11 @@ def standard_battery():
         d = distance(cx, x, y)
         return cx.p_degree(y, 2) if d is not None and d <= 2 else 0
 
-    return (
-        ("same_vertex", same_vertex),
-        ("degree_at_self", degree_at_self),
-        ("adjacency", adjacency),
-        ("adjacency_times_far_degree", adjacency_times_far_degree),
-        ("adjacency_uphill", adjacency_uphill),
-        ("adjacency_min_degree", adjacency_min_degree),
-        ("adjacency_to_degree_two", adjacency_to_degree_two),
-        ("common_neighbors", common_neighbors),
-        ("shared_triangles", shared_triangles),
-        ("at_distance_two", at_distance_two),
-        ("inverse_distance", inverse_distance),
-        ("nearby_triangle_degree", nearby_triangle_degree),
-    )
+    return tuple((fn.__name__, fn) for fn in (
+        same_vertex, degree_at_self, adjacency, adjacency_times_far_degree,
+        adjacency_uphill, adjacency_min_degree, adjacency_to_degree_two,
+        common_neighbors, shared_triangles, at_distance_two, inverse_distance,
+        nearby_triangle_degree))
 
 
 def non_unimodular_example():

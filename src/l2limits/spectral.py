@@ -319,9 +319,8 @@ def _piece_bound(q: int, degree: int) -> int:
 
 def _radius_bound(p: int, degree: int) -> int:
     """Proven bound on the spectral radius of Delta_p at max vertex degree
-    D: the bounds of its two terms d_p^T d_p and d_{p+1} d_{p+1}^T added,
-    max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p))."""
-    return _piece_bound(p, degree) + _piece_bound(p + 1, degree)
+    D: the larger bound of its two Gram pieces, those of d_p and d_{p+1}."""
+    return max(_piece_bound(p, degree), _piece_bound(p + 1, degree))
 
 
 def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int,

@@ -635,10 +635,23 @@ def test_convergence_experiment_checks_rmax_first(monkeypatch):
 
 def test_kernel_mass_bound_formula():
     d, p, eps = 6, 1, 0.5
-    radius = 27  # max(0,(p+1)(D-p+1)) + max(0,(p+2)(D-p))
+    radius = 15  # max((p+1)(D-p+1), (p+2)(D-p), 0)
     want = math.log(radius) * math.comb(d, p) / ((p + 1) * math.log(1 / eps))
     assert kernel_mass_bound(d, p, eps) == pytest.approx(want)
     assert kernel_mass_bound(0, 0, 0.5) == 0.0  # a priori radius is 1
+
+
+def test_fraction_eps_writes_what_its_float_writes(tmp_path):
+    # a Fraction eps is labelled by its float in the column, footer and
+    # summary, on every Python version the package supports
+    tower = [torus_tower(2, 4), torus_tower(2, 5)]
+    reports = [convergence_experiment(tower, 1, 2, [eps])
+               for eps in (Fraction(1, 2), 0.5)]
+    for name, report in zip(("fraction.csv", "float.csv"), reports):
+        report.write_csv(tmp_path / name)
+    assert ((tmp_path / "fraction.csv").read_bytes()
+            == (tmp_path / "float.csv").read_bytes())
+    assert reports[0].summary_lines() == reports[1].summary_lines()
 
 
 def test_kernel_mass_bound_default_radius_holds():

@@ -476,10 +476,10 @@ def test_laplacian_radius_bound_holds_on_dense_complexes():
     torus = torus_tower(2, 8)
     assert spectral_measure(torus, 1).spectral_radius() == pytest.approx(
         8.83, abs=0.01)
-    assert _radius_bound(1, torus.max_degree()) == 27
+    assert _radius_bound(1, torus.max_degree()) == 15
     k13 = closure(list(combinations(range(13), 2)))
     assert spectral_measure(k13, 1).spectral_radius() == pytest.approx(13.0)
-    assert _radius_bound(1, k13.max_degree()) == 57
+    assert _radius_bound(1, k13.max_degree()) == 33
 
 
 def test_a_piece_past_its_norm_bound_is_refused(monkeypatch, tmp_path,
@@ -538,7 +538,8 @@ def test_power_sums_catch_a_lost_or_repeated_eigenvalue(monkeypatch, corrupt):
 
 
 def test_radius_bound_holds_and_clamps():
-    # rho(Delta_p) <= (p+1)(D-p+1) + (p+2)(D-p) with negative terms as 0
+    # rho(Delta_p) <= max((p+1)(D-p+1), (p+2)(D-p), 0): the larger bound
+    # of its two Gram pieces
     cases = list(fixtures().values()) + [torus_tower(2, 8)]
     rng = np.random.default_rng(53)
     cases += [random_complex(rng, 10) for _ in range(20)]
@@ -547,7 +548,8 @@ def test_radius_bound_holds_and_clamps():
         for p in range(cx.dim + 3):
             radius = spectral_measure(cx, p).spectral_radius()
             assert radius <= _radius_bound(p, degree) + 1e-9
-    assert _radius_bound(1, 6) == 27
+    assert _radius_bound(1, 6) == 15
+    assert _radius_bound(0, 6) == 12  # 2D, the bound of d_1's piece
     assert _radius_bound(4, 2) == 0
     assert _radius_bound(3, 3) == 4  # only the d_p term survives
 

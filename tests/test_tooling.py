@@ -119,6 +119,16 @@ def test_first_reads_from_many_threads_see_one_binding():
     assert _fresh(probe) == repr(l2limits.__all__)
 
 
+def test_dir_before_any_read_lists_every_public_name():
+    # dir() is the first read here, so it must bind the names it lists
+    probe = (
+        "import l2limits\n"
+        "assert '__all__' not in vars(l2limits)\n"
+        "names = dir(l2limits)\n"
+        "print(sorted(set(l2limits.__all__) - set(names)))\n")
+    assert _fresh(probe) == "[]"
+
+
 def test_sources_parse_at_the_declared_python_floor():
     declared = (ROOT / "pyproject.toml").read_text()
     floor = tuple(map(int, re.search(
