@@ -40,10 +40,10 @@ def _rooted(path, root=None):
 
 
 def _rooted_from_arg(arg: str):
-    """'file.scx:ROOT' with any integer ROOT, or a file with a root directive."""
+    """'file.scx:ROOT' with ROOT an `.scx` vertex id, or a file with a root directive."""
     path, _, suffix = arg.rpartition(":")
-    integer = path and suffix.removeprefix("-").isdecimal()
-    return _rooted(path, int(suffix)) if integer else _rooted(arg)
+    root = formats._vertex_id(suffix) if path else None
+    return _rooted(arg) if root is None else _rooted(path, root)
 
 
 def _cmd_validate(args):

@@ -182,8 +182,11 @@ class SimplicialComplex:
     def max_degree(self) -> int:
         return max(map(len, self._neighbors.values()), default=0)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._star
+    def has_vertex(self, v) -> bool:
+        try:
+            return v in self._star
+        except TypeError:  # an unhashable value is no vertex
+            return False
 
     # -- metric structure ---------------------------------------------------
 
@@ -259,14 +262,6 @@ class RootedComplex:
         self.complex = complex
         self.root = _check_int(root, "root")
 
-    @classmethod
-    def _make(cls, complex: SimplicialComplex, root: int) -> "RootedComplex":
-        # Trusted fast path: caller guarantees root membership and connectivity.
-        rc = object.__new__(cls)
-        rc.complex = complex
-        rc.root = root
-        return rc
-
     def ball(self, r: int) -> "RootedComplex":
         """Closed ball: the subcomplex induced by vertices at distance <= r.
 
@@ -274,9 +269,9 @@ class RootedComplex:
         """
         cx = self.complex
         inside = _bfs(cx, self.root, _check_int(r, "ball radius"))
-        if len(inside) == len(cx.faces(0)):
-            return RootedComplex._make(cx, self.root)
-        return RootedComplex._make(cx.induced(inside), self.root)
+        if len(inside) < len(cx.faces(0)):
+            cx = _connected_cut(cx, inside)
+        return RootedComplex(cx, self.root)
 
     def p_degree(self, p: int) -> int:
         return self.complex.p_degree(self.root, p)
@@ -322,8 +317,25 @@ def _bfs(cx: SimplicialComplex, root: int, radius=None) -> dict:
     return dist
 
 
+def _connected_cut(cx: SimplicialComplex, inside) -> SimplicialComplex:
+    """The full subcomplex on ``inside``, a connected vertex set (a ball or a
+    component), recorded as connected so rooting it runs no search."""
+    sub = cx.induced(inside)
+    sub._connected = True
+    return sub
+
+
+def _component_map(cx: SimplicialComplex) -> dict:
+    """Each vertex's component: ``cx`` itself when it is connected, else
+    each component cut once."""
+    if cx.is_connected():
+        return dict.fromkeys(cx._star, cx)
+    return {v: sub for comp in cx.components()
+            for sub in [_connected_cut(cx, comp)] for v in comp}
+
+
 def rooted_at(cx: SimplicialComplex, root: int) -> RootedComplex:
-    """Root ``cx`` at a vertex, restricting to that vertex's component."""
+    """Root ``cx`` at a vertex, in that vertex's component, cut once."""
     if cx.has_vertex(root) and not cx.is_connected():
-        cx = cx.induced(cx.distances(_check_int(root, "root")))
+        cx = _connected_cut(cx, cx.distances(_check_int(root, "root")))
     return RootedComplex(cx, root)

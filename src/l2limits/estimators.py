@@ -18,7 +18,7 @@ from fractions import Fraction
 from numbers import Rational, Real
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex
+from .complexes import RootedComplex, SimplicialComplex, _component_map
 from .errors import HypothesisViolationError, ValidationError, _check_int
 from .formats import _text
 from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 class MomentVector:
-    """Moments m_0..m_R of one spectral measure, with optional Monte Carlo errors."""
+    """Moments m_0..m_R of one spectral measure, with optional Monte Carlo
+    errors; every vector checks itself (:meth:`validate`) when it is made."""
 
     __slots__ = ("p", "moments", "stderrs")
 
@@ -52,6 +53,7 @@ class MomentVector:
             raise ValidationError("a moment vector needs at least m_0")
         if self.stderrs is not None and len(self.stderrs) != len(self.moments):
             raise ValidationError("one standard error per moment order")
+        self.validate()
 
     @property
     def order(self) -> int:
@@ -119,10 +121,6 @@ class RootSample(NamedTuple):
         return radius is None or radius >= r // 2 + 1
 
 
-def _check_moment_args(p: int, order: int) -> tuple:
-    return _check_int(p, "dimension"), _check_int(order, "moment order")
-
-
 def _carrier_walk(row, carrier: tuple, order: int) -> tuple:
     """⟨Δ^r σ, σ⟩ for r = 0..order at the carrier σ, exactly.
 
@@ -172,8 +170,8 @@ def _weighted_moments(roots, p: int, order: int) -> MomentVector:
     """Σ weight · m_r over (complex, root, weight) triples, exactly: the
     integers weight · D, D the lcm of the weights' denominators, go through
     :func:`_moment_sums`, and each order's sum becomes one fraction over
-    D (p+1).  Unvalidated: the law-level callers check positivity."""
-    p, order = _check_moment_args(p, order)
+    D (p+1).  The vector checks itself when it is made."""
+    p, order = _check_int(p, "dimension"), _check_int(order, "moment order")
     roots = list(roots)
     d, weights = _integer_weights(weight for _, _, weight in roots)
     sums = _moment_sums(((cx, root, w) for (cx, root, _), w in zip(roots, weights)),
@@ -194,11 +192,9 @@ def local_moment(rc: RootedComplex, p: int, r: int) -> Fraction:
 
 def moments_of_measure(mu: RandomRootedComplex, p: int, order: int) -> MomentVector:
     """Exact moments m_0..m_order of the spectral measure of a finite law."""
-    mv = _weighted_moments(
+    return _weighted_moments(
         ((pt.rooted.complex, pt.rooted.root, pt.weight) for pt in mu.points),
         p, order)
-    mv.validate()
-    return mv
 
 
 def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVector:
@@ -215,33 +211,27 @@ def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVecto
     if not verts:
         raise ValidationError("cannot average over an empty complex")
     weight = Fraction(1, len(verts))
-    mv = _weighted_moments(((cx, v, weight) for v in verts), p, order)
-    mv.validate()
-    return mv
+    return _weighted_moments(((cx, v, weight) for v in verts), p, order)
 
 
 def vertex_sampler(cx: SimplicialComplex, radius: int):
     """Sampler of uniform-vertex roots, for Monte Carlo estimation.
 
-    A sample is the drawn vertex's component, rooted there and declared to
-    reach ``radius``: the moment walk reads only the ball its order needs,
-    so nothing is cut per draw and a sample costs the walk, not |V|.
-    Connectivity is checked once, here; a disconnected complex has each
-    component cut once, here.
+    A sample is the drawn vertex's component, rooted there by
+    :class:`RootedComplex` and declared to reach ``radius``: the moment
+    walk reads only the ball its order needs, so nothing is cut per draw
+    and a sample costs the walk, not |V|.  Each component is cut once,
+    here, and known to be connected, so no draw searches.
     """
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot sample from an empty complex")
     radius = _check_int(radius, "ball radius")
-    parts = {}
-    if not cx.is_connected():
-        for comp in cx.components():
-            sub = cx.induced(comp)
-            parts.update(dict.fromkeys(comp, sub))
+    parts = _component_map(cx)
 
     def sample(rng) -> RootSample:
         v = verts[int(rng.integers(len(verts)))]
-        return RootSample(RootedComplex._make(parts.get(v, cx), v), radius)
+        return RootSample(RootedComplex(parts[v], v), radius)
 
     return sample
 
@@ -260,7 +250,7 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     seed = _check_int(seed, "seed")
-    p, order = _check_moment_args(p, order)
+    p, order = _check_int(p, "dimension"), _check_int(order, "moment order")
     values = [[] for _ in range(order + 1)]
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
@@ -285,9 +275,7 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
                       / (n_samples - 1) / n_samples)
             for col, m in zip(values, means)
         ]
-    mv = MomentVector(p, means, errs)
-    mv.validate()
-    return mv
+    return MomentVector(p, means, errs)
 
 
 def _check_eps(eps) -> None:
@@ -321,7 +309,6 @@ def _level_stats(cx, p, order, eps_list):
     mu = uniform_rooting(cx)
     measure, traces = _measure_and_traces(cx, p, order)
     mv = MomentVector(p, [Fraction(t, measure.n_vertices) for t in traces])
-    mv.validate()
     nu = {eps: measure.mass_at_zero() + measure.near_zero_mass(eps)
           for eps in eps_list}
     return {
@@ -430,7 +417,7 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     rmax = _check_int(rmax, "rmax")
     if degree_bound is not None:
         degree_bound = _check_int(degree_bound, "degree bound")
-    p, order = _check_moment_args(p, order)
+    p, order = _check_int(p, "dimension"), _check_int(order, "moment order")
     labels = list(range(len(sequence)) if labels is None else labels)
     if len(labels) != len(sequence):
         raise ValidationError("one label per level")

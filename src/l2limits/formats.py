@@ -36,6 +36,12 @@ def _text(file, mode: str):
     return nullcontext(file)
 
 
+def _vertex_id(token: str):
+    """The one rule for a vertex id in text: ASCII digits after an optional
+    ``-`` (a negative id meets its own message later); else None."""
+    return int(token) if token.isascii() and token.removeprefix("-").isdigit() else None
+
+
 def _parse_scx_lines(lines):
     root = None
     maximal = []
@@ -50,20 +56,19 @@ def _parse_scx_lines(lines):
             if root is not None:
                 raise MalformedInputError(f"line {lineno}: second root directive")
             root_line = lineno
-            try:
-                root = int(parts[1])
-            except ValueError:
+            root = _vertex_id(parts[1])
+            if root is None:
                 raise MalformedInputError(f"line {lineno}: root id must be an integer")
             if root < 0:
                 raise MalformedInputError(f"line {lineno}: vertex ids are nonnegative")
             continue
-        try:
-            simplex = _as_simplex([int(tok) for tok in parts])
-        except ValueError:
+        ids = [_vertex_id(tok) for tok in parts]
+        if None in ids:
             raise MalformedInputError(f"line {lineno}: vertex ids must be integers")
+        try:
+            maximal.append(_as_simplex(ids))
         except MalformedInputError as exc:
             raise MalformedInputError(f"line {lineno}: {exc}")
-        maximal.append(simplex)
     cx = SimplicialComplex.closure(maximal)
     if root is not None and not cx.has_vertex(root):
         raise ValidationError(f"line {root_line}: root {root} is not a vertex")

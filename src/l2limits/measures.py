@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex
+from .complexes import RootedComplex, SimplicialComplex, _component_map
 from .encoding import CanonicalCode, _ball_code, _root_classes
 from .errors import ValidationError, _check_int
 
@@ -114,17 +114,16 @@ class RandomRootedComplex:
 
 
 def uniform_rooting(cx: SimplicialComplex) -> RandomRootedComplex:
-    """Root ``cx`` at a uniform vertex, in its connected component, and
-    group roots by isomorphism search (:func:`encoding._root_classes`):
+    """Root ``cx`` at a uniform vertex, in its component (each cut once),
+    and group roots by isomorphism search (:func:`encoding._root_classes`):
     each class is its smallest root, weighted by its share of roots."""
     verts = cx.vertices
     if not verts:
         raise ValidationError("cannot root an empty complex")
-    comps = (cx,) if cx.is_connected() else map(cx.induced, cx.components())
-    comp_of = {v: comp for comp in comps for v in comp.vertices}
+    comp_of = _component_map(cx)
     pairs = [(comp_of[v], v) for v in verts]
     return RandomRootedComplex(
-        SupportPoint(RootedComplex._make(*pairs[i]), Fraction(count, len(verts)))
+        SupportPoint(RootedComplex(*pairs[i]), Fraction(count, len(verts)))
         for i, count in Counter(_root_classes(pairs)).items())
 
 
@@ -233,10 +232,6 @@ def mass_transport_check(mu: RandomRootedComplex, fn) -> MassTransportResult:
     return MassTransportResult(lhs, rhs, lhs == rhs)
 
 
-def _adjacent(cx: SimplicialComplex, x: int, y: int) -> bool:
-    return y in cx.neighbors(x)
-
-
 def standard_battery():
     """Named isomorphism-invariant transport functions for identity checks.
 
@@ -259,27 +254,27 @@ def standard_battery():
         return cx.degree(x) if x == y else 0
 
     def adjacency(cx, x, y):
-        return 1 if _adjacent(cx, x, y) else 0
+        return 1 if y in cx.neighbors(x) else 0
 
     def adjacency_times_far_degree(cx, x, y):
-        return cx.degree(y) if _adjacent(cx, x, y) else 0
+        return cx.degree(y) if y in cx.neighbors(x) else 0
 
     def adjacency_uphill(cx, x, y):
-        return 1 if _adjacent(cx, x, y) and cx.degree(x) > cx.degree(y) else 0
+        return 1 if y in cx.neighbors(x) and cx.degree(x) > cx.degree(y) else 0
 
     def adjacency_min_degree(cx, x, y):
-        return min(cx.degree(x), cx.degree(y)) if _adjacent(cx, x, y) else 0
+        return min(cx.degree(x), cx.degree(y)) if y in cx.neighbors(x) else 0
 
     def adjacency_to_degree_two(cx, x, y):
-        return 1 if _adjacent(cx, x, y) and cx.degree(y) == 2 else 0
+        return 1 if y in cx.neighbors(x) and cx.degree(y) == 2 else 0
 
     def common_neighbors(cx, x, y):
-        if not _adjacent(cx, x, y):
+        if y not in cx.neighbors(x):
             return 0
         return len(set(cx.neighbors(x)) & set(cx.neighbors(y)))
 
     def shared_triangles(cx, x, y):
-        if not _adjacent(cx, x, y):
+        if y not in cx.neighbors(x):
             return 0
         return sum(1 for s in cx.star(x) if len(s) == 3 and y in s)
 

@@ -219,6 +219,20 @@ def test_bs_distance(scx, capsys):
     assert code == 2 and "No such file" in err  # a digit int() does not read
 
 
+def test_scx_vertex_ids_are_ascii_digits(scx, tmp_path, capsys):
+    # int() also reads "1_0" as 10, "+3" as 3 and other scripts' digits; an
+    # id is ASCII digits, in a simplex line, a root directive and a suffix
+    path = tmp_path / "bad.scx"
+    for text, line in (("1_0 2\n", 1), ("0 1\n\u0663 4\n", 2), ("+3 4\n", 1),
+                       ("0 1\nroot 1_0\n", 2)):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (2, "") and err.startswith(f"error: line {line}: ")
+    c5 = scx("c5.scx", fixtures()["cycle5"])
+    code, _, err = run(capsys, ["bs-distance", f"{c5}:\u0663", f"{c5}:0"])
+    assert code == 2 and "No such file" in err  # a name, not root 3
+
+
 def test_measure_distance(tmp_path, capsys):
     m5 = tmp_path / "c5.json"
     m6 = tmp_path / "c6.json"

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_complex
 from l2limits.complexes import RootedComplex, SimplicialComplex, _bfs, rooted_at
 from l2limits.errors import MalformedInputError, ValidationError
+from l2limits.estimators import vertex_sampler
 from l2limits.generators import fixtures, random_flag, torus_tower
 from l2limits.measures import degree_truncate, uniform_rooting
 
@@ -340,6 +341,35 @@ def test_rooted_complex_validation():
     rc = rooted_at(cx, 0)
     assert rc.complex == closure([(0, 1)])
     assert rc.root == 0
+
+
+def test_an_unhashable_root_is_no_vertex():
+    edge = fixtures()["edge"]
+    assert not edge.has_vertex([1])
+    for make in (RootedComplex, rooted_at):
+        with pytest.raises(ValidationError, match=r"root \[1\] is not a vertex"):
+            make(edge, [1])
+
+
+def test_every_rooted_complex_handed_out_passes_the_constructor(monkeypatch):
+    # the constructor is the one way to make a rooted complex, so its checks
+    # hold for every rooting, sample and ball, cut or not
+    built = []
+    original = RootedComplex.__init__
+
+    def counted(self, *args):
+        original(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(RootedComplex, "__init__", counted)
+    handed_out = []
+    for cx in (torus_tower(2, 4), fixtures()["two_triangles"]):
+        handed_out += [pt.rooted for pt in uniform_rooting(cx)]
+        sample = vertex_sampler(cx, 2)
+        handed_out += [sample(np.random.default_rng(i)).rooted for i in range(8)]
+        rc = rooted_at(cx, cx.vertices[-1])
+        handed_out += [rc] + [rc.ball(r) for r in (0, 1, 10)]
+    assert {id(rc) for rc in handed_out} <= {id(rc) for rc in built}
 
 
 def test_rooted_at_refuses_a_root_before_cutting_its_component(monkeypatch):

@@ -199,3 +199,35 @@ def test_only_formats_opens_files():
                     and func.attr in ("open", "read_text", "write_text")):
                 openers.add(path.stem)
     assert openers == {"formats"}
+
+
+def _attribute_reads(attr):
+    """(enclosing ``module.Class.function``, owner expression) for each read
+    of ``.attr`` in the package's sources."""
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Attribute) and child.attr == attr:
+                reads.append((scope, ast.unparse(child.value)))
+            visit(child, inner)
+
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return reads
+
+
+def test_checked_objects_are_made_only_by_their_constructors():
+    # a rooted complex and a moment vector each check their invariant where
+    # they are made: no object skips its constructor but a complex laid out
+    # from trusted faces, only complexes cuts subcomplexes (recording them
+    # as connected), and a moment vector's check runs in its constructor
+    assert [scope for scope, owner in _attribute_reads("__new__")
+            if owner == "object"] == ["complexes.SimplicialComplex._from_faces"]
+    assert {scope.split(".")[0] for scope, _ in _attribute_reads("induced")} \
+        == {"complexes"}
+    assert [scope for scope, _ in _attribute_reads("validate")] \
+        == ["estimators.MomentVector.__init__"]
