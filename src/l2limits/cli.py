@@ -39,6 +39,15 @@ def _rooted(path, root=None):
     return complexes.rooted_at(cx, root)
 
 
+def _vertex_arg(token: str) -> int:
+    """``--root``: an `.scx` vertex id (:func:`formats._vertex_id`), else a
+    usage error."""
+    root = formats._vertex_id(token)
+    if root is None:
+        raise argparse.ArgumentTypeError(f"not a vertex id: {token!r}")
+    return root
+
+
 def _rooted_from_arg(arg: str):
     """'file.scx:ROOT' with ROOT an `.scx` vertex id, or a file with a root directive."""
     path, _, suffix = arg.rpartition(":")
@@ -183,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical code of a rooted complex")
     p.add_argument("file")
-    p.add_argument("--root", type=int, default=None)
+    p.add_argument("--root", type=_vertex_arg, default=None)
     p.set_defaults(fn=_cmd_canon)
 
     p = sub.add_parser("bs-distance",

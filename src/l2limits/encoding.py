@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import struct
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 
@@ -147,28 +147,33 @@ def _refined_colors(members: list, star: list) -> list:
     ``members`` holds the simplices of dimension >= 1 as position tuples
     and ``star[i]`` the indices of those through position i.  A position
     starts with the sorted sizes of its star's simplices.  Each round
-    hashes a position's old colour with the sorted colours of those
-    simplices, a simplex's colour being the sorted colours of its
-    positions (the position's own colour is known, so this splits
-    positions exactly as the colours of each simplex's other positions
-    would, with one sort per simplex).  Singletons are left out: their
-    colours would only repeat the positions' own, so the partitions are
-    those of refining through whole stars.  Rounds stop when the number
-    of classes stops growing or every position has a colour of its own.
+    hashes every position once, mixed = hash((colour, 1)), and then every
+    simplex once, as hash((size, sum of its positions' mixed colours)); a
+    position's refined colour is hash((colour, sum of its star's simplex
+    hashes)).  A multiset is summed, not sorted: a sum is a function of
+    the multiset, so the colours stay invariant, and the position's own
+    colour inside each simplex of its star splits positions as the
+    colours of the simplices' other positions would.  Singletons are left
+    out: their colours would only repeat the positions' own, so the
+    partitions are those of refining through whole stars.  Rounds stop
+    when the number of classes stops growing or every position has a
+    colour of its own.
 
-    Colours are hashes of int tuples: the same in every process and a
-    function of the isomorphism class of the complex rooted at the vertex.
-    So they compare across complexes, and vertices of unequal colour are
-    never mapped onto each other.  Equal colours prove nothing: all twelve
-    vertices of a triangular prism and of K_{3,3} get one colour.
+    Colours are hashes of ints: the same in every process and a function
+    of the isomorphism class of the complex rooted at the vertex.  So they
+    compare across complexes, and vertices of unequal colour are never
+    mapped onto each other.  A collision of sums can only merge classes,
+    which costs the search candidates but never maps a root wrongly.
+    Equal colours prove nothing: all twelve vertices of a triangular prism
+    and of K_{3,3} get one colour.
     """
     color = [hash(tuple(sorted([len(members[k]) for k in ks]))) for ks in star]
     classes = len(set(color))
     while classes < len(color):
-        simplex_color = [hash(tuple(sorted([color[i] for i in positions])))
-                         for positions in members]
-        refined = [hash((c, tuple(sorted([simplex_color[k] for k in ks]))))
-                   for c, ks in zip(color, star)]
+        mixed = [hash((c, 1)) for c in color].__getitem__
+        simplex = [hash((len(positions), sum(map(mixed, positions))))
+                   for positions in members].__getitem__
+        refined = [hash((c, sum(map(simplex, ks)))) for c, ks in zip(color, star)]
         count = len(set(refined))
         if count <= classes:
             break
@@ -212,7 +217,8 @@ class _IsoContext:
         stars), masks and neighbours, read from ``members`` and ``star``."""
         if self.nbr_positions is not None:
             return
-        items = [(sum(1 << j for j in s), s) for s in self.members]
+        bit = [1 << i for i in range(self.n)].__getitem__
+        items = [(sum(map(bit, s)), s) for s in self.members]
         self.star_items = [((1 << i, (i,)), *map(items.__getitem__, ks))
                            for i, ks in enumerate(self.star)]
         self.star_masks = [tuple(mask for mask, _ in its)
@@ -221,7 +227,7 @@ class _IsoContext:
         self.nbr_positions = [
             tuple(j for _, s in its if len(s) == 2 for j in s if j != i)
             for i, its in enumerate(self.star_items)]
-        self.nbr_mask = [sum(1 << j for j in js) for js in self.nbr_positions]
+        self.nbr_mask = [sum(map(bit, js)) for js in self.nbr_positions]
 
     def bfs(self, root) -> tuple:
         """Distance of each position from the vertex ``root`` (-1 outside
@@ -613,18 +619,37 @@ def _unpack(data: bytes, width: int) -> tuple:
     return struct.unpack(f"<{len(data) // width}{code}", data)
 
 
-def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
-    """Minimal code of the radius-``r`` ball of ``cx`` at ``root`` (the
-    root's whole component when ``r`` is None), read from ``cx`` itself.
+def _ball(cx: SimplicialComplex, root, r) -> tuple:
+    """(dist, vert, simplices, masks) of the radius-``r`` ball of ``cx`` at
+    ``root`` (the root's whole component when ``r`` is None).
 
-    One breadth-first search puts the ball's vertices at positions in
-    (distance, id) order, and one pass over their stars finds the ball's
-    simplices: a simplex is taken from the star of its first vertex, and
-    only the stars of the outer layer are filtered.  ``_CODE_CACHE`` is
-    keyed by the vertex count n and the simplices as bitmasks of
-    positions, sorted and packed in fields of ``_field_bytes(n)`` bytes
-    (:func:`_pack`).
-    On a miss the masks, and the positions of each simplex of dimension
+    One breadth-first search gives ``dist`` and puts the ball's vertices
+    at positions in (distance, id) order, ``vert``, and one pass over
+    their stars finds the ball's simplices: a simplex is taken from the
+    star of its first vertex, and only the stars of the outer layer are
+    filtered.  ``masks`` holds each simplex as a bitmask of positions.
+    """
+    dist = _bfs(cx, root, r)
+    vert = sorted(sorted(dist), key=dist.__getitem__)
+    bit = {v: 1 << i for i, v in enumerate(vert)}
+    # only the outer layer, the tail of vert, has neighbours outside
+    inner = [v for v in vert if dist[v] != r]
+    star = cx.star
+    inside = bit.__contains__
+    simplices = [s for v in inner for s in star(v) if s[0] == v]
+    simplices += [s for v in vert[len(inner):] for s in star(v)
+                  if s[0] == v and all(map(inside, s))]
+    get = bit.__getitem__
+    return dist, vert, simplices, [sum(map(get, s)) for s in simplices]
+
+
+def _code_miss(key, vert, dist, simplices, masks, ordered) -> CanonicalCode:
+    """The code of a ball missing from ``_CODE_CACHE``, stored there under
+    ``key``.
+
+    The ball comes as :func:`_ball` gives it (or, from :func:`_ball_codes`,
+    as its part within a smaller radius), with ``ordered`` its masks
+    sorted.  The masks, and the positions of each simplex of dimension
     >= 2, give the canonical search its incidence, so no vertex id reaches
     it.  The code is read off the search's winning blocks, already in
     ascending order: after the inner ball's code (the root's 0 when the
@@ -638,63 +663,102 @@ def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
     component: the same key can be an inner ball elsewhere.
     The masks of a ball's (L-1)-ball, L its last layer, are the masks
     below ``1 << m``, m the positions closer than L: a prefix of the sorted
-    masks, at the same positions.  So on a miss with L >= 2 the search
-    resumes from the orders of that inner entry, if it has any, and starts
-    from the root otherwise.
+    masks, at the same positions.  So with L >= 2 the search resumes from
+    the orders of that inner entry, if it has any, and starts from the
+    root otherwise.
+    """
+    n = len(vert)
+    index = {v: i for i, v in enumerate(vert)}.__getitem__
+    faces = [(mask, tuple(map(index, s)))
+             for mask, s in zip(masks, simplices) if len(s) > 2]
+    layer = [dist[v] for v in vert]
+    last = layer[-1]
+    starts = [(0,)]
+    indices = [0]
+    if last >= 2:
+        m = layer.index(last)
+        inner_key = (m, _pack(ordered[:bisect_left(ordered, 1 << m)],
+                              _field_bytes(m)))
+        inner_code, kept = _CODE_CACHE.get(inner_key, (None, None))
+        if kept is not None:
+            kept = _unpack(kept, _field_bytes(m.bit_length()))
+            starts = [kept[i:i + m] for i in range(0, len(kept), m)]
+            indices = list(inner_code.indices)
+    orders, won, pruned = _canonical_order(layer, masks, faces, starts)
+    # label k adds its singleton, at 2**k - 1, and the simplex of each
+    # entry e of its block, at e + 2**k - 1: all ascending
+    for k, block in enumerate(won, len(starts[0])):
+        base = (1 << k) - 1
+        indices.append(base)
+        indices += [e + base for e in block[:-1]]
+    code = CanonicalCode(indices)
+    # pruned branches are missing from the orders
+    if pruned:
+        orders = None
+    else:
+        orders = _pack(list(chain.from_iterable(orders)),
+                       _field_bytes(n.bit_length()))
+    if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+        _CODE_CACHE.clear()
+    _CODE_CACHE[key] = (code, orders)
+    return code
+
+
+def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
+    """Minimal code of the radius-``r`` ball of ``cx`` at ``root`` (the
+    root's whole component when ``r`` is None), read from ``cx`` itself.
+
+    The ball comes from :func:`_ball`.  ``_CODE_CACHE`` is keyed by the
+    vertex count n and the simplices as bitmasks of positions, sorted and
+    packed in fields of ``_field_bytes(n)`` bytes (:func:`_pack`); a miss
+    goes to :func:`_code_miss`.
     """
     if r is not None:
         r = _check_int(r, "ball radius")
-    dist = _bfs(cx, root, r)
-    vert = sorted(sorted(dist), key=dist.__getitem__)
-    bit = {v: 1 << i for i, v in enumerate(vert)}
-    # only the outer layer, the tail of vert, has neighbours outside
-    inner = [v for v in vert if dist[v] != r]
-    star = cx.star
-    inside = bit.__contains__
-    simplices = [s for v in inner for s in star(v) if s[0] == v]
-    simplices += [s for v in vert[len(inner):] for s in star(v)
-                  if s[0] == v and all(map(inside, s))]
-    get = bit.__getitem__
-    masks = [sum(map(get, s)) for s in simplices]
+    dist, vert, simplices, masks = _ball(cx, root, r)
     n = len(vert)
     ordered = sorted(masks)
     key = (n, _pack(ordered, _field_bytes(n)))
     entry = _CODE_CACHE.get(key)
     if entry is None:
-        index = {v: i for i, v in enumerate(vert)}.__getitem__
-        faces = [(mask, tuple(map(index, s)))
-                 for mask, s in zip(masks, simplices) if len(s) > 2]
-        layer = [dist[v] for v in vert]
-        last = layer[-1]
-        starts = [(0,)]
-        indices = [0]
-        if last >= 2:
-            m = layer.index(last)
-            inner_key = (m, _pack(ordered[:bisect_left(ordered, 1 << m)],
-                                  _field_bytes(m)))
-            inner_code, kept = _CODE_CACHE.get(inner_key, (None, None))
-            if kept is not None:
-                kept = _unpack(kept, _field_bytes(m.bit_length()))
-                starts = [kept[i:i + m] for i in range(0, len(kept), m)]
-                indices = list(inner_code.indices)
-        orders, won, pruned = _canonical_order(layer, masks, faces, starts)
-        # label k adds its singleton, at 2**k - 1, and the simplex of each
-        # entry e of its block, at e + 2**k - 1: all ascending
-        for k, block in enumerate(won, len(starts[0])):
-            base = (1 << k) - 1
-            indices.append(base)
-            indices += [e + base for e in block[:-1]]
-        code = CanonicalCode(indices)
-        # pruned branches are missing from the orders
-        if pruned:
-            orders = None
-        else:
-            orders = _pack(list(chain.from_iterable(orders)),
-                           _field_bytes(n.bit_length()))
-        if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
-            _CODE_CACHE.clear()
-        entry = _CODE_CACHE[key] = (code, orders)
+        return _code_miss(key, vert, dist, simplices, masks, ordered)
     return entry[0]
+
+
+def _ball_codes(cx: SimplicialComplex, root, reach: int) -> list:
+    """The codes of :func:`_ball_code` at radii 1..``reach``, in order,
+    from one ball of radius ``reach``.
+
+    With n_r the positions at distance <= r, the r-ball's masks are the
+    masks below ``1 << n_r``: a prefix of the sorted masks, the inner-key
+    rule of :func:`_code_miss`.  So each radius packs its key from that
+    prefix, and a miss at radius r resumes from radius r - 1's entry,
+    just stored.  Past the eccentricity each ball is the whole component,
+    with the code of the last radius.
+    """
+    dist, vert, simplices, masks = _ball(cx, root, reach)
+    ordered = sorted(masks)
+    layer = [dist[v] for v in vert]
+    codes = []
+    m = 0
+    for r in range(1, reach + 1):
+        n = bisect_right(layer, r)
+        if n == m:
+            codes.append(codes[-1])
+            continue
+        m = n
+        top = 1 << n
+        prefix = ordered[:bisect_left(ordered, top)]
+        key = (n, _pack(prefix, _field_bytes(n)))
+        entry = _CODE_CACHE.get(key)
+        if entry is None:
+            kept = [k for k, mask in enumerate(masks) if mask < top]
+            codes.append(_code_miss(key, vert[:n], dist,
+                                    [simplices[k] for k in kept],
+                                    [masks[k] for k in kept], prefix))
+        else:
+            codes.append(entry[0])
+    return codes
 
 
 def canonical_code(rc: RootedComplex) -> CanonicalCode:

@@ -2,7 +2,12 @@
 
 Betti numbers must not depend on floating-point rank decisions, so boundary
 ranks are computed by fraction-free Gaussian elimination (Bareiss, *Math.
-Comp.* 22, 1968) with a minimum-fill pivot heuristic.  Entries stay Python
+Comp.* 22, 1968).  Free columns go first: a column held by one live row is
+an elementary collapse, and pivoting that row on it fills nothing and
+touches no other row, so a complex that collapses (a torus with a triangle
+removed, say) is ranked with no fill at all.  Only when no column is free
+does the next pivot come from a minimum-fill heuristic: the shortest row,
+on its column held by the fewest rows.  Entries stay Python
 ints throughout: a row is eliminated as ``(pv/g)·row − (a/g)·pivot_row`` with
 g = gcd(pv, a), and a row that had to be scaled is divided by the gcd of its
 entries, which bounds the growth of its entries.  Every integer row is a
@@ -35,25 +40,42 @@ def rational_rank(rows) -> int:
         for c in row:
             col_rows.setdefault(c, set()).add(i)
 
-    heap = [(len(row), i) for i, row in live.items()]
-    heapq.heapify(heap)
+    # columns held by one live row; a stale one is skipped when popped
+    free = [c for c, held in col_rows.items() if len(held) == 1]
+    heap = None
     rank = 0
-    while heap:
-        nnz, i = heapq.heappop(heap)
-        row = live.get(i)
-        if row is None or len(row) != nnz:
+    while True:
+        while free:
+            held = col_rows[free.pop()]
+            if len(held) != 1:
+                continue
+            i = held.pop()
+            rank += 1
+            for c in live.pop(i):
+                held = col_rows[c]
+                held.discard(i)
+                if len(held) == 1:
+                    free.append(c)
+        if not live:
+            return rank
+        if heap is None:
+            heap = [(len(row), i) for i, row in live.items()]
+            heapq.heapify(heap)
+        while True:
+            nnz, i = heapq.heappop(heap)
+            row = live.get(i)
             if row is not None:
+                if len(row) == nnz:
+                    break
                 heapq.heappush(heap, (len(row), i))
-            continue
         # pivot column: fewest other live rows touching it
         pivot_col = min(row, key=lambda c: (len(col_rows[c]), c))
         pivot_val = row[pivot_col]
         rank += 1
         del live[i]
-        for c in row:
-            col_rows[c].discard(i)
-        targets = list(col_rows[pivot_col])
-        for j in targets:
+        targets = col_rows[pivot_col]
+        targets.discard(i)
+        for j in list(targets):
             other = live[j]
             a = other[pivot_col]
             g = gcd(pivot_val, a)
@@ -84,4 +106,10 @@ def rational_rank(rows) -> int:
                     for c in other:
                         other[c] //= common
             heapq.heappush(heap, (len(other), j))
-    return rank
+        # the row leaves its columns only now, so a column is free when it
+        # ends the elimination held by one row, not in passing
+        for c in row:
+            held = col_rows[c]
+            held.discard(i)
+            if len(held) == 1:
+                free.append(c)

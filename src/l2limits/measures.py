@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .complexes import RootedComplex, SimplicialComplex, _component_map
-from .encoding import CanonicalCode, _ball_code, _root_classes
+from .encoding import CanonicalCode, _ball_code, _ball_codes, _root_classes
 from .errors import ValidationError, _check_int
 
 __all__ = [
@@ -68,6 +68,15 @@ class SupportPoint:
             rc = self.rooted
             code = self._ball_codes[r] = _ball_code(rc.complex, rc.root, r)
         return code
+
+    def _code_radii(self, reach: int) -> None:
+        """Memoize the ball codes of radii 1..``reach``, all from one ball
+        (:func:`encoding._ball_codes`) when any of them is missing."""
+        memo = self._ball_codes
+        if not all(map(memo.__contains__, range(1, reach + 1))):
+            rc = self.rooted
+            for r, code in enumerate(_ball_codes(rc.complex, rc.root, reach), 1):
+                memo.setdefault(r, code)
 
     def __repr__(self) -> str:
         return f"SupportPoint(root={self.rooted.root}, weight={self.weight})"
@@ -193,7 +202,8 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
     vertex count of a support complex, every ball is its whole component.
     So balls are coded for r = 1..R, R = min(rmax, N), and the rest of the
     sum is g_R (2^(rmax-R) - 1).  Support points memoize their codes, so
-    measuring many laws against one codes each of its balls once.
+    measuring many laws against one codes each of its balls once, and a
+    point that lacks any radius in 1..R reads them all from one ball.
     """
     rmax = _check_int(rmax, "rmax")
     points = mu.points + nu.points
@@ -201,6 +211,8 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
     d, weights = _integer_weights(pt.weight for pt in points)
     signed = list(zip(points, weights[:split] + [-w for w in weights[split:]]))
     reach = min(rmax, max(len(pt.rooted.complex.faces(0)) for pt in points))
+    for pt in points:
+        pt._code_radii(reach)
     total = gap = 0
     for r in range(1, reach + 1):
         gap = sum(map(abs, _code_sums(signed, r).values()))

@@ -13,6 +13,7 @@ import pytest
 
 import l2limits
 from l2limits.cli import build_parser, main
+from l2limits.complexes import SimplicialComplex
 from l2limits.errors import CrossCheckError, L2LimitsError
 from l2limits.formats import read_scx, save_measure, write_scx
 from l2limits.generators import (fixtures, linial_meshulam, random_flag,
@@ -192,6 +193,25 @@ def test_canon(scx, capsys):
     code, out, _ = run(capsys, ["canon", rooted])
     assert code == 0
     assert out.splitlines()[0] == "code: 0 1 2 3 5"
+
+
+def test_canon_root_follows_the_scx_id_rule(scx, capsys):
+    # --root is read as an .scx line reads an id: int() would also take
+    # "1_0", "+10", other scripts' digits and padding as vertex 10
+    path = scx("path12.scx", SimplicialComplex.closure(
+        [(v, v + 1) for v in range(11)]))
+    code, want, _ = run(capsys, ["canon", path, "--root", "10"])
+    assert code == 0 and want.startswith("code: ")
+    for token in ("1_0", "+10", "\u0661\u0660", " 10", "abc", ""):
+        # a usage error ends in argparse's SystemExit, exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(["canon", path, "--root", token])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, ""), token
+        assert "argument --root: not a vertex id" in err, token
+    for token in ("-1", "12"):
+        code, out, err = run(capsys, ["canon", path, "--root", token])
+        assert (code, out, err) == (3, "", f"error: root {token} is not a vertex\n")
 
 
 def test_bs_distance(scx, capsys):

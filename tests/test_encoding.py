@@ -278,6 +278,51 @@ def test_refinement_without_singletons_keeps_the_partition():
                 == _partition(_refined_colors_with_singletons(cx)))
 
 
+def _sorted_round_colors(members, star):
+    """The refinement with every multiset sorted into a tuple: a simplex's
+    colour is the sorted colours of its positions, a position's the
+    sorted colours of its star's simplices, by the same rounds and
+    stopping rule."""
+    color = [hash(tuple(sorted([len(members[k]) for k in ks]))) for ks in star]
+    classes = len(set(color))
+    while classes < len(color):
+        simplex = [hash(tuple(sorted([color[i] for i in positions])))
+                   for positions in members]
+        refined = [hash((c, tuple(sorted([simplex[k] for k in ks]))))
+                   for c, ks in zip(color, star)]
+        count = len(set(refined))
+        if count <= classes:
+            break
+        color, classes = refined, count
+    return color
+
+
+def _defect_levels():
+    """Sides 6, 7 and 8 of the torus tower, one triangle removed at random,
+    14 draws each."""
+    rng = np.random.default_rng(44)
+    levels = []
+    for _ in range(14):
+        for side in (6, 7, 8):
+            full = torus_tower(2, side)
+            tris = full.faces(2)
+            drop = tris[int(rng.integers(len(tris)))]
+            levels.append(closure(list(full.faces(1))
+                                  + [t for t in tris if t != drop]))
+    return levels
+
+
+def test_summed_rounds_keep_the_sorted_rounds_partition():
+    prism = closure([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                     (0, 3), (1, 4), (2, 5)])
+    k33 = closure([(a, b) for a in (6, 7, 8) for b in (9, 10, 11)])
+    for cx in _resume_pool() + _defect_levels() + [prism, k33]:
+        ctx = encoding._IsoContext(cx)
+        want = _sorted_round_colors(ctx.members, ctx.star)
+        assert (_partition(dict(enumerate(ctx.colors)))
+                == _partition(dict(enumerate(want))))
+
+
 def test_one_star_item_per_simplex():
     for cx in [cx for _, cx in corpus()]:
         ctx = encoding._IsoContext(cx)
@@ -616,6 +661,32 @@ def test_codes_do_not_depend_on_what_the_cache_holds(monkeypatch):
         for i, v, r in jobs:
             if r == radius:
                 assert _ball_code(pool[i], v, r) == cold[i, v, r]
+
+
+def test_all_radii_from_one_ball_equal_one_radius_at_a_time(monkeypatch):
+    # each vertex coded at radii 1..reach, one radius at a time and then
+    # from one ball, each into an empty cache: the same codes, and the
+    # same cache entries, orders included; reach passes some
+    # eccentricities, where the code stays the whole component's
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    cache = encoding._CODE_CACHE
+    pool = list(fixtures().values()) + _defect_levels()[:3]
+    pool += [random_flag(16, 5 / 16, 3, s) for s in range(6)]
+    past = 0
+    kept = set()
+    for cx in pool:
+        for v in cx.vertices:
+            ecc = max(cx.distances(v).values())
+            reach = min(ecc + 2, 5)
+            past += reach > ecc
+            cache.clear()
+            want = [_ball_code(cx, v, r) for r in range(1, reach + 1)]
+            entries = dict(cache)
+            kept.update(orders is None for _, orders in entries.values())
+            cache.clear()
+            assert encoding._ball_codes(cx, v, reach) == want
+            assert cache == entries
+    assert past > 20 and kept == {False, True}
 
 
 @pytest.mark.parametrize("cap", [4, 64])

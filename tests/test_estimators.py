@@ -720,13 +720,13 @@ def test_convergence_experiment_codes_no_radius_zero_ball(monkeypatch):
     rng = np.random.default_rng(59)
     levels = [random_complex(rng, 8) for _ in range(5)]
     radii = []
-    code = measures._ball_code
+    code = measures._ball_codes
 
-    def counted(cx, root, r=None):
-        radii.append(r)
-        return code(cx, root, r)
+    def counted(cx, root, reach):
+        radii.extend(range(1, reach + 1))
+        return code(cx, root, reach)
 
-    monkeypatch.setattr(measures, "_ball_code", counted)
+    monkeypatch.setattr(measures, "_ball_codes", counted)
     report = convergence_experiment(levels, 1, 2, [0.5], rmax=3,
                                     degree_bound=8)
     assert radii and 0 not in radii

@@ -280,13 +280,13 @@ def test_measure_distance_codes_no_radius_zero_ball(monkeypatch):
     rng = np.random.default_rng(53)
     laws = [uniform_rooting(random_complex(rng, 8)) for _ in range(8)]
     radii = []
-    code = measures._ball_code
+    code = measures._ball_codes
 
-    def counted(cx, root, r=None):
-        radii.append(r)
-        return code(cx, root, r)
+    def counted(cx, root, reach):
+        radii.extend(range(1, reach + 1))
+        return code(cx, root, reach)
 
-    monkeypatch.setattr(measures, "_ball_code", counted)
+    monkeypatch.setattr(measures, "_ball_codes", counted)
     got = {(i, j, rmax): measure_distance(a, b, rmax)
            for i, a in enumerate(laws) for j, b in enumerate(laws)
            for rmax in range(4)}
@@ -312,16 +312,16 @@ def test_measure_distance_codes_no_ball_past_the_largest_support(monkeypatch):
     mu = uniform_rooting(torus_tower(2, 6))
     nu = uniform_rooting(torus_tower(2, 7))
     radii = []
-    code = measures._ball_code
+    code = measures._ball_codes
 
-    def counted(cx, root, r=None):
-        radii.append(r)
-        return code(cx, root, r)
+    def counted(cx, root, reach):
+        radii.extend(range(1, reach + 1))
+        return code(cx, root, reach)
 
-    monkeypatch.setattr(measures, "_ball_code", counted)
+    monkeypatch.setattr(measures, "_ball_codes", counted)
     far = measure_distance(mu, nu, 1000)
     assert sorted(radii) == sorted([*range(1, 50)] * 2)
-    monkeypatch.setattr(measures, "_ball_code", code)
+    monkeypatch.setattr(measures, "_ball_codes", code)
     for rmax in (0, 1, 2, 5, 35, 36, 37, 48, 49, 50, 100):
         assert measure_distance(mu, nu, rmax) == _per_radius_distance(mu, nu, rmax)
     assert far == _per_radius_distance(mu, nu, 1000)
@@ -331,6 +331,37 @@ def test_measure_distance_codes_no_ball_past_the_largest_support(monkeypatch):
         for b in laws:
             for rmax in (1, 3, 9):
                 assert measure_distance(a, b, rmax) == _per_radius_distance(a, b, rmax)
+
+
+def test_measure_distance_searches_once_per_support_point(monkeypatch):
+    # every radius 1..R of a point comes from one search to R and one pass
+    # over its stars; the value is the one a radius-at-a-time tally gives
+    # on fresh laws with an empty code cache
+    import l2limits.complexes as complexes
+    import l2limits.encoding as encoding
+    levels = [defect_torus(side, 1) for side in (6, 7, 8)]
+    mu, nu = uniform_rooting(levels[0]), uniform_rooting(levels[2])
+    searches = []
+    bfs = complexes._bfs
+
+    def counted(cx, root, radius=None):
+        searches.append((id(cx), root, radius))
+        return bfs(cx, root, radius)
+
+    for module in (complexes, encoding):
+        monkeypatch.setattr(module, "_bfs", counted)
+    got = measure_distance(mu, nu, 3)
+    points = mu.points + nu.points
+    assert len(points) > 20
+    assert sorted(searches) == sorted(
+        (id(pt.rooted.complex), pt.rooted.root, 3) for pt in points)
+    searches.clear()
+    assert measure_distance(nu, mu, 3) == got and searches == []
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    fresh = [uniform_rooting(levels[0]), uniform_rooting(levels[2])]
+    searches.clear()
+    assert _per_radius_distance(*fresh, 3) == got
+    assert len(searches) == 3 * len(points)
 
 
 def test_measure_distance_triangle_inequality():

@@ -14,7 +14,8 @@ from l2limits.errors import CrossCheckError, ValidationError
 from l2limits.estimators import exhaustive_moments
 from l2limits.exact import rational_rank
 from l2limits.formats import write_scx
-from l2limits.generators import fixtures, linial_meshulam, torus_tower
+from l2limits.generators import (fixtures, linial_meshulam, random_flag,
+                                 torus_tower)
 from l2limits.measures import uniform_rooting
 from l2limits.spectral import (_piece_bound, _radius_bound, _signed_faces,
                                betti, betti_normalized, boundary_matrix,
@@ -108,6 +109,50 @@ def test_integer_rank_matches_numpy_on_wide_entries():
         deficient += want < min(rows, cols)
         assert rational_rank(_sparse(mat.tolist())) == want
     assert deficient >= 20
+
+
+def _defect_torus(side, removed, seed):
+    """Side-``side`` torus with ``removed`` triangles drawn by default_rng(seed)."""
+    full = torus_tower(2, side)
+    tris = full.faces(2)
+    picks = np.random.default_rng(seed).choice(len(tris), removed, replace=False)
+    drop = {tris[i] for i in picks}
+    return closure(list(full.faces(1)) + [t for t in tris if t not in drop])
+
+
+def test_free_column_ranks_match_numpy():
+    # complexes that collapse (defect tori), that partly do (Linial-Meshulam
+    # and flag complexes) and that have no free column at first (closed tori)
+    pool = list(fixtures().values())
+    pool += [_defect_torus(side, k, side) for side in range(6, 13) for k in (1, 2, 5)]
+    pool += [torus_tower(2, side) for side in (5, 6)]
+    pool += [linial_meshulam(2, 10, p, s) for p in (0.3, 0.6) for s in range(4)]
+    pool += [random_flag(12, 0.45, 3, s) for s in range(6)]
+    for cx in pool:
+        for q in range(1, cx.dim + 1):
+            assert boundary_rank(cx, q) == np.linalg.matrix_rank(boundary_matrix(cx, q))
+
+
+def test_a_collapsing_level_is_ranked_without_fill(monkeypatch):
+    # a torus with triangles removed collapses onto a graph: each triangle
+    # goes by a free column, so the fallback heap never pivots and nothing
+    # fills; a closed torus has no free column until elimination frees one
+    import heapq
+    pops = []
+    heappop = heapq.heappop
+
+    def counted(heap):
+        pops.append(len(heap))
+        return heappop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counted)
+    for side in (6, 8, 12):
+        for removed in (1, 3):
+            cx = _defect_torus(side, removed, side)
+            assert boundary_rank(cx, 2) == len(cx.faces(2))
+    assert pops == []
+    assert boundary_rank(torus_tower(2, 6), 2) == 71
+    assert pops
 
 
 def test_rank_input_is_left_untouched():
