@@ -643,121 +643,83 @@ def _ball(cx: SimplicialComplex, root, r) -> tuple:
     return dist, vert, simplices, [sum(map(get, s)) for s in simplices]
 
 
-def _code_miss(key, vert, dist, simplices, masks, ordered) -> CanonicalCode:
-    """The code of a ball missing from ``_CODE_CACHE``, stored there under
-    ``key``.
+def _ball_codes(cx: SimplicialComplex, root, radii) -> list:
+    """Minimal codes of the balls of ``cx`` at ``root`` of each radius in
+    ``radii``, in order, all read from one :func:`_ball` of the last
+    radius.  Radii ascend, and None (the root's whole component) may only
+    come last.
 
-    The ball comes as :func:`_ball` gives it (or, from :func:`_ball_codes`,
-    as its part within a smaller radius), with ``ordered`` its masks
-    sorted.  The masks, and the positions of each simplex of dimension
-    >= 2, give the canonical search its incidence, so no vertex id reaches
-    it.  The code is read off the search's winning blocks, already in
-    ascending order: after the inner ball's code (the root's 0 when the
-    search starts from the root), label k adds its singleton, 2**k - 1,
-    and e + 2**k - 1 for each entry e of its block.
+    With n the positions at distance <= r, the r-ball's masks are the
+    masks below ``1 << n``: a prefix of the sorted masks, at the same
+    positions.  ``_CODE_CACHE`` keys the ball by n and that prefix, packed
+    in fields of ``_field_bytes(n)`` bytes (:func:`_pack`); a radius that
+    adds no position has the code of the radius before.
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
     orders back to back, packed in fields of ``_field_bytes(n.bit_length())``
     bytes, when the search never passed the tie cap; else None.  They
     depend on the key alone, so they are kept even for a root's whole
     component: the same key can be an inner ball elsewhere.
-    The masks of a ball's (L-1)-ball, L its last layer, are the masks
-    below ``1 << m``, m the positions closer than L: a prefix of the sorted
-    masks, at the same positions.  So with L >= 2 the search resumes from
-    the orders of that inner entry, if it has any, and starts from the
-    root otherwise.
+
+    A miss runs the canonical search on the ball's masks, and the positions
+    of each simplex of dimension >= 2, so no vertex id reaches it.  With L
+    the ball's last layer and L >= 2, it resumes from the orders of the
+    (L-1)-ball's entry, if that has any, and starts from the root
+    otherwise.  The code is read off the search's winning blocks, already
+    in ascending order: after the inner ball's code (the root's 0 when the
+    search starts from the root), label k adds its singleton, 2**k - 1,
+    and e + 2**k - 1 for each entry e of its block.
     """
-    n = len(vert)
-    index = {v: i for i, v in enumerate(vert)}.__getitem__
-    faces = [(mask, tuple(map(index, s)))
-             for mask, s in zip(masks, simplices) if len(s) > 2]
-    layer = [dist[v] for v in vert]
-    last = layer[-1]
-    starts = [(0,)]
-    indices = [0]
-    if last >= 2:
-        m = layer.index(last)
-        inner_key = (m, _pack(ordered[:bisect_left(ordered, 1 << m)],
-                              _field_bytes(m)))
-        inner_code, kept = _CODE_CACHE.get(inner_key, (None, None))
-        if kept is not None:
-            kept = _unpack(kept, _field_bytes(m.bit_length()))
-            starts = [kept[i:i + m] for i in range(0, len(kept), m)]
-            indices = list(inner_code.indices)
-    orders, won, pruned = _canonical_order(layer, masks, faces, starts)
-    # label k adds its singleton, at 2**k - 1, and the simplex of each
-    # entry e of its block, at e + 2**k - 1: all ascending
-    for k, block in enumerate(won, len(starts[0])):
-        base = (1 << k) - 1
-        indices.append(base)
-        indices += [e + base for e in block[:-1]]
-    code = CanonicalCode(indices)
-    # pruned branches are missing from the orders
-    if pruned:
-        orders = None
-    else:
-        orders = _pack(list(chain.from_iterable(orders)),
-                       _field_bytes(n.bit_length()))
-    if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
-        _CODE_CACHE.clear()
-    _CODE_CACHE[key] = (code, orders)
-    return code
-
-
-def _ball_code(cx: SimplicialComplex, root, r=None) -> CanonicalCode:
-    """Minimal code of the radius-``r`` ball of ``cx`` at ``root`` (the
-    root's whole component when ``r`` is None), read from ``cx`` itself.
-
-    The ball comes from :func:`_ball`.  ``_CODE_CACHE`` is keyed by the
-    vertex count n and the simplices as bitmasks of positions, sorted and
-    packed in fields of ``_field_bytes(n)`` bytes (:func:`_pack`); a miss
-    goes to :func:`_code_miss`.
-    """
-    if r is not None:
-        r = _check_int(r, "ball radius")
-    dist, vert, simplices, masks = _ball(cx, root, r)
-    n = len(vert)
-    ordered = sorted(masks)
-    key = (n, _pack(ordered, _field_bytes(n)))
-    entry = _CODE_CACHE.get(key)
-    if entry is None:
-        return _code_miss(key, vert, dist, simplices, masks, ordered)
-    return entry[0]
-
-
-def _ball_codes(cx: SimplicialComplex, root, reach: int) -> list:
-    """The codes of :func:`_ball_code` at radii 1..``reach``, in order,
-    from one ball of radius ``reach``.
-
-    With n_r the positions at distance <= r, the r-ball's masks are the
-    masks below ``1 << n_r``: a prefix of the sorted masks, the inner-key
-    rule of :func:`_code_miss`.  So each radius packs its key from that
-    prefix, and a miss at radius r resumes from radius r - 1's entry,
-    just stored.  Past the eccentricity each ball is the whole component,
-    with the code of the last radius.
-    """
+    reach = radii[-1]
     dist, vert, simplices, masks = _ball(cx, root, reach)
     ordered = sorted(masks)
-    layer = [dist[v] for v in vert]
     codes = []
     m = 0
-    for r in range(1, reach + 1):
-        n = bisect_right(layer, r)
+    for r in radii:
+        if r == reach:
+            n, prefix = len(vert), ordered
+        else:
+            n = bisect_right(vert, r, key=dist.__getitem__)
+            prefix = ordered[:bisect_left(ordered, 1 << n)]
         if n == m:
             codes.append(codes[-1])
             continue
         m = n
-        top = 1 << n
-        prefix = ordered[:bisect_left(ordered, top)]
         key = (n, _pack(prefix, _field_bytes(n)))
         entry = _CODE_CACHE.get(key)
         if entry is None:
-            kept = [k for k, mask in enumerate(masks) if mask < top]
-            codes.append(_code_miss(key, vert[:n], dist,
-                                    [simplices[k] for k in kept],
-                                    [masks[k] for k in kept], prefix))
-        else:
-            codes.append(entry[0])
+            top = 1 << n
+            index = dict(zip(vert, range(n))).__getitem__
+            faces = [(mask, tuple(map(index, s)))
+                     for mask, s in zip(masks, simplices)
+                     if len(s) > 2 and mask < top]
+            layer = [dist[v] for v in vert[:n]]
+            starts = [(0,)]
+            indices = [0]
+            if layer[-1] >= 2:
+                inner = layer.index(layer[-1])
+                inner_code, kept = _CODE_CACHE.get((inner, _pack(
+                    ordered[:bisect_left(ordered, 1 << inner)],
+                    _field_bytes(inner))), (None, None))
+                if kept is not None:
+                    kept = _unpack(kept, _field_bytes(inner.bit_length()))
+                    starts = [kept[i:i + inner]
+                              for i in range(0, len(kept), inner)]
+                    indices = list(inner_code.indices)
+            inside = masks if n == len(vert) else [x for x in masks if x < top]
+            orders, won, pruned = _canonical_order(layer, inside, faces, starts)
+            for k, block in enumerate(won, len(starts[0])):
+                base = (1 << k) - 1
+                indices.append(base)
+                indices += [e + base for e in block[:-1]]
+            # pruned branches are missing from the orders
+            kept = None if pruned else _pack(list(chain.from_iterable(orders)),
+                                             _field_bytes(n.bit_length()))
+            entry = (CanonicalCode(indices), kept)
+            if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+                _CODE_CACHE.clear()
+            _CODE_CACHE[key] = entry
+        codes.append(entry[0])
     return codes
 
 
@@ -771,7 +733,7 @@ def canonical_code(rc: RootedComplex) -> CanonicalCode:
     structure (lattice patches, balls of transitive complexes) is
     canonicalized once.
     """
-    return _ball_code(rc.complex, rc.root)
+    return _ball_codes(rc.complex, rc.root, (None,))[0]
 
 
 def bs_distance(a: RootedComplex, b: RootedComplex, rmax=None) -> Fraction:
@@ -789,7 +751,7 @@ def bs_distance(a: RootedComplex, b: RootedComplex, rmax=None) -> Fraction:
     # them apart
     reach = max(max(_bfs(x.complex, x.root, rmax).values()) for x in (a, b))
     for r in range(1, reach + 1):
-        if (_ball_code(a.complex, a.root, r)
-                != _ball_code(b.complex, b.root, r)):
+        if (_ball_codes(a.complex, a.root, (r,))
+                != _ball_codes(b.complex, b.root, (r,))):
             return Fraction(1, 2 ** (r - 1))
     return Fraction(0)

@@ -46,7 +46,7 @@ class MomentVector:
     __slots__ = ("p", "moments", "stderrs")
 
     def __init__(self, p: int, moments, stderrs=None):
-        self.p = p
+        self.p = _check_int(p, "dimension")
         self.moments = tuple(moments)
         self.stderrs = None if stderrs is None else tuple(stderrs)
         if not self.moments:

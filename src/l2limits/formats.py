@@ -38,8 +38,12 @@ def _text(file, mode: str):
 
 def _vertex_id(token: str):
     """The one rule for a vertex id in text: ASCII digits after an optional
-    ``-`` (a negative id meets its own message later); else None."""
-    return int(token) if token.isascii() and token.removeprefix("-").isdigit() else None
+    ``-`` (a negative id meets its own message later); else None, as for
+    ``-0``, which no negative id spells."""
+    digits = token.removeprefix("-")
+    if token.isascii() and digits.isdigit() and (digits == token or digits.strip("0")):
+        return int(token)
+    return None
 
 
 def _parse_scx_lines(lines):

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .complexes import RootedComplex, SimplicialComplex, _component_map
-from .encoding import CanonicalCode, _ball_code, _ball_codes, _root_classes
+from .encoding import CanonicalCode, _ball_codes, _root_classes
 from .errors import ValidationError, _check_int
 
 __all__ = [
@@ -44,7 +44,7 @@ class SupportPoint:
     radius, the whole-complex code under radius None.
     """
 
-    __slots__ = ("rooted", "weight", "_ball_codes")
+    __slots__ = ("rooted", "weight", "_codes")
 
     def __init__(self, rooted: RootedComplex, weight):
         try:
@@ -55,7 +55,7 @@ class SupportPoint:
             raise ValidationError(f"support weights must be positive, not {weight!r}")
         self.rooted = rooted
         self.weight = w
-        self._ball_codes = {}
+        self._codes = {}
 
     def ball_code(self, r: int | None) -> CanonicalCode:
         """Code of the radius-``r`` ball at the root (the whole complex when
@@ -63,20 +63,20 @@ class SupportPoint:
         without cutting the ball.  ``r`` is checked before the memo is read."""
         if r is not None:
             r = _check_int(r, "ball radius")
-        code = self._ball_codes.get(r)
+        code = self._codes.get(r)
         if code is None:
             rc = self.rooted
-            code = self._ball_codes[r] = _ball_code(rc.complex, rc.root, r)
+            code = self._codes[r] = _ball_codes(rc.complex, rc.root, (r,))[0]
         return code
 
-    def _code_radii(self, reach: int) -> None:
-        """Memoize the ball codes of radii 1..``reach``, all from one ball
-        (:func:`encoding._ball_codes`) when any of them is missing."""
-        memo = self._ball_codes
-        if not all(map(memo.__contains__, range(1, reach + 1))):
+    def _code_radii(self, radii) -> None:
+        """Memoize the ball codes of the ascending ``radii``: those missing
+        all come from one ball (:func:`encoding._ball_codes`)."""
+        missing = [r for r in radii if r not in self._codes]
+        if missing:
             rc = self.rooted
-            for r, code in enumerate(_ball_codes(rc.complex, rc.root, reach), 1):
-                memo.setdefault(r, code)
+            self._codes.update(
+                zip(missing, _ball_codes(rc.complex, rc.root, missing)))
 
     def __repr__(self) -> str:
         return f"SupportPoint(root={self.rooted.root}, weight={self.weight})"
@@ -143,7 +143,7 @@ class BallDistribution(dict):
 
     def __init__(self, radius: int, probs):
         super().__init__(probs)
-        self.radius = radius
+        self.radius = _check_int(radius, "ball radius")
 
     def validate(self) -> None:
         if sum(self.values(), _ZERO) != 1:
@@ -152,7 +152,7 @@ class BallDistribution(dict):
             raise ValidationError("ball distribution weights must be positive")
         for code in self:
             rc = code.decode()
-            if _ball_code(rc.complex, rc.root, self.radius) != code:
+            if _ball_codes(rc.complex, rc.root, (self.radius,))[0] != code:
                 raise ValidationError(
                     f"key is not a radius-{self.radius} ball: {code}")
 
@@ -203,7 +203,7 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
     So balls are coded for r = 1..R, R = min(rmax, N), and the rest of the
     sum is g_R (2^(rmax-R) - 1).  Support points memoize their codes, so
     measuring many laws against one codes each of its balls once, and a
-    point that lacks any radius in 1..R reads them all from one ball.
+    point reads the radii it lacks in 1..R from one ball.
     """
     rmax = _check_int(rmax, "rmax")
     points = mu.points + nu.points
@@ -212,7 +212,7 @@ def measure_distance(mu: RandomRootedComplex, nu: RandomRootedComplex,
     signed = list(zip(points, weights[:split] + [-w for w in weights[split:]]))
     reach = min(rmax, max(len(pt.rooted.complex.faces(0)) for pt in points))
     for pt in points:
-        pt._code_radii(reach)
+        pt._code_radii(range(1, reach + 1))
     total = gap = 0
     for r in range(1, reach + 1):
         gap = sum(map(abs, _code_sums(signed, r).values()))

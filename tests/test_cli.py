@@ -202,7 +202,7 @@ def test_canon_root_follows_the_scx_id_rule(scx, capsys):
         [(v, v + 1) for v in range(11)]))
     code, want, _ = run(capsys, ["canon", path, "--root", "10"])
     assert code == 0 and want.startswith("code: ")
-    for token in ("1_0", "+10", "\u0661\u0660", " 10", "abc", ""):
+    for token in ("1_0", "+10", "\u0661\u0660", " 10", "abc", "", "-0"):
         # a usage error ends in argparse's SystemExit, exit 1
         with pytest.raises(SystemExit) as exc:
             main(["canon", path, "--root", token])
@@ -240,17 +240,20 @@ def test_bs_distance(scx, capsys):
 
 
 def test_scx_vertex_ids_are_ascii_digits(scx, tmp_path, capsys):
-    # int() also reads "1_0" as 10, "+3" as 3 and other scripts' digits; an
-    # id is ASCII digits, in a simplex line, a root directive and a suffix
+    # int() also reads "1_0" as 10, "+3" as 3, "-0" as 0 and other scripts'
+    # digits; an id is ASCII digits after an optional "-" that makes it
+    # negative, in a simplex line, a root directive and a suffix
     path = tmp_path / "bad.scx"
     for text, line in (("1_0 2\n", 1), ("0 1\n\u0663 4\n", 2), ("+3 4\n", 1),
-                       ("0 1\nroot 1_0\n", 2)):
+                       ("0 1\nroot 1_0\n", 2), ("-0 1 2\n", 1),
+                       ("0 1 2\nroot -0\n", 2)):
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, ["validate", str(path)])
         assert (code, out) == (2, "") and err.startswith(f"error: line {line}: ")
     c5 = scx("c5.scx", fixtures()["cycle5"])
-    code, _, err = run(capsys, ["bs-distance", f"{c5}:\u0663", f"{c5}:0"])
-    assert code == 2 and "No such file" in err  # a name, not root 3
+    for suffix in ("\u0663", "-0"):  # a name, not root 3 or 0
+        code, _, err = run(capsys, ["bs-distance", f"{c5}:{suffix}", f"{c5}:0"])
+        assert code == 2 and "No such file" in err
 
 
 def test_measure_distance(tmp_path, capsys):

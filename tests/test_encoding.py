@@ -10,14 +10,15 @@ import pytest
 import l2limits.encoding as encoding
 from conftest import random_connected_complex
 from l2limits.complexes import SimplicialComplex, rooted_at
-from l2limits.encoding import (CanonicalCode, _ball_code, bs_distance,
+from l2limits.encoding import (CanonicalCode, _ball_codes, bs_distance,
                                canonical_code,
                                find_rooted_isomorphism, index_of_subset,
                                subset_from_index)
 from l2limits.errors import ValidationError
 from l2limits.estimators import vertex_sampler
 from l2limits.generators import fixtures, random_flag, torus_tower
-from l2limits.measures import ball_distribution, uniform_rooting
+from l2limits.measures import (BallDistribution, ball_distribution,
+                               uniform_rooting)
 from test_golden import corpus
 
 closure = SimplicialComplex.closure
@@ -412,12 +413,12 @@ def test_a_full_code_cache_is_cleared_and_codes_hold(monkeypatch):
     pool = [torus_tower(2, 5)] + [random_flag(16, 5 / 16, 3, s) for s in range(4)]
     jobs = [(cx, v, r) for cx in pool for v in cx.vertices for r in (1, 2, None)]
     monkeypatch.setattr(encoding, "_CODE_CACHE", {})
-    want = [_ball_code(*job) for job in jobs]
+    want = [_ball_codes(cx, v, (r,))[0] for cx, v, r in jobs]
     monkeypatch.setattr(encoding, "_CODE_CACHE", {})
     monkeypatch.setattr(encoding, "_CODE_CACHE_LIMIT", 3)
     got, sizes = [], []
-    for job in jobs:
-        got.append(_ball_code(*job))
+    for cx, v, r in jobs:
+        got.append(_ball_codes(cx, v, (r,))[0])
         sizes.append(len(encoding._CODE_CACHE))
     assert got == want
     # filled to the limit, then cleared and refilled
@@ -473,7 +474,7 @@ def test_ball_code_read_from_the_parent_equals_the_cut_ball(monkeypatch):
             rc = rooted_at(cx, v)
             for r in (0, 1, 2, 3, None):
                 encoding._CODE_CACHE.clear()
-                read = _ball_code(cx, v, r)
+                read = _ball_codes(cx, v, (r,))[0]
                 encoding._CODE_CACHE.clear()
                 cut = canonical_code(rc if r is None else rc.ball(r))
                 assert read == cut, (cx, v, r)
@@ -494,7 +495,7 @@ def test_negative_radius_is_rejected_before_any_search(monkeypatch):
 
     monkeypatch.setattr(encoding, "_bfs", counted_bfs)
     with pytest.raises(ValidationError, match="ball radius"):
-        _ball_code(a.complex, a.root, -1)
+        BallDistribution(-1, {CanonicalCode([0]): 1})
     with pytest.raises(ValidationError, match="ball radius"):
         mu.points[0].ball_code(-1)
     with pytest.raises(ValidationError):
@@ -502,7 +503,7 @@ def test_negative_radius_is_rejected_before_any_search(monkeypatch):
     with pytest.raises(ValidationError):
         bs_distance(a, b, -1)
     assert searches == []
-    assert mu.points[0]._ball_codes == {}
+    assert mu.points[0]._codes == {}
 
 
 def test_non_integer_radius_is_rejected():
@@ -514,7 +515,7 @@ def test_non_integer_radius_is_rejected():
     mu = uniform_rooting(torus)
     ball_distribution(mu, 1)
     for call in (lambda: rc.ball(1.5),
-                 lambda: _ball_code(torus, 0, 1.5),
+                 lambda: BallDistribution(1.5, {CanonicalCode([0]): 1}),
                  lambda: mu.points[0].ball_code(1.5),
                  lambda: ball_distribution(mu, 1.5),
                  lambda: ball_distribution(mu, 1.0),
@@ -622,7 +623,7 @@ def test_resumed_search_equals_the_fresh_one(monkeypatch, cap):
             dist = cx.distances(v)
             for r in (1, 2, 3):
                 searched = len(results)
-                code = _ball_code(cx, v, r)
+                code = _ball_codes(cx, v, (r,))[0]
                 if len(results) == searched:
                     continue
                 misses += 1
@@ -651,16 +652,17 @@ def test_codes_do_not_depend_on_what_the_cache_holds(monkeypatch):
         for v in cx.vertices:
             for r in radii:
                 cache.clear()
-                cold[i, v, r] = _ball_code(cx, v, r)
+                cold[i, v, r] = _ball_codes(cx, v, (r,))[0]
     jobs = list(cold)
     random.Random(5).shuffle(jobs)
     cache.clear()
-    assert [_ball_code(pool[i], v, r) for i, v, r in jobs] == [cold[j] for j in jobs]
+    assert [_ball_codes(pool[i], v, (r,))[0]
+            for i, v, r in jobs] == [cold[j] for j in jobs]
     for radius in (3, 2, None, 1):
         cache.clear()
         for i, v, r in jobs:
             if r == radius:
-                assert _ball_code(pool[i], v, r) == cold[i, v, r]
+                assert _ball_codes(pool[i], v, (r,))[0] == cold[i, v, r]
 
 
 def test_all_radii_from_one_ball_equal_one_radius_at_a_time(monkeypatch):
@@ -680,11 +682,11 @@ def test_all_radii_from_one_ball_equal_one_radius_at_a_time(monkeypatch):
             reach = min(ecc + 2, 5)
             past += reach > ecc
             cache.clear()
-            want = [_ball_code(cx, v, r) for r in range(1, reach + 1)]
+            want = [_ball_codes(cx, v, (r,))[0] for r in range(1, reach + 1)]
             entries = dict(cache)
             kept.update(orders is None for _, orders in entries.values())
             cache.clear()
-            assert encoding._ball_codes(cx, v, reach) == want
+            assert encoding._ball_codes(cx, v, range(1, reach + 1)) == want
             assert cache == entries
     assert past > 20 and kept == {False, True}
 
@@ -713,7 +715,7 @@ def test_orders_are_kept_only_from_unpruned_balls(monkeypatch, cap):
             dist = cx.distances(v)
             for r in (1, 2, 3, None):
                 encoding._CODE_CACHE.clear()
-                _ball_code(cx, v, r)
+                _ball_codes(cx, v, (r,))
                 ((n, _), (_, kept)), = encoding._CODE_CACHE.items()
                 orders, _, pruned = results[-1]
                 if pruned:
@@ -728,13 +730,13 @@ def test_orders_are_kept_only_from_unpruned_balls(monkeypatch, cap):
     # end: the path's radius-2 ball resumes from the edge's orders
     path = closure([(0, 1), (1, 2), (2, 3)])
     encoding._CODE_CACHE.clear()
-    fresh = _ball_code(path, 0, 2)
+    fresh = _ball_codes(path, 0, (2,))[0]
     encoding._CODE_CACHE.clear()
-    _ball_code(fixtures()["edge"], 0)
+    _ball_codes(fixtures()["edge"], 0, (None,))
     starts = []
     monkeypatch.setattr(encoding, "_canonical_order",
                         lambda *args: starts.append(args[-1]) or search(*args))
-    assert _ball_code(path, 0, 2) == fresh
+    assert _ball_codes(path, 0, (2,))[0] == fresh
     assert [[list(start) for start in s] for s in starts] == [[[0, 1]]]
 
 
@@ -750,12 +752,12 @@ def test_a_ball_of_256_vertices_or_more_keeps_its_orders(monkeypatch):
     monkeypatch.setattr(encoding, "_canonical_order", recorded)
     monkeypatch.setattr(encoding, "_CODE_CACHE", {})
     path = closure([(i, i + 1) for i in range(300)])
-    _ball_code(path, 0, 280)
+    _ball_codes(path, 0, (280,))
     ((n, _), (_, kept)), = encoding._CODE_CACHE.items()
     assert n == 281
     assert encoding._unpack(kept, encoding._field_bytes(n.bit_length())) \
         == tuple(range(281))
-    code = _ball_code(path, 0, 281)
+    code = _ball_codes(path, 0, (281,))[0]
     assert [list(start) for start in starts[1]] == [list(range(281))]
     encoding._CODE_CACHE.clear()
     assert code == canonical_code(rooted_at(path, 0).ball(281))
@@ -775,7 +777,7 @@ def test_packed_keys_are_equal_exactly_when_the_mask_sets_are(monkeypatch):
                 masks = frozenset(sum(bit[u] for u in s)
                                   for s in cx.induced(verts).simplices)
                 encoding._CODE_CACHE.clear()
-                _ball_code(cx, v, r)
+                _ball_codes(cx, v, (r,))
                 key, = encoding._CODE_CACHE
                 pairs.append((masks, key))
     assert len(pairs) > 3000
@@ -795,7 +797,7 @@ def test_code_cache_memory_per_entry(monkeypatch):
         for cx in pool:
             for v in cx.vertices:
                 for r in (1, 2):
-                    _ball_code(cx, v, r)
+                    _ball_codes(cx, v, (r,))
 
     search = encoding._canonical_order
     replies = []
@@ -851,9 +853,9 @@ def test_bs_distance_examples(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return _ball_code(*args)
+        return _ball_codes(*args)
 
-    monkeypatch.setattr(encoding, "_ball_code", counted)
+    monkeypatch.setattr(encoding, "_ball_codes", counted)
     a = rooted_at(torus_tower(2, 6), 0)
     assert bs_distance(a, a, 1000) == 0
     assert 0 < len(calls) <= 2 * a.eccentricity()

@@ -10,17 +10,20 @@ import numpy as np
 import pytest
 
 from l2limits.complexes import RootedComplex, rooted_at
-from l2limits.encoding import _ball_code, bs_distance, subset_from_index
+from l2limits.encoding import (CanonicalCode, bs_distance, canonical_code,
+                               subset_from_index)
 from l2limits.errors import ValidationError
-from l2limits.estimators import (convergence_experiment, exhaustive_moments,
-                                 kernel_mass_bound, local_moment,
-                                 moments_of_measure, monte_carlo_moments,
-                                 vertex_sampler)
+from l2limits.estimators import (MomentVector, convergence_experiment,
+                                 exhaustive_moments, kernel_mass_bound,
+                                 local_moment, moments_of_measure,
+                                 monte_carlo_moments, vertex_sampler)
 from l2limits.formats import write_scx
-from l2limits.generators import linial_meshulam, random_flag, torus_tower
-from l2limits.measures import (ball_distribution, degree_truncate,
-                               expected_p_degree, measure_distance,
-                               SupportPoint, uniform_rooting)
+from l2limits.generators import (fixtures, linial_meshulam, random_flag,
+                                 torus_tower)
+from l2limits.measures import (BallDistribution, ball_distribution,
+                               degree_truncate, expected_p_degree,
+                               measure_distance, SupportPoint,
+                               uniform_rooting)
 from l2limits.spectral import betti, laplacian_matrix, spectral_measure
 
 
@@ -58,7 +61,9 @@ def _entry_points():
         ("rooted_at root", lambda x: rooted_at(torus, x), 3),
         ("RootedComplex.ball", lambda x: rc.ball(x), 1),
         ("subset_from_index", subset_from_index, 5),
-        ("_ball_code", lambda x: _ball_code(torus, 0, x), 1),
+        ("BallDistribution radius",
+         lambda x: BallDistribution(x, {CanonicalCode([0]): 1}).radius, 1),
+        ("MomentVector p", lambda x: MomentVector(x, [1]).p, 1),
         ("bs_distance", lambda x: bs_distance(rc, rooted_at(pair[0], 0), x), 2),
         ("SupportPoint.ball_code", pt.ball_code, 1),
         ("ball_distribution", lambda x: ball_distribution(mu, x), 1),
@@ -103,6 +108,17 @@ def test_integer_arguments_follow_one_rule():
                 call(bad)
         assert call(np.int64(good)) == call(good), name
 
+
+
+def test_radius_and_dimension_are_checked_where_they_are_made():
+    # a ball law's radius and a moment vector's dimension are refused by
+    # the constructor, not first by a later validate() or computation
+    path3 = canonical_code(rooted_at(fixtures()["path3"], 0))
+    for bad in (1.5, -1, "a"):
+        with pytest.raises(ValidationError, match="ball radius"):
+            BallDistribution(bad, {path3: 1})
+        with pytest.raises(ValidationError, match="dimension"):
+            MomentVector(bad, [1])
 
 
 def test_real_arguments_refuse_what_is_no_number():

@@ -722,9 +722,9 @@ def test_convergence_experiment_codes_no_radius_zero_ball(monkeypatch):
     radii = []
     code = measures._ball_codes
 
-    def counted(cx, root, reach):
-        radii.extend(range(1, reach + 1))
-        return code(cx, root, reach)
+    def counted(cx, root, asked):
+        radii.extend(asked)
+        return code(cx, root, asked)
 
     monkeypatch.setattr(measures, "_ball_codes", counted)
     report = convergence_experiment(levels, 1, 2, [0.5], rmax=3,

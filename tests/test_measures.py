@@ -211,13 +211,13 @@ def test_measure_distance_reuses_the_ball_codes(monkeypatch):
     assert len(mu) > 1
     laws = [ball_distribution(mu, r) for r in range(3)]
     calls = []
-    code = measures._ball_code
+    code = measures._ball_codes
 
     def counted(*args):
         calls.append(args)
         return code(*args)
 
-    monkeypatch.setattr(measures, "_ball_code", counted)
+    monkeypatch.setattr(measures, "_ball_codes", counted)
     assert measure_distance(mu, mu, 2) == 0
     assert [ball_distribution(mu, r) for r in range(3)] == laws
     assert calls == []
@@ -232,13 +232,13 @@ def test_support_point_codes_its_complex_once(monkeypatch):
     assert codes == [canonical_code(pt.rooted) for pt in mu]
     calls = []
     for module in (encoding, measures):
-        code = module._ball_code
+        code = module._ball_codes
 
         def counted(*args, code=code):
             calls.append(args)
             return code(*args)
 
-        monkeypatch.setattr(module, "_ball_code", counted)
+        monkeypatch.setattr(module, "_ball_codes", counted)
     for pt, code in zip(mu, codes):
         assert pt.ball_code(None) is code
     assert calls == []
@@ -282,9 +282,9 @@ def test_measure_distance_codes_no_radius_zero_ball(monkeypatch):
     radii = []
     code = measures._ball_codes
 
-    def counted(cx, root, reach):
-        radii.extend(range(1, reach + 1))
-        return code(cx, root, reach)
+    def counted(cx, root, asked):
+        radii.extend(asked)
+        return code(cx, root, asked)
 
     monkeypatch.setattr(measures, "_ball_codes", counted)
     got = {(i, j, rmax): measure_distance(a, b, rmax)
@@ -314,9 +314,9 @@ def test_measure_distance_codes_no_ball_past_the_largest_support(monkeypatch):
     radii = []
     code = measures._ball_codes
 
-    def counted(cx, root, reach):
-        radii.extend(range(1, reach + 1))
-        return code(cx, root, reach)
+    def counted(cx, root, asked):
+        radii.extend(asked)
+        return code(cx, root, asked)
 
     monkeypatch.setattr(measures, "_ball_codes", counted)
     far = measure_distance(mu, nu, 1000)

@@ -201,23 +201,30 @@ def test_only_formats_opens_files():
     assert openers == {"formats"}
 
 
-def _attribute_reads(attr):
-    """(enclosing ``module.Class.function``, owner expression) for each read
-    of ``.attr`` in the package's sources."""
-    reads = []
+def _scoped(match):
+    """(enclosing ``module.Class.function``, node) for each node of the
+    package's sources that ``match`` takes."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Attribute) and child.attr == attr:
-                reads.append((scope, ast.unparse(child.value)))
+            elif match(child):
+                found.append((scope, child))
             visit(child, inner)
 
     for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
-    return reads
+    return found
+
+
+def _attribute_reads(attr):
+    """(enclosing ``module.Class.function``, owner expression) for each read
+    of ``.attr`` in the package's sources."""
+    return [(scope, ast.unparse(node.value)) for scope, node in _scoped(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == attr)]
 
 
 def test_checked_objects_are_made_only_by_their_constructors():
@@ -231,3 +238,15 @@ def test_checked_objects_are_made_only_by_their_constructors():
         == {"complexes"}
     assert [scope for scope, _ in _attribute_reads("validate")] \
         == ["estimators.MomentVector.__init__"]
+
+
+def test_one_function_codes_balls():
+    # the code cache and the canonical search it fills have one user: no
+    # other function may read or write the cache or run the search
+    cache = {scope for scope, _ in _scoped(
+        lambda node: isinstance(node, ast.Name) and node.id == "_CODE_CACHE")}
+    assert cache == {"encoding", "encoding._ball_codes"}  # its binding, its user
+    callers = {scope for scope, _ in _scoped(
+        lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("_canonical_order"))}
+    assert callers == {"encoding._ball_codes"}
