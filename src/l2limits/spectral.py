@@ -12,8 +12,8 @@ proven norm bound and power sums and raises CrossCheckError on a failure.
 The same pieces give a whole complex's moments exactly, tr Delta_p^r being
 the sum of their r-th power traces (:func:`_power_traces`).
 
-Both routes, and the moment walk of ``estimators``, take their signs from
-one rule, :func:`_signed_faces`; the walk's cofaces read it backwards.
+Both routes read d_q's nonzeros from one builder, :func:`_boundary`, and
+the moment walk of ``estimators`` reads its signs backwards, from cofaces.
 :func:`_gram` is the one dense assembly: the spectra and power traces read
 the smaller Gram matrix of each d, and :func:`laplacian_matrix` adds
 d_p^T d_p and d_{p+1} d_{p+1}^T for the tests and the golden digests.
@@ -57,12 +57,17 @@ DENSE_EIGENSOLVE_CAP = 4096
 ZERO_TOL = 1e-7
 
 
-def _signed_faces(s: tuple) -> list:
-    """[(face, sign)] of a simplex: the face omitting the i-th vertex of an
-    ascending simplex carries sign (-1)**i.  A vertex has none: d_0 is zero."""
-    if len(s) < 2:
-        return []
-    return [(s[:i] + s[i + 1:], -1 if i & 1 else 1) for i in range(len(s))]
+def _boundary(cx: SimplicialComplex, q: int) -> tuple:
+    """d_q's nonzeros as (face, sign), two lists with q + 1 entries per
+    simplex of ``faces(q)``: entry (q+1)j + i is the index in ``faces(q-1)``
+    of the face omitting the i-th vertex of the j-th simplex, and its sign
+    is (-1)**i.  Both are empty for d_0, which is zero."""
+    simplices = cx.faces(q)
+    if q < 1 or not simplices:
+        return [], []
+    index = {f: i for i, f in enumerate(cx.faces(q - 1))}
+    face = [index[s[:i] + s[i + 1:]] for s in simplices for i in range(q + 1)]
+    return face, [-1 if i & 1 else 1 for i in range(q + 1)] * len(simplices)
 
 
 class _Incidence:
@@ -73,7 +78,7 @@ class _Incidence:
     stars are in (dimension, lexicographic) order, so one bisection finds
     the block, and a vertex's block holds only its own edges.  The
     simplex's sign in a coface is that of the face omitting the vertex the
-    coface adds, (-1)**i at its index i (:func:`_signed_faces`).  Rows
+    coface adds, (-1)**i at its index i, as in :func:`_boundary`.  Rows
     follow the combinatorial rule for Delta_p (Goldberg 2002; Horak & Jost,
     Adv. Math. 2013; see :meth:`row`).  Cofaces and rows are memoized for
     the lifetime of the instance, so walks pay for the simplices they reach
@@ -151,9 +156,10 @@ def boundary_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
     array, rows ``faces(p-1)`` by columns ``faces(p)``; d_0 is zero.  The
     face omitting the i-th vertex of an ascending simplex carries sign
     (-1)**i, by a sign loop of its own, so tests can check
-    :func:`_signed_faces` on it."""
+    :func:`_boundary` on it."""
     import numpy as np
 
+    p = _check_int(p, "boundary degree")
     rows, cols = cx.faces(p - 1), cx.faces(p)
     out = np.zeros((len(rows), len(cols)), dtype=np.int64)
     if p >= 1:
@@ -169,12 +175,15 @@ def boundary_rank(cx: SimplicialComplex, p: int) -> int:
 
     rank d_1 = |V| - #components needs no elimination: the kernel of the
     vertex coboundary is spanned by the components' indicator vectors.
-    Every other d_p, zero ones included, eliminates the rows of d_p^T
-    (same rank): one {face: sign} dict per p-simplex, empty for a vertex.
+    Every other d_p, zero ones included, eliminates d_p^T's rows (same
+    rank): a {face index: sign} dict per p-simplex, from :func:`_boundary`.
     """
+    p = _check_int(p, "boundary degree")
     if p == 1:
         return len(cx.vertices) - len(cx.components())
-    return rational_rank(dict(_signed_faces(s)) for s in cx.faces(p))
+    # one row per p-simplex: its p + 1 consecutive (face, sign) entries
+    entries = iter(zip(*_boundary(cx, p)))
+    return rational_rank(map(dict, zip(*[entries] * (p + 1))))
 
 
 def _chain_numbers(cx: SimplicialComplex, ps) -> tuple:
@@ -207,23 +216,19 @@ def _gram(cx: SimplicialComplex, q: int, upper: bool) -> np.ndarray:
     Entry (a, b) sums the sign products of a and b over every group of
     d_q's incidences that holds both: a (q-1)-simplex and its cofaces for
     d_q^T d_q, a q-simplex and its faces for d_q d_q^T.  The incidences
-    come from :func:`_signed_faces`; the pairs within each group are
+    come from :func:`_boundary`; the pairs within each group are
     enumerated in numpy and scattered by one ``bincount``, so d_q is never
     formed.
     """
     import numpy as np
 
-    faces, simplices = cx.faces(q - 1), cx.faces(q)
-    index = {f: i for i, f in enumerate(faces)}.__getitem__
-    signed = [fs for s in simplices for fs in _signed_faces(s)]
-    face = np.fromiter((index(f) for f, _ in signed), np.intp, len(signed))
-    sign = np.fromiter((g for _, g in signed), np.intp, len(signed))
-    simplex = np.arange(len(signed)) // (q + 1)
+    face, sign = (np.array(a, dtype=np.intp) for a in _boundary(cx, q))
+    simplex = np.arange(len(face)) // (q + 1)
     if upper:
-        size, order = len(simplices), np.argsort(face, kind="stable")
+        size, order = len(cx.faces(q)), np.argsort(face, kind="stable")
         group, member, sign = face[order], simplex[order], sign[order]
     else:
-        size, group, member = len(faces), simplex, face
+        size, group, member = len(cx.faces(q - 1)), simplex, face
     # group is ascending: entry e pairs with every entry of its group,
     # which runs from first[e] for width[e] entries
     counts = np.bincount(group)

@@ -24,7 +24,8 @@ from l2limits.measures import (BallDistribution, ball_distribution,
                                degree_truncate, expected_p_degree,
                                measure_distance, SupportPoint,
                                uniform_rooting)
-from l2limits.spectral import betti, laplacian_matrix, spectral_measure
+from l2limits.spectral import (betti, boundary_matrix, boundary_rank,
+                               laplacian_matrix, spectral_measure)
 
 
 def _moments(mv):
@@ -82,6 +83,8 @@ def _entry_points():
         ("convergence_experiment rmax", lambda x: converge(rmax=x), 1),
         ("convergence_experiment degree_bound",
          lambda x: converge(degree_bound=x), 6),
+        ("boundary_rank", lambda x: boundary_rank(torus, x), 1),
+        ("boundary_matrix", lambda x: boundary_matrix(torus, x).tolist(), 2),
         ("betti", lambda x: betti(torus, x), 1),
         ("laplacian_matrix", lambda x: laplacian_matrix(torus, x).tolist(), 1),
         ("spectral_measure", lambda x: spectral_measure(torus, x), 1),

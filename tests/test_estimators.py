@@ -19,8 +19,8 @@ from l2limits.generators import fixtures, linial_meshulam, torus_tower
 from l2limits.measures import (RandomRootedComplex, SupportPoint,
                                ball_distribution, expected_p_degree,
                                uniform_rooting)
-from l2limits.spectral import (SpectralMeasure, _gram, _Incidence,
-                               _measure_and_traces, _signed_faces,
+from l2limits.spectral import (SpectralMeasure, _boundary, _gram,
+                               _Incidence, _measure_and_traces,
                                boundary_matrix, laplacian_matrix,
                                spectral_measure)
 
@@ -187,20 +187,24 @@ def test_incidence_rows_reproduce_the_dense_laplacian():
 
 
 def test_coface_signs_invert_signed_faces():
-    # a coface's sign is the simplex's sign among that coface's faces, and
-    # its third field the vertex it adds
+    # a coface's sign is _boundary's sign at the (coface, omitted vertex)
+    # entry, whose face is the simplex, and its third field the vertex it
+    # adds
     rng = np.random.default_rng(101)
     cases = list(fixtures().values())
     cases += [random_complex(rng, 10) for _ in range(20)]
     for cx in cases:
         incidence = _Incidence(cx)
         for p in range(cx.dim + 1):
-            for s in cx.faces(p):
+            face, sign = _boundary(cx, p + 1)
+            coface_index = {t: j for j, t in enumerate(cx.faces(p + 1))}
+            for k, s in enumerate(cx.faces(p)):
                 cofaces = incidence.cofaces(s)
                 assert sorted(t for t, _, _ in cofaces) == \
                     [t for t in cx.faces(p + 1) if set(s) <= set(t)]
-                for t, sign, w in cofaces:
-                    assert (s, sign) in _signed_faces(t)
+                for t, b, w in cofaces:
+                    entry = (p + 2) * coface_index[t] + t.index(w)
+                    assert (face[entry], sign[entry]) == (k, b)
                     assert set(t) - set(s) == {w}
 
 

@@ -17,7 +17,7 @@ from l2limits.formats import write_scx
 from l2limits.generators import (fixtures, linial_meshulam, random_flag,
                                  torus_tower)
 from l2limits.measures import uniform_rooting
-from l2limits.spectral import (_piece_bound, _radius_bound, _signed_faces,
+from l2limits.spectral import (_boundary, _piece_bound, _radius_bound,
                                betti, betti_normalized, boundary_matrix,
                                boundary_rank, euler_poincare,
                                laplacian_matrix, spectral_measure,
@@ -64,8 +64,39 @@ def test_boundary_matrix_shape_and_signs():
     b2 = boundary_matrix(cx, 2)
     assert b2.tolist() == [[1], [-1], [1]]
     # d_0 has no rows, and past the top dimension there are no columns
-    shapes = [boundary_matrix(cx, p).shape for p in (-1, 0, 3, 4)]
-    assert shapes == [(0, 0), (0, 3), (1, 0), (0, 0)]
+    shapes = [boundary_matrix(cx, p).shape for p in (0, 3, 4)]
+    assert shapes == [(0, 3), (1, 0), (0, 0)]
+    # a negative degree names no boundary operator
+    for call in (boundary_matrix, boundary_rank):
+        with pytest.raises(ValidationError, match="boundary degree"):
+            call(cx, -1)
+
+
+def test_boundary_builder_scatters_to_the_reference():
+    # _boundary's (face, sign) lists, scattered into zeros, are exactly
+    # the dense reference: q + 1 entries per q-simplex, no (face, simplex)
+    # pair twice, at every degree from d_0 to two past the top
+    rng = np.random.default_rng(53)
+    cases = list(fixtures().values())
+    cases += [random_complex(rng, 12) for _ in range(30)]
+    cases += [torus_tower(2, 5), torus_tower(2, 8)]
+    disconnected = isolated = deep = False
+    for cx in cases:
+        disconnected |= len(cx.components()) > 1
+        isolated |= any(not cx.neighbors(v) for v in cx.vertices)
+        deep |= cx.dim >= 3
+        for q in range(cx.dim + 3):
+            face, sign = _boundary(cx, q)
+            reference = boundary_matrix(cx, q)
+            # d_0 is zero: no entries at all
+            simplex = [j for j in range(len(cx.faces(q)))
+                       for _ in range(q + 1)] if q else []
+            assert len(face) == len(sign) == len(simplex)
+            assert len(set(zip(face, simplex))) == len(face)
+            scattered = np.zeros_like(reference)
+            scattered[face, simplex] = sign
+            assert np.array_equal(scattered, reference)
+    assert disconnected and isolated and deep
 
 
 def test_rational_rank_matches_numpy():
@@ -176,15 +207,17 @@ def test_rank_of_d1_counts_components():
         disconnected += comps > 1
         want = len(cx.vertices) - comps
         assert boundary_rank(cx, 1) == want
-        assert rational_rank(dict(_signed_faces(s))
-                             for s in cx.faces(1)) == want
+        face, sign = _boundary(cx, 1)
+        assert rational_rank({face[k]: sign[k], face[k + 1]: sign[k + 1]}
+                             for k in range(0, len(face), 2)) == want
     assert disconnected >= 5
 
 
 def test_computation_path_reads_no_boundary_matrix(monkeypatch):
     # boundary_matrix, a dense array, is the independent reference: ranks
-    # (each computed once by _chain_numbers), Laplacian rows, moments and
-    # the spectra's checks read signs from _signed_faces alone
+    # (each computed once by _chain_numbers), Gram pieces and the spectra's
+    # checks read d_q from _boundary, and Laplacian rows and moments from
+    # the cofaces of _Incidence
     calls = []
     reference = spectral.boundary_matrix
 

@@ -185,6 +185,30 @@ def test_only_spectral_runs_dense_linear_algebra():
     assert users == {"spectral"}
 
 
+def test_one_function_indexes_faces():
+    # d_q's nonzeros have one builder, spectral._boundary, beside the dense
+    # reference boundary_matrix: no other function that reads faces(...)
+    # may map simplices to their positions, {s: i for i, s in enumerate(...)}
+    def reads_faces(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "faces")
+
+    def indexes(node):
+        return isinstance(node, ast.DictComp) and any(
+            isinstance(g.iter, ast.Call)
+            and getattr(g.iter.func, "id", None) == "enumerate"
+            for g in node.generators)
+
+    indexers = set()
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, ast.FunctionDef):
+                nodes = list(ast.walk(func))
+                if any(map(reads_faces, nodes)) and any(map(indexes, nodes)):
+                    indexers.add(f"{path.stem}.{func.name}")
+    assert indexers == {"spectral._boundary", "spectral.boundary_matrix"}
+
+
 def test_only_formats_opens_files():
     # every file is opened in one place, formats._text: no other module may
     # call open, Path.open, read_text or write_text
