@@ -141,54 +141,104 @@ class CanonicalCode:
 # Vertices are handled as bit positions so the inner loop is integer work.
 
 
-def _refined_colors(members: list, star: list) -> list:
+def _splitmix64(x):
+    """splitmix64's output function (Steele, Lea & Flood, OOPSLA 2014) on a
+    uint64 array, wrapping modulo 2**64: a bijection that spreads every
+    input bit over the output."""
+    x = x + 0x9E3779B97F4A7C15
+    x ^= x >> 30
+    x *= 0xBF58476D1CE4E5B9
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    x ^= x >> 31
+    return x
+
+
+def _refined_colors(positions, member_starts, stars, star_starts) -> list:
     """Position colours from iterated star refinement (1-WL on simplices).
 
-    ``members`` holds the simplices of dimension >= 1 as position tuples
-    and ``star[i]`` the indices of those through position i.  A position
-    starts with the sorted sizes of its star's simplices.  Each round
-    hashes every position once, mixed = hash((colour, 1)), and then every
-    simplex once, as hash((size, sum of its positions' mixed colours)); a
-    position's refined colour is hash((colour, sum of its star's simplex
-    hashes)).  A multiset is summed, not sorted: a sum is a function of
-    the multiset, so the colours stay invariant, and the position's own
-    colour inside each simplex of its star splits positions as the
-    colours of the simplices' other positions would.  Singletons are left
-    out: their colours would only repeat the positions' own, so the
-    partitions are those of refining through whole stars.  Rounds stop
-    when the number of classes stops growing or every position has a
-    colour of its own.
+    The simplices of dimension >= 1 lie back to back in ``positions``,
+    simplex k at ``positions[member_starts[k]:member_starts[k + 1]]``, and
+    the indices of the simplices through position i at
+    ``stars[star_starts[i]:star_starts[i + 1]]``; all four are intp
+    arrays.  With mix :func:`_splitmix64`, a position starts with the sum
+    of its star's mixed simplex sizes.  Each round mixes every position's
+    colour once, and then every simplex once, as mix(sum of its positions'
+    mixed colours + its mixed size); a position's refined colour is
+    mix(colour + sum of its star's simplex hashes).  A multiset is summed,
+    not sorted: a sum is a function of the multiset, so the colours stay
+    invariant, and the position's own colour inside each simplex of its
+    star splits positions as the colours of the simplices' other positions
+    would.  Singletons are left out: their colours would only repeat the
+    positions' own, so the partitions are those of refining through whole
+    stars.  Rounds stop when the number of classes stops growing or every
+    position has a colour of its own.
 
-    Colours are hashes of ints: the same in every process and a function
-    of the isomorphism class of the complex rooted at the vertex.  So they
-    compare across complexes, and vertices of unequal colour are never
-    mapped onto each other.  A collision of sums can only merge classes,
-    which costs the search candidates but never maps a root wrongly.
-    Equal colours prove nothing: all twelve vertices of a triangular prism
-    and of K_{3,3} get one colour.
+    Colours are mixed before they are summed: the first colours are sums
+    of a few size mixes, and unmixed sums of them can agree on unequal
+    multisets.  Each round is a few whole-array passes: one
+    ``np.add.reduceat`` sums every simplex and a second every star.
+    ``reduceat`` reads an empty segment as the element after it, so an
+    empty star (an isolated vertex) is summed as 0 by leaving it out.
+
+    Colours are uint64 mixes, returned as ints, the same in every process
+    and a function of the isomorphism class of the complex rooted at the
+    vertex.  So they compare across complexes, and vertices of unequal
+    colour are never mapped onto each other.  A collision of sums can only
+    merge classes, which costs the search candidates but never maps a root
+    wrongly.  Equal colours prove nothing: all twelve vertices of a
+    triangular prism and of K_{3,3} get one colour.
     """
-    color = [hash(tuple(sorted([len(members[k]) for k in ks]))) for ks in star]
-    classes = len(set(color))
+    import numpy as np
+
+    mix = _splitmix64
+    filled = star_starts[:-1] < star_starts[1:]
+    heads = star_starts[:-1][filled]
+
+    def star_sums(values):
+        out = np.zeros(len(filled), np.uint64)
+        out[filled] = np.add.reduceat(values[stars], heads)
+        return out
+
+    sizes = mix(np.diff(member_starts).astype(np.uint64))
+    color = star_sums(sizes)
+    classes = len(set(color.tolist()))
     while classes < len(color):
-        mixed = [hash((c, 1)) for c in color].__getitem__
-        simplex = [hash((len(positions), sum(map(mixed, positions))))
-                   for positions in members].__getitem__
-        refined = [hash((c, sum(map(simplex, ks)))) for c, ks in zip(color, star)]
-        count = len(set(refined))
+        mixed = mix(color)
+        simplex = mix(np.add.reduceat(mixed[positions], member_starts[:-1])
+                      + sizes)
+        refined = mix(color + star_sums(simplex))
+        count = len(set(refined.tolist()))
         if count <= classes:
             break
         color, classes = refined, count
-    return color
+    return color.tolist()
+
+
+def _flat(segments) -> tuple:
+    """The ints of ``segments`` back to back, and the start of each segment
+    followed by the end of the last, as intp arrays."""
+    import numpy as np
+
+    starts = np.zeros(len(segments) + 1, np.intp)
+    np.cumsum(np.fromiter(map(len, segments), np.intp, len(segments)),
+              out=starts[1:])
+    return (np.fromiter(chain.from_iterable(segments), np.intp, starts[-1]),
+            starts)
 
 
 class _IsoContext:
     """Bitmask view of one complex, reusable across searches.
 
     Position i is the i-th smallest vertex.  The complex is indexed once,
-    into the lists that :func:`_refined_colors` reads.  Colours and
-    f-vector, all a caller reads when colours alone decide, are computed
-    at once; the masks are built from those lists by the first search that
-    needs them, and a root's breadth-first search is kept for the next.
+    into ``members`` (the simplices of dimension >= 1 as position tuples)
+    and ``star`` (the indices of those through each position), which are
+    passed to :func:`_refined_colors` flattened into arrays, once.  Colours
+    (uint64 mixes, the same in every process) and f-vector, all a caller
+    reads when colours alone decide, are computed at once; the masks are
+    built from those lists by the first search that needs them, and a
+    root's breadth-first search is kept for the next.  Building a context
+    is what loads numpy in this module.
     """
 
     __slots__ = ("cx", "verts", "idx", "n", "members", "star",
@@ -207,7 +257,7 @@ class _IsoContext:
         for k, positions in enumerate(members):
             for i in positions:
                 star[i].append(k)
-        self.colors = _refined_colors(members, star)
+        self.colors = _refined_colors(*_flat(members), *_flat(star))
         self.fvec = cx.f_vector()
         self.nbr_positions = None
         self.searched = {}

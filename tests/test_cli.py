@@ -549,6 +549,18 @@ def test_rank_commands_leave_numpy_unloaded(scx):
     assert out.splitlines() == ["[]", "[]", "[]"]
 
 
+def test_code_commands_leave_numpy_unloaded(scx):
+    # colour refinement runs on numpy, but only an isomorphism context
+    # refines, and a canonical search within its tie cap builds none
+    path = scx("octahedron.scx", fixtures()["octahedron"], root=0)
+    tail = ("print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'numpy'))\n"
+            "print(ran(('encoding',)))\n")
+    out = _cli_probe(["canon", path], ["bs-distance", path, f"{path}:4"],
+                     tail=tail)
+    assert out.splitlines() == ["[]", "['encoding']"]
+
+
 def test_converge_runs_every_module(tmp_path):
     out = _cli_probe(["converge", "--family", "torus2d", "--levels", "3",
                       "--p", "1", "--out", str(tmp_path / "c.csv")],

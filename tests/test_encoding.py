@@ -324,6 +324,34 @@ def test_summed_rounds_keep_the_sorted_rounds_partition():
                 == _partition(dict(enumerate(want))))
 
 
+def test_array_rounds_keep_the_sorted_rounds_partition_at_the_edges():
+    # empty stars, which reduceat would read as the next star's first
+    # entry; no simplex to sum at all; components that refine apart;
+    # colours that must be mixed before they are summed; tetrahedra; and
+    # the many rounds of a large defect torus
+    with_isolated = closure([(0,), (1, 2, 3), (3, 4), (4, 5), (6,), (7, 8),
+                             (9,)])
+    vertices_only = closure([(0,), (3,), (5,), (8,)])
+    disconnected = closure([(0, 1, 2), (3, 4), (4, 5), (5, 6), (6, 3),
+                            (10, 11, 12, 13)])
+    unmixed = closure([(0, 1, 5), (0, 6), (1, 2), (1, 4, 5), (1, 6),
+                       (2, 4, 6), (2, 5, 6), (3,)])
+    flags = [random_flag(12, 0.6, 3, s) for s in range(6)]
+    assert all(len(cx.faces(3)) for cx in flags)
+    torus = torus_tower(2, 30)
+    tris = torus.faces(2)
+    defect = closure(list(torus.faces(1)) + [t for t in tris if t != tris[417]])
+    for cx in [with_isolated, vertices_only, disconnected, unmixed, *flags,
+               defect]:
+        ctx = encoding._IsoContext(cx)
+        assert all(type(c) is int for c in ctx.colors)
+        want = _sorted_round_colors(ctx.members, ctx.star)
+        assert (_partition(dict(enumerate(ctx.colors)))
+                == _partition(dict(enumerate(want))))
+    assert len(set(encoding._IsoContext(defect).colors)) == 165
+    assert len(set(encoding._IsoContext(vertices_only).colors)) == 1
+
+
 def test_one_star_item_per_simplex():
     for cx in [cx for _, cx in corpus()]:
         ctx = encoding._IsoContext(cx)

@@ -185,6 +185,43 @@ def test_only_spectral_runs_dense_linear_algebra():
     assert users == {"spectral"}
 
 
+def test_numpy_is_imported_only_where_it_runs():
+    # commands that never reach an array leave numpy unloaded: every import
+    # of it sits in a function body, or under ``if TYPE_CHECKING:`` for
+    # annotations
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "numpy"
+                       for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "numpy")
+
+    def type_checking(node):
+        return isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING")
+
+    found = []
+
+    def visit(node, lazy):
+        if imports_numpy(node):
+            found.append(lazy)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lazy = True
+        if type_checking(node):
+            # the body only: an else branch runs
+            for child in node.body:
+                visit(child, True)
+            nodes = node.orelse
+        else:
+            nodes = ast.iter_child_nodes(node)
+        for child in nodes:
+            visit(child, lazy)
+
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), False)
+    assert len(found) > 5 and all(found)
+
+
 def test_one_function_indexes_faces():
     # d_q's nonzeros have one builder, spectral._boundary, beside the dense
     # reference boundary_matrix: no other function that reads faces(...)
