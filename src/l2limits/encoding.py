@@ -674,13 +674,22 @@ def _ball(cx: SimplicialComplex, root, r) -> tuple:
     ``root`` (the root's whole component when ``r`` is None).
 
     One breadth-first search gives ``dist`` and puts the ball's vertices
-    at positions in (distance, id) order, ``vert``, and one pass over
-    their stars finds the ball's simplices: a simplex is taken from the
-    star of its first vertex, and only the stars of the outer layer are
-    filtered.  ``masks`` holds each simplex as a bitmask of positions.
+    at positions, ``vert``, and one pass over their stars finds the ball's
+    simplices: a simplex is taken from the star of its first vertex, and
+    only the stars of the outer layer are filtered.  ``masks`` holds each
+    simplex as a bitmask of positions.
+
+    Positions are in order of distance and then of id offset from the
+    root, (u - root) mod (largest id + 1): the ids from the root up, then
+    those below it.  A cyclic shift of the ids, such as a translate of a
+    patch of a row-major torus by a row, keeps every mask, so translates
+    share a cache key.  The r-ball's positions are the first ones of
+    every larger ball's.
     """
     dist = _bfs(cx, root, r)
-    vert = sorted(sorted(dist), key=dist.__getitem__)
+    ids = sorted(dist)
+    k = bisect_left(ids, root)
+    vert = sorted(ids[k:] + ids[:k], key=dist.__getitem__)
     bit = {v: 1 << i for i, v in enumerate(vert)}
     # only the outer layer, the tail of vert, has neighbours outside
     inner = [v for v in vert if dist[v] != r]
@@ -703,7 +712,9 @@ def _ball_codes(cx: SimplicialComplex, root, radii) -> list:
     masks below ``1 << n``: a prefix of the sorted masks, at the same
     positions.  ``_CODE_CACHE`` keys the ball by n and that prefix, packed
     in fields of ``_field_bytes(n)`` bytes (:func:`_pack`); a radius that
-    adds no position has the code of the radius before.
+    adds no position has the code of the radius before.  The key is read
+    off positions, not ids, so balls that differ by a cyclic id shift
+    share it (:func:`_ball`), and balls that differ by a rotation do not.
 
     An entry is (code, orders).  ``orders`` holds the search's tied minimal
     orders back to back, packed in fields of ``_field_bytes(n.bit_length())``
@@ -779,9 +790,10 @@ def canonical_code(rc: RootedComplex) -> CanonicalCode:
     Branch-and-bound over label orders compatible with breadth-first layers,
     carrying every tied branch; ties are thinned only when an explicit
     automorphism proves two branches equivalent.  Results are memoized on
-    the simplices as bitmasks of (distance, id) positions, so repeated
-    structure (lattice patches, balls of transitive complexes) is
-    canonicalized once.
+    the simplices as bitmasks of the ball's positions (:func:`_ball`), so
+    balls that differ by a cyclic shift of the ids, such as translates of
+    a lattice patch on a row-major torus, are canonicalized once; a
+    rotation or reflection of a patch is another key and searched again.
     """
     return _ball_codes(rc.complex, rc.root, (None,))[0]
 

@@ -441,7 +441,9 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     rows, laws = map(list, zip(*(_level_stats(cx, p, order, eps_list)
                                  for cx in sequence)))
 
-    distances = [measure_distance(law, laws[-1], rmax) for law in laws]
+    # the last level's distance to itself is 0
+    distances = [measure_distance(law, laws[-1], rmax) for law in laws[:-1]]
+    distances.append(Fraction(0))
 
     trends = {"b_p_normalized": _trend([row["b_p_normalized"] for row in rows])}
     for eps, column in zip(eps_list, columns):

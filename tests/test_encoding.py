@@ -648,15 +648,13 @@ def test_resumed_search_equals_the_fresh_one(monkeypatch, cap):
     misses = 0
     for cx in [_spider(range(1, 7))] + _resume_pool():
         for v in cx.vertices:
-            dist = cx.distances(v)
             for r in (1, 2, 3):
                 searched = len(results)
                 code = _ball_codes(cx, v, (r,))[0]
                 if len(results) == searched:
                     continue
                 misses += 1
-                verts = sorted((u for u in dist if dist[u] <= r),
-                               key=lambda u: (dist[u], u))
+                verts = encoding._ball(cx, v, r)[1]
                 bit = {verts[i]: 1 << k for k, i in enumerate(results[-1][0][0])}
                 assert code.indices == tuple(sorted(
                     sum(map(bit.__getitem__, s)) - 1
@@ -792,15 +790,13 @@ def test_a_ball_of_256_vertices_or_more_keeps_its_orders(monkeypatch):
 
 
 def test_packed_keys_are_equal_exactly_when_the_mask_sets_are(monkeypatch):
-    # the frozenset of (distance, id) position masks was the key before
+    # the frozenset of position masks was the key before
     monkeypatch.setattr(encoding, "_CODE_CACHE", {})
     pairs = []
     for cx in _resume_pool():
         for v in cx.vertices:
-            dist = cx.distances(v)
             for r in (1, 2, 3):
-                verts = sorted((u for u in dist if dist[u] <= r),
-                               key=lambda u: (dist[u], u))
+                verts = encoding._ball(cx, v, r)[1]
                 bit = {u: 1 << i for i, u in enumerate(verts)}
                 masks = frozenset(sum(bit[u] for u in s)
                                   for s in cx.induced(verts).simplices)
@@ -812,6 +808,61 @@ def test_packed_keys_are_equal_exactly_when_the_mask_sets_are(monkeypatch):
     # equal partitions: each old key meets one new key, and back
     assert len(set(pairs)) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
     assert len(set(pairs)) > 1000
+
+
+def test_ball_positions_follow_distance_then_id_offset_from_the_root():
+    rng = np.random.default_rng(7)
+    pool = list(fixtures().values())
+    pool += [random_connected_complex(rng, 12) for _ in range(20)]
+    pool.append(closure([(0, 1, 2), (2, 3), (3, 4), (10, 11, 12, 13),
+                         (13, 15), (20,)]))
+    for cx in pool:
+        span = max(cx.vertices) + 1
+        for v in cx.vertices:
+            dist = cx.distances(v)
+            outer = encoding._ball(cx, v, None)[1]
+            assert outer == sorted(dist, key=lambda u: (dist[u], (u - v) % span))
+            for r in range(4):
+                vert = encoding._ball(cx, v, r)[1]
+                assert vert == sorted((u for u in dist if dist[u] <= r),
+                                      key=lambda u: (dist[u], (u - v) % span))
+                assert vert == outer[:len(vert)]
+
+
+def _searches_over_every_vertex(monkeypatch, cx, radii) -> int:
+    """Canonical searches that coding ``radii`` at every vertex of ``cx``
+    runs from an empty cache."""
+    search = encoding._canonical_order
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+    monkeypatch.setattr(encoding, "_canonical_order", counted)
+    for v in cx.vertices:
+        _ball_codes(cx, v, radii)
+    return len(calls)
+
+
+def test_translates_of_a_cycle_share_one_key_per_radius(monkeypatch):
+    cycle = torus_tower(1, 12)
+    for r in (1, 2):
+        keys = set()
+        for v in cycle.vertices:
+            monkeypatch.setattr(encoding, "_CODE_CACHE", {})
+            _ball_codes(cycle, v, (r,))
+            keys |= encoding._CODE_CACHE.keys()
+        assert len(keys) == 1
+    assert _searches_over_every_vertex(monkeypatch, cycle, (1, 2)) == 2
+
+
+def test_row_translates_of_a_torus_share_searches(monkeypatch):
+    # the (distance, id) order searched 34 and 49 times here
+    torus = torus_tower(2, 9)
+    assert _searches_over_every_vertex(monkeypatch, torus, (1, 2)) == 8
+    assert _searches_over_every_vertex(monkeypatch, torus, (3,)) == 7
 
 
 def test_code_cache_memory_per_entry(monkeypatch):

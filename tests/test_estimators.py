@@ -758,6 +758,29 @@ def test_convergence_experiment_constant_sequence():
     assert all(flag == "constant" for flag in single.trends.values())
 
 
+def test_the_last_level_is_not_measured_against_itself(monkeypatch):
+    measure = estimators.measure_distance
+    calls = []
+
+    def counted(mu, nu, rmax):
+        calls.append((mu, nu))
+        return measure(mu, nu, rmax)
+
+    monkeypatch.setattr(estimators, "measure_distance", counted)
+    levels = [torus_tower(2, n) for n in (4, 5, 6)]
+    report = convergence_experiment(levels, p=1, order=1, eps_list=[0.5])
+    assert len(calls) == 2
+    assert len({id(nu) for _, nu in calls}) == 1
+    assert calls[0][0] is not calls[1][0] and calls[1][0] is not calls[0][1]
+    assert report.distances_to_last[-1] == Fraction(0)
+    assert all(d > 0 for d in report.distances_to_last[:-1])
+    calls.clear()
+    single = convergence_experiment(levels[:1], p=1, order=1, eps_list=[0.5])
+    assert calls == []
+    assert single.distances_to_last == [0]
+    assert type(single.distances_to_last[0]) is Fraction
+
+
 def test_convergence_experiment_hypothesis_violations():
     tori = [torus_tower(2, n) for n in (4, 6)]
     with pytest.raises(HypothesisViolationError):
