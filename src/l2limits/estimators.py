@@ -23,8 +23,7 @@ from .errors import HypothesisViolationError, ValidationError, _check_int
 from .formats import _text
 from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
                        uniform_rooting)
-from .spectral import (_Incidence, _measure_and_traces, _piece_size,
-                       _radius_bound)
+from .spectral import _Incidence, _pieces, _radius_bound, _spectra
 
 __all__ = [
     "MomentVector",
@@ -307,7 +306,7 @@ def _level_stats(cx, p, order, eps_list):
     """One level's row, and its uniform-rooting law for the distances; the
     moments are tr Delta_p^r / |V| from the Gram pieces of its spectrum."""
     mu = uniform_rooting(cx)
-    measure, traces = _measure_and_traces(cx, p, order)
+    measure, traces = _spectra(cx, (p,), order)[p]
     mv = MomentVector(p, [Fraction(t, measure.n_vertices) for t in traces])
     nu = {eps: measure.mass_at_zero() + measure.near_zero_mass(eps)
           for eps in eps_list}
@@ -422,8 +421,7 @@ def convergence_experiment(sequence, p: int, order: int, eps_list,
     if len(labels) != len(sequence):
         raise ValidationError("one label per level")
     for cx in sequence:
-        for q in (p, p + 1):
-            _piece_size(cx, q)  # refuses a piece past the cap
+        _pieces(cx, (p,))
 
     degrees = [cx.max_degree() for cx in sequence]
     if degree_bound is not None:

@@ -6,11 +6,11 @@ come from a dense symmetric eigensolver.  The eigensolver never sees
 Delta_p = d_p^T d_p + d_{p+1} d_{p+1}^T itself: the nonzero spectrum of
 Delta_p is the union of those of its two terms (Eckmann 1944; Horak &
 Jost, Adv. Math. 2013), and each term's is that of the smaller Gram
-matrix of its d, d d^T or d^T d.  Every spectrum eigensolves those two
-pieces in :func:`_nonzero_spectrum`, which checks each piece's zero count,
-proven norm bound and power sums and raises CrossCheckError on a failure.
-The same pieces give a whole complex's moments exactly, tr Delta_p^r being
-the sum of their r-th power traces (:func:`_power_traces`).
+matrix of its d, d d^T or d^T d.  Every spectrum is one pass of
+:func:`_spectra`: it refuses the pieces past the cap, takes the ranks,
+and eigensolves each piece once in :func:`_nonzero_spectrum`, which checks
+its zero count, proven norm bound and power sums (CrossCheckError).  The
+pieces give a whole complex's moments exactly too (:func:`_power_traces`).
 
 Both routes read d_q's nonzeros from one builder, :func:`_boundary`, and
 the moment walk of ``estimators`` reads its signs backwards, from cofaces.
@@ -255,19 +255,6 @@ def laplacian_matrix(cx: SimplicialComplex, p: int) -> np.ndarray:
     return _gram(cx, p, upper=True) + _gram(cx, p + 1, upper=False)
 
 
-def _piece_size(cx: SimplicialComplex, q: int) -> int:
-    """Order of the Gram piece of d_q: the smaller of f_{q-1} and f_q (0
-    for d_0, as there are no (-1)-simplices).  A piece past
-    ``DENSE_EIGENSOLVE_CAP`` rows raises ValidationError instead."""
-    size = min(len(cx.faces(q - 1)), len(cx.faces(q)))
-    if size > DENSE_EIGENSOLVE_CAP:
-        raise ValidationError(
-            f"the Gram piece of d_{q} has {size} rows, past the dense "
-            f"eigensolver cap ({DENSE_EIGENSOLVE_CAP}); use moment "
-            "estimators at this scale")
-    return size
-
-
 def _power_traces(g: np.ndarray, order: int) -> list:
     """[tr g^r, r = 1..order] as exact ints, for g positive semidefinite
     in float64 with integer entries.
@@ -342,14 +329,12 @@ def _nonzero_spectrum(cx: SimplicialComplex, q: int, rank: int,
     sums of the eigenvalues and of their squares must lie within
     4 N^2 u rho^r of the exact traces tr g and tr g^2 = ||g||_F^2.  Either
     Gram matrix has those traces (:func:`_power_traces`).  An empty piece
-    is 0x0: no eigenvalues, every trace 0.  A piece past
-    ``DENSE_EIGENSOLVE_CAP`` is refused.
+    is 0x0: no eigenvalues, every trace 0.
     """
-    size = _piece_size(cx, q)
     import numpy as np
 
-    upper = len(cx.faces(q - 1)) > len(cx.faces(q))
-    gram = _gram(cx, q, upper)
+    gram = _gram(cx, q, upper=len(cx.faces(q - 1)) > len(cx.faces(q)))
+    size = len(gram)
     eigenvalues = np.linalg.eigvalsh(gram)
     where = f"the Gram piece of d_{q} ({size} rows"
     zeros = size - rank
@@ -417,35 +402,52 @@ class SpectralMeasure(NamedTuple):
         return [(value, Fraction(count, self.n_vertices)) for value, count in out]
 
 
-def _measure_and_traces(cx: SimplicialComplex, p: int, order: int) -> tuple:
-    """(:func:`spectral_measure`, [tr Delta_p^r for r = 0..order] exactly)
-    from one build of each Gram piece: as d_p d_{p+1} = 0, tr Delta_p^r is
-    tr (d_p^T d_p)^r + tr (d_{p+1} d_{p+1}^T)^r for r >= 1, and f_p at 0."""
-    p = _check_int(p, "spectral degree")
+def _pieces(cx: SimplicialComplex, ps) -> list:
+    """The degrees q of the Gram pieces that the spectra of Delta_p, for p
+    in ``ps``, need: q = p and p + 1, each once, ascending.  The piece of
+    d_q has min(f_{q-1}, f_q) rows, and one past ``DENSE_EIGENSOLVE_CAP``
+    raises ValidationError, so a spectrum refuses it before any work."""
+    qs = sorted({*ps, *(p + 1 for p in ps)})
+    for q in qs:
+        size = min(len(cx.faces(q - 1)), len(cx.faces(q)))
+        if size > DENSE_EIGENSOLVE_CAP:
+            raise ValidationError(
+                f"the Gram piece of d_{q} has {size} rows, past the dense "
+                f"eigensolver cap ({DENSE_EIGENSOLVE_CAP}); use moment "
+                "estimators at this scale")
+    return qs
+
+
+def _spectra(cx: SimplicialComplex, ps, order: int) -> dict:
+    """{p: (:func:`spectral_measure`, [tr Delta_p^r, r = 0..order] exactly)}
+    for p in ``ps``: :func:`_pieces`, every rank, then each piece solved once,
+    as d_q's serves Delta_{q-1} and Delta_q.  As d_p d_{p+1} = 0, tr Delta_p^r
+    sums the pieces' r-th power traces for r >= 1, and is f_p at 0."""
+    ps = [_check_int(p, "spectral degree") for p in ps]
     n = len(cx.faces(0))
     if n == 0:
         raise ValidationError("spectral measure needs a nonempty complex")
-    for q in (p, p + 1):
-        _piece_size(cx, q)  # refuses a piece past the cap
-    bettis, ranks = _chain_numbers(cx, (p,))
-    kernel = bettis[p]
-    low, low_traces = _nonzero_spectrum(cx, p, ranks[p], order)
-    high, high_traces = _nonzero_spectrum(cx, p + 1, ranks[p + 1], order)
-    measure = SpectralMeasure(p, n, tuple([0.0] * kernel + sorted(low + high)),
-                              kernel)
-    return measure, [len(cx.faces(p)), *map(sum, zip(low_traces, high_traces))]
+    qs = _pieces(cx, ps)
+    bettis, ranks = _chain_numbers(cx, ps)
+    solved = {q: _nonzero_spectrum(cx, q, ranks[q], order) for q in qs}
+    out = {}
+    for p in ps:
+        (low, low_traces), (high, high_traces) = solved[p], solved[p + 1]
+        measure = SpectralMeasure(
+            p, n, tuple([0.0] * bettis[p] + sorted(low + high)), bettis[p])
+        out[p] = measure, [len(cx.faces(p)),
+                           *map(sum, zip(low_traces, high_traces))]
+    return out
 
 
 def spectral_measure(cx: SimplicialComplex, p: int) -> SpectralMeasure:
     """Spectral measure of Delta_p with uniform weight 1/|V| per eigenvalue.
 
     The kernel is pinned to the exact b_p, and the nonzero eigenvalues are
-    those of the Gram pieces of d_p and d_{p+1} (:func:`_nonzero_spectrum`),
-    each cross-checked against its exact rank; any disagreement raises
-    CrossCheckError.  A piece past ``DENSE_EIGENSOLVE_CAP`` rows is refused
-    before any rank or eigensolve is computed.
+    those of the Gram pieces of d_p and d_{p+1}, each cross-checked against
+    its exact rank, in one pass of :func:`_spectra`.
     """
-    return _measure_and_traces(cx, p, 0)[0]
+    return _spectra(cx, (p,), 0)[p][0]
 
 
 def euler_poincare(cx: SimplicialComplex):

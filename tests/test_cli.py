@@ -137,6 +137,35 @@ def test_betti_exact_solves_each_piece_once(scx, capsys, monkeypatch):
     assert sorted(n for n in solved if n) == [6, 8]
 
 
+def test_betti_exact_refuses_a_piece_past_the_cap_before_any_rank(
+        scx, capsys, monkeypatch):
+    # the side-6 torus has pieces of 0, 36, 72 and 0 rows (d_0 to d_3)
+    import l2limits.spectral as spectral_mod
+
+    calls = []
+    rank = spectral_mod.boundary_rank
+    monkeypatch.setattr(spectral_mod, "boundary_rank",
+                        lambda cx, q: calls.append(q) or rank(cx, q))
+    monkeypatch.setattr(spectral_mod, "DENSE_EIGENSOLVE_CAP", 40)
+    path = scx("torus6.scx", torus_tower(2, 6))
+    code, out, err = run(capsys, ["betti", path, "--exact"])
+    assert code == 3 and out == ""
+    assert "Gram piece of d_2 has 72 rows" in err
+    assert calls == []
+
+
+def test_betti_exact_failed_cross_check_prints_no_betti_number(
+        scx, capsys, monkeypatch):
+    # a zero tolerance of 2 swallows genuine eigenvalues of the 5-cycle
+    import l2limits.spectral as spectral_mod
+
+    monkeypatch.setattr(spectral_mod, "ZERO_TOL", 2.0)
+    path = scx("cycle5.scx", fixtures()["cycle5"])
+    code, out, err = run(capsys, ["betti", path, "--exact"])
+    assert code == 5 and out == ""
+    assert "eigensolver zero count" in err
+
+
 def test_bare_package_error_exits_3(capsys, monkeypatch):
     import l2limits.cli as cli_mod
 

@@ -20,9 +20,8 @@ from l2limits.measures import (RandomRootedComplex, SupportPoint,
                                ball_distribution, expected_p_degree,
                                uniform_rooting)
 from l2limits.spectral import (SpectralMeasure, _boundary, _gram,
-                               _Incidence, _measure_and_traces,
-                               boundary_matrix, laplacian_matrix,
-                               spectral_measure)
+                               _Incidence, _spectra, boundary_matrix,
+                               laplacian_matrix, spectral_measure)
 
 closure = SimplicialComplex.closure
 
@@ -332,7 +331,7 @@ def test_level_moments_are_the_power_traces_of_the_gram_pieces(monkeypatch):
         n = len(cx.vertices)
         mu = uniform_rooting(cx)
         for p in range(cx.dim + 2):
-            measure, traces = _measure_and_traces(cx, p, order)
+            measure, traces = _spectra(cx, (p,), order)[p]
             assert measure == spectral_measure(cx, p)
             moments = tuple(Fraction(t, n) for t in traces)
             assert moments == moments_of_measure(mu, p, order).moments

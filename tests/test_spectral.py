@@ -397,7 +397,8 @@ def test_power_traces_are_exact_on_both_sides_of_2_53(monkeypatch):
 def test_the_cap_applies_per_piece(monkeypatch):
     # the side-6 torus at p=1: pieces of 36 and 72 rows, f_1 = 108
     torus = torus_tower(2, 6)
-    assert [spectral._piece_size(torus, q) for q in (1, 2)] == [36, 72]
+    assert [min(len(torus.faces(q - 1)), len(torus.faces(q)))
+            for q in (1, 2)] == [36, 72]
     assert len(torus.faces(1)) == 108
     want = spectral_measure(torus, 1)
     monkeypatch.setattr(spectral, "DENSE_EIGENSOLVE_CAP", 100)
@@ -407,6 +408,30 @@ def test_the_cap_applies_per_piece(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_EIGENSOLVE_CAP", 71)
     with pytest.raises(ValidationError, match="dense eigensolver cap"):
         spectral_measure(torus, 1)
+
+
+def test_one_pass_serves_every_degree_and_solves_each_piece_once(
+        monkeypatch):
+    # the piece of d_q serves Delta_{q-1} and Delta_q: one pass over every
+    # degree solves the pieces of d_0 to d_{dim+1} once each, and gives what
+    # one pass per degree gives
+    cases = [*fixtures().values(), closure(torus_tower(2, 6).faces(2)[1:])]
+    eigvalsh, solve = np.linalg.eigvalsh, spectral._nonzero_spectrum
+    for cx in cases:
+        for order in (0, 3):
+            solved, eigensolves = [], []
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh",
+                              lambda a: eigensolves.append(1) or eigvalsh(a))
+                patch.setattr(spectral, "_nonzero_spectrum",
+                              lambda cx, q, *a: solved.append(q)
+                              or solve(cx, q, *a))
+                every = spectral._spectra(cx, range(cx.dim + 1), order)
+            assert solved == list(range(cx.dim + 2))
+            assert len(eigensolves) == cx.dim + 2
+            for p in range(cx.dim + 1):
+                assert every[p] == spectral._spectra(cx, (p,), order)[p]
+                assert every[p][0] == spectral_measure(cx, p)
 
 
 def test_negative_degree_rejected_by_spectral_route():

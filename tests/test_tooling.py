@@ -311,3 +311,20 @@ def test_one_function_codes_balls():
         lambda node: isinstance(node, ast.Call)
         and ast.unparse(node.func).endswith("_canonical_order"))}
     assert callers == {"encoding._ball_codes"}
+
+
+def test_spectral_alone_plans_gram_pieces():
+    # every spectrum, convergence level and betti --exact is one pass of
+    # spectral._spectra: no other function solves a Gram piece, and only
+    # spectral._pieces compares a piece with the cap
+    solvers = {scope for scope, _ in _scoped(
+        lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("_nonzero_spectrum"))}
+    assert solvers == {"spectral._spectra"}
+    readers = {scope for scope, _ in _scoped(
+        lambda node: isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Load)
+        and node.id == "DENSE_EIGENSOLVE_CAP"
+        or isinstance(node, ast.Attribute)
+        and node.attr == "DENSE_EIGENSOLVE_CAP")}
+    assert readers == {"spectral._pieces"}
