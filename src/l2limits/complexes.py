@@ -191,8 +191,9 @@ class SimplicialComplex:
     # -- metric structure ---------------------------------------------------
 
     def distances(self, root: int) -> dict:
-        """Graph distances from root along the 1-skeleton, in search order."""
-        return _bfs(self, root)
+        """Graph distances from root along the 1-skeleton, in search order;
+        a root that is no vertex raises ``ValidationError``."""
+        return _bfs(self, _check_root(self, root))
 
     def is_connected(self) -> bool:
         # the complex is immutable, so one search answers for its lifetime
@@ -249,18 +250,31 @@ class SimplicialComplex:
         return f"SimplicialComplex(f_vector={self.f_vector()})"
 
 
+def _check_root(cx: SimplicialComplex, root) -> int:
+    """``root`` as an int, if it is a vertex of ``cx``: looked up first, so
+    1.5 or ``[1]`` is no vertex, then :func:`errors._check_int` refuses 1.0."""
+    if not cx.has_vertex(root):
+        raise ValidationError(f"root {root} is not a vertex")
+    return _check_int(root, "root")
+
+
+def _check_nonempty(cx: SimplicialComplex, what: str) -> int:
+    """|V| of ``cx``, which ``what`` (a uniform average) refuses when 0."""
+    if not cx._star:
+        raise ValidationError(f"{what} needs a nonempty complex")
+    return len(cx._star)
+
+
 class RootedComplex:
     """A connected simplicial complex with a distinguished root vertex."""
 
     __slots__ = ("complex", "root")
 
     def __init__(self, complex: SimplicialComplex, root: int):
-        if not complex.has_vertex(root):
-            raise ValidationError(f"root {root} is not a vertex")
+        self.root = _check_root(complex, root)
         if not complex.is_connected():
             raise ValidationError("rooted complex must be connected")
         self.complex = complex
-        self.root = _check_int(root, "root")
 
     def ball(self, r: int) -> "RootedComplex":
         """Closed ball: the subcomplex induced by vertices at distance <= r.
@@ -337,5 +351,5 @@ def _component_map(cx: SimplicialComplex) -> dict:
 def rooted_at(cx: SimplicialComplex, root: int) -> RootedComplex:
     """Root ``cx`` at a vertex, in that vertex's component, cut once."""
     if cx.has_vertex(root) and not cx.is_connected():
-        cx = _connected_cut(cx, cx.distances(_check_int(root, "root")))
+        cx = _connected_cut(cx, cx.distances(root))
     return RootedComplex(cx, root)

@@ -14,6 +14,7 @@ should raise the most specific type that applies:
 from __future__ import annotations
 
 import operator
+from numbers import Real
 
 __all__ = [
     "L2LimitsError",
@@ -71,3 +72,18 @@ def _check_int(value, what: str) -> int:
     if n < 0:
         raise ValidationError(f"{what} must be nonnegative")
     return n
+
+
+def _check_number(value, what: str) -> None:
+    if not isinstance(value, Real) or value != value:  # NaN is unequal to itself
+        raise ValidationError(f"{what} must be a real number, not {value!r}")
+
+
+def _check_probability(value) -> None:
+    if not (isinstance(value, Real) and 0 <= value <= 1):
+        raise ValidationError(f"probability must lie in [0, 1], not {value!r}")
+
+
+def _check_eps(value) -> None:
+    if not (isinstance(value, Real) and 0 < value < 1):
+        raise ValidationError(f"eps must lie strictly between 0 and 1, not {value!r}")

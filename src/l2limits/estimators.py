@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
-from numbers import Rational, Real
+from numbers import Rational
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex, _component_map
-from .errors import HypothesisViolationError, ValidationError, _check_int
+from .complexes import RootedComplex, SimplicialComplex, _check_nonempty, _component_map
+from .errors import HypothesisViolationError, ValidationError, _check_eps, _check_int
 from .formats import _text
 from .measures import (RandomRootedComplex, _integer_weights, measure_distance,
                        uniform_rooting)
@@ -116,6 +116,7 @@ class RootSample(NamedTuple):
     def covers(self, r: int) -> bool:
         """True when moments of order r are computable from this sample:
         the walk of each carrier at the root reads only the (r//2 + 1)-ball."""
+        r = _check_int(r, "moment order")
         radius = self.declared_radius
         return radius is None or radius >= r // 2 + 1
 
@@ -206,11 +207,8 @@ def exhaustive_moments(cx: SimplicialComplex, p: int, order: int) -> MomentVecto
     one, ``moments_of_measure(uniform_rooting(cx), p, order)`` walks only
     the carriers of one root per class and is the cheaper route.
     """
-    verts = cx.vertices
-    if not verts:
-        raise ValidationError("cannot average over an empty complex")
-    weight = Fraction(1, len(verts))
-    return _weighted_moments(((cx, v, weight) for v in verts), p, order)
+    weight = Fraction(1, _check_nonempty(cx, "exhaustive moments"))
+    return _weighted_moments(((cx, v, weight) for v in cx.vertices), p, order)
 
 
 def vertex_sampler(cx: SimplicialComplex, radius: int):
@@ -222,9 +220,8 @@ def vertex_sampler(cx: SimplicialComplex, radius: int):
     and a sample costs the walk, not |V|.  Each component is cut once,
     here, and known to be connected, so no draw searches.
     """
+    _check_nonempty(cx, "vertex sampler")
     verts = cx.vertices
-    if not verts:
-        raise ValidationError("cannot sample from an empty complex")
     radius = _check_int(radius, "ball radius")
     parts = _component_map(cx)
 
@@ -277,20 +274,18 @@ def monte_carlo_moments(sampler, p: int, order: int, n_samples: int,
     return MomentVector(p, means, errs)
 
 
-def _check_eps(eps) -> None:
-    if not (isinstance(eps, Real) and 0 < eps < 1):
-        raise ValidationError(f"eps must lie strictly between 0 and 1, not {eps!r}")
-
-
 def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
     """Upper bound on spectral mass in (-eps, eps) excluding the atom at 0.
 
     The nonzero eigenvalues of an integer positive semidefinite matrix have
-    product at least 1, so few of them fit below eps once the spectral
-    radius is known.  The radius used is the proven bound on Delta_p at max
-    degree D, max((p+1)(D-p+1), (p+2)(D-p), 0): the larger of the bounds
-    on its two Gram pieces, which every spectrum checks.  A radius at most
-    1 forces the nonzero spectrum to be empty and the bound to 0.
+    product at least 1.  If k of the N' nonzero eigenvalues of Delta_p lie
+    below eps, and all at most rho, then 0 <= k ln eps + (N' - k) ln rho,
+    so k <= N' ln rho / ln(rho/eps); as N' <= |K(p)| <= |V| C(D, p)/(p+1),
+    the mass k/|V| is at most C(D, p) ln rho / ((p+1) ln(rho/eps)).  Here
+    rho is the proven bound on Delta_p at max degree D, max((p+1)(D-p+1),
+    (p+2)(D-p), 0): the larger of the bounds on its two Gram pieces, which
+    every spectrum checks.  A radius at most 1 forces the nonzero spectrum
+    to be empty and the bound to 0.
     """
     _check_eps(eps)
     degree_bound = _check_int(degree_bound, "degree bound")
@@ -299,7 +294,7 @@ def kernel_mass_bound(degree_bound: int, p: int, eps: float) -> float:
     if radius <= 1:
         return 0.0
     return (math.log(radius) * math.comb(degree_bound, p)
-            / ((p + 1) * math.log(1.0 / eps)))
+            / ((p + 1) * math.log(radius / eps)))
 
 
 def _level_stats(cx, p, order, eps_list):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import measures
-from .complexes import RootedComplex, SimplicialComplex, _as_simplex
-from .errors import MalformedInputError, ValidationError, _check_int
+from .complexes import RootedComplex, SimplicialComplex, _as_simplex, _check_root
+from .errors import MalformedInputError, ValidationError
 
 __all__ = [
     "read_scx",
@@ -74,8 +74,11 @@ def _parse_scx_lines(lines):
         except MalformedInputError as exc:
             raise MalformedInputError(f"line {lineno}: {exc}")
     cx = SimplicialComplex.closure(maximal)
-    if root is not None and not cx.has_vertex(root):
-        raise ValidationError(f"line {root_line}: root {root} is not a vertex")
+    if root is not None:
+        try:
+            _check_root(cx, root)
+        except ValidationError as exc:
+            raise ValidationError(f"line {root_line}: {exc}")
     return cx, root
 
 
@@ -91,9 +94,7 @@ def read_scx(source):
 
 def write_scx(cx: SimplicialComplex, target, root=None) -> None:
     """A root that is no vertex of ``cx`` is refused before ``target`` opens."""
-    lines = [] if root is None else [f"root {_check_int(root, 'root')}"]
-    if root is not None and not cx.has_vertex(root):
-        raise ValidationError(f"root {root} is not a vertex")
+    lines = [] if root is None else [f"root {_check_root(cx, root)}"]
     lines += [" ".join(str(v) for v in s) for s in cx.maximal_simplices()]
     with _text(target, "w") as fh:
         fh.write("\n".join(lines) + "\n" if lines else "")

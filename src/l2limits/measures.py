@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import RootedComplex, SimplicialComplex, _component_map
+from .complexes import RootedComplex, SimplicialComplex, _check_nonempty, _component_map
 from .encoding import CanonicalCode, _ball_codes, _root_classes
 from .errors import ValidationError, _check_int
 
@@ -126,13 +126,11 @@ def uniform_rooting(cx: SimplicialComplex) -> RandomRootedComplex:
     """Root ``cx`` at a uniform vertex, in its component (each cut once),
     and group roots by isomorphism search (:func:`encoding._root_classes`):
     each class is its smallest root, weighted by its share of roots."""
-    verts = cx.vertices
-    if not verts:
-        raise ValidationError("cannot root an empty complex")
+    n = _check_nonempty(cx, "uniform rooting")
     comp_of = _component_map(cx)
-    pairs = [(comp_of[v], v) for v in verts]
+    pairs = [(comp_of[v], v) for v in cx.vertices]
     return RandomRootedComplex(
-        SupportPoint(RootedComplex(*pairs[i]), Fraction(count, len(verts)))
+        SupportPoint(RootedComplex(*pairs[i]), Fraction(count, n))
         for i, count in Counter(_root_classes(pairs)).items())
 
 

@@ -33,8 +33,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .complexes import SimplicialComplex
-from .errors import CrossCheckError, ValidationError, _check_int
+from .complexes import SimplicialComplex, _check_nonempty
+from .errors import CrossCheckError, ValidationError, _check_int, _check_number
 from .exact import rational_rank
 from .formats import _text
 
@@ -202,9 +202,7 @@ def betti(cx: SimplicialComplex, p: int) -> int:
 
 def betti_normalized(cx: SimplicialComplex, p: int) -> Fraction:
     """b_p / |V|, the finite-complex normalized Betti number."""
-    n = len(cx.faces(0))
-    if n == 0:
-        raise ValidationError("normalized Betti number needs a nonempty complex")
+    n = _check_nonempty(cx, "normalized Betti number")
     return Fraction(betti(cx, p), n)
 
 
@@ -384,10 +382,12 @@ class SpectralMeasure(NamedTuple):
 
     def near_zero_mass(self, eps: float) -> Fraction:
         """Mass of (-eps, eps) minus the exact atom at zero."""
+        _check_number(eps, "eps")
         count = sum(1 for ev in self.eigenvalues if ev != 0.0 and abs(ev) < eps)
         return Fraction(count, self.n_vertices)
 
     def moment(self, r: int) -> float:
+        r = _check_int(r, "moment order")
         return sum(ev ** r for ev in self.eigenvalues) / self.n_vertices
 
     def atoms(self):
@@ -424,9 +424,7 @@ def _spectra(cx: SimplicialComplex, ps, order: int) -> dict:
     as d_q's serves Delta_{q-1} and Delta_q.  As d_p d_{p+1} = 0, tr Delta_p^r
     sums the pieces' r-th power traces for r >= 1, and is f_p at 0."""
     ps = [_check_int(p, "spectral degree") for p in ps]
-    n = len(cx.faces(0))
-    if n == 0:
-        raise ValidationError("spectral measure needs a nonempty complex")
+    n = _check_nonempty(cx, "spectral measure")
     qs = _pieces(cx, ps)
     bettis, ranks = _chain_numbers(cx, ps)
     solved = {q: _nonzero_spectrum(cx, q, ranks[q], order) for q in qs}
@@ -456,9 +454,7 @@ def euler_poincare(cx: SimplicialComplex):
     Returns (sum (-1)^p b_p / |V|, sum (-1)^p |K(p)| / |V|); the two are
     equal for every finite complex by rank-nullity telescoping.
     """
-    n = len(cx.faces(0))
-    if n == 0:
-        raise ValidationError("Euler-Poincare needs a nonempty complex")
+    n = _check_nonempty(cx, "Euler-Poincare")
     bettis = _chain_numbers(cx, range(cx.dim + 1))[0]
     alternating = sum((-1) ** p * b for p, b in bettis.items())
     return Fraction(alternating, n), Fraction(cx.euler_characteristic(), n)

@@ -158,6 +158,8 @@ def test_distances_and_connectivity():
     assert not cx.is_connected()
     assert cx.components() == (frozenset({0, 1, 2}), frozenset({3, 4}))
     assert closure([(0, 1, 2)]).is_connected()
+    with pytest.raises(ValidationError, match="root 999 is not a vertex"):
+        torus_tower(2, 4).distances(999)
 
 
 def _deque_bfs(cx, root):
@@ -346,7 +348,7 @@ def test_rooted_complex_validation():
 def test_an_unhashable_root_is_no_vertex():
     edge = fixtures()["edge"]
     assert not edge.has_vertex([1])
-    for make in (RootedComplex, rooted_at):
+    for make in (RootedComplex, rooted_at, SimplicialComplex.distances):
         with pytest.raises(ValidationError, match=r"root \[1\] is not a vertex"):
             make(edge, [1])
 

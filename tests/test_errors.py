@@ -13,7 +13,7 @@ from l2limits.complexes import RootedComplex, rooted_at
 from l2limits.encoding import (CanonicalCode, bs_distance, canonical_code,
                                subset_from_index)
 from l2limits.errors import ValidationError
-from l2limits.estimators import (MomentVector, convergence_experiment,
+from l2limits.estimators import (MomentVector, RootSample, convergence_experiment,
                                  exhaustive_moments, kernel_mass_bound,
                                  local_moment, moments_of_measure,
                                  monte_carlo_moments, vertex_sampler)
@@ -45,6 +45,7 @@ def _entry_points():
     mu = uniform_rooting(torus)
     pt = mu.points[0]
     pair = [torus_tower(2, 4), torus_tower(2, 5)]
+    nu = spectral_measure(pair[0], 1)
 
     def sampled(radius):
         return vertex_sampler(torus, radius)(np.random.default_rng(0))
@@ -88,6 +89,8 @@ def _entry_points():
         ("betti", lambda x: betti(torus, x), 1),
         ("laplacian_matrix", lambda x: laplacian_matrix(torus, x).tolist(), 1),
         ("spectral_measure", lambda x: spectral_measure(torus, x), 1),
+        ("SpectralMeasure.moment", nu.moment, 2),
+        ("RootSample.covers", lambda x: RootSample(rc, 3).covers(x), 5),
         ("torus_tower d", lambda x: torus_tower(x, 5), 2),
         ("torus_tower n", lambda x: torus_tower(2, x), 5),
         ("linial_meshulam d", lambda x: linial_meshulam(x, 6, 0.5, 0), 2),
@@ -102,13 +105,16 @@ def _entry_points():
 
 def test_integer_arguments_follow_one_rule():
     # a float is refused, not floored, even one that hashes like a valid
-    # int; a root is first looked up, and 1.5 is no vertex.  A numpy
-    # integer is the int it holds.
+    # int, and so is a negative int; a root is first looked up, and 1.5 and
+    # -1 are no vertices.  A numpy integer is the int it holds.
     for name, call, good in _entry_points():
         for bad in (1.5, float(good)):
             with pytest.raises(ValidationError,
                                match="must be an integer|root 1.5 is not a vertex"):
                 call(bad)
+        with pytest.raises(ValidationError,
+                           match="must be nonnegative|root -1 is not a vertex"):
+            call(-1)
         assert call(np.int64(good)) == call(good), name
 
 
@@ -128,6 +134,7 @@ def test_real_arguments_refuse_what_is_no_number():
     # (call of one real argument, its rule, values it refuses, values it takes)
     rc = rooted_at(torus_tower(1, 5), 0)
     tower = [torus_tower(1, 5)]
+    nu = spectral_measure(torus_tower(2, 4), 1)
     table = [
         (lambda x: random_flag(8, x, 2, 0), "probability must lie in",
          ["0.5", None, float("nan"), 1.5], [0.5, np.float64(0.5), Fraction(1, 2)]),
@@ -137,6 +144,8 @@ def test_real_arguments_refuse_what_is_no_number():
          ["0.5", None, float("nan"), 1], [0.5, np.float64(0.5), Fraction(1, 2)]),
         (lambda x: convergence_experiment(tower, 0, 2, [x]).summary_lines(),
          "eps must lie strictly between", ["0.5", None], [0.5, np.float64(0.5)]),
+        (nu.near_zero_mass, "eps must be a real number",
+         ["0.5", None, float("nan")], [0.5, np.float64(0.5), Fraction(1, 2)]),
         (lambda x: SupportPoint(rc, x).weight, "support weights must be positive",
          ["x", None, float("nan"), float("inf"), 0, "-1/2"],
          [0.5, np.float64(0.5), Fraction(1, 2), "1/2"]),

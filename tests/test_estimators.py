@@ -581,6 +581,8 @@ def test_root_sample_covers():
     assert not RootSample(rc, declared_radius=3).covers(6)
     assert RootSample(rc, declared_radius=1).covers(1)
     assert not RootSample(rc, declared_radius=1).covers(2)
+    with pytest.raises(ValidationError, match="moment order must be nonnegative"):
+        RootSample(rc, 3).covers(-5)
 
 
 def test_monte_carlo_needs_only_the_half_order_ball():
@@ -639,7 +641,7 @@ def test_convergence_experiment_checks_rmax_first(monkeypatch):
 def test_kernel_mass_bound_formula():
     d, p, eps = 6, 1, 0.5
     radius = 15  # max((p+1)(D-p+1), (p+2)(D-p), 0)
-    want = math.log(radius) * math.comb(d, p) / ((p + 1) * math.log(1 / eps))
+    want = math.log(radius) * math.comb(d, p) / ((p + 1) * math.log(radius / eps))
     assert kernel_mass_bound(d, p, eps) == pytest.approx(want)
     assert kernel_mass_bound(0, 0, 0.5) == 0.0  # a priori radius is 1
 
@@ -658,10 +660,11 @@ def test_fraction_eps_writes_what_its_float_writes(tmp_path):
 
 
 def test_kernel_mass_bound_default_radius_holds():
-    # The bound grows with the radius, so an a priori radius at least the
-    # true one gives a bound at least the one from the true radius.  The
-    # old default 2*sqrt((p+2)*D) = 8.49 fails this on torus_tower(2, 8),
-    # p=1, whose spectral radius is 8.83.
+    # The bound grows with the radius (ln x / ln(x/eps) increases in x for
+    # eps < 1), so an a priori radius at least the true one gives a bound at
+    # least the one from the true radius.  The old default
+    # 2*sqrt((p+2)*D) = 8.49 fails this on torus_tower(2, 8), p=1, whose
+    # spectral radius is 8.83.
     corpus = dict(fixtures(), torus8=torus_tower(2, 8))
     for name, cx in corpus.items():
         degree = cx.max_degree()
@@ -670,7 +673,7 @@ def test_kernel_mass_bound_default_radius_holds():
             for eps in (0.5, 0.1):
                 true_bound = 0.0 if radius <= 1 else (
                     math.log(radius) * math.comb(degree, p)
-                    / ((p + 1) * math.log(1 / eps)))
+                    / ((p + 1) * math.log(radius / eps)))
                 assert kernel_mass_bound(degree, p, eps) >= \
                     true_bound - 1e-12, (name, p, eps)
 

@@ -11,7 +11,7 @@ from conftest import random_complex, random_connected_complex
 from l2limits.cli import main
 from l2limits.complexes import SimplicialComplex
 from l2limits.errors import CrossCheckError, ValidationError
-from l2limits.estimators import exhaustive_moments
+from l2limits.estimators import exhaustive_moments, vertex_sampler
 from l2limits.exact import rational_rank
 from l2limits.formats import write_scx
 from l2limits.generators import (fixtures, linial_meshulam, random_flag,
@@ -273,8 +273,11 @@ def test_whole_complex_statistics_refuse_the_empty_complex():
     empty = SimplicialComplex([])
     for call, message in (
             (lambda: exhaustive_moments(empty, 1, 2),
-             "cannot average over an empty complex"),
-            (lambda: uniform_rooting(empty), "cannot root an empty complex"),
+             "exhaustive moments needs a nonempty complex"),
+            (lambda: uniform_rooting(empty), "uniform rooting needs a nonempty complex"),
+            (lambda: vertex_sampler(empty, 2), "vertex sampler needs a nonempty complex"),
+            (lambda: spectral_measure(empty, 0),
+             "spectral measure needs a nonempty complex"),
             (lambda: betti_normalized(empty, 0),
              "normalized Betti number needs a nonempty complex"),
             (lambda: euler_poincare(empty),

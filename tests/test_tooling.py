@@ -172,6 +172,24 @@ def test_only_errors_spells_the_integer_rule():
     assert spellers == {"errors"}
 
 
+def test_each_argument_rule_is_spelled_in_one_module():
+    # the probability, eps and number rules live in errors; the root and
+    # empty-complex rules in complexes, which every module imports
+    homes = {"must lie in [0, 1]": "errors",
+             "must lie strictly between 0 and 1": "errors",
+             "must be a real number": "errors",
+             "needs a nonempty complex": "complexes",
+             "is not a vertex": "complexes"}
+    spellers = {sentence: set() for sentence in homes}
+    for path in sorted((ROOT / "src" / "l2limits").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for sentence in homes:
+                    if sentence in node.value:
+                        spellers[sentence].add(path.stem)
+    assert spellers == {sentence: {home} for sentence, home in homes.items()}
+
+
 def test_only_spectral_runs_dense_linear_algebra():
     # one dense route, in one module: no other module may multiply
     # matrices, eigensolve or scatter with bincount
